@@ -199,10 +199,6 @@ def w_mul(a: WeylMat, b: WeylMat) -> WeylMat:
     )
 
 
-def w_neg(a: WeylMat) -> WeylMat:
-    return tuple(tuple(-v for v in row) for row in a)
-
-
 def w_act_coords(w: WeylMat, coords: Sequence[CycNum]) -> tuple[CycNum, ...]:
     """Image of an h-element (u-coordinates) under w."""
     out = []
@@ -213,13 +209,6 @@ def w_act_coords(w: WeylMat, coords: Sequence[CycNum]) -> tuple[CycNum, ...]:
                 acc = acc + coords[j].scale(w[i][j])
         out.append(acc)
     return tuple(out)
-
-
-def w_act_tensor(w: WeylMat, t: Tensor) -> Tensor:
-    coords = u_coords(t)
-    if coords is None:
-        raise ValueError("tensor is not in the Cartan subspace")
-    return from_u_coords(w_act_coords(w, coords))
 
 
 def functional_after(coeffs: Sequence, w: WeylMat) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
 
@@ -355,9 +355,3 @@ def random_cyc(rng, max_num: int = 9, max_den: int = 9) -> CycNum:
     nums = [rng.randint(-max_num, max_num) for _ in range(8)]
     den = rng.randint(1, max_den)
     return CycNum(nums, den)
-
-
-def iter_units() -> Iterator[CycNum]:
-    """The 16 roots of unity eta^k."""
-    for k in range(16):
-        yield CycNum.eta_power(k)

@@ -77,10 +77,6 @@ def m2_conj(x: Mat2) -> Mat2:
     )
 
 
-def m2_scale(c: CycNum, x: Mat2) -> Mat2:
-    return ((c * x[0][0], c * x[0][1]), (c * x[1][0], c * x[1][1]))
-
-
 def m2_key(x: Mat2) -> tuple:
     return tuple(v.key() for row in x for v in row)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import _linalg as la
@@ -317,13 +317,29 @@ class SSTableRow:
             _dot(self.matrix[r], values) for r in range(4)
         )
 
+    @cached_property
+    def _eliminator(self) -> tuple:
+        """Invertible 4×4 ``E`` with ``E · matrix = [I_n; 0]``.
+
+        Read off one ``rref`` of ``[matrix | I_4]``: with independent
+        columns, the first n pivots sit on the columns of ``matrix``.
+        """
+        n = len(self.columns)
+        reduced, pivots = la.rref(
+            [list(r) + row for r, row in zip(self.matrix, la.identity(4))]
+        )
+        if pivots[:n] != list(range(n)):
+            raise ArithmeticError("row %d has linearly dependent columns" % self.k)
+        return tuple(tuple(r[n:]) for r in reduced)
+
     def solve(self, vec: Sequence[CycNum]) -> tuple | None:
         """Parameters that reproduce ``vec``, or None when inconsistent."""
-        mat = [list(r) for r in self.matrix]
-        sol = la.solve(mat, list(vec))
-        if sol is None:
+        elim = self._eliminator
+        n = len(self.columns)
+        if any(_dot(row, vec) for row in elim[n:]):
             return None
-        lams: list[CycNum] = [ZERO] * len(self.columns)
+        sol = [_dot(row, vec) for row in elim[:n]]
+        lams: list[CycNum] = [ZERO] * n
         for idx, col in enumerate(self.columns):
             if col.startswith("~"):
                 if not sol[idx]:
@@ -337,7 +353,8 @@ class SSTableRow:
 def _dot(coeffs, values) -> CycNum:
     acc = ZERO
     for c, v in zip(coeffs, values):
-        acc = acc + c * v
+        if c and v:
+            acc = acc + c * v
     return acc
 
 
@@ -1176,13 +1193,6 @@ def block(i: int, j: int) -> CaseBlock:
     raise KeyError("no table block (%d, %d)" % (i, j))
 
 
-def family_blocks(i: int) -> tuple[CaseBlock, ...]:
-    out = tuple(b for b in blocks() if b.i == i)
-    if not out:
-        raise KeyError("no table blocks for family %d" % i)
-    return out
-
-
 def table_rows() -> tuple[tuple[int, int, int], ...]:
     """All (i, j, k) triples present in the tables."""
     out = []
@@ -1252,13 +1262,14 @@ def _normalizer_pairs() -> tuple[tuple[GElt, cw.WeylMat], ...]:
         for g in galois.normalizer_generators()
     ]
     start = (ops.intern(IDENTITY), cw.W_IDENTITY)
-    seen: dict[tuple, tuple[GElt, cw.WeylMat]] = {ops.key(start[0]): start}
+    # Interned slots are one object per value, so ids identify elements.
+    seen: dict[tuple, tuple[GElt, cw.WeylMat]] = {tuple(map(id, start[0])): start}
     frontier = [start]
     while frontier:
         cur_g, cur_w = frontier.pop()
         for gen_g, gen_w in gens:
             new_g = ops.mul(gen_g, cur_g)
-            key = ops.key(new_g)
+            key = tuple(map(id, new_g))
             if key in seen:
                 continue
             new = (new_g, cw.w_mul(gen_w, cur_w))
@@ -1274,10 +1285,11 @@ def _normalizer_pairs() -> tuple[tuple[GElt, cw.WeylMat], ...]:
 @lru_cache(maxsize=1)
 def _weyl_lift_table() -> dict:
     """For each of the 192 coordinate symmetries, a canonical lift."""
+    key = _norm_ops().key
     table: dict[cw.WeylMat, GElt] = {}
     for g, w in _normalizer_pairs():
         cur = table.get(w)
-        if cur is None or g_key(g) < g_key(cur):
+        if cur is None or key(g) < key(cur):
             table[w] = g
     if len(table) != 192:
         raise ArithmeticError("expected 192 induced coordinate symmetries")
@@ -1366,15 +1378,27 @@ def _apply_move(mat, coords) -> tuple:
 # membership of a tensor in a real canonical subspace
 # ---------------------------------------------------------------------------
 
+_OFF_PAIR_POSITIONS = tuple(
+    pos for pos in range(16) if all(pos not in pair for pair in cw._U_PAIRS)
+)
+
 
 def _basis_coords(m: int, t: Tensor) -> tuple | None:
-    """Coordinates of ``t`` in the m-th real canonical basis, or None."""
+    """Coordinates of ``t`` in the m-th real canonical basis, or None.
+
+    The l-th basis vector is ``e_a ± e_b`` for the l-th pair ``(a, b)`` of
+    ``cartanweyl._U_PAIRS``, so its coordinate is read off entry ``a``.
+    """
     cb = cw.seven_cartans()[m - 1]
-    mat = [[vec.c[pos] for vec in cb.basis] for pos in range(16)]
-    sol = la.solve(mat, list(t.c))
-    if sol is None:
+    coords = []
+    for (a, b), vec in zip(cw._U_PAIRS, cb.basis):
+        c = t.c[a]
+        if t.c[b] != (c if vec.c[b] == ONE else -c):
+            return None
+        coords.append(c)
+    if any(t.c[pos] for pos in _OFF_PAIR_POSITIONS):
         return None
-    return tuple(sol)
+    return tuple(coords)
 
 
 def _containing_bases(t: Tensor) -> list[tuple[int, tuple]]:

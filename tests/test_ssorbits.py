@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from artifact import _linalg as la
 from artifact import cartanweyl as cw
 from artifact import galois, invariants, liealg
 from artifact import ssorbits as ss
@@ -262,6 +263,61 @@ def test_check_row_accepts_genuine():
     assert out["ok"]
 
 
+def _reference_row_solve(row, vec):
+    # plain elimination on the row matrix, then the reciprocal step
+    sol = la.solve([list(r) for r in row.matrix], list(vec))
+    if sol is None:
+        return None
+    out = []
+    for val, col in zip(sol, row.columns):
+        if col.startswith("~"):
+            if not val:
+                return None
+            val = val.inverse()
+        out.append(val)
+    return tuple(out)
+
+
+def test_row_solve_matches_elimination():
+    count = 0
+    for blk in ss.blocks():
+        lams = ss.default_lambda(blk.i, blk.j)
+        for row in blk.rows:
+            count += 1
+            vec = row.coordinates(lams)
+            assert row.solve(vec) == _reference_row_solve(row, vec) == tuple(lams)
+            bumped = [vec[:p] + (vec[p] + ONE,) + vec[p + 1:] for p in range(4)]
+            results = [row.solve(b) for b in bumped]
+            assert results == [_reference_row_solve(row, b) for b in bumped]
+            if len(row.columns) < 4:
+                assert None in results
+    assert count == 162
+
+
+def test_basis_coords_match_elimination():
+    def reference(m, t):
+        basis = cw.seven_cartans()[m - 1].basis
+        sol = la.solve([[vec.c[pos] for vec in basis] for pos in range(16)], list(t.c))
+        return None if sol is None else tuple(sol)
+
+    tensors = [
+        ss.row_tensor(blk.i, blk.j, row.k, ss.default_lambda(blk.i, blk.j))
+        for blk in ss.blocks()
+        for row in blk.rows
+    ]
+    # outside every span: a pair entry matching neither sign, and an entry
+    # off the pairs on top of a point of the all-plus span
+    unpaired = [ZERO] * 16
+    unpaired[0], unpaired[15], unpaired[6], unpaired[9] = ONE, rat(2), ONE, MINUS_ONE
+    off_pair = list(cw.u_basis()[0].c)
+    off_pair[1] = ONE
+    outside = [Tensor(unpaired), Tensor(off_pair)]
+    for m in range(1, 8):
+        for t in tensors + outside:
+            assert ss._basis_coords(m, t) == reference(m, t)
+        assert all(ss._basis_coords(m, t) is None for t in outside)
+
+
 # ---------------------------------------------------------------------------
 # real coordinate symmetries
 # ---------------------------------------------------------------------------
@@ -302,6 +358,18 @@ def test_real_weyl_group_half_turns():
         if any(abs(w[a][b]) == rat(1, 2).to_fraction() for a in range(4) for b in range(4))
     ]
     assert len(halves) == 8
+
+
+def test_weyl_lift_is_least_lift():
+    least = {}
+    for g, w in ss._normalizer_pairs():
+        if w not in least or g_key(g) < g_key(least[w]):
+            least[w] = g
+    assert len(least) == 192
+    for w, g in least.items():
+        lift = ss.weyl_lift(w)
+        assert cw.h_action_matrix(lift) == w
+        assert lift == g
 
 
 # ---------------------------------------------------------------------------
