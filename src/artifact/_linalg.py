@@ -25,22 +25,6 @@ def identity(n: int) -> Mat:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a: Mat) -> Mat:
-    return [[-x for x in row] for row in a]
-
-
-def mat_scale(c: CycNum, a: Mat) -> Mat:
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = list(zip(*b))
     out = []
@@ -77,22 +61,6 @@ def mat_eq(a: Mat, b: Mat) -> bool:
 
 def is_zero_mat(a: Mat) -> bool:
     return all(not x for row in a for x in row)
-
-
-def mat_conj(a: Mat) -> Mat:
-    return [[x.conjugate() for x in row] for row in a]
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(c: CycNum, v: Vec) -> Vec:
-    return [c * x for x in v]
 
 
 def is_zero_vec(v: Vec) -> bool:
@@ -381,21 +349,3 @@ def minimal_polynomial(a: Mat) -> Poly:
     assert coeffs is not None
     poly = [-c for c in coeffs] + [ONE]
     return poly_trim(poly)
-
-
-def minimal_polynomial_vector(a: Mat, v: Vec) -> Poly:
-    """Monic minimal polynomial of a relative to the vector v."""
-    span = IncrementalSpan(len(v))
-    vecs = [list(v)]
-    span.add(vecs[0])
-    cur = vecs[0]
-    while True:
-        cur = mat_vec(a, cur)
-        if span.contains(cur):
-            break
-        span.add(cur)
-        vecs.append(cur)
-    cols = transpose(vecs)
-    coeffs = solve(cols, cur)
-    assert coeffs is not None
-    return poly_trim([-c for c in coeffs] + [ONE])

@@ -37,6 +37,7 @@ from .liealg import (
     bracket,
     build_d4,
     g1_to_tensor,
+    is_commuting_semisimple,
     tensor_to_g1,
     u_basis,
 )
@@ -527,6 +528,16 @@ def seven_cartans() -> tuple[CartanBasis, ...]:
         ns = g_mul(g_inv(gs), conj_g(gs))
         out.append(CartanBasis(index=m, basis=basis, gstar=gs, nstar=ns))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def cartan_is_semisimple(m: int) -> bool:
+    """Whether the m-th real Cartan basis is a commuting semisimple family.
+
+    When it is, every tensor in its span is semisimple (the span is a Cartan
+    subspace of g1), so membership stands in for a per-tensor check.
+    """
+    return is_commuting_semisimple(seven_cartans()[m - 1].basis)
 
 
 def cartan_detect(t: Tensor) -> tuple[int, tuple[CycNum, ...]] | None:

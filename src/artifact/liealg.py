@@ -429,13 +429,6 @@ class Tensor:
         cs[t] = coeff
         return Tensor(cs)
 
-    @staticmethod
-    def from_dict(d: dict[str, CycNum]) -> "Tensor":
-        cs = [ZERO] * 16
-        for bits, v in d.items():
-            cs[_bits_to_index(bits)] = v
-        return Tensor(cs)
-
     def __getitem__(self, bits) -> CycNum:
         return self.c[bits if isinstance(bits, int) else _bits_to_index(bits)]
 
@@ -468,9 +461,6 @@ class Tensor:
 
     def key(self) -> tuple:
         return tuple(x.key() for x in self.c)
-
-    def support(self) -> list[str]:
-        return [_index_to_bits(t) for t in range(16) if self.c[t]]
 
     def __repr__(self) -> str:
         parts = [
@@ -629,6 +619,22 @@ def is_semisimple(x: "LieElt | Tensor") -> bool:
     m = build_d4().to_matrix(coords)
     p = la.minimal_polynomial(m)
     return la.poly_deg(la.poly_gcd(p, la.poly_deriv(p))) == 0
+
+
+def is_commuting_semisimple(vectors: Sequence["LieElt | Tensor"]) -> bool:
+    """Whether the vectors are semisimple and pairwise commute.
+
+    Commuting semisimple elements are simultaneously diagonalizable, so when
+    this holds every element of their span is semisimple.
+    """
+    coords = [_as_coords(v)[0] for v in vectors]
+    if not all(is_semisimple(x) for x in coords):
+        return False
+    return all(
+        lie_is_zero(bracket(coords[a], coords[b]))
+        for a in range(len(coords))
+        for b in range(a + 1, len(coords))
+    )
 
 
 def jordan_decompose(x: "LieElt | Tensor"):

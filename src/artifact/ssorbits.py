@@ -20,6 +20,7 @@ All arithmetic is exact, over the degree-8 cyclotomic field.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -318,27 +319,15 @@ class SSTableRow:
         )
 
     @cached_property
-    def _eliminator(self) -> tuple:
-        """Invertible 4×4 ``E`` with ``E · matrix = [I_n; 0]``.
-
-        Read off one ``rref`` of ``[matrix | I_4]``: with independent
-        columns, the first n pivots sit on the columns of ``matrix``.
-        """
-        n = len(self.columns)
-        reduced, pivots = la.rref(
-            [list(r) + row for r, row in zip(self.matrix, la.identity(4))]
-        )
-        if pivots[:n] != list(range(n)):
-            raise ArithmeticError("row %d has linearly dependent columns" % self.k)
-        return tuple(tuple(r[n:]) for r in reduced)
+    def _elim(self) -> tuple:
+        return _eliminator(self.matrix)
 
     def solve(self, vec: Sequence[CycNum]) -> tuple | None:
         """Parameters that reproduce ``vec``, or None when inconsistent."""
-        elim = self._eliminator
         n = len(self.columns)
-        if any(_dot(row, vec) for row in elim[n:]):
+        sol = _eliminate(self._elim, n, vec)
+        if sol is None:
             return None
-        sol = [_dot(row, vec) for row in elim[:n]]
         lams: list[CycNum] = [ZERO] * n
         for idx, col in enumerate(self.columns):
             if col.startswith("~"):
@@ -356,6 +345,29 @@ def _dot(coeffs, values) -> CycNum:
         if c and v:
             acc = acc + c * v
     return acc
+
+
+def _eliminator(matrix) -> tuple:
+    """Invertible ``E`` with ``E · matrix = [I_n; 0]``, for n independent columns.
+
+    Read off one ``rref`` of ``[matrix | I]``: with independent columns, the
+    first n pivots sit on the columns of ``matrix``.
+    """
+    n = len(matrix[0])
+    reduced, pivots = la.rref(
+        [list(r) + row for r, row in zip(matrix, la.identity(len(matrix)))]
+    )
+    if pivots[:n] != list(range(n)):
+        raise ArithmeticError("matrix has linearly dependent columns")
+    return tuple(tuple(r[n:]) for r in reduced)
+
+
+def _eliminate(elim: tuple, n: int, vec: Sequence[CycNum]) -> list | None:
+    """The x with ``matrix · x = vec``, from the eliminator of ``matrix``
+    (n columns); None when the consistency rows ``E[n:]`` reject ``vec``."""
+    if any(_dot(row, vec) for row in elim[n:]):
+        return None
+    return [_dot(row, vec) for row in elim[:n]]
 
 
 def _column_values(variables: tuple[str, ...], columns: tuple[str, ...],
@@ -449,7 +461,8 @@ class RealityPattern:
         for row in self.avoid:
             acc = ZERO
             for c, v in zip(row, lams):
-                acc = acc + rat(c) * v
+                if c:
+                    acc = acc + v.scale(c)
             if not acc:
                 return False
         return True
@@ -1255,7 +1268,11 @@ def _norm_ops() -> "galois._InternedOps":
 
 @lru_cache(maxsize=1)
 def _normalizer_pairs() -> tuple[tuple[GElt, cw.WeylMat], ...]:
-    """All 6144 normalizer elements, each with its coordinate action."""
+    """All 6144 normalizer elements, each with its coordinate action.
+
+    Equal coordinate actions are the same object, so callers may key them
+    by ``id``.
+    """
     ops = _norm_ops()
     gens = [
         (ops.intern(g), cw.h_action_matrix(g))
@@ -1264,6 +1281,7 @@ def _normalizer_pairs() -> tuple[tuple[GElt, cw.WeylMat], ...]:
     start = (ops.intern(IDENTITY), cw.W_IDENTITY)
     # Interned slots are one object per value, so ids identify elements.
     seen: dict[tuple, tuple[GElt, cw.WeylMat]] = {tuple(map(id, start[0])): start}
+    weyl = {cw.W_IDENTITY: cw.W_IDENTITY}
     frontier = [start]
     while frontier:
         cur_g, cur_w = frontier.pop()
@@ -1272,7 +1290,8 @@ def _normalizer_pairs() -> tuple[tuple[GElt, cw.WeylMat], ...]:
             key = tuple(map(id, new_g))
             if key in seen:
                 continue
-            new = (new_g, cw.w_mul(gen_w, cur_w))
+            new_w = cw.w_mul(gen_w, cur_w)
+            new = (new_g, weyl.setdefault(new_w, new_w))
             seen[key] = new
             frontier.append(new)
             if len(seen) > 6144:
@@ -1286,14 +1305,14 @@ def _normalizer_pairs() -> tuple[tuple[GElt, cw.WeylMat], ...]:
 def _weyl_lift_table() -> dict:
     """For each of the 192 coordinate symmetries, a canonical lift."""
     key = _norm_ops().key
-    table: dict[cw.WeylMat, GElt] = {}
+    least: dict[int, tuple[cw.WeylMat, GElt]] = {}
     for g, w in _normalizer_pairs():
-        cur = table.get(w)
-        if cur is None or key(g) < key(cur):
-            table[w] = g
-    if len(table) != 192:
+        cur = least.get(id(w))
+        if cur is None or key(g) < key(cur[1]):
+            least[id(w)] = (w, g)
+    if len(least) != 192:
         raise ArithmeticError("expected 192 induced coordinate symmetries")
-    return table
+    return dict(least.values())
 
 
 def weyl_lift(w: cw.WeylMat) -> GElt:
@@ -1316,23 +1335,26 @@ def real_weyl_group(m: int) -> tuple[cw.WeylMat, ...]:
     out = []
     seen = set()
     for g, w in _normalizer_pairs():
-        if w in seen:
+        if id(w) in seen:
             continue
         twisted = ops.mul(ops.mul(nstar, ops.sigma(g)), nstar_inv)
         if ops.key(twisted) == ops.key(g):
-            seen.add(w)
+            seen.add(id(w))
             out.append(w)
     return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
+def _gstar_inverse(m: int) -> GElt:
+    return g_inv(cw.seven_cartans()[m - 1].gstar)
+
+
+@lru_cache(maxsize=None)
 def _twist_factors(m: int) -> tuple:
     """Scalars tau with act(gstar⁻¹, basis_l) = tau_l · (l-th axis vector)."""
-    cb = cw.seven_cartans()[m - 1]
-    ginv = g_inv(cb.gstar)
     taus = []
-    for l, vec in enumerate(cb.basis):
-        back = act_tensor(ginv, vec)
+    for l, vec in enumerate(cw.seven_cartans()[m - 1].basis):
+        back = act_tensor(_gstar_inverse(m), vec)
         mu = cw.u_coords(back)
         if mu is None:
             raise ArithmeticError("real basis does not map into the subspace")
@@ -1483,14 +1505,17 @@ def _family_columns(i: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _family_eliminator(i: int) -> tuple:
+    return _eliminator(_family_columns(i))
+
+
 def _extract_parameters(i: int, vec: tuple) -> tuple | None:
     """Solve for family parameters with canonical coordinates ``vec``."""
     cols = _family_columns(i)
-    mat = [list(r) for r in cols]
-    sol = la.solve(mat, list(vec))
+    sol = _eliminate(_family_eliminator(i), len(cols[0]), vec)
     if sol is None:
         return None
-    # verify (solve zeroes free variables; here columns are independent)
     for r in range(4):
         if _dot(cols[r], sol) != vec[r]:
             return None
@@ -1505,7 +1530,7 @@ def _complex_conjugator(blk: CaseBlock, t: Tensor) -> tuple | None:
     span; ``b`` combines the real-basis witness with the symmetry's lift.
     """
     cb = cw.seven_cartans()[blk.m - 1]
-    back = act_tensor(g_inv(cb.gstar), t)
+    back = act_tensor(_gstar_inverse(blk.m), t)
     mu = cw.u_coords(back)
     if mu is None:
         return None
@@ -1564,8 +1589,10 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
     if tuple(coords) != tuple(expected):
         fail("coordinates", "coordinates do not match the row formulas")
         return failures
-    if not liealg.is_semisimple(t):
-        fail("semisimple", "representative is not semisimple")
+    # t lies in the span of its basis, so it is semisimple when the basis is
+    # a commuting semisimple family
+    if not cw.cartan_is_semisimple(blk.m):
+        fail("semisimple", "stated basis is not a commuting semisimple family")
     found = _complex_conjugator(blk, t)
     if found is None:
         fail("conjugate", "no conjugator onto the canonical element found")
@@ -1628,8 +1655,13 @@ def verify_ss_tables(case: int | None = None) -> dict:
     stabilizer cocycles fixing the real point; per row: realness, membership
     and exact coordinates in the stated real canonical subspace,
     semisimplicity, an explicit conjugator onto the family's canonical
-    element, and agreement of invariants inside the block.  Returns a report
-    dict; ``report["ok"]`` is True when nothing failed.
+    element, and agreement of invariants inside the block.  A row tensor in
+    the span of its basis is semisimple because that basis is a commuting
+    semisimple family, which is checked once per basis
+    (:func:`cartanweyl.cartan_is_semisimple`), not once per row.  Returns a
+    report dict; ``report["ok"]`` is True when nothing failed, and
+    ``report["seconds"]`` holds the wall time of each block (in a fresh
+    process the first block also pays for building the cached tables).
     """
     selected = [b for b in blocks() if case is None or b.i == case]
     if not selected:
@@ -1637,16 +1669,21 @@ def verify_ss_tables(case: int | None = None) -> dict:
     failures: list[dict] = []
     rows = 0
     sizes: dict[str, int] = {}
+    seconds: dict[str, float] = {}
     for blk in selected:
+        name = "%d.%d" % (blk.i, blk.j)
+        start = time.perf_counter()
         lams = default_lambda(blk.i, blk.j)
         failures.extend(_verify_block(blk, lams))
+        seconds[name] = time.perf_counter() - start
         rows += len(blk.rows)
-        sizes["%d.%d" % (blk.i, blk.j)] = len(blk.rows)
+        sizes[name] = len(blk.rows)
     return {
         "ok": not failures,
         "blocks": len(selected),
         "rows": rows,
         "sizes": sizes,
+        "seconds": seconds,
         "failures": failures,
     }
 
@@ -1721,7 +1758,10 @@ def classify_semisimple(t: Tensor) -> SSOrbitLabel:
     consequence every stored table row instantiation is mapped back to its
     printed label, including rows of the same block whose instantiations are
     related by a real symmetry (such pairs exist; see ``row k`` lists of the
-    twisted blocks of families 2, 4, 5 and 6).  Raises ``ValueError`` for
+    twisted blocks of families 2, 4, 5 and 6).  Input in the span of a real
+    Cartan basis is semisimple because that basis is a commuting semisimple
+    family, checked once per basis; only input outside every basis gets its
+    own semisimplicity test.  Raises ``ValueError`` for
     non-real input, zero, or input with a nilpotent part, and
     :class:`GeneralPositionError` when no table row matches (the input is
     not in canonical position, or its parameters are degenerate).
@@ -1732,10 +1772,12 @@ def classify_semisimple(t: Tensor) -> SSOrbitLabel:
         raise ValueError("not a real state")
     if t.is_zero():
         raise ValueError("zero state: no orbit label")
-    if not liealg.is_semisimple(t):
+    bases = _containing_bases(t)
+    in_semisimple_span = any(cw.cartan_is_semisimple(m) for m, _ in bases)
+    if not in_semisimple_span and not liealg.is_semisimple(t):
         raise ValueError("has nilpotent part")
     candidates = []
-    for m, coords in _containing_bases(t):
+    for m, coords in bases:
         for move in _coordinate_moves(m):
             vec = _apply_move(move, coords)
             moved = 0 if vec == coords else 1

@@ -8,6 +8,7 @@ import pytest
 from artifact.cartanweyl import (
     W_IDENTITY,
     cartan_detect,
+    cartan_is_semisimple,
     component_membership,
     from_u_coords,
     functional_after,
@@ -44,6 +45,7 @@ from artifact.groupaction import (
 from artifact.liealg import (
     Tensor,
     bracket,
+    is_commuting_semisimple,
     is_semisimple,
     lie_is_zero,
     tensor_to_g1,
@@ -257,6 +259,8 @@ class TestSevenCartans:
                     assert lie_is_zero(
                         bracket(tensor_to_g1(a), tensor_to_g1(b))
                     )
+            assert is_commuting_semisimple(cb.basis)
+            assert cartan_is_semisimple(cb.index)
 
     def test_basis_spans_transported_cartan(self):
         # each basis vector lies in the complex span of {g* u_k}

@@ -186,6 +186,22 @@ class TestJordan:
         assert la.poly_deg(la.poly_gcd(mp, la.poly_deriv(mp))) == 0
 
 
+class TestCommutingSemisimple:
+    def test_cartan_quadruple(self):
+        assert L.is_commuting_semisimple([u1, u2, u3, u4])
+
+    def test_nilpotent_member(self):
+        e = Tensor.basis("0000")
+        assert not is_semisimple(e)
+        assert not L.is_commuting_semisimple([u1, e])
+
+    def test_non_commuting_pair(self):
+        v1 = Tensor.basis("0000") - Tensor.basis("1111")
+        assert is_semisimple(u1) and is_semisimple(v1)
+        assert not L.lie_is_zero(bracket(tensor_to_g1(u1), tensor_to_g1(v1)))
+        assert not L.is_commuting_semisimple([u1, v1])
+
+
 class TestCentralizers:
     def test_generic_point(self):
         p = (

@@ -1,6 +1,8 @@
 """Tests for the semisimple orbit tables, verification, and classification."""
 
+import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -102,6 +104,37 @@ def test_default_lambda_admissible():
     for blk in ss.blocks():
         lams = ss.default_lambda(blk.i, blk.j)
         assert blk.reality.accepts(lams), (blk.i, blk.j)
+
+
+def _rat_dot(row, lams):
+    acc = ZERO
+    for c, v in zip(row, lams):
+        acc = acc + rat(c) * v
+    return acc
+
+
+def _reference_accepts(pattern, lams):
+    # the tag checks as they stand, then every avoid row as rat(c) * v products
+    if not dataclasses.replace(pattern, avoid=()).accepts(lams):
+        return False
+    return all(_rat_dot(row, lams) for row in pattern.avoid)
+
+
+def test_accepts_matches_rational_products():
+    hits = 0
+    for blk in ss.blocks():
+        pattern = blk.reality
+        lams = ss.default_lambda(blk.i, blk.j)
+        assert pattern.accepts(lams) is _reference_accepts(pattern, lams) is True
+        for row in pattern.avoid:
+            # move the last parameter the row uses onto the hyperplane row · λ = 0
+            p = max(q for q, c in enumerate(row) if c)
+            rest = _rat_dot(row[:p] + (0,) + row[p + 1:], lams)
+            hit = lams[:p] + (rest.scale(Fraction(-1, row[p])),) + lams[p + 1:]
+            assert not _rat_dot(row, hit)
+            assert pattern.accepts(hit) is _reference_accepts(pattern, hit) is False
+            hits += 1
+    assert hits > 37
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +296,38 @@ def test_check_row_accepts_genuine():
     assert out["ok"]
 
 
+def test_check_row_outside_span_fails_basis():
+    lams = ss.default_lambda(2, 1)
+    coeffs = list(ss.row_tensor(2, 1, 1, lams).c)
+    coeffs[1] = ONE  # entry 1 lies off every basis pair
+    with pytest.raises(ss.TableRowError) as exc:
+        ss.check_row(2, 1, 1, lams=lams, tensor=Tensor(tuple(coeffs)))
+    assert exc.value.check == "basis"
+
+
+def test_semisimplicity_rests_on_the_basis(monkeypatch):
+    calls = []
+    per_tensor = liealg.is_semisimple
+
+    def counting(x):
+        calls.append(x)
+        return per_tensor(x)
+
+    monkeypatch.setattr(liealg, "is_semisimple", counting)
+    t = ss.row_tensor(1, 1, 1, ss.default_lambda(1, 1))
+    ss.check_row(1, 1, 1)
+    assert ss.classify_semisimple(t).k == 1
+    assert calls == []
+    # a basis that is not a commuting semisimple family fails every row,
+    # and classification falls back to the per-tensor test
+    monkeypatch.setattr(cw, "cartan_is_semisimple", lambda m: False)
+    with pytest.raises(ss.TableRowError) as exc:
+        ss.check_row(1, 1, 1)
+    assert exc.value.check == "semisimple"
+    assert ss.classify_semisimple(t).k == 1
+    assert calls == [t]
+
+
 def _reference_row_solve(row, vec):
     # plain elimination on the row matrix, then the reciprocal step
     sol = la.solve([list(r) for r in row.matrix], list(vec))
@@ -292,6 +357,36 @@ def test_row_solve_matches_elimination():
             if len(row.columns) < 4:
                 assert None in results
     assert count == 162
+
+
+def _reference_extract(i, vec):
+    # plain elimination on the family columns, then the re-check
+    cols = ss._family_columns(i)
+    sol = la.solve([list(r) for r in cols], list(vec))
+    if sol is None or any(ss._dot(cols[r], sol) != vec[r] for r in range(4)):
+        return None
+    return tuple(sol)
+
+
+def test_extract_parameters_matches_elimination():
+    # every row's canonical coordinates, their images under the Weyl group,
+    # and each coordinate raised by 1; equal vectors are checked once
+    vectors = {}
+    for blk in ss.blocks():
+        ginv = g_inv(cw.seven_cartans()[blk.m - 1].gstar)
+        lams = ss.default_lambda(blk.i, blk.j)
+        family = vectors.setdefault(blk.i, set())
+        for row in blk.rows:
+            mu = cw.u_coords(act_tensor(ginv, ss.row_tensor(blk.i, blk.j, row.k, lams)))
+            family.update(cw.w_act_coords(w, mu) for w in cw.weyl_group())
+            family.update(mu[:p] + (mu[p] + ONE,) + mu[p + 1:] for p in range(4))
+    assert sorted(vectors) == list(range(1, 11))
+    for i, family in vectors.items():
+        found = [ss._extract_parameters(i, vec) for vec in family]
+        assert found == [_reference_extract(i, vec) for vec in family], i
+        assert any(found), i
+        if cw.subsystem(i).param_count < 4:
+            assert None in found, i
 
 
 def test_basis_coords_match_elimination():
@@ -358,6 +453,23 @@ def test_real_weyl_group_half_turns():
         if any(abs(w[a][b]) == rat(1, 2).to_fraction() for a in range(4) for b in range(4))
     ]
     assert len(halves) == 8
+
+
+def test_real_weyl_group_matches_fraction_keyed_reference():
+    pairs = ss._normalizer_pairs()
+    # equal coordinate actions are one object
+    assert len({id(w) for _, w in pairs}) == len({w for _, w in pairs}) == 192
+    ops = ss._norm_ops()
+    for m in range(1, 8):
+        nstar = ops.intern(cw.seven_cartans()[m - 1].nstar)
+        nstar_inv = ops.inv(nstar)
+        reference = set()
+        for g, w in pairs:
+            if w not in reference:
+                twisted = ops.mul(ops.mul(nstar, ops.sigma(g)), nstar_inv)
+                if ops.key(twisted) == ops.key(g):
+                    reference.add(w)
+        assert ss.real_weyl_group(m) == tuple(sorted(reference)), m
 
 
 def test_weyl_lift_is_least_lift():
