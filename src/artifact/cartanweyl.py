@@ -3,10 +3,16 @@
 Everything here is derived from the algebra itself where possible: the 24
 restricted roots come out of a joint eigenspace decomposition of ad(u_1..u_4),
 each paired with its coroot h_alpha normalized by alpha(h_alpha) = 2, and the
-Weyl group is generated by the 24 reflections as exact rational 4x4 matrices
-in u-coordinates.  The eleven complete subsystems and their complement groups
-Gamma, and the seven real Cartan bases with their witness pairs (g*, n*), are
-embedded as data and re-verified by the test suite.
+Weyl group (order 192) is generated by the 24 reflections as exact rational
+4x4 matrices in u-coordinates.  The eleven complete subsystems and their
+complement groups Gamma, and the seven real Cartan bases with their witness
+pairs (g*, n*), are embedded as data and re-verified by the test suite.
+
+Every entry of a Weyl matrix lies in {0, ±1/2, ±1}, so W sits in the lattice
+of half-integral matrices.  A Weyl matrix is a 4x4 tuple of Fractions, but
+products are formed over the integers with the common denominator 2
+(:func:`w_mul`), and an inverse is the transpose, after an exact check that
+the matrix is orthogonal (:func:`w_inv`).
 """
 
 from __future__ import annotations
@@ -193,11 +199,62 @@ def wmat(rows) -> WeylMat:
 W_IDENTITY: WeylMat = wmat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
+#: Matrix entries by doubled value; products take their entries from here.
+_HALVES = {n: Fraction(n, 2) for n in range(-4, 5)}
+
+
+def _doubled(w: WeylMat) -> tuple[int, ...]:
+    """The 16 entries of w times 2, row by row, as integers."""
+    out = []
+    for row in w:
+        for v in row:
+            den = v.denominator
+            if den > 2:
+                raise ArithmeticError("matrix entry %s is not a multiple of 1/2" % v)
+            out.append(v.numerator * (2 // den))
+    return tuple(out)
+
+
+def _doubled_product(a2: tuple[int, ...], b2: tuple[int, ...]) -> tuple[int, ...]:
+    """Doubled entries of a·b from the doubled entries of a and b."""
+    out = []
+    for i in range(0, 16, 4):
+        x0, x1, x2, x3 = a2[i:i + 4]
+        for j in range(4):
+            s = x0 * b2[j] + x1 * b2[4 + j] + x2 * b2[8 + j] + x3 * b2[12 + j]
+            if s % 2:
+                raise ArithmeticError("product entry is not a multiple of 1/2")
+            out.append(s // 2)
+    return tuple(out)
+
+
+def _undoubled(c2: tuple[int, ...]) -> WeylMat:
+    entries = [_HALVES[n] if n in _HALVES else Fraction(n, 2) for n in c2]
+    return tuple(tuple(entries[i:i + 4]) for i in range(0, 16, 4))
+
+
 def w_mul(a: WeylMat, b: WeylMat) -> WeylMat:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
-        for i in range(4)
-    )
+    """The product a·b of two half-integral matrices, over the integers.
+
+    Entries are read as integers over the common denominator 2, and
+    ``ArithmeticError`` is raised for any other denominator.  Each doubled
+    product entry is an integer sum divided by 2; it must come out whole,
+    or the product has left the lattice and ``ArithmeticError`` is raised.
+    """
+    return _undoubled(_doubled_product(_doubled(a), _doubled(b)))
+
+
+def w_inv(w: WeylMat) -> WeylMat:
+    """The inverse of an orthogonal matrix: its transpose.
+
+    Every element of W, and every signed permutation matrix, is orthogonal.
+    The transpose is returned after checking w·wᵀ = I exactly with
+    :func:`w_mul`; any other matrix raises ``ArithmeticError``.
+    """
+    t = tuple(zip(*w))
+    if w_mul(w, t) != W_IDENTITY:
+        raise ArithmeticError("matrix is not orthogonal")
+    return t
 
 
 def w_act_coords(w: WeylMat, coords: Sequence[CycNum]) -> tuple[CycNum, ...]:
@@ -237,24 +294,33 @@ def reflection(root: RestrictedRoot) -> WeylMat:
 @lru_cache(maxsize=1)
 def weyl_group() -> tuple[WeylMat, ...]:
     gens = [reflection(r) for r in restricted_roots()]
-    return _closure([W_IDENTITY], gens, 192 * 2)
+    group = _closure([W_IDENTITY], gens, 192)
+    if len(group) != 192:
+        raise ArithmeticError("Weyl group closure came out short")
+    return group
 
 
 def _closure(start: Iterable[WeylMat], gens: list[WeylMat], limit: int):
-    seen = {m: None for m in start}
+    """The matrices generated from ``start`` by ``gens``, in increasing order.
+
+    The closure runs on doubled entries (integer tuples), whose
+    lexicographic order is the order of the matrices themselves.
+    """
+    gens2 = [_doubled(g) for g in gens]
+    seen = {_doubled(m): None for m in start}
     frontier = list(seen)
     while frontier:
         nxt = []
         for m in frontier:
-            for g in gens:
-                p = w_mul(g, m)
+            for g in gens2:
+                p = _doubled_product(g, m)
                 if p not in seen:
                     seen[p] = None
                     nxt.append(p)
                     if len(seen) > limit:
                         raise ArithmeticError("group closure exceeded expected order")
         frontier = nxt
-    return tuple(sorted(seen))
+    return tuple(_undoubled(p) for p in sorted(seen))
 
 
 def weyl_stabilizer(coords: Sequence[CycNum]) -> list[WeylMat]:
@@ -414,6 +480,7 @@ def gamma_h1(i: int) -> tuple[WeylMat, ...]:
         gens = [reflection(r) for r in restricted_roots()]
     else:
         gens = list(data.gamma_gens)
+    conjugators = [(g, w_inv(g)) for g in gens]
     cocycles = [g for g in group if w_mul(g, g) == W_IDENTITY]
     classes: list[WeylMat] = []
     seen: set[WeylMat] = set()
@@ -424,31 +491,15 @@ def gamma_h1(i: int) -> tuple[WeylMat, ...]:
         frontier = [c]
         while frontier:
             x = frontier.pop()
-            for g in gens:
+            for g, ginv in conjugators:
                 # trivial sigma: twisted conjugacy is ordinary conjugacy
-                y = w_mul(w_mul(g, x), w_inv(g))
+                y = w_mul(w_mul(g, x), ginv)
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)
         seen.update(orbit)
         classes.append(min(orbit))
     return tuple(sorted(classes))
-
-
-def w_inv(w: WeylMat) -> WeylMat:
-    rows = [[w[i][j] for j in range(4)] + [Fraction(int(i == k)) for k in range(4)]
-            for i in range(4)]
-    # Gauss-Jordan over Fractions
-    for col in range(4):
-        piv = next(r for r in range(col, 4) if rows[r][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pv = rows[col][col]
-        rows[col] = [v / pv for v in rows[col]]
-        for r in range(4):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return tuple(tuple(row[4:]) for row in rows)
 
 
 # -- action of group elements on h ------------------------------------------------------

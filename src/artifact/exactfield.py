@@ -269,32 +269,6 @@ def rat(p: Rat, q: int = 1) -> CycNum:
     return CycNum.from_rational(Fraction(p, q))
 
 
-# -- operation names used by the rest of the package --------------------------
-
-def cyc_add(a: CycNum, b: CycNum) -> CycNum:
-    return a + b
-
-
-def cyc_mul(a: CycNum, b: CycNum) -> CycNum:
-    return a * b
-
-
-def cyc_inv(a: CycNum) -> CycNum:
-    return a.inverse()
-
-
-def conjugate(a: CycNum) -> CycNum:
-    return a.conjugate()
-
-
-def is_real(a: CycNum) -> bool:
-    return a.is_real()
-
-
-def is_imaginary(a: CycNum) -> bool:
-    return a.is_imaginary()
-
-
 # -- text form -----------------------------------------------------------------
 #
 # Rational values render as "p/q" (plain "p" when q = 1); general values as

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 from . import cartanweyl as cw
 from . import groupaction as ga
-from .exactfield import INV_SQRT2, IMAG, cyc_mul
+from .exactfield import INV_SQRT2, IMAG
 from .groupaction import GElt
 
 
@@ -81,7 +81,9 @@ class _InternedOps:
     one canonical object per value) and slot products, inverses, conjugates
     and canonical keys are cached by object identity.  Identity-keyed caches
     are safe because every cached object is kept alive by the pool, so ids
-    are never recycled among them.
+    are never recycled among them.  :meth:`product` takes elements already
+    interned (closures intern their generators once); ``mul``, ``inv``,
+    ``sigma`` and ``key`` intern their arguments first.
     """
 
     __slots__ = ("_pool", "_key_of", "_prod", "_inv", "_conj")
@@ -107,9 +109,8 @@ class _InternedOps:
     def intern(self, g: GElt) -> GElt:
         return tuple(self._intern_m(m) for m in g)
 
-    def mul(self, x: GElt, y: GElt) -> GElt:
-        x = self.intern(x)
-        y = self.intern(y)
+    def product(self, x: GElt, y: GElt) -> GElt:
+        """The product of two elements that are already interned."""
         out = []
         for a, b in zip(x, y):
             ck = (id(a), id(b))
@@ -119,6 +120,9 @@ class _InternedOps:
                 self._prod[ck] = r
             out.append(r)
         return tuple(out)
+
+    def mul(self, x: GElt, y: GElt) -> GElt:
+        return self.product(self.intern(x), self.intern(y))
 
     def inv(self, x: GElt) -> GElt:
         x = self.intern(x)
@@ -164,7 +168,7 @@ def gelt_closure(
         nxt: list[GElt] = []
         for x in frontier:
             for g in gen_list:
-                y = ops.mul(x, g)
+                y = ops.product(x, g)
                 k = tuple(map(id, y))
                 if k not in seen:
                     if len(seen) >= limit:
@@ -411,7 +415,7 @@ def _hadamard_lift() -> GElt:
     placed in every slot induces one of them, completing a generating set.
     """
     s = INV_SQRT2
-    si = cyc_mul(INV_SQRT2, IMAG)
+    si = INV_SQRT2 * IMAG
     a = ga.mat2(s, si, si, s)
     return ga.gelt(a, a, a, a)
 
@@ -433,27 +437,66 @@ def normalizer_generators() -> tuple[GElt, ...]:
     return tuple(gens)
 
 
+#: The one interning pool of the normalizer.  Its closure, the group that
+#: :func:`build_normalizer` returns and the real coordinate symmetries in
+#: ``ssorbits`` share slot objects, so ids identify their elements.
+NORMALIZER_OPS = _InternedOps()
+
+
+@lru_cache(maxsize=1)
+def normalizer_pairs() -> tuple[tuple[GElt, cw.WeylMat], ...]:
+    """All 6144 normalizer elements g, each with its coordinate action w.
+
+    The one closure of the normalizer: g runs over products of
+    :func:`normalizer_generators` (slots interned in :data:`NORMALIZER_OPS`)
+    and w over the matching products of their 4×4 matrices, so that
+    ``w == cartanweyl.h_action_matrix(g)``.  Equal coordinate actions are
+    the same object, so callers may key them by ``id``.
+    """
+    ops = NORMALIZER_OPS
+    gens = [
+        (ops.intern(g), cw.h_action_matrix(g)) for g in normalizer_generators()
+    ]
+    start = (ops.intern(ga.IDENTITY), cw.W_IDENTITY)
+    seen: dict[tuple, tuple[GElt, cw.WeylMat]] = {tuple(map(id, start[0])): start}
+    weyl = {cw.W_IDENTITY: cw.W_IDENTITY}
+    frontier = [start]
+    while frontier:
+        cur_g, cur_w = frontier.pop()
+        for gen_g, gen_w in gens:
+            new_g = ops.product(gen_g, cur_g)
+            key = tuple(map(id, new_g))
+            if key in seen:
+                continue
+            new_w = cw.w_mul(gen_w, cur_w)
+            new = (new_g, weyl.setdefault(new_w, new_w))
+            seen[key] = new
+            frontier.append(new)
+            if len(seen) > 6144:
+                raise ArithmeticError("normalizer closure exceeded expected order")
+    if len(seen) != 6144:
+        raise ArithmeticError("normalizer closure came out short")
+    return tuple(seen.values())
+
+
 @lru_cache(maxsize=1)
 def build_normalizer() -> FiniteConjGroup:
     """The full normalizer of the diagonalizable subspace, order 6144.
 
     It is generated by the order-32 stabilizer of a generic element together
     with lifts of generators of the coordinate symmetry group (order 192);
-    the closure must come out to exactly 32·192 = 6144 elements.
+    the elements are the g's of the shared closure :func:`normalizer_pairs`
+    (which checks the order 32·192 = 6144), sorted by key.
     """
-    gens = list(normalizer_generators())
-    ops = _InternedOps()
-    elements = gelt_closure(gens, 6144, "normalizer construction inconsistent", ops)
-    if len(elements) != 6144:
-        raise ArithmeticError("normalizer construction inconsistent")
+    ops = NORMALIZER_OPS
     return FiniteConjGroup(
-        elements=elements,
+        elements=tuple(sorted((g for g, _ in normalizer_pairs()), key=ops.key)),
         mul=ops.mul,
         inv=ops.inv,
         sigma=ops.sigma,
         key=ops.key,
         identity=ops.intern(ga.IDENTITY),
-        gens=tuple(ops.intern(g) for g in gens),
+        gens=tuple(ops.intern(g) for g in normalizer_generators()),
         tag="normalizer",
     )
 
@@ -605,6 +648,7 @@ __all__ = [
     "h1",
     "stabilizer_finite_gens",
     "weyl_cocycle_lifts",
+    "normalizer_pairs",
     "build_normalizer",
     "h1_of_normalizer",
     "cocycle_to_weyl",

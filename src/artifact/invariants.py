@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _linalg as la
-from .exactfield import CycNum, ZERO, ONE, cyc_to_str, is_real, rat
+from .exactfield import CycNum, ZERO, ONE, cyc_to_str, rat
 from .liealg import Tensor, bracket, build_d4, g1_to_tensor, tensor_to_g1
 
 
@@ -278,7 +278,7 @@ def sign_of_real(v: CycNum) -> int:
     approximation, guarded so that values too close to zero for the
     approximation to be trustworthy raise instead of misreporting.
     """
-    if not is_real(v):
+    if not v.is_real():
         raise ValueError("sign requested for a non-real value")
     if v == ZERO:
         return 0
@@ -297,7 +297,7 @@ def real_signature(vec: InvariantVector) -> tuple[str, ...]:
     """
     out = []
     for v in vec.entries():
-        if not is_real(v):
+        if not v.is_real():
             out.append("C")
         elif v == ZERO:
             out.append("0")

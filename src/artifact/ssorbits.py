@@ -34,7 +34,6 @@ from . import liealg
 from .exactfield import CycNum, IMAG, MINUS_ONE, ONE, ZERO, rat
 from .groupaction import (
     GElt,
-    IDENTITY,
     PermAuto,
     act_tensor,
     conj_g,
@@ -1262,51 +1261,11 @@ def default_lambda(i: int, j: int) -> tuple:
 
 
 @lru_cache(maxsize=1)
-def _norm_ops() -> "galois._InternedOps":
-    return galois._InternedOps()
-
-
-@lru_cache(maxsize=1)
-def _normalizer_pairs() -> tuple[tuple[GElt, cw.WeylMat], ...]:
-    """All 6144 normalizer elements, each with its coordinate action.
-
-    Equal coordinate actions are the same object, so callers may key them
-    by ``id``.
-    """
-    ops = _norm_ops()
-    gens = [
-        (ops.intern(g), cw.h_action_matrix(g))
-        for g in galois.normalizer_generators()
-    ]
-    start = (ops.intern(IDENTITY), cw.W_IDENTITY)
-    # Interned slots are one object per value, so ids identify elements.
-    seen: dict[tuple, tuple[GElt, cw.WeylMat]] = {tuple(map(id, start[0])): start}
-    weyl = {cw.W_IDENTITY: cw.W_IDENTITY}
-    frontier = [start]
-    while frontier:
-        cur_g, cur_w = frontier.pop()
-        for gen_g, gen_w in gens:
-            new_g = ops.mul(gen_g, cur_g)
-            key = tuple(map(id, new_g))
-            if key in seen:
-                continue
-            new_w = cw.w_mul(gen_w, cur_w)
-            new = (new_g, weyl.setdefault(new_w, new_w))
-            seen[key] = new
-            frontier.append(new)
-            if len(seen) > 6144:
-                raise ArithmeticError("normalizer closure exceeded expected order")
-    if len(seen) != 6144:
-        raise ArithmeticError("normalizer closure came out short")
-    return tuple(seen.values())
-
-
-@lru_cache(maxsize=1)
 def _weyl_lift_table() -> dict:
     """For each of the 192 coordinate symmetries, a canonical lift."""
-    key = _norm_ops().key
+    key = galois.NORMALIZER_OPS.key
     least: dict[int, tuple[cw.WeylMat, GElt]] = {}
-    for g, w in _normalizer_pairs():
+    for g, w in galois.normalizer_pairs():
         cur = least.get(id(w))
         if cur is None or key(g) < key(cur[1]):
             least[id(w)] = (w, g)
@@ -1329,16 +1288,17 @@ def real_weyl_group(m: int) -> tuple[cw.WeylMat, ...]:
     makes gstar·g·gstar⁻¹ a real group element normalizing the real
     subspace, so the induced coordinate move preserves real-orbit classes.
     """
-    ops = _norm_ops()
+    ops = galois.NORMALIZER_OPS
     nstar = ops.intern(cw.seven_cartans()[m - 1].nstar)
     nstar_inv = ops.inv(nstar)
     out = []
     seen = set()
-    for g, w in _normalizer_pairs():
+    for g, w in galois.normalizer_pairs():
         if id(w) in seen:
             continue
-        twisted = ops.mul(ops.mul(nstar, ops.sigma(g)), nstar_inv)
-        if ops.key(twisted) == ops.key(g):
+        twisted = ops.product(ops.product(nstar, ops.sigma(g)), nstar_inv)
+        # interned slots are one object per value
+        if all(a is b for a, b in zip(twisted, g)):
             seen.add(id(w))
             out.append(w)
     return tuple(sorted(out))
@@ -1569,8 +1529,22 @@ def _expected_orbit_parameters(blk: CaseBlock, row: SSTableRow, lams: tuple) -> 
     return tuple(four * v.inverse() for v in lams)
 
 
+def _orbit_invariants(i: int, params: tuple) -> invariants.InvariantVector:
+    """Invariants of the family's canonical element at ``params``."""
+    return invariants.invariants_of(cw.parametrize(i, params))
+
+
 def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
-                t: Tensor | None = None) -> list[dict]:
+                t: Tensor | None = None, refs: dict | None = None
+                ) -> tuple[list[dict], invariants.InvariantVector | None]:
+    """Failures of one row, and the invariants of its tensor (None when the
+    checks stopped before the invariants were computed).
+
+    The reference invariants of the expected complex orbit depend only on
+    the block, ``lams`` and ``row.reciprocal``; ``refs`` maps the reciprocal
+    flag to those already computed for this block and ``lams``, and is
+    filled on first use.
+    """
     failures = []
     rid = (blk.i, blk.j, row.k)
 
@@ -1584,11 +1558,11 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
     coords = _basis_coords(blk.m, t)
     if coords is None:
         fail("basis", "not in the stated real canonical subspace")
-        return failures
+        return failures, None
     expected = row.coordinates(lams)
     if tuple(coords) != tuple(expected):
         fail("coordinates", "coordinates do not match the row formulas")
-        return failures
+        return failures, None
     # t lies in the span of its basis, so it is semisimple when the basis is
     # a commuting semisimple family
     if not cw.cartan_is_semisimple(blk.m):
@@ -1596,14 +1570,16 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
     found = _complex_conjugator(blk, t)
     if found is None:
         fail("conjugate", "no conjugator onto the canonical element found")
-        return failures
-    _, mu = found
-    ref = _expected_orbit_parameters(blk, row, lams)
+        return failures, None
     t_inv = invariants.invariants_of(t)
-    ref_inv = invariants.invariants_of(cw.parametrize(blk.i, ref))
-    if t_inv != ref_inv:
+    if refs is None:
+        refs = {}
+    if row.reciprocal not in refs:
+        ref = _expected_orbit_parameters(blk, row, lams)
+        refs[row.reciprocal] = _orbit_invariants(blk.i, ref)
+    if t_inv != refs[row.reciprocal]:
         fail("orbit", "invariants differ from the expected complex orbit")
-    return failures
+    return failures, t_inv
 
 
 def _verify_block(blk: CaseBlock, lams: tuple) -> list[dict]:
@@ -1630,11 +1606,11 @@ def _verify_block(blk: CaseBlock, lams: tuple) -> list[dict]:
             if act_tensor(z, p) != p:
                 fail("stabilizer-fix", "element %d does not fix the real point" % idx)
     ref_inv = None
+    refs: dict = {}
     for row in blk.rows:
-        row_failures = _verify_row(blk, row, lams)
+        row_failures, t_inv = _verify_row(blk, row, lams, refs=refs)
         failures.extend(row_failures)
         if not row_failures and not row.reciprocal:
-            t_inv = invariants.invariants_of(row_tensor(blk.i, blk.j, row.k, lams))
             if ref_inv is None:
                 ref_inv = t_inv
             elif t_inv != ref_inv:
@@ -1700,7 +1676,7 @@ def check_row(i: int, j: int, k: int, lams: Sequence[CycNum] | None = None,
     lams = tuple(lams) if lams is not None else default_lambda(i, j)
     if not blk.reality.accepts(lams):
         raise TableRowError((i, j, k), "sample", "inadmissible parameters")
-    failures = _verify_row(blk, row, lams, t=tensor)
+    failures, _ = _verify_row(blk, row, lams, t=tensor)
     if failures:
         first = failures[0]
         raise TableRowError((i, j, k), first["check"], first["detail"])

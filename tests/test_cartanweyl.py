@@ -25,10 +25,12 @@ from artifact.cartanweyl import (
     u_coords,
     vanishing_roots,
     w_act_coords,
+    w_inv,
     w_mul,
     w_pi_group,
     weyl_group,
     weyl_stabilizer,
+    wmat,
 )
 from artifact.exactfield import IMAG, ONE, ZERO, CycNum, rat
 from artifact.groupaction import (
@@ -103,6 +105,55 @@ class TestWeylGroup:
         for _ in range(10):
             w = rng.choice(weyl_group())
             assert {functional_after(k, w) for k in keys} == keys
+
+    def test_order_is_checked(self, monkeypatch):
+        # the eight doubled roots alone generate only the 16 sign changes
+        import artifact.cartanweyl as cw
+
+        doubled = tuple(
+            r for r in restricted_roots() if sorted(map(abs, r.coeffs)) == [0, 0, 0, 2]
+        )
+        monkeypatch.setattr(cw, "restricted_roots", lambda: doubled)
+        with pytest.raises(ArithmeticError, match="short"):
+            cw.weyl_group.__wrapped__()
+
+    def test_w_mul_matches_fraction_product(self):
+        def reference(a, b):
+            return tuple(
+                tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
+                for i in range(4)
+            )
+
+        reflections = [reflection(r) for r in restricted_roots()]
+        for w in weyl_group():
+            for s in reflections:
+                assert w_mul(w, s) == reference(w, s)
+                assert w_mul(s, w) == reference(s, w)
+
+    @pytest.mark.parametrize("entry", [Fraction(1, 4), Fraction(1, 3)])
+    def test_w_mul_rejects_entries_off_the_half_lattice(self, entry):
+        bad = wmat([[entry, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        with pytest.raises(ArithmeticError):
+            w_mul(bad, W_IDENTITY)
+        with pytest.raises(ArithmeticError):
+            w_mul(W_IDENTITY, bad)
+
+    def test_w_mul_rejects_a_product_off_the_half_lattice(self):
+        # the first column of the product is 1/4
+        half = wmat([[Fraction(1, 2), 0, 0, 0]] * 4)
+        with pytest.raises(ArithmeticError):
+            w_mul(half, half)
+
+    def test_w_inv_matches_gauss_jordan(self):
+        for w in weyl_group():
+            assert w_inv(w) == _winv(w)
+            assert w_mul(w, w_inv(w)) == W_IDENTITY
+
+    def test_w_inv_rejects_a_matrix_that_is_not_orthogonal(self):
+        with pytest.raises(ArithmeticError):
+            w_inv(wmat([[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+        with pytest.raises(ArithmeticError):
+            w_inv(wmat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
 
     def test_generic_stabilizer_trivial(self):
         lam = [rat(7), rat(3), rat(2), rat(1)]

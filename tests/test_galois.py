@@ -194,6 +194,12 @@ class TestNormalizer:
         assert len(classes) == 7
         assert sum(classes.sizes) == len(gal.cocycles(normalizer))
 
+    def test_elements_are_the_shared_closure_sorted(self, normalizer):
+        pairs = gal.normalizer_pairs()
+        gs = sorted((g for g, _ in pairs), key=normalizer.key)
+        assert list(normalizer.elements) == gs
+        assert all(x is g for x, g in zip(normalizer.elements, gs))
+
     def test_generator_images_generate_all_coordinate_symmetries(self, normalizer):
         images = []
         for g in normalizer.gens:

@@ -1,6 +1,8 @@
 """Tests for the semisimple orbit tables, verification, and classification."""
 
 import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -305,6 +307,68 @@ def test_check_row_outside_span_fails_basis():
     assert exc.value.check == "basis"
 
 
+def test_verify_computes_each_row_invariant_once(monkeypatch):
+    calls = []
+    per_tensor = invariants.invariants_of
+
+    def counting(t):
+        calls.append(t)
+        return per_tensor(t)
+
+    references = []
+    reference = ss._orbit_invariants
+
+    def counting_reference(i, params):
+        references.append((i, params))
+        return reference(i, params)
+
+    monkeypatch.setattr(invariants, "invariants_of", counting)
+    monkeypatch.setattr(ss, "_orbit_invariants", counting_reference)
+    # family 3 has four rows per block; family 10 has reciprocal and
+    # non-reciprocal rows
+    for i in (3, 10):
+        calls.clear()
+        references.clear()
+        report = ss.verify_ss_tables(i)
+        assert report["ok"]
+        assert len(references) <= 2 * report["blocks"]
+        assert len(calls) == report["rows"] + len(references)
+    # one reference per row for a single-row check
+    references.clear()
+    ss.check_row(10, 1, 1)
+    assert len(references) == 1
+
+
+def test_orbit_check_compares_with_the_reference(monkeypatch):
+    reference = ss._orbit_invariants
+
+    def shifted(i, params):
+        inv = reference(i, params)
+        return dataclasses.replace(inv, H=inv.H + ONE)
+
+    monkeypatch.setattr(ss, "_orbit_invariants", shifted)
+    report = ss.verify_ss_tables(3)
+    assert [f["check"] for f in report["failures"]] == ["orbit"] * report["rows"]
+
+
+def test_block_invariants_check_compares_rows(monkeypatch):
+    verify_row = ss._verify_row
+
+    def perturbed(blk, row, lams, t=None, refs=None):
+        failures, inv = verify_row(blk, row, lams, t, refs)
+        if row.k == 2:
+            inv = dataclasses.replace(inv, H=inv.H + ONE)
+        return failures, inv
+
+    monkeypatch.setattr(ss, "_verify_row", perturbed)
+    report = ss.verify_ss_tables(3)
+    assert report["failures"] == [
+        {"row": (3, j, 2), "check": "block-invariants",
+         "detail": "invariants differ across the block"}
+        for j in (1, 2)
+    ]
+
+
 def test_semisimplicity_rests_on_the_basis(monkeypatch):
     calls = []
     per_tensor = liealg.is_semisimple
@@ -456,10 +520,10 @@ def test_real_weyl_group_half_turns():
 
 
 def test_real_weyl_group_matches_fraction_keyed_reference():
-    pairs = ss._normalizer_pairs()
+    pairs = galois.normalizer_pairs()
     # equal coordinate actions are one object
     assert len({id(w) for _, w in pairs}) == len({w for _, w in pairs}) == 192
-    ops = ss._norm_ops()
+    ops = galois.NORMALIZER_OPS
     for m in range(1, 8):
         nstar = ops.intern(cw.seven_cartans()[m - 1].nstar)
         nstar_inv = ops.inv(nstar)
@@ -474,7 +538,7 @@ def test_real_weyl_group_matches_fraction_keyed_reference():
 
 def test_weyl_lift_is_least_lift():
     least = {}
-    for g, w in ss._normalizer_pairs():
+    for g, w in galois.normalizer_pairs():
         if w not in least or g_key(g) < g_key(least[w]):
             least[w] = g
     assert len(least) == 192
@@ -482,6 +546,59 @@ def test_weyl_lift_is_least_lift():
         lift = ss.weyl_lift(w)
         assert cw.h_action_matrix(lift) == w
         assert lift == g
+
+
+def _plain(x):
+    if isinstance(x, Fraction):
+        return "%d/%d" % (x.numerator, x.denominator)
+    if isinstance(x, CycNum):
+        return [list(x.nums), x.den]
+    if isinstance(x, int):
+        return x
+    return [_plain(v) for v in x]
+
+
+def _digest(x) -> str:
+    text = json.dumps(_plain(x), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: SHA-256 of each value in order, as computed with per-entry Fraction matrix
+#: products and Gauss-Jordan inverses; the integer arithmetic must reproduce
+#: every value and every ordering.
+_PINNED_DIGESTS = {
+    "weyl_group": "4bdab51c445654f740f3fdd993576720dd2dd042038cb2e72d434fc7062275b2",
+    "real_weyl_group": "9e858d35438fca5a984285a288982298bf195fc3d565e73e2c7a5505d9b49f95",
+    "gamma_h1": "475d72e452d80eec72dd16a2fae7e52ba5820dd2ed514ad8b7ab9027cd7a2584",
+    "h1_of_normalizer": "11651c6c2d4617d4432cd1f698f589958eaff7c2900b4703fc71561b218e5c8a",
+    "normalizer": "82e749a9c53aa93bfe877171142c792bfb31c80677259ba5ecb708875102c1e9",
+}
+
+
+def test_group_values_are_pinned():
+    h1 = galois.h1_of_normalizer()
+    values = {
+        "weyl_group": cw.weyl_group(),
+        "real_weyl_group": [ss.real_weyl_group(m) for m in range(1, 8)],
+        "gamma_h1": [cw.gamma_h1(i) for i in range(1, 11)],
+        "h1_of_normalizer": h1.representatives,
+        "normalizer": galois.build_normalizer().elements,
+    }
+    assert {name: _digest(v) for name, v in values.items()} == _PINNED_DIGESTS
+    assert h1.sizes == (24, 24, 96, 96, 96, 192, 192)
+
+
+def test_normalizer_pairs_lift_each_symmetry_32_times():
+    pairs = galois.normalizer_pairs()
+    lifts = {}
+    for _, w in pairs:
+        lifts[w] = lifts.get(w, 0) + 1
+    assert len(lifts) == 192
+    assert set(lifts.values()) == {32}
+    assert set(lifts) == set(cw.weyl_group())
+    for idx in random.Random(6144).sample(range(len(pairs)), 200):
+        g, w = pairs[idx]
+        assert cw.h_action_matrix(g) == w
 
 
 # ---------------------------------------------------------------------------
