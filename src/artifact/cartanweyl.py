@@ -1,10 +1,11 @@
 """Cartan subspace, restricted roots, Weyl group, subsystems, real Cartan bases.
 
-Everything here is derived from the algebra itself where possible: the 24
-restricted roots come out of a joint eigenspace decomposition of ad(u_1..u_4),
-each paired with its coroot h_alpha normalized by alpha(h_alpha) = 2, and the
-Weyl group (order 192) is generated by the 24 reflections as exact rational
-4x4 matrices in u-coordinates.  The eleven complete subsystems and their
+The 24 restricted roots are stored data, each a functional with a root
+vector, and every one is checked against the algebra by brackets,
+[u_k, v] = alpha(u_k)·v, before use; each is paired with its coroot h_alpha,
+computed from one bracket and normalized by alpha(h_alpha) = 2.  The Weyl
+group (order 192) is generated by the 24 reflections as exact rational 4x4
+matrices in u-coordinates.  The eleven complete subsystems and their
 complement groups Gamma, and the seven real Cartan bases with their witness
 pairs (g*, n*), are embedded as data and re-verified by the test suite.
 
@@ -39,9 +40,7 @@ from .groupaction import (
 from .liealg import (
     LieElt,
     Tensor,
-    ad_matrix,
     bracket,
-    build_d4,
     g1_to_tensor,
     is_commuting_semisimple,
     tensor_to_g1,
@@ -99,74 +98,81 @@ class RestrictedRoot:
         return out
 
 
-def _columns_matrix(vectors: list[list[CycNum]]) -> la.Mat:
-    n = len(vectors[0])
-    return [[vectors[j][i] for j in range(len(vectors))] for i in range(n)]
+#: The 24 restricted roots, each as its functional alpha (the values
+#: alpha(u_1..u_4)) and a root vector, written by the signs of its
+#: coordinates on the 28 basis elements of the D4 algebra ("." for 0).
+#: :func:`restricted_roots` checks every entry before use.
+_ROOTS: tuple[tuple[tuple[int, int, int, int], str], ...] = (
+    ((-2, 0, 0, 0), ".+-.............+-.........."),
+    ((-1, -1, -1, -1), "....+++++--+........-+-+++++"),
+    ((-1, -1, -1, 1), "....+--+++++........++++-+-+"),
+    ((-1, -1, 1, -1), "....+-+-++--........++---++-"),
+    ((-1, -1, 1, 1), "....++--+-+-........-++-++--"),
+    ((-1, 1, -1, -1), "....+-+-++--........--+++--+"),
+    ((-1, 1, -1, 1), "....++--+-+-........+--+--++"),
+    ((-1, 1, 1, -1), "....+++++--+........+-+-----"),
+    ((-1, 1, 1, 1), "....+--+++++........----+-+-"),
+    ((0, -2, 0, 0), "+..-........-+.............."),
+    ((0, 0, -2, 0), "+..+..........-+............"),
+    ((0, 0, 0, -2), ".++...............-+........"),
+    ((0, 0, 0, 2), ".++...............+-........"),
+    ((0, 0, 2, 0), "+..+..........+-............"),
+    ((0, 2, 0, 0), "+..-........+-.............."),
+    ((1, -1, -1, -1), "....+--+----........+++++-+-"),
+    ((1, -1, -1, 1), "....++++-++-........-+-+----"),
+    ((1, -1, 1, -1), "....++---+-+........-++---++"),
+    ((1, -1, 1, 1), "....+-+---++........++--+--+"),
+    ((1, 1, -1, -1), "....++---+-+........+--+++--"),
+    ((1, 1, -1, 1), "....+-+---++........--++-++-"),
+    ((1, 1, 1, -1), "....+--+----........-----+-+"),
+    ((1, 1, 1, 1), "....++++-++-........+-+-++++"),
+    ((2, 0, 0, 0), ".+-.............-+.........."),
+)
 
 
-def _split_by_eigenvalue(mat: la.Mat, vectors: list[list[CycNum]], ev: int):
-    """Basis of the ev-eigenspace of mat restricted to span(vectors)."""
-    n = len(vectors[0])
-    shifted = [row[:] for row in mat]
-    if ev:
-        c = rat(-ev)
-        for i in range(n):
-            shifted[i][i] = shifted[i][i] + c
-    m = la.mat_mul(shifted, _columns_matrix(vectors))
-    out = []
-    for coeffs in la.nullspace(m):
-        vec = [ZERO] * n
-        for j, cf in enumerate(coeffs):
-            if cf:
-                for i in range(n):
-                    vec[i] = vec[i] + cf * vectors[j][i]
-        out.append(vec)
-    return out
+def _checked_root_vectors(table) -> dict[tuple[int, ...], LieElt]:
+    """The root vectors of ``table``, each checked by brackets.
 
-
-@lru_cache(maxsize=1)
-def _root_decomposition():
-    alg = build_d4()
-    ads = [ad_matrix(tensor_to_g1(uk)) for uk in u_basis()]
-    spaces: list[tuple[tuple[int, ...], list[list[CycNum]]]] = [
-        ((), [list(alg.basis_elt(k)) for k in range(28)])
-    ]
-    for level in range(4):
-        nxt = []
-        for tag, vecs in spaces:
-            for ev in (-2, -1, 0, 1, 2):
-                sub = _split_by_eigenvalue(ads[level], vecs, ev)
-                if sub:
-                    nxt.append((tag + (ev,), sub))
-        spaces = nxt
-    total = sum(len(v) for _, v in spaces)
-    if total != 28:
-        raise ArithmeticError("eigenspace decomposition does not fill the algebra")
-    zero_space = None
-    roots: dict[tuple[int, ...], list[CycNum]] = {}
-    for tag, vecs in spaces:
-        if all(c == 0 for c in tag):
-            zero_space = vecs
-            continue
-        if len(vecs) != 1:
-            raise ArithmeticError("restricted root space is not one-dimensional")
-        v = vecs[0]
-        # normalize: first nonzero coordinate = 1
-        lead = next(c for c in v if c)
-        inv = lead.inverse()
-        roots[tag] = [inv * c for c in v]
-    if zero_space is None or len(zero_space) != 4:
-        raise ArithmeticError("centralizer of the Cartan subspace has wrong dimension")
+    For every entry, [u_k, v] = alpha(u_k)·v must hold for k = 1..4 (96
+    brackets for the 24 roots), with v nonzero.  Root vectors of distinct
+    functionals are linearly independent, and the centralizer of the Cartan
+    subspace contains u_1..u_4; so 24 distinct nonzero functionals in the
+    28-dimensional algebra make each root space one-dimensional and the
+    centralizer four-dimensional: the table is the whole decomposition.
+    Raises ``ArithmeticError`` otherwise.
+    """
+    signs = {".": ZERO, "+": ONE, "-": -ONE}
+    us = [tensor_to_g1(uk) for uk in u_basis()]
+    roots: dict[tuple[int, ...], LieElt] = {}
+    for tag, pattern in table:
+        v = [signs[ch] for ch in pattern]
+        if len(v) != 28 or not any(v) or not any(tag) or tag in roots:
+            raise ArithmeticError("malformed root entry %r" % (tag,))
+        for uk, a in zip(us, tag):
+            if bracket(uk, v) != [x.scale(a) for x in v]:
+                raise ArithmeticError("%r is not a root vector of %r" % (pattern, tag))
+        roots[tag] = v
+    if len(roots) != 24:
+        raise ArithmeticError(f"expected 24 restricted roots, found {len(roots)}")
     return roots
 
 
 @lru_cache(maxsize=1)
 def restricted_roots() -> tuple[RestrictedRoot, ...]:
-    roots = _root_decomposition()
+    """The 24 restricted roots, in increasing order of functional.
+
+    The root vectors are the stored table, checked by brackets
+    (:func:`_checked_root_vectors`).  Each h_alpha is read off
+    [v_alpha, v_-alpha], which lies in the Cartan subspace, scaled so that
+    alpha(h_alpha) = 2.
+    """
+    roots = _checked_root_vectors(_ROOTS)
     out = []
     for tag in sorted(roots):
         v = roots[tag]
-        neg = roots[tuple(-c for c in tag)]
+        neg = roots.get(tuple(-c for c in tag))
+        if neg is None:
+            raise ArithmeticError("root %r has no negative" % (tag,))
         br = bracket(v, neg)
         t = g1_to_tensor(br)
         coords = u_coords(t)
@@ -181,8 +187,6 @@ def restricted_roots() -> tuple[RestrictedRoot, ...]:
         scale = rat(2) / pairing
         h = tuple((scale * x).to_fraction() for x in coords)
         out.append(RestrictedRoot(coeffs=tag, vector=tuple(v), h_alpha=h))
-    if len(out) != 24:
-        raise ArithmeticError(f"expected 24 restricted roots, found {len(out)}")
     return tuple(out)
 
 

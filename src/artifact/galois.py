@@ -14,11 +14,14 @@ module provides:
 * exact enumeration of 1-cocycles and their twisted-conjugacy classes with
   deterministic (lexicographically least) representatives,
 * the normalizer ``N`` of the diagonalizable subspace inside the product of
-  four copies of SL(2, C), built by closing an explicit generating set, and
-  its cohomology (seven classes),
+  four copies of SL(2, C), built from its group structure: the order-32
+  kernel ``K`` (the elements acting trivially on the subspace) and one lift
+  for each of the 192 coordinate symmetries, with a proof that these 192
+  cosets of ``K`` make up the whole group, and its cohomology (seven
+  classes),
 * the sixteen recorded group elements that induce the order-2 symmetries of
-  the diagonalizable subspace, with the map from such an element to the
-  4×4 rational matrix it induces,
+  the diagonalizable subspace, paired with the 4×4 rational matrices they
+  induce,
 * a verifier for externally supplied class lists of stabilizers that may
   have a positive-dimensional identity component: every listed element must
   be a cocycle, no two may be equivalent under the documented finite part or
@@ -233,24 +236,6 @@ def weyl_group_view(
     )
 
 
-def product_group(a: FiniteConjGroup, b: FiniteConjGroup, tag: str = "") -> FiniteConjGroup:
-    """Direct product of two groups, with the componentwise twist."""
-    elements = tuple((x, y) for x in a.elements for y in b.elements)
-    gens = tuple((x, b.identity) for x in a.gens) + tuple(
-        (a.identity, y) for y in b.gens
-    )
-    return FiniteConjGroup(
-        elements=elements,
-        mul=lambda p, q: (a.mul(p[0], q[0]), b.mul(p[1], q[1])),
-        inv=lambda p: (a.inv(p[0]), b.inv(p[1])),
-        sigma=lambda p: (a.sigma(p[0]), b.sigma(p[1])),
-        key=lambda p: (a.key(p[0]), b.key(p[1])),
-        identity=(a.identity, b.identity),
-        gens=gens,
-        tag=tag,
-    )
-
-
 def validate_group(group: FiniteConjGroup) -> None:
     """Check that σ is an involutive automorphism preserving the group.
 
@@ -437,46 +422,122 @@ def normalizer_generators() -> tuple[GElt, ...]:
     return tuple(gens)
 
 
-#: The one interning pool of the normalizer.  Its closure, the group that
+#: The one interning pool of the normalizer.  Its cosets, the group that
 #: :func:`build_normalizer` returns and the real coordinate symmetries in
 #: ``ssorbits`` share slot objects, so ids identify their elements.
 NORMALIZER_OPS = _InternedOps()
+
+
+def _ids(g: GElt) -> tuple[int, ...]:
+    return tuple(map(id, g))
+
+
+def check_cosets(
+    gens: Sequence[tuple[GElt, cw.WeylMat]],
+    kernel: Sequence[GElt],
+    lifts: Sequence[tuple[GElt, cw.WeylMat]],
+) -> None:
+    """Prove that the cosets g_w·K make up the group generated by ``gens``.
+
+    ``gens`` pairs each generator s with its coordinate action, ``kernel``
+    is a group K of elements acting trivially, and ``lifts`` pairs one
+    product g_w of generators with each coordinate symmetry w; all elements
+    are interned in :data:`NORMALIZER_OPS`.  The lift of the identity must
+    lie in K, and for every generator s and every w the element
+    g_{s·w}⁻¹·s·g_w must lie in K, so that s·g_w·K = g_{s·w}·K.  The union of
+    the cosets then holds the identity and is closed under the generators,
+    so it is the whole group; and by induction over the generators each g_w
+    acts as w, so the cosets are disjoint.  Raises ``ArithmeticError``
+    otherwise.
+    """
+    ops = NORMALIZER_OPS
+    in_kernel = {_ids(k) for k in kernel}
+    by_w = {cw._doubled(w): g for g, w in lifts}
+    if len(by_w) != len(lifts):
+        raise ArithmeticError("two lifts carry one coordinate symmetry")
+    identity = by_w.get(cw._doubled(cw.W_IDENTITY))
+    if identity is None or _ids(identity) not in in_kernel:
+        raise ArithmeticError("the lift of the identity is not in the kernel")
+    for s, s_w in gens:
+        s2 = cw._doubled(s_w)
+        for w2, g in by_w.items():
+            target = by_w.get(cw._doubled_product(s2, w2))
+            if target is None:
+                raise ArithmeticError("a generator leads out of the lifted symmetries")
+            k = ops.product(ops.product(ops.inv(target), s), g)
+            if _ids(k) not in in_kernel:
+                raise ArithmeticError("a generator moves a lift out of its coset")
+
+
+@lru_cache(maxsize=1)
+def normalizer_cosets() -> tuple[tuple[GElt, ...], tuple[tuple[GElt, cw.WeylMat], ...]]:
+    """The normalizer as 192 cosets of its kernel: ``(K, ((g_w, w), ...))``.
+
+    K, the elements acting trivially on the subspace, is the closure of the
+    order-32 stabilizer of a generic element; each generator is checked to
+    act trivially, and the order to be 32.  The lifts come from a
+    breadth-first search over the coordinate symmetries as doubled-integer
+    matrices, driven by :func:`normalizer_generators`: the first product of
+    generators reaching w is its lift g_w, so ``w ==
+    cartanweyl.h_action_matrix(g_w)``.  :func:`check_cosets` then proves that
+    the cosets g_w·K make up the normalizer, of order 192·32 = 6144.
+    Elements are interned in :data:`NORMALIZER_OPS`.
+    """
+    ops = NORMALIZER_OPS
+    kernel_gens = stabilizer_finite_gens()
+    if any(cw.h_action_matrix(k) != cw.W_IDENTITY for k in kernel_gens):
+        raise ArithmeticError("a kernel generator moves the subspace")
+    kernel = gelt_closure(kernel_gens, 32, "normalizer kernel exceeded order 32", ops)
+    if len(kernel) != 32:
+        raise ArithmeticError("normalizer kernel came out short")
+    gens = [(ops.intern(g), cw.h_action_matrix(g)) for g in normalizer_generators()]
+    gens2 = [(g, cw._doubled(w)) for g, w in gens]
+    identity2 = cw._doubled(cw.W_IDENTITY)
+    found = {identity2: ops.intern(ga.IDENTITY)}
+    frontier = [identity2]
+    while frontier:
+        nxt = []
+        for w2 in frontier:
+            for s, s2 in gens2:
+                p = cw._doubled_product(s2, w2)
+                if p not in found:
+                    found[p] = ops.product(s, found[w2])
+                    nxt.append(p)
+        frontier = nxt
+    if len(found) != 192:
+        raise ArithmeticError("expected 192 coordinate symmetries, found %d" % len(found))
+    lifts = tuple((g, cw._undoubled(w2)) for w2, g in found.items())
+    check_cosets(gens, kernel, lifts)
+    return kernel, lifts
 
 
 @lru_cache(maxsize=1)
 def normalizer_pairs() -> tuple[tuple[GElt, cw.WeylMat], ...]:
     """All 6144 normalizer elements g, each with its coordinate action w.
 
-    The one closure of the normalizer: g runs over products of
-    :func:`normalizer_generators` (slots interned in :data:`NORMALIZER_OPS`)
-    and w over the matching products of their 4×4 matrices, so that
+    The cosets of :func:`normalizer_cosets` written out, coset by coset:
+    g runs over g_w·k for k in K, so that
     ``w == cartanweyl.h_action_matrix(g)``.  Equal coordinate actions are
     the same object, so callers may key them by ``id``.
     """
     ops = NORMALIZER_OPS
-    gens = [
-        (ops.intern(g), cw.h_action_matrix(g)) for g in normalizer_generators()
-    ]
-    start = (ops.intern(ga.IDENTITY), cw.W_IDENTITY)
-    seen: dict[tuple, tuple[GElt, cw.WeylMat]] = {tuple(map(id, start[0])): start}
-    weyl = {cw.W_IDENTITY: cw.W_IDENTITY}
-    frontier = [start]
-    while frontier:
-        cur_g, cur_w = frontier.pop()
-        for gen_g, gen_w in gens:
-            new_g = ops.product(gen_g, cur_g)
-            key = tuple(map(id, new_g))
-            if key in seen:
-                continue
-            new_w = cw.w_mul(gen_w, cur_w)
-            new = (new_g, weyl.setdefault(new_w, new_w))
-            seen[key] = new
-            frontier.append(new)
-            if len(seen) > 6144:
-                raise ArithmeticError("normalizer closure exceeded expected order")
-    if len(seen) != 6144:
-        raise ArithmeticError("normalizer closure came out short")
-    return tuple(seen.values())
+    kernel, lifts = normalizer_cosets()
+    return tuple((ops.product(g, k), w) for g, w in lifts for k in kernel)
+
+
+@lru_cache(maxsize=1)
+def normalizer_order_key() -> Callable[[GElt], tuple[int, ...]]:
+    """Sort key for normalizer elements: the tuple of their slot ranks.
+
+    The normalizer's elements use 48 distinct 2×2 slot values.  They are
+    ranked once by ``groupaction.m2_key``, so the key of an element (interned
+    in :data:`NORMALIZER_OPS`) is four small integers, and it orders the
+    elements exactly as the group's ``key`` does.
+    """
+    slots = {id(m): m for g, _ in normalizer_pairs() for m in g}
+    ranked = sorted(slots.values(), key=ga.m2_key)
+    rank = {id(m): r for r, m in enumerate(ranked)}
+    return lambda g: tuple(rank[id(m)] for m in g)
 
 
 @lru_cache(maxsize=1)
@@ -484,13 +545,15 @@ def build_normalizer() -> FiniteConjGroup:
     """The full normalizer of the diagonalizable subspace, order 6144.
 
     It is generated by the order-32 stabilizer of a generic element together
-    with lifts of generators of the coordinate symmetry group (order 192);
-    the elements are the g's of the shared closure :func:`normalizer_pairs`
-    (which checks the order 32·192 = 6144), sorted by key.
+    with lifts of generators of the coordinate symmetry group (order 192).
+    The elements are the cosets of :func:`normalizer_cosets` written out
+    (:func:`normalizer_pairs`), in increasing order of key.
     """
     ops = NORMALIZER_OPS
     return FiniteConjGroup(
-        elements=tuple(sorted((g for g, _ in normalizer_pairs()), key=ops.key)),
+        elements=tuple(
+            sorted((g for g, _ in normalizer_pairs()), key=normalizer_order_key())
+        ),
         mul=ops.mul,
         inv=ops.inv,
         sigma=ops.sigma,
@@ -511,18 +574,6 @@ def h1_of_normalizer() -> CocycleClassList:
             % len(classes)
         )
     return classes
-
-
-def cocycle_to_weyl(n: GElt) -> cw.WeylMat:
-    """The 4×4 matrix by which ``n`` permutes/scales the subspace coordinates.
-
-    Raises ``ValueError`` when ``n`` does not normalize the diagonalizable
-    subspace (so no such matrix exists).
-    """
-    w = cw.h_action_matrix(n)
-    if w is None:
-        raise ValueError("element does not normalize the diagonalizable subspace")
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -642,15 +693,16 @@ __all__ = [
     "gelt_group",
     "gelt_closure",
     "weyl_group_view",
-    "product_group",
     "validate_group",
     "cocycles",
     "h1",
     "stabilizer_finite_gens",
     "weyl_cocycle_lifts",
+    "normalizer_cosets",
+    "check_cosets",
     "normalizer_pairs",
+    "normalizer_order_key",
     "build_normalizer",
     "h1_of_normalizer",
-    "cocycle_to_weyl",
     "verify_class_list",
 ]

@@ -110,9 +110,18 @@ _NAMED: dict[str, Mat2] = {
 
 
 def named(name: str) -> Mat2:
-    """One of the fixed matrices I, J, K, L, M, N, F (optionally with a - sign)."""
+    """A named 2×2 matrix, optionally with a leading - sign.
+
+    The names are the fixed matrices I, J, K, L, M, N, F, the product ``LF``
+    (L·F), and ``Dk`` for D(η^k), η a primitive 16th root of unity, with k
+    read modulo 16.
+    """
     if name.startswith("-"):
         return m2_neg(named(name[1:]))
+    if name == "LF":
+        return m2_mul(_NAMED["L"], _NAMED["F"])
+    if name.startswith("D") and name[1:].isdigit():
+        return D(CycNum.eta_power(int(name[1:]) % 16))
     try:
         return _NAMED[name]
     except KeyError:
@@ -130,9 +139,11 @@ def gelt(*factors: Mat2) -> GElt:
 
 
 def gelt_from_names(spec: str) -> GElt:
-    """Build an element from a comma-separated name list, e.g. "-I,I,K,-L"."""
-    parts = [p.strip() for p in spec.split(",")]
-    return gelt(*[named(p) for p in parts])
+    """Build an element from comma-separated :func:`named` factors.
+
+    For example "-I,I,K,-L", "D5,D5,-D3,-D7" or "LF,I,I,-LF".
+    """
+    return gelt(*[named(p.strip()) for p in spec.split(",")])
 
 
 def g_mul(x: GElt, y: GElt) -> GElt:

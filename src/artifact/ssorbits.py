@@ -41,7 +41,7 @@ from .groupaction import (
     g_key,
     g_mul,
     gelt,
-    m2_mul,
+    gelt_from_names,
     m2_neg,
     mat2,
     named,
@@ -989,24 +989,6 @@ _TRANSPORTS: dict[int, tuple[int, tuple[int, int]]] = {
 }
 
 
-def _build_gelt(names: str) -> GElt:
-    """Group element from named 2×2 factors, e.g. "L,I,I,-L" or "D5,D5,D5,D5"."""
-    mats = []
-    for part in names.split(","):
-        part = part.strip()
-        neg = part.startswith("-")
-        if neg:
-            part = part[1:]
-        if part.startswith("D") and part[1:].isdigit():
-            mat = D(CycNum.eta_power(int(part[1:]) % 16))
-        elif part == "LF":
-            mat = m2_mul(named("L"), named("F"))
-        else:
-            mat = named(part)
-        mats.append(m2_neg(mat) if neg else mat)
-    return gelt(*mats)
-
-
 def _build_wmat(gamma) -> cw.WeylMat:
     if isinstance(gamma[0], tuple):
         return cw.wmat([list(r) for r in gamma])
@@ -1065,9 +1047,9 @@ def _compile_block(i: int, variables: tuple[str, ...], raw: dict) -> CaseBlock:
     rows = tuple(
         _compile_row(k + 1, exprs, variables) for k, exprs in enumerate(raw["rows"])
     )
-    n = _build_gelt(raw["n"])
-    g = _build_gelt(raw["g"])
-    zs = tuple(_build_gelt(z) for z in raw["zs"])
+    n = gelt_from_names(raw["n"])
+    g = gelt_from_names(raw["g"])
+    zs = tuple(gelt_from_names(z) for z in raw["zs"])
     gamma = _build_wmat(raw["gamma"])
     # The recorded coordinate action of the twist must match the group action.
     act = cw.h_action_matrix(n)
@@ -1262,12 +1244,12 @@ def default_lambda(i: int, j: int) -> tuple:
 
 @lru_cache(maxsize=1)
 def _weyl_lift_table() -> dict:
-    """For each of the 192 coordinate symmetries, a canonical lift."""
-    key = galois.NORMALIZER_OPS.key
+    """For each of the 192 coordinate symmetries, its least lift."""
+    rank = galois.normalizer_order_key()
     least: dict[int, tuple[cw.WeylMat, GElt]] = {}
     for g, w in galois.normalizer_pairs():
         cur = least.get(id(w))
-        if cur is None or key(g) < key(cur[1]):
+        if cur is None or rank(g) < rank(cur[1]):
             least[id(w)] = (w, g)
     if len(least) != 192:
         raise ArithmeticError("expected 192 induced coordinate symmetries")
@@ -1283,25 +1265,28 @@ def weyl_lift(w: cw.WeylMat) -> GElt:
 def real_weyl_group(m: int) -> tuple[cw.WeylMat, ...]:
     """Coordinate symmetries with lifts defined over the m-th real form.
 
-    An element survives when some lift ``g`` conjugates back to itself under
-    the real structure of form ``m``: nstar · conj(g) · nstar⁻¹ == g.  That
-    makes gstar·g·gstar⁻¹ a real group element normalizing the real
-    subspace, so the induced coordinate move preserves real-orbit classes.
+    A symmetry w is real when some lift ``g`` is fixed by the real structure
+    σ(x) = nstar · conj(x) · nstar⁻¹ of form ``m``.  That makes
+    gstar·g·gstar⁻¹ a real group element normalizing the real subspace, so
+    the induced coordinate move preserves real-orbit classes.  The lifts of
+    w are the coset g_w·K of the kernel (:func:`galois.normalizer_cosets`),
+    and σ(g_w·k) = g_w·k exactly when g_w⁻¹·σ(g_w) = k·σ(k)⁻¹, so one test
+    per w against the 32 twists k·σ(k)⁻¹ decides it.
     """
     ops = galois.NORMALIZER_OPS
+    kernel, lifts = galois.normalizer_cosets()
     nstar = ops.intern(cw.seven_cartans()[m - 1].nstar)
     nstar_inv = ops.inv(nstar)
-    out = []
-    seen = set()
-    for g, w in galois.normalizer_pairs():
-        if id(w) in seen:
-            continue
-        twisted = ops.product(ops.product(nstar, ops.sigma(g)), nstar_inv)
-        # interned slots are one object per value
-        if all(a is b for a, b in zip(twisted, g)):
-            seen.add(id(w))
-            out.append(w)
-    return tuple(sorted(out))
+
+    def sigma(x: GElt) -> GElt:
+        return ops.product(ops.product(nstar, ops.sigma(x)), nstar_inv)
+
+    # interned slots are one object per value, so ids compare values
+    twists = {tuple(map(id, ops.product(k, ops.inv(sigma(k))))) for k in kernel}
+    return tuple(sorted(
+        w for g, w in lifts
+        if tuple(map(id, ops.product(ops.inv(g), sigma(g)))) in twists
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -1801,7 +1786,7 @@ def _stabilizer_data(i: int) -> tuple[tuple[GElt, ...], tuple[GElt, ...], int]:
         return galois.stabilizer_finite_gens(), (), 12
     if i == 2:
         gens = tuple(
-            _build_gelt(s)
+            gelt_from_names(s)
             for s in ("-I,-I,I,I", "-I,I,-I,I", "J,J,J,J", "-L,-L,L,L")
         )
         samples = tuple(
@@ -1810,14 +1795,14 @@ def _stabilizer_data(i: int) -> tuple[tuple[GElt, ...], tuple[GElt, ...], int]:
         )
         return gens, samples, 8
     if i == 3:
-        gens = tuple(_build_gelt(s) for s in ("-I,-I,I,I", "-I,I,-I,I"))
+        gens = tuple(gelt_from_names(s) for s in ("-I,-I,I,I", "-I,I,-I,I"))
         samples = tuple(
             gelt(sharp(A), sharp(A), A, A) for A in (U, V, D(eta))
         )
         return gens, samples, 4
     if i == 4:
         gens = tuple(
-            _build_gelt(s)
+            gelt_from_names(s)
             for s in ("-I,I,-I,I", "J,J,J,J", "-L,L,I,I", "I,I,-L,L")
         )
         pairs = ((eta, ONE), (ONE, eta), (eta, eta), (eta * eta, eta))
@@ -1826,13 +1811,13 @@ def _stabilizer_data(i: int) -> tuple[tuple[GElt, ...], tuple[GElt, ...], int]:
         )
         return gens, samples, 6
     if i == 7:
-        gens = (_build_gelt("-I,I,-I,I"),)
+        gens = (gelt_from_names("-I,I,-I,I"),)
         combos = ((U, I2), (I2, U), (U, V), (D(eta), D(eta * eta)))
         samples = tuple(gelt(sharp(A), A, sharp(B), B) for A, B in combos)
         return gens, samples, 2
     if i == 10:
         gens = tuple(
-            _build_gelt(s)
+            gelt_from_names(s)
             for s in ("J,J,J,J", "-L,L,I,I", "-L,I,L,I", "-L,I,I,L")
         )
         triples = ((eta, ONE, ONE), (ONE, eta, ONE), (ONE, ONE, eta),

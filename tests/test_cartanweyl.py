@@ -54,9 +54,71 @@ from artifact.liealg import (
     u_basis,
 )
 from artifact import _linalg as la
+from artifact import cartanweyl as cw
+from artifact.liealg import ad_matrix, build_d4
+
+
+def _eigenspace(mat, vectors, ev):
+    """Basis of the ev-eigenspace of mat restricted to span(vectors)."""
+    n = len(vectors[0])
+    shifted = [row[:] for row in mat]
+    for i in range(n):
+        shifted[i][i] = shifted[i][i] + rat(-ev)
+    columns = [[vec[i] for vec in vectors] for i in range(n)]
+    out = []
+    for coeffs in la.nullspace(la.mat_mul(shifted, columns)):
+        vec = [ZERO] * n
+        for j, cf in enumerate(coeffs):
+            if cf:
+                for i in range(n):
+                    vec[i] = vec[i] + cf * vectors[j][i]
+        out.append(vec)
+    return out
+
+
+def _derived_root_vectors():
+    """The joint eigenspace decomposition of ad(u_1..u_4), derived exactly.
+
+    Each root vector is normalized to lead with 1; the reference for the
+    stored root table.
+    """
+    alg = build_d4()
+    ads = [ad_matrix(tensor_to_g1(uk)) for uk in u_basis()]
+    spaces = [((), [list(alg.basis_elt(k)) for k in range(28)])]
+    for level in range(4):
+        spaces = [
+            (tag + (ev,), sub)
+            for tag, vecs in spaces
+            for ev in (-2, -1, 0, 1, 2)
+            for sub in [_eigenspace(ads[level], vecs, ev)]
+            if sub
+        ]
+    dims = {tag: len(vecs) for tag, vecs in spaces}
+    assert dims.pop((0, 0, 0, 0)) == 4
+    assert len(dims) == 24 and set(dims.values()) == {1}
+    roots = {}
+    for tag, vecs in spaces:
+        if any(tag):
+            inv = next(c for c in vecs[0] if c).inverse()
+            roots[tag] = [inv * c for c in vecs[0]]
+    return roots
 
 
 class TestRestrictedRoots:
+    def test_stored_roots_match_the_eigenspace_derivation(self):
+        stored = {r.coeffs: list(r.vector) for r in restricted_roots()}
+        assert stored == _derived_root_vectors()
+
+    def test_a_flipped_sign_is_rejected(self):
+        table = list(cw._ROOTS)
+        cw._checked_root_vectors(table)
+        for idx, (tag, pattern) in enumerate(table):
+            pos = pattern.rindex("+" if idx % 2 else "-")
+            flipped = pattern[:pos] + ("-" if idx % 2 else "+") + pattern[pos + 1:]
+            bad = table[:idx] + [(tag, flipped)] + table[idx + 1:]
+            with pytest.raises(ArithmeticError, match="not a root vector"):
+                cw._checked_root_vectors(bad)
+
     def test_count(self):
         assert len(restricted_roots()) == 24
 

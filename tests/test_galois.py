@@ -27,6 +27,15 @@ def normalizer():
     return gal.build_normalizer()
 
 
+@pytest.fixture(scope="module")
+def coset_data():
+    """Generators with their actions, the kernel and the lifts of the normalizer."""
+    ops = gal.NORMALIZER_OPS
+    gens = [(ops.intern(g), cw.h_action_matrix(g)) for g in gal.normalizer_generators()]
+    kernel, lifts = gal.normalizer_cosets()
+    return gens, kernel, lifts
+
+
 class TestEngine:
     def test_trivial_group_has_one_class(self):
         group = gal.gelt_group([], tag="trivial")
@@ -70,15 +79,6 @@ class TestEngine:
         keys = [stab_group.key(z) for z in classes.representatives]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
-
-    def test_product_of_h1_matches_h1_of_product(self):
-        x = gal.gelt_group([names("-I,-I,-I,-I")])
-        y = gal.gelt_group([names("J,J,J,J")])
-        hx = len(gal.h1(x))
-        hy = len(gal.h1(y))
-        prod = gal.product_group(x, y, tag="product")
-        assert len(prod) == len(x) * len(y)
-        assert len(gal.h1(prod)) == hx * hy
 
     def test_twisted_action_is_an_action(self, stab_group):
         # acting by a then by b equals acting by b·a
@@ -200,10 +200,56 @@ class TestNormalizer:
         assert list(normalizer.elements) == gs
         assert all(x is g for x, g in zip(normalizer.elements, gs))
 
+    def test_cosets_of_the_kernel(self):
+        kernel, lifts = gal.normalizer_cosets()
+        assert len(kernel) == 32 and len(lifts) == 192
+        assert {w for _, w in lifts} == set(cw.weyl_group())
+        for g, w in lifts[::12]:
+            assert cw.h_action_matrix(g) == w
+        assert all(cw.h_action_matrix(k) == cw.W_IDENTITY for k in kernel[::5])
+
+    def test_coset_check_catches_each_mislabelled_generator(self, coset_data):
+        # a check that skipped any one generator would let its case pass
+        gens, kernel, lifts = coset_data
+        gal.check_cosets(gens, kernel, lifts)
+        minus = cw.wmat([[-int(r == c) for c in range(4)] for r in range(4)])
+        for p, (g, w) in enumerate(gens):
+            wrong = minus if w == cw.W_IDENTITY else cw.W_IDENTITY
+            bad = gens[:p] + [(g, wrong)] + gens[p + 1:]
+            with pytest.raises(ArithmeticError, match="coset"):
+                gal.check_cosets(bad, kernel, lifts)
+
+    def test_coset_check_needs_the_whole_kernel(self, coset_data):
+        gens, _, lifts = coset_data
+        half = gal.gelt_closure(
+            gal.stabilizer_finite_gens()[:3], 32, "bound", gal.NORMALIZER_OPS
+        )
+        assert len(half) == 16
+        with pytest.raises(ArithmeticError, match="coset"):
+            gal.check_cosets(gens, half, lifts)
+
+    def test_coset_check_catches_a_lift_with_the_wrong_action(self, coset_data):
+        gens, kernel, lifts = coset_data
+        bad = list(lifts)
+        (g1, w1), (g2, w2) = bad[1], bad[2]
+        bad[1], bad[2] = (g1, w2), (g2, w1)
+        with pytest.raises(ArithmeticError, match="coset"):
+            gal.check_cosets(gens, kernel, bad)
+        with pytest.raises(ArithmeticError, match="two lifts"):
+            gal.check_cosets(gens, kernel, [(g1, w2)] + list(lifts[1:]))
+
+    def test_elements_sort_by_slot_ranks_as_by_key(self, normalizer):
+        rank = gal.normalizer_order_key()
+        keys = [normalizer.key(g) for g in normalizer.elements]
+        ranks = [rank(g) for g in normalizer.elements]
+        assert keys == sorted(keys) and ranks == sorted(ranks)
+        assert len(set(ranks)) == 6144
+        assert max(max(r) for r in ranks) == 47
+
     def test_generator_images_generate_all_coordinate_symmetries(self, normalizer):
         images = []
         for g in normalizer.gens:
-            w = gal.cocycle_to_weyl(g)
+            w = cw.h_action_matrix(g)
             images.append(w)
         full = set(cw.weyl_group())
         closure = {cw.W_IDENTITY}
@@ -237,16 +283,16 @@ class TestNormalizer:
             assert normalizer.key(
                 normalizer.mul(lift, normalizer.sigma(lift))
             ) == idk
-            assert gal.cocycle_to_weyl(lift) == w
+            assert cw.h_action_matrix(lift) == w
 
     def test_specific_lift_images(self):
-        assert gal.cocycle_to_weyl(names("-I,I,I,I")) == cw.wmat(
+        assert cw.h_action_matrix(names("-I,I,I,I")) == cw.wmat(
             [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
         )
-        assert gal.cocycle_to_weyl(names("L,I,I,L")) == cw.wmat(
+        assert cw.h_action_matrix(names("L,I,I,L")) == cw.wmat(
             [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         )
-        assert gal.cocycle_to_weyl(names("I,K,I,K")) == cw.wmat(
+        assert cw.h_action_matrix(names("I,K,I,K")) == cw.wmat(
             [[0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]]
         )
 
@@ -254,8 +300,7 @@ class TestNormalizer:
         shear = ga.gelt(
             ga.mat2(1, 1, 0, 1), ga.I2, ga.I2, ga.I2
         )
-        with pytest.raises(ValueError, match="does not normalize"):
-            gal.cocycle_to_weyl(shear)
+        assert cw.h_action_matrix(shear) is None
 
     def test_torus_cocycles_split(self):
         # samples of unit-circle diagonal cocycles are all coboundaries

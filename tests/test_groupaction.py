@@ -111,6 +111,18 @@ class TestNamedMatrices:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             named("Q")
+        with pytest.raises(KeyError):
+            gelt_from_names("I,I,I,Dx")
+
+    def test_names_with_powers_products_and_signs(self):
+        eta = CycNum.eta_power
+        g = gelt_from_names(" D5, -D3,LF , -LF")
+        lf = m2_mul(named("L"), named("F"))
+        assert g == gelt(D(eta(5)), m2_neg(D(eta(3))), lf, m2_neg(lf))
+        # exponents are read modulo 16
+        assert gelt_from_names("D17,D0,-I,-K") == gelt(
+            D(eta(1)), named("I"), m2_neg(named("I")), m2_neg(named("K"))
+        )
 
 
 class TestTensorAction:

@@ -524,16 +524,56 @@ def test_real_weyl_group_matches_fraction_keyed_reference():
     # equal coordinate actions are one object
     assert len({id(w) for _, w in pairs}) == len({w for _, w in pairs}) == 192
     ops = galois.NORMALIZER_OPS
+    action = {tuple(map(id, g)): w for g, w in pairs}
+    elements = galois.build_normalizer().elements
     for m in range(1, 8):
         nstar = ops.intern(cw.seven_cartans()[m - 1].nstar)
         nstar_inv = ops.inv(nstar)
-        reference = set()
-        for g, w in pairs:
-            if w not in reference:
+        reference = {}
+        # every lift of every symmetry, scanned for one fixed by the twist
+        for g in elements:
+            w = action[tuple(map(id, g))]
+            if id(w) not in reference:
                 twisted = ops.mul(ops.mul(nstar, ops.sigma(g)), nstar_inv)
                 if ops.key(twisted) == ops.key(g):
-                    reference.add(w)
-        assert ss.real_weyl_group(m) == tuple(sorted(reference)), m
+                    reference[id(w)] = w
+        assert ss.real_weyl_group(m) == tuple(sorted(reference.values())), m
+
+
+def test_family_one_rows_meet_each_real_weyl_orbit_once():
+    # Family 1 is regular: two points of one real Cartan subspace are in one
+    # real orbit exactly when a real Weyl move relates them.  So the real
+    # points among the 192 Weyl images of a block's first row fall into
+    # orbits of the real Weyl group, and the block lists one row per orbit.
+    orbit_counts, group_orders = [], []
+    for j in range(1, 8):
+        blk = ss.block(1, j)
+        gstar = cw.seven_cartans()[blk.m - 1].gstar
+        ginv = g_inv(gstar)
+        lams = ss.default_lambda(1, j)
+
+        def mu(k):
+            return cw.u_coords(act_tensor(ginv, ss.row_tensor(1, j, k, lams)))
+
+        images = {cw.w_act_coords(w, mu(1)) for w in cw.weyl_group()}
+        assert len(images) == 192, j
+        real = {nu for nu in images if act_tensor(gstar, cw.from_u_coords(nu)).is_real()}
+        group = ss.real_weyl_group(blk.m)
+        orbit_of, orbits = {}, 0
+        for start in real:
+            if start in orbit_of:
+                continue
+            for w in group:
+                image = cw.w_act_coords(w, start)
+                assert image in real
+                orbit_of[image] = orbits
+            orbits += 1
+        hits = sorted(orbit_of.get(mu(row.k), -1) for row in blk.rows)
+        assert hits == list(range(orbits)), j
+        orbit_counts.append(orbits)
+        group_orders.append(len(group))
+    assert orbit_counts == [12, 12, 4, 4, 4, 4, 4]
+    assert group_orders == [16, 16, 4, 8, 8, 8, 4]
 
 
 def test_weyl_lift_is_least_lift():
