@@ -13,7 +13,10 @@ Every entry of a Weyl matrix lies in {0, ±1/2, ±1}, so W sits in the lattice
 of half-integral matrices.  A Weyl matrix is a 4x4 tuple of Fractions, but
 products are formed over the integers with the common denominator 2
 (:func:`w_mul`), and an inverse is the transpose, after an exact check that
-the matrix is orthogonal (:func:`w_inv`).
+the matrix is orthogonal (:func:`w_inv`).  Group closures and the involution
+classes of :func:`gamma_h1` run on those doubled entries, through the
+breadth-first orbit engine of :mod:`artifact._orbits` that the Galois
+cohomology of :mod:`artifact.galois` also uses.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-from . import _linalg as la
+from ._orbits import orbit, orbit_classes
 from .exactfield import ONE, ZERO, CycNum, rat
 from .groupaction import (
     D,
@@ -298,33 +301,22 @@ def reflection(root: RestrictedRoot) -> WeylMat:
 @lru_cache(maxsize=1)
 def weyl_group() -> tuple[WeylMat, ...]:
     gens = [reflection(r) for r in restricted_roots()]
-    group = _closure([W_IDENTITY], gens, 192)
+    group = _closure(gens, 192)
     if len(group) != 192:
         raise ArithmeticError("Weyl group closure came out short")
     return group
 
 
-def _closure(start: Iterable[WeylMat], gens: list[WeylMat], limit: int):
-    """The matrices generated from ``start`` by ``gens``, in increasing order.
+def _closure(gens: list[WeylMat], limit: int) -> tuple[WeylMat, ...]:
+    """The group generated by ``gens``, in increasing order.
 
     The closure runs on doubled entries (integer tuples), whose
     lexicographic order is the order of the matrices themselves.
     """
-    gens2 = [_doubled(g) for g in gens]
-    seen = {_doubled(m): None for m in start}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens2:
-                p = _doubled_product(g, m)
-                if p not in seen:
-                    seen[p] = None
-                    nxt.append(p)
-                    if len(seen) > limit:
-                        raise ArithmeticError("group closure exceeded expected order")
-        frontier = nxt
-    return tuple(_undoubled(p) for p in sorted(seen))
+    found = orbit(_doubled(W_IDENTITY), [_doubled(g) for g in gens],
+                  lambda m, g: _doubled_product(g, m),
+                  limit=limit, what="group closure exceeded expected order")
+    return tuple(_undoubled(p) for p in sorted(found))
 
 
 def weyl_stabilizer(coords: Sequence[CycNum]) -> list[WeylMat]:
@@ -463,7 +455,7 @@ def gamma_group(i: int) -> tuple[WeylMat, ...]:
         return weyl_group()
     if not data.gamma_gens:
         return (W_IDENTITY,)
-    return _closure([W_IDENTITY], list(data.gamma_gens), 400)
+    return _closure(list(data.gamma_gens), 400)
 
 
 @lru_cache(maxsize=None)
@@ -473,37 +465,28 @@ def w_pi_group(i: int) -> tuple[WeylMat, ...]:
     gens = [reflection(r) for r in restricted_roots() if r.coeffs in members]
     if not gens:
         return (W_IDENTITY,)
-    return _closure([W_IDENTITY], gens, 200)
+    return _closure(gens, 200)
 
 
 def gamma_h1(i: int) -> tuple[WeylMat, ...]:
-    """H^1(Gamma, trivial conjugation): involution classes, least representatives."""
-    group = gamma_group(i)
+    """H^1(Gamma, trivial conjugation): involution classes, least representatives.
+
+    With trivial conjugation, twisted conjugacy is ordinary conjugacy; the
+    classes are conjugacy orbits of involutions, on doubled entries.
+    """
     data = subsystem(i)
     if data.gamma_gens is None:
         gens = [reflection(r) for r in restricted_roots()]
     else:
         gens = list(data.gamma_gens)
-    conjugators = [(g, w_inv(g)) for g in gens]
-    cocycles = [g for g in group if w_mul(g, g) == W_IDENTITY]
-    classes: list[WeylMat] = []
-    seen: set[WeylMat] = set()
-    for c in sorted(cocycles):
-        if c in seen:
-            continue
-        orbit = {c}
-        frontier = [c]
-        while frontier:
-            x = frontier.pop()
-            for g, ginv in conjugators:
-                # trivial sigma: twisted conjugacy is ordinary conjugacy
-                y = w_mul(w_mul(g, x), ginv)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        seen.update(orbit)
-        classes.append(min(orbit))
-    return tuple(sorted(classes))
+    conjugators = [(_doubled(g), _doubled(w_inv(g))) for g in gens]
+    one = _doubled(W_IDENTITY)
+    involutions = sorted(
+        g for g in map(_doubled, gamma_group(i)) if _doubled_product(g, g) == one
+    )
+    classes = orbit_classes(involutions, conjugators,
+                            lambda x, c: _doubled_product(_doubled_product(c[0], x), c[1]))
+    return tuple(_undoubled(c) for c, _ in classes)
 
 
 # -- action of group elements on h ------------------------------------------------------
@@ -595,12 +578,34 @@ def cartan_is_semisimple(m: int) -> bool:
     return is_commuting_semisimple(seven_cartans()[m - 1].basis)
 
 
-def cartan_detect(t: Tensor) -> tuple[int, tuple[CycNum, ...]] | None:
-    """First (m, coordinates) with t in the span of the m-th Cartan basis."""
-    for cb in seven_cartans():
-        mat = [[cb.basis[j].c[i] for j in range(4)] for i in range(16)]
-        rhs = list(t.c)
-        sol = la.solve(mat, rhs)
-        if sol is not None:
-            return cb.index, tuple(sol)
-    return None
+_OFF_PAIR_POSITIONS = tuple(
+    pos for pos in range(16) if all(pos not in pair for pair in _U_PAIRS)
+)
+
+
+def basis_coords(m: int, t: Tensor) -> tuple[CycNum, ...] | None:
+    """Coordinates of ``t`` in the m-th real Cartan basis, or None.
+
+    The l-th basis vector is ``e_a ± e_b`` for the l-th pair ``(a, b)`` of
+    ``_U_PAIRS``, so its coordinate is read off entry ``a``.
+    """
+    cb = seven_cartans()[m - 1]
+    coords = []
+    for (a, b), vec in zip(_U_PAIRS, cb.basis):
+        c = t.c[a]
+        if t.c[b] != (c if vec.c[b] == ONE else -c):
+            return None
+        coords.append(c)
+    if any(t.c[pos] for pos in _OFF_PAIR_POSITIONS):
+        return None
+    return tuple(coords)
+
+
+def containing_bases(t: Tensor) -> list[tuple[int, tuple[CycNum, ...]]]:
+    """Every (m, coordinates) with t in the span of the m-th real Cartan basis."""
+    out = []
+    for m in range(1, 8):
+        coords = basis_coords(m, t)
+        if coords is not None:
+            out.append((m, coords))
+    return out

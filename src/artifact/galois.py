@@ -12,7 +12,9 @@ module provides:
 * a small container :class:`FiniteConjGroup` bundling a finite group with its
   conjugation map and the callables needed to compute with it,
 * exact enumeration of 1-cocycles and their twisted-conjugacy classes with
-  deterministic (lexicographically least) representatives,
+  deterministic (lexicographically least) representatives; the classes, like
+  every group closure here, come from the breadth-first orbit engine of
+  :mod:`artifact._orbits`,
 * the normalizer ``N`` of the diagonalizable subspace inside the product of
   four copies of SL(2, C), built from its group structure: the order-32
   kernel ``K`` (the elements acting trivially on the subspace) and one lift
@@ -38,6 +40,7 @@ from typing import Callable, Sequence
 
 from . import cartanweyl as cw
 from . import groupaction as ga
+from ._orbits import orbit, orbit_classes
 from .exactfield import INV_SQRT2, IMAG
 from .groupaction import GElt
 
@@ -154,6 +157,10 @@ class _InternedOps:
         return tuple(self._key_of[id(a)] for a in x)
 
 
+def _ids(g: GElt) -> tuple[int, ...]:
+    return tuple(map(id, g))
+
+
 def gelt_closure(
     gens: Sequence[GElt],
     limit: int,
@@ -163,29 +170,14 @@ def gelt_closure(
     """Close a set of group elements under multiplication, with a hard cap."""
     if ops is None:
         ops = _InternedOps()
-    identity = ops.intern(ga.IDENTITY)
-    gen_list = [ops.intern(g) for g in gens]
-    seen: dict[tuple, GElt] = {tuple(map(id, identity)): identity}
-    frontier = [identity]
-    while frontier:
-        nxt: list[GElt] = []
-        for x in frontier:
-            for g in gen_list:
-                y = ops.product(x, g)
-                k = tuple(map(id, y))
-                if k not in seen:
-                    if len(seen) >= limit:
-                        raise ArithmeticError(what)
-                    seen[k] = y
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen.values(), key=ops.key))
+    found = orbit(ops.intern(ga.IDENTITY), [ops.intern(g) for g in gens],
+                  ops.product, _ids, limit, what)
+    return tuple(sorted(found.values(), key=ops.key))
 
 
 def gelt_group(
     gens: Sequence[GElt],
     *,
-    limit: int = 100_000,
     tag: str = "",
     sigma: Callable | None = None,
 ) -> FiniteConjGroup:
@@ -196,7 +188,7 @@ def gelt_group(
     """
     ops = _InternedOps()
     elements = gelt_closure(
-        gens, limit, "group closure exceeded the requested bound", ops
+        gens, 100_000, "group closure exceeded 100000 elements", ops
     )
     interned_gens = tuple(ops.intern(g) for g in gens)
     return FiniteConjGroup(
@@ -308,40 +300,18 @@ def h1(group: FiniteConjGroup, case_tag: str = "") -> CocycleClassList:
 
     Two cocycles c, c′ are identified when c′ = a·c·σ(a)⁻¹ for some a in the
     group; that rule defines a group action, so the class of c is its orbit
-    under the generators.  Representatives are the least element of each
-    orbit; because candidates are scanned in increasing order, the first
+    under the generators (:func:`_orbits.orbit_classes`, with σ(a)⁻¹ formed
+    once per generator).  Representatives are the least element of each
+    orbit; because the cocycles are scanned in increasing order, the first
     unseen cocycle is automatically its orbit's minimum.
     """
-    cocs = cocycles(group)
-    by_key = {group.key(c): c for c in cocs}
-    unseen = set(by_key)
-    reps = []
-    sizes = []
-    for c in cocs:
-        ck = group.key(c)
-        if ck not in unseen:
-            continue
-        orbit = {ck}
-        frontier = [c]
-        while frontier:
-            x = frontier.pop()
-            for a in group.gens:
-                y = group.mul(group.mul(a, x), group.sigma(group.inv(a)))
-                yk = group.key(y)
-                if yk not in orbit:
-                    if yk not in by_key:
-                        raise ArithmeticError(
-                            "twisted conjugation left the cocycle set"
-                        )
-                    orbit.add(yk)
-                    frontier.append(by_key[yk])
-        unseen -= orbit
-        reps.append(c)
-        sizes.append(len(orbit))
+    twists = [(a, group.sigma(group.inv(a))) for a in group.gens]
+    classes = orbit_classes(cocycles(group), twists,
+                            lambda x, t: group.mul(group.mul(t[0], x), t[1]), group.key)
     return CocycleClassList(
-        representatives=tuple(reps),
+        representatives=tuple(c for c, _ in classes),
         case_tag=case_tag or group.tag,
-        sizes=tuple(sizes),
+        sizes=tuple(n for _, n in classes),
     )
 
 
@@ -428,10 +398,6 @@ def normalizer_generators() -> tuple[GElt, ...]:
 NORMALIZER_OPS = _InternedOps()
 
 
-def _ids(g: GElt) -> tuple[int, ...]:
-    return tuple(map(id, g))
-
-
 def check_cosets(
     gens: Sequence[tuple[GElt, cw.WeylMat]],
     kernel: Sequence[GElt],
@@ -491,19 +457,15 @@ def normalizer_cosets() -> tuple[tuple[GElt, ...], tuple[tuple[GElt, cw.WeylMat]
     if len(kernel) != 32:
         raise ArithmeticError("normalizer kernel came out short")
     gens = [(ops.intern(g), cw.h_action_matrix(g)) for g in normalizer_generators()]
-    gens2 = [(g, cw._doubled(w)) for g, w in gens]
-    identity2 = cw._doubled(cw.W_IDENTITY)
-    found = {identity2: ops.intern(ga.IDENTITY)}
-    frontier = [identity2]
-    while frontier:
-        nxt = []
-        for w2 in frontier:
-            for s, s2 in gens2:
-                p = cw._doubled_product(s2, w2)
-                if p not in found:
-                    found[p] = ops.product(s, found[w2])
-                    nxt.append(p)
-        frontier = nxt
+    # each symmetry reached carries the generator and the symmetry it came
+    # from, so that its lift is one product, formed in order of discovery
+    reached = orbit((cw._doubled(cw.W_IDENTITY), None, None),
+                    [(g, cw._doubled(w)) for g, w in gens],
+                    lambda x, s: (cw._doubled_product(s[1], x[0]), s[0], x[0]),
+                    key=lambda x: x[0])
+    found = {}
+    for w2, s, prev in reached.values():
+        found[w2] = ops.intern(ga.IDENTITY) if s is None else ops.product(s, found[prev])
     if len(found) != 192:
         raise ArithmeticError("expected 192 coordinate symmetries, found %d" % len(found))
     lifts = tuple((g, cw._undoubled(w2)) for w2, g in found.items())
@@ -596,7 +558,10 @@ class StabilizerSpec:
     finite_gens: tuple[GElt, ...]
     torus_samples: tuple[GElt, ...] = ()
     expected_count: int | None = None
-    closure_limit: int = 4096
+
+
+#: Bound on the order of the finite part of a :class:`StabilizerSpec`.
+_FINITE_PART_LIMIT = 4096
 
 
 class ClassListError(ValueError):
@@ -615,8 +580,6 @@ class ClassListError(ValueError):
 def verify_class_list(
     classes: CocycleClassList,
     spec: StabilizerSpec,
-    *,
-    strict: bool = True,
 ) -> dict:
     """Check a documented list of cohomology classes against its stabilizer.
 
@@ -624,8 +587,8 @@ def verify_class_list(
     (b) no two listed elements are related by twisted conjugation with any
     element of the finite part, nor with finite-part elements multiplied by
     the documented identity-component samples; (c) the list length matches
-    the documented count.  Returns a report dict; with ``strict`` (default)
-    a failing report raises :class:`ClassListError`.
+    the documented count.  Returns the report dict when every check passes,
+    and raises :class:`ClassListError` carrying it otherwise.
     """
     failures: list[dict] = []
     reps = list(classes.representatives)
@@ -634,7 +597,7 @@ def verify_class_list(
         if ga.g_key(ga.g_mul(z, ga.conj_g(z))) != idk:
             failures.append({"check": "cocycle", "case": spec.tag, "index": i})
     finite_part = gelt_closure(
-        spec.finite_gens, spec.closure_limit,
+        spec.finite_gens, _FINITE_PART_LIMIT,
         "finite part closure exceeded the configured bound",
     )
     probes = list(finite_part)
@@ -680,7 +643,7 @@ def verify_class_list(
         "pairs_checked": pairs_checked,
         "failures": failures,
     }
-    if strict and failures:
+    if failures:
         raise ClassListError(report)
     return report
 

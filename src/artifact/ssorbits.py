@@ -1342,42 +1342,6 @@ def _apply_move(mat, coords) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# membership of a tensor in a real canonical subspace
-# ---------------------------------------------------------------------------
-
-_OFF_PAIR_POSITIONS = tuple(
-    pos for pos in range(16) if all(pos not in pair for pair in cw._U_PAIRS)
-)
-
-
-def _basis_coords(m: int, t: Tensor) -> tuple | None:
-    """Coordinates of ``t`` in the m-th real canonical basis, or None.
-
-    The l-th basis vector is ``e_a ± e_b`` for the l-th pair ``(a, b)`` of
-    ``cartanweyl._U_PAIRS``, so its coordinate is read off entry ``a``.
-    """
-    cb = cw.seven_cartans()[m - 1]
-    coords = []
-    for (a, b), vec in zip(cw._U_PAIRS, cb.basis):
-        c = t.c[a]
-        if t.c[b] != (c if vec.c[b] == ONE else -c):
-            return None
-        coords.append(c)
-    if any(t.c[pos] for pos in _OFF_PAIR_POSITIONS):
-        return None
-    return tuple(coords)
-
-
-def _containing_bases(t: Tensor) -> list[tuple[int, tuple]]:
-    out = []
-    for m in range(1, 8):
-        coords = _basis_coords(m, t)
-        if coords is not None:
-            out.append((m, coords))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # instantiating rows and real points
 # ---------------------------------------------------------------------------
 
@@ -1520,10 +1484,8 @@ def _orbit_invariants(i: int, params: tuple) -> invariants.InvariantVector:
 
 
 def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
-                t: Tensor | None = None, refs: dict | None = None
-                ) -> tuple[list[dict], invariants.InvariantVector | None]:
-    """Failures of one row, and the invariants of its tensor (None when the
-    checks stopped before the invariants were computed).
+                t: Tensor | None = None, refs: dict | None = None) -> list[dict]:
+    """Failures of one row.
 
     The reference invariants of the expected complex orbit depend only on
     the block, ``lams`` and ``row.reciprocal``; ``refs`` maps the reciprocal
@@ -1540,14 +1502,14 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
         t = row_tensor(blk.i, blk.j, row.k, lams)
     if not t.is_real():
         fail("real", "representative has non-real coefficients")
-    coords = _basis_coords(blk.m, t)
+    coords = cw.basis_coords(blk.m, t)
     if coords is None:
         fail("basis", "not in the stated real canonical subspace")
-        return failures, None
+        return failures
     expected = row.coordinates(lams)
     if tuple(coords) != tuple(expected):
         fail("coordinates", "coordinates do not match the row formulas")
-        return failures, None
+        return failures
     # t lies in the span of its basis, so it is semisimple when the basis is
     # a commuting semisimple family
     if not cw.cartan_is_semisimple(blk.m):
@@ -1555,7 +1517,7 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
     found = _complex_conjugator(blk, t)
     if found is None:
         fail("conjugate", "no conjugator onto the canonical element found")
-        return failures, None
+        return failures
     t_inv = invariants.invariants_of(t)
     if refs is None:
         refs = {}
@@ -1564,7 +1526,7 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
         refs[row.reciprocal] = _orbit_invariants(blk.i, ref)
     if t_inv != refs[row.reciprocal]:
         fail("orbit", "invariants differ from the expected complex orbit")
-    return failures, t_inv
+    return failures
 
 
 def _verify_block(blk: CaseBlock, lams: tuple) -> list[dict]:
@@ -1590,22 +1552,9 @@ def _verify_block(blk: CaseBlock, lams: tuple) -> list[dict]:
                 fail("stabilizer-cocycle", "element %d" % idx)
             if act_tensor(z, p) != p:
                 fail("stabilizer-fix", "element %d does not fix the real point" % idx)
-    ref_inv = None
     refs: dict = {}
     for row in blk.rows:
-        row_failures, t_inv = _verify_row(blk, row, lams, refs=refs)
-        failures.extend(row_failures)
-        if not row_failures and not row.reciprocal:
-            if ref_inv is None:
-                ref_inv = t_inv
-            elif t_inv != ref_inv:
-                failures.append(
-                    {
-                        "row": (blk.i, blk.j, row.k),
-                        "check": "block-invariants",
-                        "detail": "invariants differ across the block",
-                    }
-                )
+        failures.extend(_verify_row(blk, row, lams, refs=refs))
     return failures
 
 
@@ -1616,7 +1565,10 @@ def verify_ss_tables(case: int | None = None) -> dict:
     stabilizer cocycles fixing the real point; per row: realness, membership
     and exact coordinates in the stated real canonical subspace,
     semisimplicity, an explicit conjugator onto the family's canonical
-    element, and agreement of invariants inside the block.  A row tensor in
+    element, and invariants equal to those of the expected complex orbit.
+    That reference is computed once per block (and once more for reciprocal
+    rows), so the non-reciprocal rows of a block are all compared with one
+    shared value and agree with each other when they pass.  A row tensor in
     the span of its basis is semisimple because that basis is a commuting
     semisimple family, which is checked once per basis
     (:func:`cartanweyl.cartan_is_semisimple`), not once per row.  Returns a
@@ -1661,7 +1613,7 @@ def check_row(i: int, j: int, k: int, lams: Sequence[CycNum] | None = None,
     lams = tuple(lams) if lams is not None else default_lambda(i, j)
     if not blk.reality.accepts(lams):
         raise TableRowError((i, j, k), "sample", "inadmissible parameters")
-    failures, _ = _verify_row(blk, row, lams, t=tensor)
+    failures = _verify_row(blk, row, lams, t=tensor)
     if failures:
         first = failures[0]
         raise TableRowError((i, j, k), first["check"], first["detail"])
@@ -1733,7 +1685,7 @@ def classify_semisimple(t: Tensor) -> SSOrbitLabel:
         raise ValueError("not a real state")
     if t.is_zero():
         raise ValueError("zero state: no orbit label")
-    bases = _containing_bases(t)
+    bases = cw.containing_bases(t)
     in_semisimple_span = any(cw.cartan_is_semisimple(m) for m, _ in bases)
     if not in_semisimple_span and not liealg.is_semisimple(t):
         raise ValueError("has nilpotent part")

@@ -7,9 +7,9 @@ import pytest
 
 from artifact.cartanweyl import (
     W_IDENTITY,
-    cartan_detect,
     cartan_is_semisimple,
     component_membership,
+    containing_bases,
     from_u_coords,
     functional_after,
     gamma_group,
@@ -398,19 +398,19 @@ class TestSevenCartans:
             assert m == exp
 
     def test_detect_examples(self):
-        got = cartan_detect(Tensor.basis("0000") + Tensor.basis("1111"))
-        assert got is not None and got[0] == 1
-        assert [c.to_fraction() for c in got[1]] == [1, 0, 0, 0]
-        got = cartan_detect(Tensor.basis("0000") - Tensor.basis("1111"))
-        assert got is not None and got[0] == 2
-        assert [c.to_fraction() for c in got[1]] == [1, 0, 0, 0]
-        assert cartan_detect(Tensor.basis("0100")) is None
+        got = containing_bases(Tensor.basis("0000") + Tensor.basis("1111"))
+        assert got and got[0][0] == 1
+        assert [c.to_fraction() for c in got[0][1]] == [1, 0, 0, 0]
+        got = containing_bases(Tensor.basis("0000") - Tensor.basis("1111"))
+        assert got and got[0][0] == 2
+        assert [c.to_fraction() for c in got[0][1]] == [1, 0, 0, 0]
+        assert containing_bases(Tensor.basis("0100")) == []
 
     def test_detect_prefers_first_listed(self):
         # e0011+e1100 = u4 lies in spaces 1 and 4's spans? u4 appears in bases
         # u (index 1), w (3), x (4), y (5), z uses v4, t uses u4.
-        got = cartan_detect(Tensor.basis("0011") + Tensor.basis("1100"))
-        assert got is not None and got[0] == 1
+        got = containing_bases(Tensor.basis("0011") + Tensor.basis("1100"))
+        assert got and got[0][0] == 1
 
 
 class TestHActionMatrix:
