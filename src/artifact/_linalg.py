@@ -59,10 +59,6 @@ def mat_eq(a: Mat, b: Mat) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def is_zero_mat(a: Mat) -> bool:
-    return all(not x for row in a for x in row)
-
-
 def is_zero_vec(v: Vec) -> bool:
     return all(not x for x in v)
 
@@ -158,16 +154,6 @@ def det(a: Mat) -> CycNum:
     return out
 
 
-def in_span(basis: list[Vec], v: Vec) -> bool:
-    """Is v in the span of the given vectors?"""
-    if is_zero_vec(v):
-        return True
-    if not basis:
-        return False
-    a = transpose(basis)
-    return solve(a, v) is not None
-
-
 def span_dim(vectors: list[Vec]) -> int:
     if not vectors:
         return 0
@@ -226,31 +212,6 @@ def poly_deg(p: Poly) -> int:
     return len(p) - 1
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    out = [(p[i] if i < len(p) else ZERO) + (q[i] if i < len(q) else ZERO) for i in range(n)]
-    return poly_trim(out)
-
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    out = [(p[i] if i < len(p) else ZERO) - (q[i] if i < len(q) else ZERO) for i in range(n)]
-    return poly_trim(out)
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return []
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return poly_trim(out)
-
-
 def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     if not q:
         raise ZeroDivisionError("division by zero")
@@ -284,49 +245,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return poly_monic(a)
 
 
-def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """g, s, t with s*p + t*q = g = gcd(p, q), g monic."""
-    r0, r1 = list(p), list(q)
-    s0, s1 = [ONE], []
-    t0, t1 = [], [ONE]
-    while r1:
-        quo, rem = poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, poly_sub(s0, poly_mul(quo, s1))
-        t0, t1 = t1, poly_sub(t0, poly_mul(quo, t1))
-    if not r0:
-        return [], s0, t0
-    lead_inv = r0[-1].inverse()
-    scale = [lead_inv]
-    return poly_mul(scale, r0), poly_mul(scale, s0), poly_mul(scale, t0)
-
-
 def poly_deriv(p: Poly) -> Poly:
     return poly_trim([p[i].scale(i) for i in range(1, len(p))])
-
-
-def poly_mod(p: Poly, m: Poly) -> Poly:
-    return poly_divmod(p, m)[1]
-
-
-def poly_eval_mat(p: Poly, a: Mat) -> Mat:
-    """Evaluate a polynomial at a square matrix (Horner)."""
-    n = len(a)
-    out = zeros(n, n)
-    for c in reversed(p):
-        out = mat_mul(out, a)
-        for i in range(n):
-            out[i][i] = out[i][i] + c
-    return out
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """p / gcd(p, p'), monic: the radical for our characteristic-zero field."""
-    g = poly_gcd(p, poly_deriv(p))
-    quo, rem = poly_divmod(p, g)
-    if rem:
-        raise ArithmeticError("gcd does not divide the polynomial")
-    return poly_monic(quo)
 
 
 def minimal_polynomial(a: Mat) -> Poly:

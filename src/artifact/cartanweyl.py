@@ -31,7 +31,6 @@ from .exactfield import ONE, ZERO, CycNum, rat
 from .groupaction import (
     D,
     GElt,
-    Mat2,
     act_tensor,
     conj_g,
     g_inv,
@@ -317,11 +316,6 @@ def _closure(gens: list[WeylMat], limit: int) -> tuple[WeylMat, ...]:
                   lambda m, g: _doubled_product(g, m),
                   limit=limit, what="group closure exceeded expected order")
     return tuple(_undoubled(p) for p in sorted(found))
-
-
-def weyl_stabilizer(coords: Sequence[CycNum]) -> list[WeylMat]:
-    coords = tuple(coords)
-    return [w for w in weyl_group() if w_act_coords(w, coords) == coords]
 
 
 # -- subsystems of Table rows 1..11 --------------------------------------------------

@@ -254,13 +254,9 @@ def _reduce(nums: list[int] | tuple[int, ...], den: int) -> tuple[tuple[int, ...
 
 ZERO = CycNum._raw(_ZERO8, 1)
 ONE = CycNum.from_rational(1)
-TWO = CycNum.from_rational(2)
-HALF = CycNum.from_rational(Fraction(1, 2))
 MINUS_ONE = CycNum.from_rational(-1)
 ETA = CycNum.eta_power(1)
-ZETA = CycNum.eta_power(2)
 IMAG = CycNum.eta_power(4)
-SQRT2 = CycNum((0, 0, 1, 0, 0, 0, -1, 0))
 INV_SQRT2 = CycNum((0, 0, 1, 0, 0, 0, -1, 0), 2)
 
 
@@ -287,41 +283,6 @@ def parse_cyc(text: str) -> CycNum:
     if len(parts) != 8:
         raise ValueError(f"expected 1 or 8 comma-separated rationals: {text!r}")
     return CycNum([Fraction(p) for p in parts])
-
-
-def square_root(d: CycNum) -> CycNum | None:
-    """A square root of d within Q(eta), if one exists of monomial shape.
-
-    Searches s = q * eta^a * sqrt2^b with rational q; this covers every
-    determinant that arises when splitting the 1-cocycles used here.  Returns
-    None when no such root is found.
-    """
-    if d.is_zero():
-        return ZERO
-    for a in range(8):
-        for b in (0, 1):
-            # candidate s = q*eta^a*sqrt2^b  =>  s^2 = q^2 * eta^(2a) * 2^b
-            base = CycNum.eta_power(2 * a)
-            if b:
-                base = base * TWO
-            quot = d / base
-            if quot.is_rational():
-                q2 = quot.to_fraction()
-                if q2 > 0:
-                    pn, pd = _isqrt_exact(q2.numerator), _isqrt_exact(q2.denominator)
-                    if pn is not None and pd is not None:
-                        s = CycNum.eta_power(a).scale(Fraction(pn, pd))
-                        if b:
-                            s = s * SQRT2
-                        return s
-    return None
-
-
-def _isqrt_exact(n: int) -> int | None:
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 def random_cyc(rng, max_num: int = 9, max_den: int = 9) -> CycNum:

@@ -494,7 +494,7 @@ def normalizer_order_key() -> Callable[[GElt], tuple[int, ...]]:
     The normalizer's elements use 48 distinct 2×2 slot values.  They are
     ranked once by ``groupaction.m2_key``, so the key of an element (interned
     in :data:`NORMALIZER_OPS`) is four small integers, and it orders the
-    elements exactly as the group's ``key`` does.
+    elements exactly as ``groupaction.g_key`` does.
     """
     slots = {id(m): m for g, _ in normalizer_pairs() for m in g}
     ranked = sorted(slots.values(), key=ga.m2_key)
@@ -509,17 +509,19 @@ def build_normalizer() -> FiniteConjGroup:
     It is generated by the order-32 stabilizer of a generic element together
     with lifts of generators of the coordinate symmetry group (order 192).
     The elements are the cosets of :func:`normalizer_cosets` written out
-    (:func:`normalizer_pairs`), in increasing order of key.
+    (:func:`normalizer_pairs`), in increasing order of key.  The key is
+    :func:`normalizer_order_key` of the interned element: four small
+    integers, hashed much faster than the ``Fraction`` tuples of
+    ``groupaction.g_key``, in the same order.
     """
     ops = NORMALIZER_OPS
+    order = normalizer_order_key()
     return FiniteConjGroup(
-        elements=tuple(
-            sorted((g for g, _ in normalizer_pairs()), key=normalizer_order_key())
-        ),
+        elements=tuple(sorted((g for g, _ in normalizer_pairs()), key=order)),
         mul=ops.mul,
         inv=ops.inv,
         sigma=ops.sigma,
-        key=ops.key,
+        key=lambda g: order(ops.intern(g)),
         identity=ops.intern(ga.IDENTITY),
         gens=tuple(ops.intern(g) for g in normalizer_generators()),
         tag="normalizer",
@@ -661,6 +663,7 @@ __all__ = [
     "h1",
     "stabilizer_finite_gens",
     "weyl_cocycle_lifts",
+    "normalizer_generators",
     "normalizer_cosets",
     "check_cosets",
     "normalizer_pairs",

@@ -1,35 +1,19 @@
-"""The group SL(2)^4 over Q(eta), its action, and real-structure bookkeeping.
+"""The group SL(2)^4 over Q(eta) and its action.
 
 Group elements are 4-tuples of unimodular 2x2 matrices (tuple-of-tuples of
 CycNum, so they hash and compare structurally).  The first factor acts on the
-first tensor slot and so on.  Alongside the action this module carries the
-small dictionary of named matrices used throughout the orbit tables, the
-recorded lifting table epsilon (solving b^-1 conj(b) = a for the named
-matrices), a general splitting routine for arbitrary unimodular cocycles, and
-the qubit-permutation automorphisms.
+first tensor slot and so on.  The module holds the products, inverses and
+complex conjugates of elements, their action on tensors and on the degree-zero
+part of the algebra, the small dictionary of named matrices used throughout
+the orbit tables, and the qubit-permutation automorphisms.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-from .exactfield import (
-    IMAG,
-    ONE,
-    ZERO,
-    CycNum,
-    cyc_to_str,
-    parse_cyc,
-    rat,
-)
-from .liealg import (
-    LieElt,
-    Tensor,
-    g0_to_quad_mats,
-    quad_mats_to_g0,
-    u_basis,
-)
+from .exactfield import IMAG, ONE, ZERO, CycNum, rat
+from .liealg import LieElt, Tensor, g0_to_quad_mats, quad_mats_to_g0
 
 Mat2 = tuple[tuple[CycNum, CycNum], tuple[CycNum, CycNum]]
 GElt = tuple[Mat2, Mat2, Mat2, Mat2]
@@ -162,10 +146,6 @@ def g_key(x: GElt) -> tuple:
     return tuple(m2_key(a) for a in x)
 
 
-def is_unimodular(x: GElt) -> bool:
-    return all(m2_det(a) == ONE for a in x)
-
-
 # -- actions -------------------------------------------------------------------------
 
 def act_tensor(g: GElt, t: Tensor) -> Tensor:
@@ -199,91 +179,6 @@ def act_g0(g: GElt, h: LieElt) -> LieElt:
         ama = m2_mul(m2_mul(a, (tuple(m[0]), tuple(m[1]))), m2_inv(a))
         out.append([list(ama[0]), list(ama[1])])
     return quad_mats_to_g0(out)
-
-
-Quadruple = tuple[Tensor, LieElt, Tensor, Tensor]
-
-
-def act_quadruple(g: GElt, q: Quadruple) -> Quadruple:
-    p, h, e, f = q
-    return act_tensor(g, p), act_g0(g, h), act_tensor(g, e), act_tensor(g, f)
-
-
-# -- the recorded lifting table -------------------------------------------------------
-
-def _build_epsilon() -> list[tuple[Mat2, Mat2]]:
-    eta = CycNum.eta_power
-    rows = [
-        (named("I"), named("I")),
-        (m2_neg(named("I")), named("L")),
-        (named("M"), D(eta(5))),
-        (m2_neg(named("M")), D(eta(1))),
-        (named("N"), D(eta(7))),
-        (m2_neg(named("N")), m2_neg(D(eta(3)))),
-        (named("L"), named("M")),
-        (m2_neg(named("L")), D(_zeta(1))),
-        (named("K"), m2_mul(named("L"), named("F"))),
-        (m2_neg(named("K")), named("F")),
-    ]
-    return rows
-
-
-_EPSILON_ROWS = _build_epsilon()
-_EPSILON = {a: b for a, b in _EPSILON_ROWS}
-
-
-def epsilon(a: Mat2) -> Mat2:
-    """The recorded lift: returns b with b^-1 * conj(b) = a."""
-    try:
-        return _EPSILON[a]
-    except KeyError:
-        raise KeyError("no recorded lift") from None
-
-
-def epsilon_rows() -> list[tuple[Mat2, Mat2]]:
-    """All rows (a, epsilon(a)) of the recorded table, identity included."""
-    return list(_EPSILON_ROWS)
-
-
-def split_gelt(z: GElt) -> GElt:
-    """b with b^-1 * conj(b) = z, using recorded lifts slot-wise when possible."""
-    factors = []
-    for a in z:
-        b = _EPSILON.get(a)
-        factors.append(b if b is not None else solve_split(a))
-    return gelt(*factors)
-
-
-def solve_split(a: Mat2) -> Mat2:
-    """A matrix b, det 1, with b^-1 * conj(b) = a; needs a*conj(a) = I, det a = 1.
-
-    Classical construction: b0 = c*I + conj(c)*conj(a) satisfies
-    conj(b0) = b0*a for every scalar c; pick c making b0 invertible.  Its
-    determinant is automatically real (det a = 1), so multiplying one row by
-    1/det gives a real correction that fixes the determinant without
-    disturbing the splitting property.
-    """
-    if m2_det(a) != ONE:
-        raise ValueError("can only split unimodular cocycles")
-    if m2_mul(a, m2_conj(a)) != I2:
-        raise ValueError("not a 1-cocycle: a*conj(a) != I")
-    ac = m2_conj(a)
-    candidates = [CycNum.eta_power(k) for k in range(16)]
-    candidates += [CycNum.eta_power(k) + ONE for k in range(16)]
-    for c in candidates:
-        cc = c.conjugate()
-        b0 = (
-            (c + cc * ac[0][0], cc * ac[0][1]),
-            (cc * ac[1][0], c + cc * ac[1][1]),
-        )
-        d = m2_det(b0)
-        if not d:
-            continue
-        if not d.is_real():
-            raise ArithmeticError("splitting determinant is not real")
-        di = d.inverse()
-        return ((di * b0[0][0], di * b0[0][1]), b0[1])
-    raise ArithmeticError("no splitting found")
 
 
 # -- qubit permutations ----------------------------------------------------------------
@@ -336,48 +231,3 @@ class PermAuto:
 
     def __repr__(self) -> str:
         return f"PermAuto({self.perm})"
-
-
-def perm_auto(sigma=None) -> PermAuto:
-    return PermAuto(sigma)
-
-
-# -- JSON ---------------------------------------------------------------------------------
-
-def gelt_to_json_dict(g: GElt) -> dict:
-    return {
-        "factors": [
-            [[cyc_to_str(v) for v in row] for row in factor] for factor in g
-        ]
-    }
-
-
-def gelt_to_json(g: GElt) -> str:
-    return json.dumps(gelt_to_json_dict(g), sort_keys=True)
-
-
-def gelt_from_json_dict(d: dict) -> GElt:
-    if not isinstance(d, dict) or "factors" not in d:
-        raise ValueError('group element JSON needs a "factors" list')
-    fs = d["factors"]
-    if not isinstance(fs, list) or len(fs) != 4:
-        raise ValueError("factors must be a list of 4 matrices")
-    out = []
-    for f in fs:
-        if (
-            not isinstance(f, list)
-            or len(f) != 2
-            or any(not isinstance(r, list) or len(r) != 2 for r in f)
-        ):
-            raise ValueError("each factor must be a 2x2 matrix")
-        out.append(
-            (
-                (parse_cyc(f[0][0]), parse_cyc(f[0][1])),
-                (parse_cyc(f[1][0]), parse_cyc(f[1][1])),
-            )
-        )
-    return gelt(*out)
-
-
-def gelt_from_json(text: str) -> GElt:
-    return gelt_from_json_dict(json.loads(text))

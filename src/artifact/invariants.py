@@ -1,21 +1,19 @@
-"""Polynomial invariants used as exact orbit-separation oracles.
+"""Polynomial invariants of 2×2×2×2 tensors under four unimodular groups.
 
-Three families of classical invariants of 2×2×2×2 tensors under the product
-of four unimodular groups are provided:
+Two families of classical invariants are provided:
 
 * the degree-2 invariant ``H`` — its sixteen coefficients are *derived* by
   solving the linear system "the Lie-algebra action annihilates the
   polynomial" rather than transcribed from anywhere, eliminating any
   sign-convention risk;
 * the three degree-4 flattening determinants, one per way of splitting the
-  four slots into two pairs;
-* the 2×2×2 hyperdeterminant (quadratic discriminant of the pencil of 2×2
-  slices), applicable to three-slot slices of states.
+  four slots into two pairs.
 
-Equal orbits have equal invariants, so differing invariants are a sound
-(never complete) witness of non-conjugacy.  For real tensors the sign
-pattern of the real invariant values is preserved by the real group action
-as well; :func:`real_signature` exposes it.
+:func:`invariants_of` bundles the four values.  Equal orbits have equal
+invariants, so differing values are a sound (never complete) witness of
+non-conjugacy.  :func:`approx_complex` is the one floating-point routine of
+the package; only the tie-break order of ``ssorbits.classify_semisimple``
+uses it.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _linalg as la
-from .exactfield import CycNum, ZERO, ONE, cyc_to_str, rat
+from .exactfield import CycNum, ZERO, ONE, cyc_to_str
 from .liealg import Tensor, bracket, build_d4, g1_to_tensor, tensor_to_g1
 
 
@@ -186,48 +184,6 @@ def flattening_det(t: Tensor, pairing: str) -> CycNum:
 
 
 # ---------------------------------------------------------------------------
-# the 2×2×2 hyperdeterminant
-# ---------------------------------------------------------------------------
-
-
-def _as_cyc(v) -> CycNum:
-    return v if isinstance(v, CycNum) else rat(v)
-
-
-def hyperdet222(a) -> CycNum:
-    """Cayley hyperdeterminant of a 2×2×2 array ``a[i][j][k]``.
-
-    Writing det(x₀·A₀ + x₁·A₁) = αx₀² + βx₀x₁ + γx₁² for the two 2×2 slices
-    A_k = a[k], the value is the discriminant β² − 4αγ.
-    """
-    m = [[[_as_cyc(a[i][j][k]) for k in range(2)] for j in range(2)] for i in range(2)]
-
-    def det2(x):
-        return x[0][0] * x[1][1] - x[0][1] * x[1][0]
-
-    a0, a1 = m[0], m[1]
-    alpha = det2(a0)
-    gamma = det2(a1)
-    both = [[a0[r][c] + a1[r][c] for c in range(2)] for r in range(2)]
-    beta = det2(both) - alpha - gamma
-    return beta * beta - rat(4) * alpha * gamma
-
-
-def slice_hyperdet(t: Tensor, slot: int, bit: int) -> CycNum:
-    """Hyperdeterminant of the 2×2×2 slice fixing ``slot`` to ``bit``."""
-    if slot not in (1, 2, 3, 4) or bit not in (0, 1):
-        raise ValueError("slot must be 1..4 and bit 0 or 1")
-    others = [s for s in (1, 2, 3, 4) if s != slot]
-    arr = [[[ZERO] * 2 for _ in range(2)] for _ in range(2)]
-    for idx in range(16):
-        if _slot_bit(idx, slot) != bit:
-            continue
-        i, j, k = (_slot_bit(idx, s) for s in others)
-        arr[i][j][k] = t.c[idx]
-    return hyperdet222(arr)
-
-
-# ---------------------------------------------------------------------------
 # bundled invariants and separation
 # ---------------------------------------------------------------------------
 
@@ -266,82 +222,9 @@ _ETA_COMPLEX = cmath.exp(1j * math.pi / 8)
 
 
 def approx_complex(v: CycNum) -> complex:
-    """Floating approximation of a field element (for sign decisions only)."""
+    """Floating approximation of a field element (for an ordering only)."""
     num = sum(n * _ETA_COMPLEX**k for k, n in enumerate(v.nums))
     return num / v.den
-
-
-def sign_of_real(v: CycNum) -> int:
-    """Exact-zero-aware sign of a real field element.
-
-    Zero is decided exactly; otherwise the sign comes from a floating
-    approximation, guarded so that values too close to zero for the
-    approximation to be trustworthy raise instead of misreporting.
-    """
-    if not v.is_real():
-        raise ValueError("sign requested for a non-real value")
-    if v == ZERO:
-        return 0
-    approx = approx_complex(v).real
-    if abs(approx) < 1e-9:
-        raise ArithmeticError("sign determination too close to zero")
-    return 1 if approx > 0 else -1
-
-
-def real_signature(vec: InvariantVector) -> tuple[str, ...]:
-    """Sign pattern of the invariant values: one of '+', '-', '0', 'C' each.
-
-    Real invariant values keep their sign under the real group action (they
-    are constant on orbits), so this tuple is itself a real-orbit invariant;
-    'C' marks entries that are not real.
-    """
-    out = []
-    for v in vec.entries():
-        if not v.is_real():
-            out.append("C")
-        elif v == ZERO:
-            out.append("0")
-        else:
-            out.append("+" if sign_of_real(v) > 0 else "-")
-    return tuple(out)
-
-
-def separates(t1: Tensor, t2: Tensor) -> bool:
-    """True when some invariant differs — a sound non-conjugacy witness.
-
-    Equal orbits always have equal invariants, so a ``True`` answer proves
-    the two tensors lie on different orbits; ``False`` proves nothing.  For
-    real tensors the (derived) sign patterns are compared as well; they add
-    no separating power beyond exact equality but assert the documented
-    real-orbit invariance.
-    """
-    v1 = invariants_of(t1)
-    v2 = invariants_of(t2)
-    if v1.entries() != v2.entries():
-        return True
-    if t1.is_real() and t2.is_real() and real_signature(v1) != real_signature(v2):
-        raise ArithmeticError("sign patterns disagree on equal values")
-    return False
-
-
-def pair_counting_check() -> dict[str, int]:
-    """The documented dimension count for two-center charge configurations.
-
-    Two copies of the 2×2×2 representation (dimension 8 each) acted on by
-    the product of three unimodular groups (dimension 9) leave a ring of
-    invariants of dimension 2·8 − 9 = 7 — the same count as the number of
-    cohomology classes of the normalizer.
-    """
-    two_copies = 2 * 8
-    group_dim = 3 * 3
-    ring_dim = two_copies - group_dim
-    if ring_dim != 7:
-        raise ArithmeticError("counting identity violated")
-    return {
-        "two_copies": two_copies,
-        "group_dim": group_dim,
-        "invariant_ring_dim": ring_dim,
-    }
 
 
 __all__ = [
@@ -351,12 +234,6 @@ __all__ = [
     "quadratic",
     "flattening_matrix",
     "flattening_det",
-    "hyperdet222",
-    "slice_hyperdet",
     "invariants_of",
     "approx_complex",
-    "sign_of_real",
-    "real_signature",
-    "separates",
-    "pair_counting_check",
 ]

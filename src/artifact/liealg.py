@@ -14,10 +14,9 @@ equivariant isomorphism anchored at "root vector of weight -gamma_2 maps to
 e_0000".
 
 Elements are coordinate vectors (28 CycNum) over the fixed basis; 2x2x2x2
-arrays are `Tensor` values (16 CycNum).  Jordan decomposition is computed
-exactly at the 8x8 matrix level by a Newton iteration on the squarefree part
-of the minimal polynomial; for so(8) the matrix notions of semisimple and
-nilpotent agree with the adjoint ones, and both parts stay in the algebra.
+arrays are `Tensor` values (16 CycNum).  Semisimplicity is decided exactly
+at the 8x8 matrix level, by a squarefree minimal polynomial; for so(8) the
+matrix notion agrees with the adjoint one.
 """
 
 from __future__ import annotations
@@ -290,10 +289,6 @@ def ad_matrix(x: LieElt) -> la.Mat:
     alg = build_d4()
     cols = [bracket(x, alg.basis_elt(k)) for k in range(28)]
     return la.transpose(cols)
-
-
-def lie_add(x: LieElt, y: LieElt) -> LieElt:
-    return [a + b for a, b in zip(x, y)]
 
 
 def lie_sub(x: LieElt, y: LieElt) -> LieElt:
@@ -580,42 +575,14 @@ def quad_mats_to_g0(mats: Sequence[la.Mat]) -> LieElt:
     return x
 
 
-def slot_action(mats: Sequence[la.Mat], t: Tensor) -> Tensor:
-    """Leibniz action of four 2x2 matrices on a tensor (sum over slots)."""
-    out = [ZERO] * 16
-    for s, m in enumerate(mats):
-        bit = 8 >> s
-        for ti in range(16):
-            c = t.c[ti]
-            if not c:
-                continue
-            col = 1 if ti & bit else 0
-            for row in (0, 1):
-                v = m[row][col]
-                if v:
-                    target = (ti & ~bit) | (bit if row else 0)
-                    out[target] = out[target] + v * c
-    return Tensor(out)
+# -- semisimplicity ----------------------------------------------------------------
 
-
-# -- semisimplicity, nilpotence, Jordan decomposition ------------------------------
-
-def _as_coords(x: "LieElt | Tensor") -> tuple[LieElt, bool]:
-    if isinstance(x, Tensor):
-        return tensor_to_g1(x), True
-    return x, False
-
-
-def is_nilpotent(x: "LieElt | Tensor") -> bool:
-    coords, _ = _as_coords(x)
-    m = build_d4().to_matrix(coords)
-    m2 = la.mat_mul(m, m)
-    m4 = la.mat_mul(m2, m2)
-    return la.is_zero_mat(la.mat_mul(m4, m4))
+def _as_coords(x: "LieElt | Tensor") -> LieElt:
+    return tensor_to_g1(x) if isinstance(x, Tensor) else x
 
 
 def is_semisimple(x: "LieElt | Tensor") -> bool:
-    coords, _ = _as_coords(x)
+    coords = _as_coords(x)
     m = build_d4().to_matrix(coords)
     p = la.minimal_polynomial(m)
     return la.poly_deg(la.poly_gcd(p, la.poly_deriv(p))) == 0
@@ -627,7 +594,7 @@ def is_commuting_semisimple(vectors: Sequence["LieElt | Tensor"]) -> bool:
     Commuting semisimple elements are simultaneously diagonalizable, so when
     this holds every element of their span is semisimple.
     """
-    coords = [_as_coords(v)[0] for v in vectors]
+    coords = [_as_coords(v) for v in vectors]
     if not all(is_semisimple(x) for x in coords):
         return False
     return all(
@@ -637,71 +604,16 @@ def is_commuting_semisimple(vectors: Sequence["LieElt | Tensor"]) -> bool:
     )
 
 
-def jordan_decompose(x: "LieElt | Tensor"):
-    """Split x = s + n with s semisimple, n nilpotent, [s, n] = 0.
-
-    Computed on the 8x8 matrix: Newton iteration in Q(eta)[T]/(minpoly)
-    converges to a polynomial expression for the semisimple part.  For so(8)
-    the matrix-level parts are the adjoint-level parts, and both lie in the
-    algebra; when x is homogeneous of degree one so are s and n.
-    """
-    coords, was_tensor = _as_coords(x)
-    alg = build_d4()
-    m = alg.to_matrix(coords)
-    minpoly = la.minimal_polynomial(m)
-    red = la.squarefree_part(minpoly)
-    if la.poly_deg(red) == la.poly_deg(minpoly):
-        s_coords, n_coords = list(coords), alg.zero()
-    else:
-        t: la.Poly = [ZERO, ONE]
-        for _ in range(10):
-            val = _poly_compose_mod(red, t, minpoly)
-            if not val:
-                break
-            dval = _poly_compose_mod(la.poly_deriv(red), t, minpoly)
-            g, inv, _ = la.poly_xgcd(dval, minpoly)
-            if la.poly_deg(g) != 0:
-                raise ArithmeticError("derivative not invertible modulo minpoly")
-            t = la.poly_mod(la.poly_sub(t, la.poly_mul(val, inv)), minpoly)
-        else:
-            raise ArithmeticError("Newton iteration did not converge")
-        s_mat = la.poly_eval_mat(t, m)
-        s_coords = alg.from_matrix(s_mat)
-        n_coords = lie_sub(coords, s_coords)
-    if was_tensor:
-        return g1_to_tensor(s_coords), g1_to_tensor(n_coords)
-    return s_coords, n_coords
-
-
-def _poly_compose_mod(p: la.Poly, t: la.Poly, m: la.Poly) -> la.Poly:
-    out: la.Poly = []
-    for c in reversed(p):
-        out = la.poly_mod(la.poly_mul(out, t), m)
-        out = la.poly_add(out, [c])
-    return out
-
-
 # -- centralizers -------------------------------------------------------------------
 
 def centralizer_dim(x: "LieElt | Tensor") -> int:
-    coords, _ = _as_coords(x)
+    coords = _as_coords(x)
     return 28 - la.rank(ad_matrix(coords))
 
 
 def centralizer_basis(x: "LieElt | Tensor") -> list[LieElt]:
-    coords, _ = _as_coords(x)
+    coords = _as_coords(x)
     return la.nullspace(ad_matrix(coords))
-
-
-def centralizer_g1(x: "LieElt | Tensor") -> list[Tensor]:
-    """Basis of U_x = {y in g1 : [x, y] = 0}, returned as tensors."""
-    coords, _ = _as_coords(x)
-    cols = []
-    for t in range(16):
-        y = tensor_to_g1(Tensor.basis(t))
-        cols.append(bracket(coords, y))
-    kernel = la.nullspace(la.transpose(cols))
-    return [Tensor(v) for v in kernel]
 
 
 def derived_dim_of_centralizer(x: "LieElt | Tensor") -> int:

@@ -10,7 +10,7 @@ row data and provides:
 
 * ``reality_pattern(i, j)`` — the admissible-parameter test for a block;
 * ``real_point(i, j, lams)`` — a real point of the block with its witness;
-* ``orbit_reps(i, j, lams)`` — one real representative per class ``k``;
+* ``row_tensor(i, j, k, lams)`` — the table representative of row ``k``;
 * ``verify_ss_tables()`` — re-derive and check every table entry;
 * ``classify_semisimple(t)`` — map a real diagonalizable tensor in
   canonical position back to its ``(i, j, k)`` row and parameter.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -63,7 +62,6 @@ __all__ = [
     "reality_pattern",
     "default_lambda",
     "real_point",
-    "orbit_reps",
     "row_tensor",
     "verify_ss_tables",
     "check_row",
@@ -1361,17 +1359,6 @@ def row_tensor(i: int, j: int, k: int, lams: Sequence[CycNum]) -> Tensor:
         for pos in range(16):
             total[pos] = total[pos] + c * vec.c[pos]
     return Tensor(tuple(total))
-
-
-def orbit_reps(i: int, j: int, lams: Sequence[CycNum]) -> list:
-    """One real representative per class ``k`` of block ``(i, j)``."""
-    blk = block(i, j)
-    lams = tuple(lams)
-    if not blk.reality.accepts(lams):
-        raise ValueError(
-            "parameters %r are not admissible for block (%d, %d)" % (lams, i, j)
-        )
-    return [(row.k, row_tensor(i, j, row.k, lams)) for row in blk.rows]
 
 
 def real_point(i: int, j: int, lams: Sequence[CycNum]) -> tuple[Tensor, GElt]:

@@ -7,24 +7,25 @@ from hypothesis import strategies as st
 
 from artifact.exactfield import (
     ETA,
-    HALF,
     IMAG,
     INV_SQRT2,
     MINUS_ONE,
     ONE,
-    SQRT2,
     ZERO,
-    ZETA,
     CycNum,
     cyc_to_str,
     parse_cyc,
     rat,
-    square_root,
 )
 
 
 def eta(k):
     return CycNum.eta_power(k)
+
+
+HALF = rat(1, 2)
+ZETA = eta(2)
+SQRT2 = eta(2) - eta(6)
 
 
 small_rationals = st.fractions(
@@ -189,25 +190,3 @@ class TestTextForm:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             parse_cyc("1,2,3")
-
-
-class TestSquareRoot:
-    def test_simple_roots(self):
-        assert square_root(rat(4)) == rat(2) or square_root(rat(4)) == rat(-2)
-        s = square_root(rat(2))
-        assert s is not None and s * s == rat(2)
-        s = square_root(IMAG)
-        assert s is not None and s * s == IMAG
-        s = square_root(rat(-1))
-        assert s is not None and s * s == MINUS_ONE
-
-    def test_two_i(self):
-        two_i = IMAG.scale(2)
-        s = square_root(two_i)
-        assert s is not None and s * s == two_i
-
-    def test_no_root(self):
-        # 3 has no square root in the field, and neither does 1+i (its root
-        # would bring in a fourth root of 2).
-        assert square_root(rat(3)) is None
-        assert square_root(ONE + IMAG) is None

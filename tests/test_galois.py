@@ -240,9 +240,10 @@ class TestNormalizer:
 
     def test_elements_sort_by_slot_ranks_as_by_key(self, normalizer):
         rank = gal.normalizer_order_key()
-        keys = [normalizer.key(g) for g in normalizer.elements]
+        keys = [ga.g_key(g) for g in normalizer.elements]
         ranks = [rank(g) for g in normalizer.elements]
         assert keys == sorted(keys) and ranks == sorted(ranks)
+        assert [normalizer.key(g) for g in normalizer.elements] == ranks
         assert len(set(ranks)) == 6144
         assert max(max(r) for r in ranks) == 47
 

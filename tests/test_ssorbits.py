@@ -206,17 +206,22 @@ def test_real_point_inadmissible_raises():
 
 
 def test_orbit_reps_counts():
-    assert len(ss.orbit_reps(1, 1, (rat(7), rat(3), rat(2), ONE))) == 12
-    assert len(ss.orbit_reps(3, 1, (ONE, rat(2)))) == 4
-    reps = ss.orbit_reps(10, 1, (rat(5),))
-    assert len(reps) == 2
+    for i, lams, count in [
+        (1, (rat(7), rat(3), rat(2), ONE), 12),
+        (3, (ONE, rat(2)), 4),
+        (10, (rat(5),), 2),
+    ]:
+        rows = ss.block(i, 1).rows
+        assert [row.k for row in rows] == list(range(1, count + 1))
+        for row in rows:
+            assert ss.row_tensor(i, 1, row.k, lams).is_real()
 
 
 def test_orbit_reps_reciprocal_row():
     # second representative of the rank-one family carries 2/λ coefficients
-    reps = dict(ss.orbit_reps(10, 1, (rat(5),)))
     f = rat(2, 5)
-    assert cw.containing_bases(reps[2])[0] == (1, (-f, f, f, f))
+    rep = ss.row_tensor(10, 1, 2, (rat(5),))
+    assert cw.containing_bases(rep)[0] == (1, (-f, f, f, f))
 
 
 def test_row_tensors_distinct():

@@ -1,0 +1,157 @@
+"""The package's public surface is the pipeline it serves.
+
+Every public top-level definition in ``src/artifact`` must be referenced by
+code that is not a test: by another part of the package (outside the
+definition's own body), by the ``artifact`` command, or by the benchmark
+scripts in ``bench/``.  A reference is a name, an attribute or a string
+constant equal to the definition's name (the benchmark's tracer patches
+functions by their names as strings).  References are counted transitively:
+a definition reached only from definitions that are themselves reached only
+from tests does not count as reached.  The names in ``KEPT`` are the
+exceptions, each kept as a reference or a guard for the tests.
+
+The check is by name, not by import, so two definitions that share a name
+keep each other alive; it errs on the side of passing.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "artifact"
+BENCH = ROOT / "bench"
+
+#: Public definitions kept though only tests use them, with the reason.
+KEPT = {
+    "verify_built": "guards the construction of the graded D4 algebra",
+    "lie_scale": "used by the sl2 checks of verify_built",
+    "act_g0": "the degree-zero action, the reference for act_tensor's bracket equivariance",
+    "g0_to_quad_mats": "the slot matrices behind act_g0",
+    "quad_mats_to_g0": "the inverse of g0_to_quad_mats, behind act_g0",
+    "lie_sub": "used by the bracket-equivariance checks of act_tensor and act_g0",
+    "gelt_group": "the group view the tests of the h1 engine run on",
+    "weyl_group_view": "the group view that checks gamma_h1 against h1",
+    "w_pi_group": "checks the stored generators of the groups Gamma",
+    "component_membership": "checks the stored subsystem data",
+    "functional_after": "checks the stored subsystem data after a Weyl move",
+    "mat_vec": "a matrix-vector helper of the linear-algebra tests",
+    "random_cyc": "draws the random field elements of the property tests",
+}
+
+
+def _sources(paths):
+    return {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+
+
+def _names(node):
+    """Identifiers and identifier-like strings used under ``node``.
+
+    Imports and ``__all__`` lists are skipped: naming a definition there is
+    not a use of it.
+    """
+    out = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (ast.Import, ast.ImportFrom)) or _is_all(n):
+            continue
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if n.value.isidentifier():
+                out.add(n.value)
+        stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def _is_all(node):
+    return (
+        isinstance(node, (ast.Assign, ast.AnnAssign))
+        and any(
+            isinstance(t, ast.Name) and t.id == "__all__"
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        )
+    )
+
+
+def _defined(stmt):
+    """Names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = []
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _reachability():
+    """(public definitions, names reached from non-test code) of the package."""
+    trees = _sources(sorted(PACKAGE.glob("*.py")))
+    roots: set[str] = set()
+    defs: dict[str, list[ast.stmt]] = {}
+    for tree in trees.values():
+        for stmt in tree.body:
+            names = [n for n in _defined(stmt) if not n.startswith("__")]
+            for n in names:
+                defs.setdefault(n, []).append(stmt)
+            if not names:
+                roots |= _names(stmt)
+    for tree in _sources(sorted(BENCH.glob("*.py"))).values():
+        roots |= _names(tree)
+    roots |= _names(trees[PACKAGE / "cli.py"])
+    # A definition's body reaches names only once the definition is reached.
+    reached = set()
+    frontier = [n for n in roots if n in defs]
+    while frontier:
+        name = frontier.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for stmt in defs[name]:
+            used = _names(stmt) - {name}
+            frontier.extend(n for n in used if n in defs and n not in reached)
+    public = {n for n in defs if not n.startswith("_")}
+    return public, reached
+
+
+def test_every_public_definition_serves_the_pipeline():
+    public, reached = _reachability()
+    test_only = sorted(public - reached - set(KEPT))
+    assert test_only == [], (
+        "public definitions reached only from tests (give each a caller, "
+        "delete it with its tests, or list it in KEPT): " + ", ".join(test_only)
+    )
+
+
+def test_kept_names_exist_and_are_not_otherwise_reached():
+    public, reached = _reachability()
+    assert set(KEPT) <= public
+    assert not set(KEPT) & reached, "a KEPT name has a caller; drop it from KEPT"
+
+
+def test_all_lists_the_public_functions_and_classes():
+    """Each ``__all__`` names only what its module defines, and all of its
+    public functions and classes."""
+    problems = []
+    for path, tree in _sources(sorted(PACKAGE.glob("*.py"))).items():
+        top, api, exported = set(), set(), None
+        for stmt in tree.body:
+            top.update(_defined(stmt))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if not stmt.name.startswith("_"):
+                    api.add(stmt.name)
+            if _is_all(stmt):
+                exported = {e.value for e in stmt.value.elts}
+        if exported is None:
+            continue
+        if exported - top:
+            problems.append(f"{path.name}: undefined {sorted(exported - top)}")
+        if api - exported:
+            problems.append(f"{path.name}: not in __all__ {sorted(api - exported)}")
+    assert problems == []
