@@ -149,6 +149,11 @@ class TestSeparation:
         u1 = cw.parametrize(1, lam(1, 0, 0, 0))
         assert inv.invariants_of(u1) != inv.invariants_of(u1.scale(rat(2)))
 
+    def test_does_not_separate_itself(self):
+        rng = random.Random(19)
+        t = random_tensor(rng)
+        assert inv.invariants_of(Tensor(t.c)) == inv.invariants_of(t)
+
     def test_separates_distinct_diagonal_families(self):
         p = cw.parametrize(1, lam(7, 3, 2, 1))
         q = cw.parametrize(1, lam(7, 3, 1, 2))

@@ -135,6 +135,49 @@ class TestTensorIso:
         assert L.lie_is_zero(bracket(x1, x2))
 
 
+def is_ad_nilpotent(t: Tensor) -> bool:
+    """Whether ad(t) is nilpotent: its minimal polynomial is a power of x."""
+    mp = la.minimal_polynomial(ad_matrix(tensor_to_g1(t)))
+    return all(not c for c in mp[:-1])
+
+
+def assert_jordan_parts(t: Tensor, s: Tensor, n: Tensor) -> None:
+    """(s, n) is the Jordan decomposition of t: the unique split into a
+    semisimple and a nilpotent part that commute."""
+    assert s + n == t
+    assert is_semisimple(s)
+    assert is_ad_nilpotent(n)
+    assert L.lie_is_zero(bracket(tensor_to_g1(s), tensor_to_g1(n)))
+
+
+class TestJordan:
+    def test_semisimple_input(self):
+        assert_jordan_parts(u1, u1, Tensor.zero())
+        assert not is_ad_nilpotent(u1)
+
+    def test_nilpotent_input(self):
+        e = Tensor.basis("0000")
+        assert_jordan_parts(e, Tensor.zero(), e)
+        assert not is_semisimple(e)
+
+    def test_mixed_input(self):
+        x = u1 + u2 + u3 + Tensor.basis("0011")
+        assert_jordan_parts(x, u1 + u2 + u3, Tensor.basis("0011"))
+        assert not is_semisimple(x)
+        assert not is_ad_nilpotent(x)
+
+    def test_semisimple_ad_minpoly_squarefree(self):
+        # full adjoint-level certificate on one designated Cartan sample
+        rng = random.Random(23)
+        s = Tensor.zero()
+        for u in u_basis():
+            s = s + u.scale(rat(rng.randint(-3, 3)))
+        assert is_semisimple(s)
+        ad_s = ad_matrix(tensor_to_g1(s))
+        mp = la.minimal_polynomial(ad_s)
+        assert la.poly_deg(la.poly_gcd(mp, la.poly_deriv(mp))) == 0
+
+
 class TestCommutingSemisimple:
     def test_cartan_quadruple(self):
         assert L.is_commuting_semisimple([u1, u2, u3, u4])
@@ -188,6 +231,17 @@ class TestCentralizers:
         assert centralizer_dim(u1) == 10
         assert derived_dim_of_centralizer(p3) == 8  # sl3
         assert derived_dim_of_centralizer(u1) == 9  # sl2 x sl2 x sl2
+
+    def test_g1_centralizer_of_wall_point(self):
+        # U = {y in g1 : [x, y] = 0} is the kernel of y -> [x, y] on g1
+        x = tensor_to_g1(u1 + u2 + u3)
+        images = [bracket(x, tensor_to_g1(Tensor.basis(t))) for t in range(16)]
+        assert 16 - la.rank(images) == 5
+        # the four Cartan directions and e_0011 lie in U and span it
+        span = [Tensor.basis("0011"), *u_basis()]
+        for y in span:
+            assert L.lie_is_zero(bracket(x, tensor_to_g1(y)))
+        assert la.rank([list(y.c) for y in span]) == 5
 
 
 class TestTensorJson:
