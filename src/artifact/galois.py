@@ -11,6 +11,12 @@ module provides:
 
 * a small container :class:`FiniteConjGroup` bundling a finite group with its
   conjugation map and the callables needed to compute with it,
+* the slot group S: the 48 2×2 matrices that fill every slot of every finite
+  group of 4-tuples here.  An element of S⁴ is written as a 4-tuple of
+  indices into S, sorted by ``groupaction.m2_key``, so that products,
+  inverses and conjugates are table lookups and the tuple is its own key,
+  ordered as ``groupaction.g_key`` orders the matrices (:func:`encode`,
+  :func:`decode`),
 * exact enumeration of 1-cocycles and their twisted-conjugacy classes with
   deterministic (lexicographically least) representatives; the classes, like
   every group closure here, come from the breadth-first orbit engine of
@@ -54,19 +60,19 @@ from .groupaction import GElt
 class FiniteConjGroup:
     """A finite group together with an order-2 twist map.
 
-    ``elements`` is the full (finite) element list; ``gens`` is a generating
-    subset used to drive orbit searches (it may equal ``elements``).  The
-    callables make the container usable both for 4-tuples of 2×2 matrices
-    and for 4×4 rational matrices (or any other element type): ``mul``,
-    ``inv`` and ``sigma`` implement the group operations and the twist, and
-    ``key`` maps an element to a hashable, totally ordered canonical form.
+    ``elements`` is the full (finite) element list in increasing order;
+    ``gens`` is a generating subset used to drive orbit searches (it may
+    equal ``elements``).  The callables make the container usable both for
+    slot index tuples (:func:`gelt_group`) and for 4×4 rational matrices
+    (:func:`weyl_group_view`): ``mul``, ``inv`` and ``sigma`` implement the
+    group operations and the twist.  Every element is hashable and totally
+    ordered, and it is its own key.
     """
 
     elements: tuple
     mul: Callable
     inv: Callable
     sigma: Callable
-    key: Callable
     identity: object
     gens: tuple
     tag: str = ""
@@ -79,126 +85,123 @@ def _trivial_sigma(x):
     return x
 
 
-class _InternedOps:
-    """Cached group operations for 4-tuples of 2×2 matrices.
+# ---------------------------------------------------------------------------
+# the slot group: every finite group here as 4-tuples of indices
+# ---------------------------------------------------------------------------
 
-    The groups handled here reuse the same few hundred 2×2 factors over and
-    over, so each distinct matrix value is interned (held forever in a pool,
-    one canonical object per value) and slot products, inverses, conjugates
-    and canonical keys are cached by object identity.  Identity-keyed caches
-    are safe because every cached object is kept alive by the pool, so ids
-    are never recycled among them.  :meth:`product` takes elements already
-    interned (closures intern their generators once); ``mul``, ``inv``,
-    ``sigma`` and ``key`` intern their arguments first.
+
+#: An element of S⁴: the indices into :attr:`SlotGroup.mats` of its four slots.
+IndexTuple = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class SlotGroup:
+    """The 48 2×2 matrices that fill every slot of the finite groups here.
+
+    They are the group S generated by the slot factors of
+    :func:`normalizer_generators`; S is closed under complex conjugation.
+    ``mats`` lists them in increasing ``groupaction.m2_key`` order and
+    ``index`` maps each matrix to its position, so an element of S⁴ is a
+    4-tuple of indices whose lexicographic order is ``groupaction.g_key``
+    order.  ``mul[a][b]`` is the index of ``mats[a]·mats[b]``, and
+    ``inv[a]`` and ``conj[a]`` are those of its inverse and its complex
+    conjugate.
     """
 
-    __slots__ = ("_pool", "_key_of", "_prod", "_inv", "_conj")
-
-    def __init__(self) -> None:
-        self._pool: dict[tuple, ga.Mat2] = {}
-        self._key_of: dict[int, tuple] = {}
-        self._prod: dict[tuple[int, int], ga.Mat2] = {}
-        self._inv: dict[int, ga.Mat2] = {}
-        self._conj: dict[int, ga.Mat2] = {}
-
-    def _intern_m(self, m: ga.Mat2) -> ga.Mat2:
-        if id(m) in self._key_of:
-            return m
-        k = ga.m2_key(m)
-        held = self._pool.get(k)
-        if held is None:
-            self._pool[k] = m
-            self._key_of[id(m)] = k
-            return m
-        return held
-
-    def intern(self, g: GElt) -> GElt:
-        return tuple(self._intern_m(m) for m in g)
-
-    def product(self, x: GElt, y: GElt) -> GElt:
-        """The product of two elements that are already interned."""
-        out = []
-        for a, b in zip(x, y):
-            ck = (id(a), id(b))
-            r = self._prod.get(ck)
-            if r is None:
-                r = self._intern_m(ga.m2_mul(a, b))
-                self._prod[ck] = r
-            out.append(r)
-        return tuple(out)
-
-    def mul(self, x: GElt, y: GElt) -> GElt:
-        return self.product(self.intern(x), self.intern(y))
-
-    def inv(self, x: GElt) -> GElt:
-        x = self.intern(x)
-        out = []
-        for a in x:
-            r = self._inv.get(id(a))
-            if r is None:
-                r = self._intern_m(ga.m2_inv(a))
-                self._inv[id(a)] = r
-            out.append(r)
-        return tuple(out)
-
-    def sigma(self, x: GElt) -> GElt:
-        x = self.intern(x)
-        out = []
-        for a in x:
-            r = self._conj.get(id(a))
-            if r is None:
-                r = self._intern_m(ga.m2_conj(a))
-                self._conj[id(a)] = r
-            out.append(r)
-        return tuple(out)
-
-    def key(self, x: GElt) -> tuple:
-        x = self.intern(x)
-        return tuple(self._key_of[id(a)] for a in x)
+    mats: tuple[ga.Mat2, ...]
+    index: dict
+    mul: tuple[tuple[int, ...], ...]
+    inv: tuple[int, ...]
+    conj: tuple[int, ...]
 
 
-def _ids(g: GElt) -> tuple[int, ...]:
-    return tuple(map(id, g))
+@lru_cache(maxsize=1)
+def slot_group() -> SlotGroup:
+    """Build S and its tables from the slot factors of the normalizer generators.
 
-
-def gelt_closure(
-    gens: Sequence[GElt],
-    limit: int,
-    what: str,
-    ops: _InternedOps | None = None,
-) -> tuple[GElt, ...]:
-    """Close a set of group elements under multiplication, with a hard cap."""
-    if ops is None:
-        ops = _InternedOps()
-    found = orbit(ops.intern(ga.IDENTITY), [ops.intern(g) for g in gens],
-                  ops.product, _ids, limit, what)
-    return tuple(sorted(found.values(), key=ops.key))
-
-
-def gelt_group(
-    gens: Sequence[GElt],
-    *,
-    tag: str = "",
-    sigma: Callable | None = None,
-) -> FiniteConjGroup:
-    """Build the group generated by ``gens`` (4-tuples of 2×2 matrices).
-
-    The twist defaults to entrywise complex conjugation; pass ``sigma`` to
-    override it (the override is used as given, without caching).
+    S is the orbit of the identity under the factors.  Each row of the
+    product table is the left-regular permutation of an element: those of a
+    few factors that generate S are computed from matrix products, 48 each,
+    and every other row is a composition of them.
     """
-    ops = _InternedOps()
-    elements = gelt_closure(
-        gens, 100_000, "group closure exceeded 100000 elements", ops
-    )
-    interned_gens = tuple(ops.intern(g) for g in gens)
+    factors = list({m: None for g in normalizer_generators() for m in g})
+    found = orbit(ga.I2, factors, lambda x, f: ga.m2_mul(f, x), limit=48,
+                  what="the slot group exceeded 48 elements")
+    mats = tuple(sorted(found, key=ga.m2_key))
+    if len(mats) != 48:
+        raise ArithmeticError("expected 48 slot matrices, found %d" % len(mats))
+    index = {m: a for a, m in enumerate(mats)}
+    e = index[ga.I2]
+    perms: list[tuple[int, ...]] = []
+    reached = {e}
+    for f in factors:
+        if index[f] not in reached:
+            perms.append(tuple(index[ga.m2_mul(f, m)] for m in mats))
+            reached = orbit(e, perms, lambda a, p: p[a])
+    # the row of x·y is the row of x composed after the row of y; a row is
+    # keyed by its image of the identity, the element itself
+    rows = orbit(tuple(range(48)), perms, lambda r, p: tuple(p[a] for a in r),
+                 key=lambda r: r[e])
+    mul = tuple(rows[a] for a in range(48))
+    conj = []
+    for m in mats:
+        c = index.get(ga.m2_conj(m))
+        if c is None:
+            raise ArithmeticError("the slot group is not closed under conjugation")
+        conj.append(c)
+    return SlotGroup(mats=mats, index=index, mul=mul,
+                     inv=tuple(row.index(e) for row in mul), conj=tuple(conj))
+
+
+def encode(g: GElt) -> IndexTuple:
+    """The index tuple of ``g``; ``ValueError`` if a slot lies outside S."""
+    index = slot_group().index
+    try:
+        return tuple(index[m] for m in g)
+    except KeyError:
+        raise ValueError("a slot of the element lies outside the 48-element "
+                         "slot group") from None
+
+
+def decode(x: IndexTuple) -> GElt:
+    """The group element with slot indices ``x``."""
+    mats = slot_group().mats
+    return tuple(mats[a] for a in x)
+
+
+def slot_mul(x: IndexTuple, y: IndexTuple) -> IndexTuple:
+    mul = slot_group().mul
+    return (mul[x[0]][y[0]], mul[x[1]][y[1]], mul[x[2]][y[2]], mul[x[3]][y[3]])
+
+
+def slot_inv(x: IndexTuple) -> IndexTuple:
+    inv = slot_group().inv
+    return (inv[x[0]], inv[x[1]], inv[x[2]], inv[x[3]])
+
+
+def slot_conj(x: IndexTuple) -> IndexTuple:
+    """Entrywise complex conjugation, the twist σ of the groups in S⁴."""
+    conj = slot_group().conj
+    return (conj[x[0]], conj[x[1]], conj[x[2]], conj[x[3]])
+
+
+def gelt_closure(gens: Sequence[GElt], limit: int, what: str) -> tuple[IndexTuple, ...]:
+    """The group generated by ``gens``, as sorted index tuples, with a hard cap."""
+    found = orbit(encode(ga.IDENTITY), [encode(g) for g in gens], slot_mul,
+                  limit=limit, what=what)
+    return tuple(sorted(found))
+
+
+def gelt_group(gens: Sequence[GElt], *, tag: str = "") -> FiniteConjGroup:
+    """The group generated by ``gens`` as index tuples, twisted by conjugation."""
+    identity = encode(ga.IDENTITY)
     return FiniteConjGroup(
-        elements=elements,
-        mul=ops.mul,
-        inv=ops.inv,
-        sigma=ops.sigma if sigma is None else sigma,
-        key=ops.key,
-        identity=ops.intern(ga.IDENTITY),
-        gens=interned_gens if interned_gens else (ops.intern(ga.IDENTITY),),
+        elements=gelt_closure(gens, 100_000, "group closure exceeded 100000 elements"),
+        mul=slot_mul,
+        inv=slot_inv,
+        sigma=slot_conj,
+        identity=identity,
+        gens=tuple(encode(g) for g in gens) or (identity,),
         tag=tag,
     )
 
@@ -221,7 +224,6 @@ def weyl_group_view(
         mul=cw.w_mul,
         inv=cw.w_inv,
         sigma=_trivial_sigma,
-        key=_trivial_sigma,
         identity=cw.W_IDENTITY,
         gens=tuple(gens) if gens is not None else elts,
         tag=tag,
@@ -235,12 +237,12 @@ def validate_group(group: FiniteConjGroup) -> None:
     property is checked on all pairs for small groups and on a deterministic
     sample of pairs for large ones.
     """
-    keys = {group.key(x) for x in group.elements}
+    members = set(group.elements)
     for x in group.elements:
         sx = group.sigma(x)
-        if group.key(sx) not in keys:
+        if sx not in members:
             raise ValueError("conjugation map does not preserve the group")
-        if group.key(group.sigma(sx)) != group.key(x):
+        if group.sigma(sx) != x:
             raise ValueError("conjugation map is not an involution")
     n = len(group.elements)
     if n <= 48:
@@ -255,7 +257,7 @@ def validate_group(group: FiniteConjGroup) -> None:
     for x, y in pairs:
         lhs = group.sigma(group.mul(x, y))
         rhs = group.mul(group.sigma(x), group.sigma(y))
-        if group.key(lhs) != group.key(rhs):
+        if lhs != rhs:
             raise ValueError("conjugation map is not an automorphism")
 
 
@@ -283,16 +285,11 @@ class CocycleClassList:
 
 
 def cocycles(group: FiniteConjGroup) -> list:
-    """All c in G with c·σ(c) = identity, sorted canonically."""
+    """All c in G with c·σ(c) = identity, in increasing order."""
     validate_group(group)
-    idk = group.key(group.identity)
-    out = [
-        c
-        for c in group.elements
-        if group.key(group.mul(c, group.sigma(c))) == idk
-    ]
-    out.sort(key=group.key)
-    return out
+    return sorted(
+        c for c in group.elements if group.mul(c, group.sigma(c)) == group.identity
+    )
 
 
 def h1(group: FiniteConjGroup, case_tag: str = "") -> CocycleClassList:
@@ -307,7 +304,7 @@ def h1(group: FiniteConjGroup, case_tag: str = "") -> CocycleClassList:
     """
     twists = [(a, group.sigma(group.inv(a))) for a in group.gens]
     classes = orbit_classes(cocycles(group), twists,
-                            lambda x, t: group.mul(group.mul(t[0], x), t[1]), group.key)
+                            lambda x, t: group.mul(group.mul(t[0], x), t[1]))
     return CocycleClassList(
         representatives=tuple(c for c, _ in classes),
         case_tag=case_tag or group.tag,
@@ -375,6 +372,7 @@ def _hadamard_lift() -> GElt:
     return ga.gelt(a, a, a, a)
 
 
+@lru_cache(maxsize=1)
 def normalizer_generators() -> tuple[GElt, ...]:
     """A generating set for the order-6144 normalizer.
 
@@ -392,37 +390,28 @@ def normalizer_generators() -> tuple[GElt, ...]:
     return tuple(gens)
 
 
-#: The one interning pool of the normalizer.  Its cosets, the group that
-#: :func:`build_normalizer` returns and the real coordinate symmetries in
-#: ``ssorbits`` share slot objects, so ids identify their elements.
-NORMALIZER_OPS = _InternedOps()
-
-
 def check_cosets(
-    gens: Sequence[tuple[GElt, cw.WeylMat]],
-    kernel: Sequence[GElt],
-    lifts: Sequence[tuple[GElt, cw.WeylMat]],
+    gens: Sequence[tuple[IndexTuple, cw.WeylMat]],
+    kernel: Sequence[IndexTuple],
+    lifts: Sequence[tuple[IndexTuple, cw.WeylMat]],
 ) -> None:
     """Prove that the cosets g_w·K make up the group generated by ``gens``.
 
     ``gens`` pairs each generator s with its coordinate action, ``kernel``
     is a group K of elements acting trivially, and ``lifts`` pairs one
     product g_w of generators with each coordinate symmetry w; all elements
-    are interned in :data:`NORMALIZER_OPS`.  The lift of the identity must
-    lie in K, and for every generator s and every w the element
-    g_{s·w}⁻¹·s·g_w must lie in K, so that s·g_w·K = g_{s·w}·K.  The union of
-    the cosets then holds the identity and is closed under the generators,
-    so it is the whole group; and by induction over the generators each g_w
-    acts as w, so the cosets are disjoint.  Raises ``ArithmeticError``
-    otherwise.
+    are index tuples (:func:`encode`).  The lift of the identity must lie in
+    K, and for every generator s and every w the element g_{s·w}⁻¹·s·g_w
+    must lie in K, so that s·g_w·K = g_{s·w}·K.  The union of the cosets
+    then holds the identity and is closed under the generators, so it is
+    the whole group; and by induction over the generators each g_w acts as
+    w, so the cosets are disjoint.  Raises ``ArithmeticError`` otherwise.
     """
-    ops = NORMALIZER_OPS
-    in_kernel = {_ids(k) for k in kernel}
+    in_kernel = set(kernel)
     by_w = {cw._doubled(w): g for g, w in lifts}
     if len(by_w) != len(lifts):
         raise ArithmeticError("two lifts carry one coordinate symmetry")
-    identity = by_w.get(cw._doubled(cw.W_IDENTITY))
-    if identity is None or _ids(identity) not in in_kernel:
+    if by_w.get(cw._doubled(cw.W_IDENTITY)) not in in_kernel:
         raise ArithmeticError("the lift of the identity is not in the kernel")
     for s, s_w in gens:
         s2 = cw._doubled(s_w)
@@ -430,13 +419,13 @@ def check_cosets(
             target = by_w.get(cw._doubled_product(s2, w2))
             if target is None:
                 raise ArithmeticError("a generator leads out of the lifted symmetries")
-            k = ops.product(ops.product(ops.inv(target), s), g)
-            if _ids(k) not in in_kernel:
+            if slot_mul(slot_mul(slot_inv(target), s), g) not in in_kernel:
                 raise ArithmeticError("a generator moves a lift out of its coset")
 
 
 @lru_cache(maxsize=1)
-def normalizer_cosets() -> tuple[tuple[GElt, ...], tuple[tuple[GElt, cw.WeylMat], ...]]:
+def normalizer_cosets() -> tuple[tuple[IndexTuple, ...],
+                                 tuple[tuple[IndexTuple, cw.WeylMat], ...]]:
     """The normalizer as 192 cosets of its kernel: ``(K, ((g_w, w), ...))``.
 
     K, the elements acting trivially on the subspace, is the closure of the
@@ -445,18 +434,17 @@ def normalizer_cosets() -> tuple[tuple[GElt, ...], tuple[tuple[GElt, cw.WeylMat]
     breadth-first search over the coordinate symmetries as doubled-integer
     matrices, driven by :func:`normalizer_generators`: the first product of
     generators reaching w is its lift g_w, so ``w ==
-    cartanweyl.h_action_matrix(g_w)``.  :func:`check_cosets` then proves that
-    the cosets g_w·K make up the normalizer, of order 192·32 = 6144.
-    Elements are interned in :data:`NORMALIZER_OPS`.
+    cartanweyl.h_action_matrix(decode(g_w))``.  :func:`check_cosets` then
+    proves that the cosets g_w·K make up the normalizer, of order
+    192·32 = 6144.  Elements are index tuples (:func:`encode`).
     """
-    ops = NORMALIZER_OPS
     kernel_gens = stabilizer_finite_gens()
     if any(cw.h_action_matrix(k) != cw.W_IDENTITY for k in kernel_gens):
         raise ArithmeticError("a kernel generator moves the subspace")
-    kernel = gelt_closure(kernel_gens, 32, "normalizer kernel exceeded order 32", ops)
+    kernel = gelt_closure(kernel_gens, 32, "normalizer kernel exceeded order 32")
     if len(kernel) != 32:
         raise ArithmeticError("normalizer kernel came out short")
-    gens = [(ops.intern(g), cw.h_action_matrix(g)) for g in normalizer_generators()]
+    gens = [(encode(g), cw.h_action_matrix(g)) for g in normalizer_generators()]
     # each symmetry reached carries the generator and the symmetry it came
     # from, so that its lift is one product, formed in order of discovery
     reached = orbit((cw._doubled(cw.W_IDENTITY), None, None),
@@ -465,7 +453,7 @@ def normalizer_cosets() -> tuple[tuple[GElt, ...], tuple[tuple[GElt, cw.WeylMat]
                     key=lambda x: x[0])
     found = {}
     for w2, s, prev in reached.values():
-        found[w2] = ops.intern(ga.IDENTITY) if s is None else ops.product(s, found[prev])
+        found[w2] = encode(ga.IDENTITY) if s is None else slot_mul(s, found[prev])
     if len(found) != 192:
         raise ArithmeticError("expected 192 coordinate symmetries, found %d" % len(found))
     lifts = tuple((g, cw._undoubled(w2)) for w2, g in found.items())
@@ -474,56 +462,22 @@ def normalizer_cosets() -> tuple[tuple[GElt, ...], tuple[tuple[GElt, cw.WeylMat]
 
 
 @lru_cache(maxsize=1)
-def normalizer_pairs() -> tuple[tuple[GElt, cw.WeylMat], ...]:
-    """All 6144 normalizer elements g, each with its coordinate action w.
-
-    The cosets of :func:`normalizer_cosets` written out, coset by coset:
-    g runs over g_w·k for k in K, so that
-    ``w == cartanweyl.h_action_matrix(g)``.  Equal coordinate actions are
-    the same object, so callers may key them by ``id``.
-    """
-    ops = NORMALIZER_OPS
-    kernel, lifts = normalizer_cosets()
-    return tuple((ops.product(g, k), w) for g, w in lifts for k in kernel)
-
-
-@lru_cache(maxsize=1)
-def normalizer_order_key() -> Callable[[GElt], tuple[int, ...]]:
-    """Sort key for normalizer elements: the tuple of their slot ranks.
-
-    The normalizer's elements use 48 distinct 2×2 slot values.  They are
-    ranked once by ``groupaction.m2_key``, so the key of an element (interned
-    in :data:`NORMALIZER_OPS`) is four small integers, and it orders the
-    elements exactly as ``groupaction.g_key`` does.
-    """
-    slots = {id(m): m for g, _ in normalizer_pairs() for m in g}
-    ranked = sorted(slots.values(), key=ga.m2_key)
-    rank = {id(m): r for r, m in enumerate(ranked)}
-    return lambda g: tuple(rank[id(m)] for m in g)
-
-
-@lru_cache(maxsize=1)
 def build_normalizer() -> FiniteConjGroup:
     """The full normalizer of the diagonalizable subspace, order 6144.
 
     It is generated by the order-32 stabilizer of a generic element together
     with lifts of generators of the coordinate symmetry group (order 192).
-    The elements are the cosets of :func:`normalizer_cosets` written out
-    (:func:`normalizer_pairs`), in increasing order of key.  The key is
-    :func:`normalizer_order_key` of the interned element: four small
-    integers, hashed much faster than the ``Fraction`` tuples of
-    ``groupaction.g_key``, in the same order.
+    The elements are the cosets of :func:`normalizer_cosets` written out, as
+    index tuples in increasing order, which is ``groupaction.g_key`` order.
     """
-    ops = NORMALIZER_OPS
-    order = normalizer_order_key()
+    kernel, lifts = normalizer_cosets()
     return FiniteConjGroup(
-        elements=tuple(sorted((g for g, _ in normalizer_pairs()), key=order)),
-        mul=ops.mul,
-        inv=ops.inv,
-        sigma=ops.sigma,
-        key=lambda g: order(ops.intern(g)),
-        identity=ops.intern(ga.IDENTITY),
-        gens=tuple(ops.intern(g) for g in normalizer_generators()),
+        elements=tuple(sorted(slot_mul(g, k) for g, _ in lifts for k in kernel)),
+        mul=slot_mul,
+        inv=slot_inv,
+        sigma=slot_conj,
+        identity=encode(ga.IDENTITY),
+        gens=tuple(encode(g) for g in normalizer_generators()),
         tag="normalizer",
     )
 
@@ -598,10 +552,10 @@ def verify_class_list(
     for i, z in enumerate(reps):
         if ga.g_key(ga.g_mul(z, ga.conj_g(z))) != idk:
             failures.append({"check": "cocycle", "case": spec.tag, "index": i})
-    finite_part = gelt_closure(
+    finite_part = [decode(f) for f in gelt_closure(
         spec.finite_gens, _FINITE_PART_LIMIT,
         "finite part closure exceeded the configured bound",
-    )
+    )]
     probes = list(finite_part)
     for t in spec.torus_samples:
         for f in finite_part:
@@ -655,6 +609,13 @@ __all__ = [
     "CocycleClassList",
     "StabilizerSpec",
     "ClassListError",
+    "SlotGroup",
+    "slot_group",
+    "encode",
+    "decode",
+    "slot_mul",
+    "slot_inv",
+    "slot_conj",
     "gelt_group",
     "gelt_closure",
     "weyl_group_view",
@@ -666,8 +627,6 @@ __all__ = [
     "normalizer_generators",
     "normalizer_cosets",
     "check_cosets",
-    "normalizer_pairs",
-    "normalizer_order_key",
     "build_normalizer",
     "h1_of_normalizer",
     "verify_class_list",

@@ -469,7 +469,7 @@ def _sign_rows(*patterns: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(patterns)
 
 
-def _full_avoid(n: int) -> tuple[tuple[int, ...], ...]:
+def _plus_minus_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Rows (1, ±1, …, ±1): the first parameter avoids all ± sums of the rest."""
     rows = []
     count = n - 1
@@ -512,7 +512,7 @@ _NATIVE: dict[int, dict] = {
                     "L,L,L,L", "L,L,-L,-L", "L,-L,L,-L", "L,-L,-L,L",
                 ),
                 tags=("real",) * 4,
-                avoid=_full_avoid(4),
+                avoid=_plus_minus_rows(4),
                 rows=(
                     ("l1", "l2", "l3", "l4"),
                     ("-l1", "l2", "l3", "-l4"),
@@ -544,7 +544,7 @@ _NATIVE: dict[int, dict] = {
                     "-L,-L,-L,-L", "L,L,-L,-L", "-L,L,-L,L", "L,-L,-L,L",
                 ),
                 tags=("imaginary",) * 4,
-                avoid=_full_avoid(4),
+                avoid=_plus_minus_rows(4),
                 rows=(
                     ("i*l1", "i*l2", "i*l3", "i*l4"),
                     ("-i*l1", "i*l2", "i*l3", "-i*l4"),
@@ -658,7 +658,7 @@ _NATIVE: dict[int, dict] = {
                 g="I,I,I,I",
                 zs=_Z_COMMON + ("-K,-K,K,K", "K,K,K,K", "K,-K,-K,K", "-K,K,-K,K"),
                 tags=("real",) * 3,
-                avoid=_full_avoid(3),
+                avoid=_plus_minus_rows(3),
                 rows=(
                     ("l1", "l2", "l3", "0"),
                     ("-l1", "l2", "l3", "0"),
@@ -778,7 +778,7 @@ _NATIVE: dict[int, dict] = {
                 g="L,I,I,I",
                 zs=_Z_COMMON + ("K,-K,K,K", "-K,K,K,K", "-K,-K,-K,K", "K,K,-K,K"),
                 tags=("imaginary",) * 3,
-                avoid=_full_avoid(3),
+                avoid=_plus_minus_rows(3),
                 rows=(
                     ("-i*l1", "-i*l2", "-i*l3", "0"),
                     ("i*l1", "-i*l2", "-i*l3", "0"),
@@ -1242,16 +1242,16 @@ def default_lambda(i: int, j: int) -> tuple:
 
 @lru_cache(maxsize=1)
 def _weyl_lift_table() -> dict:
-    """For each of the 192 coordinate symmetries, its least lift."""
-    rank = galois.normalizer_order_key()
-    least: dict[int, tuple[cw.WeylMat, GElt]] = {}
-    for g, w in galois.normalizer_pairs():
-        cur = least.get(id(w))
-        if cur is None or rank(g) < rank(cur[1]):
-            least[id(w)] = (w, g)
-    if len(least) != 192:
-        raise ArithmeticError("expected 192 induced coordinate symmetries")
-    return dict(least.values())
+    """For each of the 192 coordinate symmetries w, its least lift.
+
+    The lifts of w are the coset g_w·K of :func:`galois.normalizer_cosets`;
+    the least index tuple among them is the least lift by ``g_key``.
+    """
+    kernel, lifts = galois.normalizer_cosets()
+    return {
+        w: galois.decode(min(galois.slot_mul(g, k) for k in kernel))
+        for g, w in lifts
+    }
 
 
 def weyl_lift(w: cw.WeylMat) -> GElt:
@@ -1269,22 +1269,19 @@ def real_weyl_group(m: int) -> tuple[cw.WeylMat, ...]:
     the induced coordinate move preserves real-orbit classes.  The lifts of
     w are the coset g_w·K of the kernel (:func:`galois.normalizer_cosets`),
     and σ(g_w·k) = g_w·k exactly when g_w⁻¹·σ(g_w) = k·σ(k)⁻¹, so one test
-    per w against the 32 twists k·σ(k)⁻¹ decides it.
+    per w against the 32 twists k·σ(k)⁻¹ decides it.  All of it is
+    index-tuple arithmetic in the slot group.
     """
-    ops = galois.NORMALIZER_OPS
+    mul, inv = galois.slot_mul, galois.slot_inv
     kernel, lifts = galois.normalizer_cosets()
-    nstar = ops.intern(cw.seven_cartans()[m - 1].nstar)
-    nstar_inv = ops.inv(nstar)
+    nstar = galois.encode(cw.seven_cartans()[m - 1].nstar)
+    nstar_inv = inv(nstar)
 
-    def sigma(x: GElt) -> GElt:
-        return ops.product(ops.product(nstar, ops.sigma(x)), nstar_inv)
+    def sigma(x: galois.IndexTuple) -> galois.IndexTuple:
+        return mul(mul(nstar, galois.slot_conj(x)), nstar_inv)
 
-    # interned slots are one object per value, so ids compare values
-    twists = {tuple(map(id, ops.product(k, ops.inv(sigma(k))))) for k in kernel}
-    return tuple(sorted(
-        w for g, w in lifts
-        if tuple(map(id, ops.product(ops.inv(g), sigma(g)))) in twists
-    ))
+    twists = {mul(k, inv(sigma(k))) for k in kernel}
+    return tuple(sorted(w for g, w in lifts if mul(inv(g), sigma(g)) in twists))
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,21 @@ def names(spec):
     return ga.gelt_from_names(spec)
 
 
+def normalizer_pairs():
+    """The 6144 normalizer elements, coset by coset, each with its action."""
+    kernel, lifts = gal.normalizer_cosets()
+    return [(gal.slot_mul(g, k), w) for g, w in lifts for k in kernel]
+
+
+def decoded(classes):
+    """A class list of index tuples as the 4-tuples of matrices they stand for."""
+    return gal.CocycleClassList(
+        representatives=tuple(map(gal.decode, classes.representatives)),
+        case_tag=classes.case_tag,
+        sizes=classes.sizes,
+    )
+
+
 @pytest.fixture(scope="module")
 def stab_group():
     return gal.gelt_group(gal.stabilizer_finite_gens(), tag="generic-stabilizer")
@@ -30,8 +45,7 @@ def normalizer():
 @pytest.fixture(scope="module")
 def coset_data():
     """Generators with their actions, the kernel and the lifts of the normalizer."""
-    ops = gal.NORMALIZER_OPS
-    gens = [(ops.intern(g), cw.h_action_matrix(g)) for g in gal.normalizer_generators()]
+    gens = [(gal.encode(g), cw.h_action_matrix(g)) for g in gal.normalizer_generators()]
     kernel, lifts = gal.normalizer_cosets()
     return gens, kernel, lifts
 
@@ -41,7 +55,7 @@ class TestEngine:
         group = gal.gelt_group([], tag="trivial")
         classes = gal.h1(group)
         assert len(classes) == 1
-        assert group.key(classes.representatives[0]) == group.key(group.identity)
+        assert classes.representatives[0] == group.identity
 
     def test_order_two_group_has_two_classes(self):
         group = gal.gelt_group([names("-I,-I,-I,-I")])
@@ -70,15 +84,13 @@ class TestEngine:
         classes = gal.h1(stab_group)
         assert len(classes) == 12
         for z in classes.representatives:
-            assert stab_group.key(
-                stab_group.mul(z, stab_group.sigma(z))
-            ) == stab_group.key(stab_group.identity)
+            assert stab_group.mul(z, stab_group.sigma(z)) == stab_group.identity
 
     def test_representatives_sorted_and_distinct(self, stab_group):
         classes = gal.h1(stab_group)
-        keys = [stab_group.key(z) for z in classes.representatives]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
+        reps = list(classes.representatives)
+        assert reps == sorted(reps)
+        assert len(set(reps)) == len(reps)
 
     def test_twisted_action_is_an_action(self, stab_group):
         # acting by a then by b equals acting by b·a
@@ -89,15 +101,14 @@ class TestEngine:
         two_steps = g.mul(g.mul(b, step), g.sigma(g.inv(b)))
         ba = g.mul(b, a)
         direct = g.mul(g.mul(ba, c), g.sigma(g.inv(ba)))
-        assert g.key(two_steps) == g.key(direct)
+        assert two_steps == direct
 
     def test_twisted_image_of_cocycle_is_cocycle(self, stab_group):
         g = stab_group
-        idk = g.key(g.identity)
         for c in gal.cocycles(g)[:6]:
             for a in g.elements[::7]:
                 moved = g.mul(g.mul(a, c), g.sigma(g.inv(a)))
-                assert g.key(g.mul(moved, g.sigma(moved))) == idk
+                assert g.mul(moved, g.sigma(moved)) == g.identity
 
     def test_sigma_not_involution_rejected(self):
         base = gal.gelt_group([names("J,J,J,J")])
@@ -106,7 +117,6 @@ class TestEngine:
             mul=base.mul,
             inv=base.inv,
             sigma=lambda x: base.identity,
-            key=base.key,
             identity=base.identity,
             gens=base.gens,
         )
@@ -115,28 +125,18 @@ class TestEngine:
 
     def test_sigma_not_automorphism_rejected(self):
         base = gal.gelt_group([names("J,J,J,J")])
-        jj = next(
-            x for x in base.elements
-            if base.key(x) == base.key(names("J,J,J,J"))
-        )
-        minus = next(
-            x for x in base.elements
-            if base.key(x) == base.key(names("-I,-I,-I,-I"))
-        )
-        swap = {
-            base.key(jj): minus,
-            base.key(minus): jj,
-        }
+        jj = next(x for x in base.elements if x == gal.encode(names("J,J,J,J")))
+        minus = next(x for x in base.elements if x == gal.encode(names("-I,-I,-I,-I")))
+        swap = {jj: minus, minus: jj}
 
         def bad_sigma(x):
-            return swap.get(base.key(x), x)
+            return swap.get(x, x)
 
         bad = gal.FiniteConjGroup(
             elements=base.elements,
             mul=base.mul,
             inv=base.inv,
             sigma=bad_sigma,
-            key=base.key,
             identity=base.identity,
             gens=base.gens,
         )
@@ -145,17 +145,18 @@ class TestEngine:
 
     def test_sigma_leaving_group_rejected(self):
         base = gal.gelt_group([names("-I,-I,-I,-I")])
+        leak = gal.encode(names("J,I,I,I"))
+        assert leak not in base.elements
 
         def leak_sigma(x):
-            return names("J,I,I,I")
+            return leak
 
         bad = gal.FiniteConjGroup(
             elements=base.elements,
-            mul=ga.g_mul,
-            inv=ga.g_inv,
+            mul=base.mul,
+            inv=base.inv,
             sigma=leak_sigma,
-            key=ga.g_key,
-            identity=ga.IDENTITY,
+            identity=base.identity,
             gens=base.gens,
         )
         with pytest.raises(ValueError, match="preserve"):
@@ -172,17 +173,46 @@ class TestEngine:
             a = g.mul(a, g.gens[k])
         moved = g.mul(g.mul(a, c), g.sigma(g.inv(a)))
         # verify by a fresh orbit search seeded at the moved element
-        orbit = {g.key(moved)}
+        orbit = {moved}
         frontier = [moved]
         while frontier:
             x = frontier.pop()
             for gen in g.gens:
                 y = g.mul(g.mul(gen, x), g.sigma(g.inv(gen)))
-                yk = g.key(y)
-                if yk not in orbit:
-                    orbit.add(yk)
+                if y not in orbit:
+                    orbit.add(y)
                     frontier.append(y)
-        assert g.key(c) in orbit
+        assert c in orbit
+
+
+class TestSlotGroup:
+    def test_slots_are_48_in_key_order(self):
+        slots = gal.slot_group()
+        assert len(slots.mats) == 48
+        keys = [ga.m2_key(m) for m in slots.mats]
+        assert keys == sorted(keys) and len(set(keys)) == 48
+        assert all(slots.index[m] == a for a, m in enumerate(slots.mats))
+
+    def test_product_table_matches_matrix_products(self):
+        slots = gal.slot_group()
+        for a, x in enumerate(slots.mats):
+            for b, y in enumerate(slots.mats):
+                assert slots.mats[slots.mul[a][b]] == ga.m2_mul(x, y)
+
+    def test_inverse_and_conjugation_tables(self):
+        slots = gal.slot_group()
+        for a, x in enumerate(slots.mats):
+            assert slots.mats[slots.inv[a]] == ga.m2_inv(x)
+            assert slots.mats[slots.conj[a]] == ga.m2_conj(x)
+
+    @pytest.mark.parametrize("spec", ["D1,I,I,I", "F,I,I,I"])
+    def test_encode_rejects_slots_outside_the_group(self, spec):
+        with pytest.raises(ValueError, match="outside"):
+            gal.encode(names(spec))
+
+    def test_decode_inverts_encode(self):
+        for g in gal.normalizer_generators():
+            assert gal.decode(gal.encode(g)) == g
 
 
 class TestNormalizer:
@@ -195,18 +225,17 @@ class TestNormalizer:
         assert sum(classes.sizes) == len(gal.cocycles(normalizer))
 
     def test_elements_are_the_shared_closure_sorted(self, normalizer):
-        pairs = gal.normalizer_pairs()
-        gs = sorted((g for g, _ in pairs), key=normalizer.key)
+        gs = sorted(g for g, _ in normalizer_pairs())
         assert list(normalizer.elements) == gs
-        assert all(x is g for x, g in zip(normalizer.elements, gs))
+        assert len(set(gs)) == 6144
 
     def test_cosets_of_the_kernel(self):
         kernel, lifts = gal.normalizer_cosets()
         assert len(kernel) == 32 and len(lifts) == 192
         assert {w for _, w in lifts} == set(cw.weyl_group())
         for g, w in lifts[::12]:
-            assert cw.h_action_matrix(g) == w
-        assert all(cw.h_action_matrix(k) == cw.W_IDENTITY for k in kernel[::5])
+            assert cw.h_action_matrix(gal.decode(g)) == w
+        assert all(cw.h_action_matrix(gal.decode(k)) == cw.W_IDENTITY for k in kernel[::5])
 
     def test_coset_check_catches_each_mislabelled_generator(self, coset_data):
         # a check that skipped any one generator would let its case pass
@@ -221,9 +250,7 @@ class TestNormalizer:
 
     def test_coset_check_needs_the_whole_kernel(self, coset_data):
         gens, _, lifts = coset_data
-        half = gal.gelt_closure(
-            gal.stabilizer_finite_gens()[:3], 32, "bound", gal.NORMALIZER_OPS
-        )
+        half = gal.gelt_closure(gal.stabilizer_finite_gens()[:3], 32, "bound")
         assert len(half) == 16
         with pytest.raises(ArithmeticError, match="coset"):
             gal.check_cosets(gens, half, lifts)
@@ -239,18 +266,17 @@ class TestNormalizer:
             gal.check_cosets(gens, kernel, [(g1, w2)] + list(lifts[1:]))
 
     def test_elements_sort_by_slot_ranks_as_by_key(self, normalizer):
-        rank = gal.normalizer_order_key()
-        keys = [ga.g_key(g) for g in normalizer.elements]
-        ranks = [rank(g) for g in normalizer.elements]
+        keys = [ga.g_key(gal.decode(g)) for g in normalizer.elements]
+        ranks = list(normalizer.elements)
         assert keys == sorted(keys) and ranks == sorted(ranks)
-        assert [normalizer.key(g) for g in normalizer.elements] == ranks
+        assert [gal.encode(gal.decode(g)) for g in normalizer.elements] == ranks
         assert len(set(ranks)) == 6144
         assert max(max(r) for r in ranks) == 47
 
     def test_generator_images_generate_all_coordinate_symmetries(self, normalizer):
         images = []
         for g in normalizer.gens:
-            w = cw.h_action_matrix(g)
+            w = cw.h_action_matrix(gal.decode(g))
             images.append(w)
         full = set(cw.weyl_group())
         closure = {cw.W_IDENTITY}
@@ -265,25 +291,20 @@ class TestNormalizer:
         assert closure == full
 
     def test_recorded_twists_are_cocycles_in_normalizer(self, normalizer):
-        keys = {normalizer.key(x) for x in normalizer.elements}
-        idk = normalizer.key(normalizer.identity)
+        members = set(normalizer.elements)
         for basis in cw.seven_cartans():
-            n = basis.nstar
-            assert normalizer.key(n) in keys
-            assert normalizer.key(
-                normalizer.mul(n, normalizer.sigma(n))
-            ) == idk
+            n = gal.encode(basis.nstar)
+            assert n in members
+            assert normalizer.mul(n, normalizer.sigma(n)) == normalizer.identity
 
     def test_all_sixteen_lifts_verify(self, normalizer):
-        keys = {normalizer.key(x) for x in normalizer.elements}
-        idk = normalizer.key(normalizer.identity)
+        members = set(normalizer.elements)
         rows = gal.weyl_cocycle_lifts()
         assert len(rows) == 16
         for w, lift in rows:
-            assert normalizer.key(lift) in keys
-            assert normalizer.key(
-                normalizer.mul(lift, normalizer.sigma(lift))
-            ) == idk
+            x = gal.encode(lift)
+            assert x in members
+            assert normalizer.mul(x, normalizer.sigma(x)) == normalizer.identity
             assert cw.h_action_matrix(lift) == w
 
     def test_specific_lift_images(self):
@@ -318,7 +339,7 @@ class TestNormalizer:
 
 class TestVerifyClassList:
     def test_generic_stabilizer_list_passes(self, stab_group):
-        classes = gal.h1(stab_group, case_tag="generic-stabilizer")
+        classes = decoded(gal.h1(stab_group, case_tag="generic-stabilizer"))
         spec = gal.StabilizerSpec(
             tag="generic-stabilizer",
             finite_gens=gal.stabilizer_finite_gens(),
@@ -331,7 +352,7 @@ class TestVerifyClassList:
         assert not report["failures"]
 
     def test_wrong_count_fails(self, stab_group):
-        classes = gal.h1(stab_group)
+        classes = decoded(gal.h1(stab_group))
         spec = gal.StabilizerSpec(
             tag="generic-stabilizer",
             finite_gens=gal.stabilizer_finite_gens(),
@@ -363,12 +384,12 @@ class TestVerifyClassList:
             moved = stab_group.mul(
                 stab_group.mul(a, c), stab_group.sigma(stab_group.inv(a))
             )
-            if stab_group.key(moved) != stab_group.key(c):
+            if moved != c:
                 partner = moved
                 break
         assert partner is not None
         doubled = gal.CocycleClassList(
-            representatives=(c, partner), case_tag="duplicated"
+            representatives=(gal.decode(c), gal.decode(partner)), case_tag="duplicated"
         )
         spec = gal.StabilizerSpec(
             tag="duplicated", finite_gens=gal.stabilizer_finite_gens()

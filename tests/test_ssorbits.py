@@ -498,25 +498,31 @@ def test_real_weyl_group_half_turns():
     assert len(halves) == 8
 
 
+def _normalizer_pairs():
+    """The 6144 normalizer elements, coset by coset, each with its action."""
+    kernel, lifts = galois.normalizer_cosets()
+    return [(galois.slot_mul(g, k), w) for g, w in lifts for k in kernel]
+
+
 def test_real_weyl_group_matches_fraction_keyed_reference():
-    pairs = galois.normalizer_pairs()
-    # equal coordinate actions are one object
+    pairs = _normalizer_pairs()
+    # each coset carries one coordinate-action object
     assert len({id(w) for _, w in pairs}) == len({w for _, w in pairs}) == 192
-    ops = galois.NORMALIZER_OPS
-    action = {tuple(map(id, g)): w for g, w in pairs}
+    mul, inv, conj = galois.slot_mul, galois.slot_inv, galois.slot_conj
+    action = dict(pairs)
     elements = galois.build_normalizer().elements
     for m in range(1, 8):
-        nstar = ops.intern(cw.seven_cartans()[m - 1].nstar)
-        nstar_inv = ops.inv(nstar)
-        reference = {}
+        nstar = galois.encode(cw.seven_cartans()[m - 1].nstar)
+        nstar_inv = inv(nstar)
+        reference = set()
         # every lift of every symmetry, scanned for one fixed by the twist
         for g in elements:
-            w = action[tuple(map(id, g))]
-            if id(w) not in reference:
-                twisted = ops.mul(ops.mul(nstar, ops.sigma(g)), nstar_inv)
-                if ops.key(twisted) == ops.key(g):
-                    reference[id(w)] = w
-        assert ss.real_weyl_group(m) == tuple(sorted(reference.values())), m
+            w = action[g]
+            if w not in reference:
+                twisted = mul(mul(nstar, conj(g)), nstar_inv)
+                if twisted == g:
+                    reference.add(w)
+        assert ss.real_weyl_group(m) == tuple(sorted(reference)), m
 
 
 def test_family_one_rows_meet_each_real_weyl_orbit_once():
@@ -557,7 +563,8 @@ def test_family_one_rows_meet_each_real_weyl_orbit_once():
 
 def test_weyl_lift_is_least_lift():
     least = {}
-    for g, w in galois.normalizer_pairs():
+    for x, w in _normalizer_pairs():
+        g = galois.decode(x)
         if w not in least or g_key(g) < g_key(least[w]):
             least[w] = g
     assert len(least) == 192
@@ -600,15 +607,15 @@ def test_group_values_are_pinned():
         "weyl_group": cw.weyl_group(),
         "real_weyl_group": [ss.real_weyl_group(m) for m in range(1, 8)],
         "gamma_h1": [cw.gamma_h1(i) for i in range(1, 11)],
-        "h1_of_normalizer": h1.representatives,
-        "normalizer": galois.build_normalizer().elements,
+        "h1_of_normalizer": [galois.decode(z) for z in h1.representatives],
+        "normalizer": [galois.decode(g) for g in galois.build_normalizer().elements],
     }
     assert {name: _digest(v) for name, v in values.items()} == _PINNED_DIGESTS
     assert h1.sizes == (24, 24, 96, 96, 96, 192, 192)
 
 
 def test_normalizer_pairs_lift_each_symmetry_32_times():
-    pairs = galois.normalizer_pairs()
+    pairs = _normalizer_pairs()
     lifts = {}
     for _, w in pairs:
         lifts[w] = lifts.get(w, 0) + 1
@@ -617,7 +624,7 @@ def test_normalizer_pairs_lift_each_symmetry_32_times():
     assert set(lifts) == set(cw.weyl_group())
     for idx in random.Random(6144).sample(range(len(pairs)), 200):
         g, w = pairs[idx]
-        assert cw.h_action_matrix(g) == w
+        assert cw.h_action_matrix(galois.decode(g)) == w
 
 
 # ---------------------------------------------------------------------------
