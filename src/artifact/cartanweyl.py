@@ -326,7 +326,6 @@ class SubsystemData:
     type_name: str
     h_basis: tuple[tuple[int, int, int, int], ...]  # u-coordinate basis of h_Pi
     gamma_gens: tuple[WeylMat, ...] | None  # None means Gamma = W
-    derived_centralizer_dim: int | None
 
     @property
     def param_count(self) -> int:
@@ -338,26 +337,26 @@ def _diag(a, b, c, d) -> WeylMat:
 
 
 _SUBSYSTEMS: dict[int, SubsystemData] = {
-    1: SubsystemData(1, "empty", ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), None, 0),
+    1: SubsystemData(1, "empty", ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), None),
     2: SubsystemData(2, "A1", ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
                      tuple(_diag(*signs) for signs in
                            [(1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1),
-                            (-1, 1, 1, -1), (-1, 1, -1, 1), (-1, -1, 1, 1)]), 3),
-    3: SubsystemData(3, "A2", ((1, -1, 0, 0), (1, 0, -1, 0)), (_diag(-1, -1, -1, -1),), 8),
+                            (-1, 1, 1, -1), (-1, 1, -1, 1), (-1, -1, 1, 1)])),
+    3: SubsystemData(3, "A2", ((1, -1, 0, 0), (1, 0, -1, 0)), (_diag(-1, -1, -1, -1),)),
     4: SubsystemData(4, "2A1", ((1, 0, 0, 0), (0, 0, 0, 1)),
                      (_diag(1, 1, 1, -1),
-                      wmat([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])), 6),
+                      wmat([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]))),
     5: SubsystemData(5, "2A1", ((1, 0, 0, 0), (0, 0, 1, 0)),
                      (_diag(1, 1, -1, 1),
-                      wmat([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]])), 6),
+                      wmat([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]]))),
     6: SubsystemData(6, "2A1", ((1, 0, 0, 0), (0, 1, 0, 0)),
                      (_diag(-1, 1, 1, 1),
-                      wmat([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])), 6),
-    7: SubsystemData(7, "A3", ((1, 0, 0, -1),), (_diag(-1, -1, -1, -1),), 15),
-    8: SubsystemData(8, "A3", ((1, 0, -1, 0),), (_diag(-1, -1, -1, -1),), 15),
-    9: SubsystemData(9, "A3", ((1, -1, 0, 0),), (_diag(-1, -1, -1, -1),), 15),
-    10: SubsystemData(10, "3A1", ((1, 0, 0, 0),), (_diag(-1, -1, -1, -1),), 9),
-    11: SubsystemData(11, "D4", (), (), None),
+                      wmat([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]))),
+    7: SubsystemData(7, "A3", ((1, 0, 0, -1),), (_diag(-1, -1, -1, -1),)),
+    8: SubsystemData(8, "A3", ((1, 0, -1, 0),), (_diag(-1, -1, -1, -1),)),
+    9: SubsystemData(9, "A3", ((1, -1, 0, 0),), (_diag(-1, -1, -1, -1),)),
+    10: SubsystemData(10, "3A1", ((1, 0, 0, 0),), (_diag(-1, -1, -1, -1),)),
+    11: SubsystemData(11, "D4", (), ()),
 }
 
 

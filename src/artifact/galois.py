@@ -378,15 +378,12 @@ def normalizer_generators() -> tuple[GElt, ...]:
 
     Combines the order-32 stabilizer of a generic element, the sixteen
     recorded coordinate-symmetry lifts, and the half-integral reflection
-    lift.  Every generator is checked to normalize the diagonalizable
-    subspace.
+    lift.  :func:`normalizer_cosets` checks that every generator normalizes
+    the diagonalizable subspace.
     """
     gens = list(stabilizer_finite_gens())
     gens.extend(lift for _, lift in weyl_cocycle_lifts())
     gens.append(_hadamard_lift())
-    for g in gens:
-        if cw.h_action_matrix(g) is None:
-            raise ArithmeticError("normalizer construction inconsistent")
     return tuple(gens)
 
 
@@ -430,9 +427,11 @@ def normalizer_cosets() -> tuple[tuple[IndexTuple, ...],
 
     K, the elements acting trivially on the subspace, is the closure of the
     order-32 stabilizer of a generic element; each generator is checked to
-    act trivially, and the order to be 32.  The lifts come from a
+    act trivially, and the order to be 32.  Each of
+    :func:`normalizer_generators` is checked to normalize the subspace, and
+    its coordinate action is computed once, here.  The lifts come from a
     breadth-first search over the coordinate symmetries as doubled-integer
-    matrices, driven by :func:`normalizer_generators`: the first product of
+    matrices, driven by those generators: the first product of
     generators reaching w is its lift g_w, so ``w ==
     cartanweyl.h_action_matrix(decode(g_w))``.  :func:`check_cosets` then
     proves that the cosets g_w·K make up the normalizer, of order
@@ -445,6 +444,8 @@ def normalizer_cosets() -> tuple[tuple[IndexTuple, ...],
     if len(kernel) != 32:
         raise ArithmeticError("normalizer kernel came out short")
     gens = [(encode(g), cw.h_action_matrix(g)) for g in normalizer_generators()]
+    if any(w is None for _, w in gens):
+        raise ArithmeticError("normalizer construction inconsistent")
     # each symmetry reached carries the generator and the symmetry it came
     # from, so that its lift is one product, formed in order of discovery
     reached = orbit((cw._doubled(cw.W_IDENTITY), None, None),

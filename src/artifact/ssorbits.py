@@ -5,8 +5,9 @@ forms of the diagonalizable subspace; its orbit under the real group is
 pinned down by three indices: the family ``i`` of its complex orbit, the
 real-form class ``j`` of the Cartan subspace containing it, and a finite
 cohomology class ``k`` distinguishing real orbits inside one complex
-orbit.  This module stores the classification tables as machine-readable
-row data and provides:
+orbit.  This module stores the classification tables with each row's
+four coordinate entries as the paper prints them, reads every entry with
+Python's own parser into an exact coefficient matrix, and provides:
 
 * ``reality_pattern(i, j)`` — the admissible-parameter test for a block;
 * ``real_point(i, j, lams)`` — a real point of the block with its witness;
@@ -20,8 +21,9 @@ All arithmetic is exact, over the degree-8 cyclotomic field.
 
 from __future__ import annotations
 
+import ast
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -132,188 +134,104 @@ _CARTAN_NAMES = ("u", "v", "w", "x", "y", "z", "t")
 
 
 # ---------------------------------------------------------------------------
-# linear-expression parser for table entries
-# ---------------------------------------------------------------------------
-#
-# Row entries are strings like "(-l1+l2-l3+l4)/2", "i*l3" or "2/(i*l1)".
-# Each parses to a linear map in the parameters l1..l4 or (for reciprocal
-# rows) in their inverses ~l1..~l4.  Values are dicts {var: coefficient}
-# with "" holding the constant term, which must vanish in a final entry.
-
-
-def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-        elif ch == "l" and pos + 1 < len(text) and text[pos + 1].isdigit():
-            out.append(text[pos : pos + 2])
-            pos += 2
-        elif ch.isdigit():
-            end = pos
-            while end < len(text) and text[end].isdigit():
-                end += 1
-            out.append(text[pos:end])
-            pos = end
-        elif ch in "i()+-*/":
-            out.append(ch)
-            pos += 1
-        else:
-            raise ValueError("bad character %r in expression %r" % (ch, text))
-    return out
-
-
-def _val_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, coeff in b.items():
-        out[key] = out.get(key, ZERO) + coeff
-    return {k: v for k, v in out.items() if v}
-
-
-def _val_neg(a: dict) -> dict:
-    return {k: ZERO - v for k, v in a.items()}
-
-
-def _val_scale(a: dict, c: CycNum) -> dict:
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
-def _is_const(a: dict) -> bool:
-    return set(a) <= {""}
-
-
-def _val_mul(a: dict, b: dict) -> dict:
-    if _is_const(a):
-        return _val_scale(b, a.get("", ZERO))
-    if _is_const(b):
-        return _val_scale(a, b.get("", ZERO))
-    raise ValueError("nonlinear product in table expression")
-
-
-def _val_div(a: dict, b: dict) -> dict:
-    if _is_const(b):
-        c = b.get("", ZERO)
-        if not c:
-            raise ValueError("division by zero in table expression")
-        return _val_scale(a, c.inverse())
-    if not _is_const(a):
-        raise ValueError("nonlinear quotient in table expression")
-    b_vars = [k for k in b if k]
-    if len(b_vars) != 1 or b.get("", ZERO):
-        raise ValueError("unsupported divisor in table expression")
-    var = b_vars[0]
-    if var.startswith("~"):
-        raise ValueError("iterated reciprocal in table expression")
-    return {"~" + var: a.get("", ZERO) * b[var].inverse()}
-
-
-class _ExprParser:
-    """Recursive-descent parser for the row-entry grammar."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression %r" % self.text)
-        self.pos += 1
-        return tok
-
-    def parse(self) -> dict:
-        val = self.expr()
-        if self.peek() is not None:
-            raise ValueError("trailing tokens in expression %r" % self.text)
-        return val
-
-    def expr(self) -> dict:
-        if self.peek() in ("+", "-"):
-            sign = self.take()
-            val = self.term()
-            if sign == "-":
-                val = _val_neg(val)
-        else:
-            val = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            val = _val_add(val, _val_neg(rhs) if op == "-" else rhs)
-        return val
-
-    def term(self) -> dict:
-        val = self.atom()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.atom()
-            val = _val_mul(val, rhs) if op == "*" else _val_div(val, rhs)
-        return val
-
-    def atom(self) -> dict:
-        tok = self.take()
-        if tok == "(":
-            val = self.expr()
-            if self.take() != ")":
-                raise ValueError("unbalanced parentheses in %r" % self.text)
-            return val
-        if tok == "i":
-            return {"": IMAG}
-        if tok.isdigit():
-            return {"": rat(int(tok))}
-        if tok.startswith("l"):
-            return {tok: ONE}
-        if tok == "-":
-            return _val_neg(self.atom())
-        raise ValueError("unexpected token %r in %r" % (tok, self.text))
-
-
-def _parse_entry(text: str) -> dict:
-    val = _ExprParser(text).parse()
-    if val.get("", ZERO):
-        raise ValueError("nonzero constant term in table entry %r" % text)
-    val.pop("", None)
-    return val
-
-
-# ---------------------------------------------------------------------------
 # table rows
 # ---------------------------------------------------------------------------
+#
+# Row entries are printed strings like "(-l1+l2-l3+l4)/2", "i*l3" or
+# "2/(i*l1)".  Python's parser reads each one; the walk below accepts
+# integers, the name i, the family's parameters, unary minus and + - * /,
+# and evaluates the entry to a linear form {name: coefficient} in the
+# parameters or (through "c/(a*lN)" only) in their reciprocals, keyed
+# "~lN".  The key "" holds the constant term, which must vanish.
+
+
+def _add_forms(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for name, coeff in b.items():
+        out[name] = out.get(name, ZERO) + coeff
+    return {name: c for name, c in out.items() if c}
+
+
+def _constant(form: dict) -> CycNum | None:
+    """The value of a form without parameters, else None."""
+    return form.get("", ZERO) if set(form) <= {""} else None
+
+
+def _form(node: ast.AST, variables: tuple[str, ...], text: str) -> dict:
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return {"": rat(node.value)} if node.value else {}
+    if isinstance(node, ast.Name) and node.id == "i":
+        return {"": IMAG}
+    if isinstance(node, ast.Name) and node.id in variables:
+        return {node.id: ONE}
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return {name: -c for name, c in _form(node.operand, variables, text).items()}
+    if not (isinstance(node, ast.BinOp)
+            and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div))):
+        raise ValueError("unsupported %s in table entry %r"
+                         % (type(getattr(node, "op", node)).__name__, text))
+    a = _form(node.left, variables, text)
+    b = _form(node.right, variables, text)
+    if isinstance(node.op, ast.Add):
+        return _add_forms(a, b)
+    if isinstance(node.op, ast.Sub):
+        return _add_forms(a, {name: -c for name, c in b.items()})
+    if isinstance(node.op, ast.Mult):
+        c, form = _constant(a), b
+        if c is None:
+            c, form = _constant(b), a
+        if c is None:
+            raise ValueError("nonlinear product in table entry %r" % text)
+        return {name: v * c for name, v in form.items()} if c else {}
+    c = _constant(b)
+    if c is not None:
+        if not c:
+            raise ValueError("division by zero in table entry %r" % text)
+        return {name: v * c.inverse() for name, v in a.items()}
+    # c/(a*lN) is the one reciprocal the tables print
+    num = _constant(a)
+    if num is None or len(b) != 1 or "" in b or next(iter(b)).startswith("~"):
+        raise ValueError("unsupported quotient in table entry %r" % text)
+    (name, coeff), = b.items()
+    return {"~" + name: num * coeff.inverse()} if num else {}
+
+
+def _parse_entry(text: str, variables: tuple[str, ...]) -> dict:
+    """The linear form of one printed entry, without its zero constant."""
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError("unreadable table entry %r" % text) from exc
+    form = _form(tree.body, variables, text)
+    if form.pop("", ZERO):
+        raise ValueError("nonzero constant term in table entry %r" % text)
+    return form
 
 
 @dataclass(frozen=True)
 class SSTableRow:
-    """One classification-table row: class index and coordinate formulas.
+    """One classification-table row: class index and coefficient matrix.
 
-    ``exprs`` are the four printed coordinate expressions; ``columns``
-    names the parameters the row depends on (``~lN`` marks a reciprocal
-    dependence); ``matrix`` is the exact 4×len(columns) coefficient matrix
-    so that coordinates = matrix · column values.
+    ``matrix`` is the exact 4×n coefficient matrix in the family's n
+    parameters, in their order: coordinates = matrix · λ, or
+    matrix · (1/λ1, …, 1/λn) when ``reciprocal`` is set.
     """
 
     k: int
-    exprs: tuple[str, str, str, str]
-    variables: tuple[str, ...]
-    columns: tuple[str, ...]
     matrix: tuple
-
-    @property
-    def reciprocal(self) -> bool:
-        return any(c.startswith("~") for c in self.columns)
+    reciprocal: bool
 
     def coordinates(self, lams: Sequence[CycNum]) -> tuple:
         """Evaluate the row at a parameter tuple (positional l-order)."""
-        values = _column_values(self.variables, self.columns, lams)
-        return tuple(
-            _dot(self.matrix[r], values) for r in range(4)
-        )
+        n = len(self.matrix[0])
+        if len(lams) < n:
+            raise ValueError("row needs %d parameters, got %d" % (n, len(lams)))
+        values = lams[:n]
+        if self.reciprocal:
+            if not all(values):
+                raise ValueError("zero parameter where a reciprocal is required")
+            values = [v.inverse() for v in values]
+        return tuple(_dot(r, values) for r in self.matrix)
 
     @cached_property
     def _elim(self) -> tuple:
@@ -321,19 +239,14 @@ class SSTableRow:
 
     def solve(self, vec: Sequence[CycNum]) -> tuple | None:
         """Parameters that reproduce ``vec``, or None when inconsistent."""
-        n = len(self.columns)
-        sol = _eliminate(self._elim, n, vec)
+        sol = _eliminate(self._elim, len(self.matrix[0]), vec)
         if sol is None:
             return None
-        lams: list[CycNum] = [ZERO] * n
-        for idx, col in enumerate(self.columns):
-            if col.startswith("~"):
-                if not sol[idx]:
-                    return None
-                lams[idx] = sol[idx].inverse()
-            else:
-                lams[idx] = sol[idx]
-        return tuple(lams)
+        if self.reciprocal:
+            if not all(sol):
+                return None
+            sol = [v.inverse() for v in sol]
+        return tuple(sol)
 
 
 def _dot(coeffs, values) -> CycNum:
@@ -367,50 +280,21 @@ def _eliminate(elim: tuple, n: int, vec: Sequence[CycNum]) -> list | None:
     return [_dot(row, vec) for row in elim[:n]]
 
 
-def _column_values(variables: tuple[str, ...], columns: tuple[str, ...],
-                   lams: Sequence[CycNum]) -> list:
-    values = []
-    for col in columns:
-        recip = col.startswith("~")
-        name = col[1:] if recip else col
-        idx = variables.index(name)
-        if idx >= len(lams):
-            raise ValueError("row needs parameter %s" % name)
-        val = lams[idx]
-        if recip:
-            if not val:
-                raise ValueError("zero parameter where a reciprocal is required")
-            val = val.inverse()
-        values.append(val)
-    return values
-
-
 def _compile_row(k: int, exprs: tuple, variables: tuple[str, ...]) -> SSTableRow:
-    """Parse the four printed entries into an exact coefficient matrix."""
-    parsed = [_parse_entry(e) for e in exprs]
-    used: set[str] = set()
-    for val in parsed:
-        used.update(val)
-    plain = {v for v in used if not v.startswith("~")}
-    recip = {v[1:] for v in used if v.startswith("~")}
-    if plain and recip:
-        raise ValueError("row %d mixes direct and reciprocal parameters" % k)
-    if recip:
-        columns = tuple("~" + v for v in variables if v in recip)
-    else:
-        columns = tuple(v for v in variables if v in plain)
-    if len(columns) != len(variables):
+    """Compile the four printed entries of row ``k`` to its coefficient matrix."""
+    forms = [_parse_entry(e, variables) for e in exprs]
+    used = {name for form in forms for name in form}
+    reciprocal = any(name.startswith("~") for name in used)
+    columns = tuple("~" + v if reciprocal else v for v in variables)
+    if used != set(columns):
         raise ValueError(
-            "row %d does not use every family parameter: %r" % (k, exprs)
+            "row %d must use every family parameter, all directly or all "
+            "reciprocally: %r" % (k, exprs)
         )
-    matrix = tuple(
-        tuple(parsed[r].get(c, ZERO) for c in columns) for r in range(4)
-    )
+    matrix = tuple(tuple(form.get(c, ZERO) for c in columns) for form in forms)
     if la.rank([list(r) for r in matrix]) != len(columns):
         raise ValueError("row %d has linearly dependent columns" % k)
-    return SSTableRow(
-        k=k, exprs=tuple(exprs), variables=variables, columns=columns, matrix=matrix
-    )
+    return SSTableRow(k=k, matrix=matrix, reciprocal=reciprocal)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +349,6 @@ class RealityPattern:
         return True
 
 
-def _sign_rows(*patterns: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(patterns)
-
-
 def _plus_minus_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Rows (1, ±1, …, ±1): the first parameter avoids all ± sums of the rest."""
     rows = []
@@ -492,7 +372,9 @@ def _plus_minus_rows(n: int) -> tuple[tuple[int, ...], ...]:
 # ``n`` and its witness ``g`` (as comma-separated named 2×2 factors, with
 # ``Dk`` denoting diag(eta^k, eta^-k)), the finite list ``zs`` of
 # stabilizer cocycles, per-parameter reality ``tags``, ``avoid`` rows and
-# the row formulas.
+# the row formulas.  Each row is four coordinate entries in the family's
+# ``vars``, kept as the paper prints them; ``blocks()`` compiles every row
+# once to an ``SSTableRow`` (see ``_compile_row``).
 
 _Z_COMMON = ("I,I,I,I", "-I,-I,I,I", "-I,I,-I,I", "I,-I,-I,I")
 
@@ -572,8 +454,8 @@ _NATIVE: dict[int, dict] = {
                 g="D5,D5,-D3,-D7",
                 zs=("-I,-I,-I,-I", "-I,-I,I,I", "-I,I,-I,I", "-I,I,I,-I"),
                 tags=("imaginary", "imaginary", "imaginary", "real"),
-                avoid=_sign_rows((1, 1, 1, 0), (1, 1, -1, 0),
-                                 (1, -1, 1, 0), (1, -1, -1, 0)),
+                avoid=((1, 1, 1, 0), (1, 1, -1, 0),
+                       (1, -1, 1, 0), (1, -1, -1, 0)),
                 rows=(
                     ("i*l1", "i*l2", "-i*l3", "l4"),
                     ("-i*l1", "i*l2", "-i*l3", "-l4"),
@@ -589,7 +471,7 @@ _NATIVE: dict[int, dict] = {
                 g="M,I,I,M",
                 zs=("I,I,I,I", "I,I,-I,-I", "L,L,L,L", "L,L,-L,-L"),
                 tags=("imaginary", "imaginary", "real", "real"),
-                avoid=_sign_rows((1, 1, 0, 0), (1, -1, 0, 0)),
+                avoid=((1, 1, 0, 0), (1, -1, 0, 0)),
                 rows=(
                     ("-i*l1", "-i*l2", "l3", "l4"),
                     ("i*l1", "-i*l2", "l3", "-l4"),
@@ -605,7 +487,7 @@ _NATIVE: dict[int, dict] = {
                 g="I,M,I,M",
                 zs=("I,I,I,I", "I,I,-I,-I", "L,L,L,L", "L,L,-L,-L"),
                 tags=("imaginary", "real", "imaginary", "real"),
-                avoid=_sign_rows((1, 0, 1, 0), (1, 0, -1, 0)),
+                avoid=((1, 0, 1, 0), (1, 0, -1, 0)),
                 rows=(
                     ("-i*l1", "l2", "i*l3", "l4"),
                     ("i*l1", "l2", "i*l3", "-l4"),
@@ -621,7 +503,7 @@ _NATIVE: dict[int, dict] = {
                 g="I,I,M,M",
                 zs=("I,I,I,I", "I,-I,I,-I", "L,L,L,L", "L,-L,L,-L"),
                 tags=("imaginary", "real", "real", "imaginary"),
-                avoid=_sign_rows((1, 0, 0, 1), (1, 0, 0, -1)),
+                avoid=((1, 0, 0, 1), (1, 0, 0, -1)),
                 rows=(
                     ("-i*l1", "l2", "l3", "i*l4"),
                     ("i*l1", "l2", "-l3", "i*l4"),
@@ -698,7 +580,7 @@ _NATIVE: dict[int, dict] = {
                 g="I,M,I,D2",
                 zs=_Z_COMMON,
                 tags=("real", "imaginary", "real"),
-                avoid=_sign_rows((1, 0, 1), (1, 0, -1)),
+                avoid=((1, 0, 1), (1, 0, -1)),
                 rows=(
                     ("0", "-l3", "-i*l2", "l1"),
                     ("0", "-l3", "-i*l2", "-l1"),
@@ -714,7 +596,7 @@ _NATIVE: dict[int, dict] = {
                 g="M,I,I,M",
                 zs=_Z_COMMON,
                 tags=("imaginary", "imaginary", "real"),
-                avoid=_sign_rows((1, 1, 0), (1, -1, 0)),
+                avoid=((1, 1, 0), (1, -1, 0)),
                 rows=(
                     ("-i*l1", "-i*l2", "l3", "0"),
                     ("i*l1", "-i*l2", "l3", "0"),
@@ -730,7 +612,7 @@ _NATIVE: dict[int, dict] = {
                 g="M,I,I,N",
                 zs=_Z_COMMON,
                 tags=("real", "real", "imaginary"),
-                avoid=_sign_rows((1, 1, 0), (1, -1, 0)),
+                avoid=((1, 1, 0), (1, -1, 0)),
                 rows=(
                     ("0", "i*l3", "-l2", "l1"),
                     ("0", "i*l3", "-l2", "-l1"),
@@ -746,7 +628,7 @@ _NATIVE: dict[int, dict] = {
                 g="I,M,I,M",
                 zs=_Z_COMMON,
                 tags=("imaginary", "real", "imaginary"),
-                avoid=_sign_rows((1, 0, 1), (1, 0, -1)),
+                avoid=((1, 0, 1), (1, 0, -1)),
                 rows=(
                     ("-i*l1", "l2", "i*l3", "0"),
                     ("i*l1", "l2", "i*l3", "0"),
@@ -762,7 +644,7 @@ _NATIVE: dict[int, dict] = {
                 g="I,I,M,M",
                 zs=_Z_COMMON,
                 tags=("imaginary", "real", "real"),
-                avoid=_sign_rows((1, 0, 1), (1, 0, -1)),
+                avoid=((1, 0, 1), (1, 0, -1)),
                 rows=(
                     ("-i*l1", "l2", "l3", "0"),
                     ("i*l1", "l2", "l3", "0"),
@@ -807,7 +689,7 @@ _NATIVE: dict[int, dict] = {
                 g="I,I,I,I",
                 zs=_Z_COMMON,
                 tags=("real", "real"),
-                avoid=_sign_rows((1, 1)),
+                avoid=((1, 1),),
                 rows=(
                     ("l1+l2", "-l1", "-l2", "0"),
                     ("-l1-l2", "-l1", "-l2", "0"),
@@ -823,7 +705,7 @@ _NATIVE: dict[int, dict] = {
                 g="L,I,I,I",
                 zs=_Z_COMMON,
                 tags=("imaginary", "imaginary"),
-                avoid=_sign_rows((1, 1)),
+                avoid=((1, 1),),
                 rows=(
                     ("i*(l1+l2)", "-i*l1", "-i*l2", "0"),
                     ("-i*(l1+l2)", "-i*l1", "-i*l2", "0"),
@@ -845,7 +727,7 @@ _NATIVE: dict[int, dict] = {
                 zs=("I,I,I,I", "-I,I,-I,I", "-K,K,-K,K",
                     "-K,K,K,-K", "K,K,K,K", "K,K,-K,-K"),
                 tags=("real", "real"),
-                avoid=_sign_rows((1, 1), (1, -1)),
+                avoid=((1, 1), (1, -1)),
                 rows=(
                     ("l1", "0", "0", "l4"),
                     ("-l1", "0", "0", "l4"),
@@ -878,7 +760,7 @@ _NATIVE: dict[int, dict] = {
                 zs=("I,I,I,I", "-I,-I,I,I", "-K,K,-K,-K",
                     "K,K,K,-K", "-K,K,K,K", "K,K,-K,K"),
                 tags=("imaginary", "imaginary"),
-                avoid=_sign_rows((1, 1), (1, -1)),
+                avoid=((1, 1), (1, -1)),
                 rows=(
                     ("-i*l1", "0", "0", "i*l4"),
                     ("i*l1", "0", "0", "i*l4"),
@@ -900,7 +782,7 @@ _NATIVE: dict[int, dict] = {
                 g="M,M,F,LF",
                 zs=("I,I,I,I", "-I,I,-I,I", "-K,-K,-L,-L", "K,-K,L,-L"),
                 tags=("coupled", "coupled"),
-                avoid=_sign_rows((1, 1), (1, -1)),
+                avoid=((1, 1), (1, -1)),
                 rows=(
                     ("-i*(l1+l4)/2", "(l1-l4)/2", "(-l1+l4)/2", "-i*(l1+l4)/2"),
                     ("i*(l1+l4)/2", "(l1-l4)/2", "(l1-l4)/2", "-i*(l1+l4)/2"),
@@ -1007,7 +889,6 @@ class CaseBlock:
     i: int
     j: int
     m: int
-    variables: tuple[str, ...]
     gamma: cw.WeylMat
     n: GElt
     g: GElt
@@ -1073,7 +954,6 @@ def _compile_block(i: int, variables: tuple[str, ...], raw: dict) -> CaseBlock:
         i=i,
         j=raw["j"],
         m=raw["m"],
-        variables=variables,
         gamma=gamma,
         n=n,
         g=g,
@@ -1119,19 +999,10 @@ def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock) -> CaseBlock:
     perm4 = [0, 0, 0, 0]
     for src_pos, dst_pos in rho.items():
         perm4[dst_pos] = src_pos
-    rows = []
-    for row in blk.rows:
-        matrix = tuple(tuple(row.matrix[perm4[r]]) for r in range(4))
-        exprs = tuple(row.exprs[perm4[r]] for r in range(4))
-        rows.append(
-            SSTableRow(
-                k=row.k,
-                exprs=exprs,
-                variables=row.variables,
-                columns=row.columns,
-                matrix=matrix,
-            )
-        )
+    rows = tuple(
+        replace(row, matrix=tuple(row.matrix[perm4[r]] for r in range(4)))
+        for row in blk.rows
+    )
     n = auto.on_gelt(blk.n)
     g = auto.on_gelt(blk.g)
     zs = tuple(auto.on_gelt(z) for z in blk.zs)
@@ -1152,12 +1023,11 @@ def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock) -> CaseBlock:
         i=i_dst,
         j=blk.j,
         m=m_dst,
-        variables=blk.variables,
         gamma=gamma,
         n=n,
         g=g,
         zs=zs,
-        rows=tuple(rows),
+        rows=rows,
         reality=reality,
     )
 
@@ -1167,9 +1037,8 @@ def blocks() -> tuple[CaseBlock, ...]:
     """Every ``(i, j)`` block of the tables, stored and generated alike."""
     out: list[CaseBlock] = []
     for i, spec in _NATIVE.items():
-        variables = tuple(spec["vars"])
         for raw in spec["blocks"]:
-            out.append(_compile_block(i, variables, raw))
+            out.append(_compile_block(i, spec["vars"], raw))
     for i_dst, (i_src, cycle) in _TRANSPORTS.items():
         auto = PermAuto(cycle)
         for blk in [b for b in out if b.i == i_src]:

@@ -76,6 +76,27 @@ def test_unknown_block_raises():
         ss.reality_pattern(1, 9)
 
 
+@pytest.mark.parametrize("exprs, message", [
+    (("l1*l2", "l2", "l3", "l4"), "nonlinear product"),
+    (("2/(l1+l2)", "l2", "l3", "l4"), "unsupported quotient"),
+    (("1/(1/l1)", "l2", "l3", "l4"), "unsupported quotient"),
+    (("l1+1", "l2", "l3", "l4"), "nonzero constant term"),
+    (("l1**2", "l2", "l3", "l4"), "unsupported Pow"),
+    (("f(l1)", "l2", "l3", "l4"), "unsupported Call"),
+    (("l1 l2", "l2", "l3", "l4"), "unreadable"),
+    # a row mixing a parameter with a reciprocal one
+    (("l1", "2/l2", "l3", "l4"), "every family parameter"),
+    # a row leaving out l4
+    (("l1", "l2", "l3", "0"), "every family parameter"),
+    (("l1+l2", "l1+l2", "l3", "l4"), "linearly dependent"),
+    # a name that is not a family parameter
+    (("l1", "l2", "l3", "l4+l5"), "unsupported Name"),
+])
+def test_compile_row_rejects_malformed_rows(exprs, message):
+    with pytest.raises(ValueError, match=message):
+        ss._compile_row(1, exprs, ("l1", "l2", "l3", "l4"))
+
+
 # ---------------------------------------------------------------------------
 # admissibility patterns
 # ---------------------------------------------------------------------------
@@ -377,8 +398,8 @@ def _reference_row_solve(row, vec):
     if sol is None:
         return None
     out = []
-    for val, col in zip(sol, row.columns):
-        if col.startswith("~"):
+    for val in sol:
+        if row.reciprocal:
             if not val:
                 return None
             val = val.inverse()
@@ -397,7 +418,7 @@ def test_row_solve_matches_elimination():
             bumped = [vec[:p] + (vec[p] + ONE,) + vec[p + 1:] for p in range(4)]
             results = [row.solve(b) for b in bumped]
             assert results == [_reference_row_solve(row, b) for b in bumped]
-            if len(row.columns) < 4:
+            if len(row.matrix[0]) < 4:
                 assert None in results
     assert count == 162
 
@@ -612,6 +633,16 @@ def test_group_values_are_pinned():
     }
     assert {name: _digest(v) for name, v in values.items()} == _PINNED_DIGESTS
     assert h1.sizes == (24, 24, 96, 96, 96, 192, 192)
+
+
+def test_compiled_table_is_pinned():
+    # every block's basis and every row's class index, reciprocal flag and
+    # exact coefficient matrix, as compiled from the printed entries
+    table = [(b.i, b.j, b.m, r.k, r.reciprocal, r.matrix)
+             for b in ss.blocks() for r in b.rows]
+    assert _digest(table) == (
+        "3cd54318f2f1bf00989637d50cbdbad39c3ff0bab7876a7fd3e4ad178de9c96f"
+    )
 
 
 def test_normalizer_pairs_lift_each_symmetry_32_times():
