@@ -134,23 +134,21 @@ def inverse(a: Mat) -> Mat:
 
 
 def det(a: Mat) -> CycNum:
-    """Determinant by exact Gaussian elimination."""
-    m = [list(row) for row in a]
-    n = len(m)
-    out = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            out = -out
-        out = out * m[c][c]
-        inv = m[c][c].inverse()
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    """Determinant by Laplace expansion along the first row, without division.
+
+    Zero entries of the row are skipped, so the sparse flattenings of
+    diagonalizable tensors expand into few minors; no field element is
+    inverted.  Meant for the small matrices of the invariants (4×4): the
+    cost grows as n!.
+    """
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    out = ZERO
+    for j, x in enumerate(a[0]):
+        if x:
+            term = x * det([row[:j] + row[j + 1:] for row in a[1:]])
+            out = out - term if j % 2 else out + term
     return out
 
 

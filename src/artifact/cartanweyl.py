@@ -71,11 +71,15 @@ def u_coords(t: Tensor) -> tuple[CycNum, CycNum, CycNum, CycNum] | None:
 
 
 def from_u_coords(coords: Sequence[CycNum]) -> Tensor:
-    u = u_basis()
-    out = Tensor.zero()
-    for c, uk in zip(coords, u):
-        out = out + uk.scale(c)
-    return out
+    """The element with coordinates ``coords`` over u_1..u_4, as a tensor.
+
+    Each coordinate is written into both positions of its pair in
+    ``_U_PAIRS``, which is where u_k has its two unit entries.
+    """
+    entries = [ZERO] * 16
+    for c, (a, b) in zip(coords, _U_PAIRS):
+        entries[a] = entries[b] = c
+    return Tensor(entries)
 
 
 # -- restricted roots ------------------------------------------------------------
@@ -306,6 +310,49 @@ def weyl_group() -> tuple[WeylMat, ...]:
     return group
 
 
+def _root_permutation(w2: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation of the restricted roots induced by a matrix.
+
+    ``w2`` holds the doubled entries of w (:func:`_doubled`).  Entry a of
+    the result is the index, in :func:`restricted_roots`, of the root
+    alpha_a∘w⁻¹.  It is found from the other side: for every root beta,
+    beta∘w is the row vector beta times w, computed over the integers as
+    half of beta times the doubled matrix, and it must be a root alpha_a,
+    whose entry is then the index of beta.  Raises ``ArithmeticError`` if
+    an image is not integral, is not a root, or two roots share an image.
+    """
+    coeffs = [r.coeffs for r in restricted_roots()]
+    index = {c: a for a, c in enumerate(coeffs)}
+    perm = [None] * len(coeffs)
+    for b, beta in enumerate(coeffs):
+        image = []
+        for j in range(4):
+            s = sum(beta[k] * w2[4 * k + j] for k in range(4))
+            if s % 2:
+                raise ArithmeticError("root image is not integral")
+            image.append(s // 2)
+        a = index.get(tuple(image))
+        if a is None:
+            raise ArithmeticError("%r∘w is not a root" % (beta,))
+        if perm[a] is not None:
+            raise ArithmeticError("two roots have the same image")
+        perm[a] = b
+    return tuple(perm)
+
+
+@lru_cache(maxsize=1)
+def root_permutations() -> tuple[tuple[int, ...], ...]:
+    """For each element of :func:`weyl_group`, in order, its root permutation.
+
+    Entry (w, a) is the index of alpha_a∘w⁻¹ (:func:`_root_permutation`).
+    A root alpha vanishes at w·mu exactly when alpha∘w vanishes at mu, so
+    the roots vanishing at w·mu are the images, under the permutation of
+    w, of the roots vanishing at mu.  Built once from doubled integer
+    entries.
+    """
+    return tuple(_root_permutation(_doubled(w)) for w in weyl_group())
+
+
 def _closure(gens: list[WeylMat], limit: int) -> tuple[WeylMat, ...]:
     """The group generated by ``gens``, in increasing order.
 
@@ -395,9 +442,14 @@ def member_roots(i: int) -> frozenset[tuple[int, ...]]:
 
 
 def vanishing_roots(coords: Sequence[CycNum]) -> frozenset[tuple[int, ...]]:
-    return frozenset(
-        r.coeffs for r in restricted_roots() if not r.value_at(coords)
-    )
+    """Functionals of the restricted roots that vanish at ``coords``.
+
+    A root and its negative vanish together, and the roots are sorted, so
+    the negative of the a-th is the (23 - a)-th: only the first 12 are
+    evaluated.
+    """
+    half = [r.coeffs for r in restricted_roots()[:12] if not r.value_at(coords)]
+    return frozenset(half + [tuple(-c for c in k) for k in half])
 
 
 def _canonical_pattern(roots: frozenset[tuple[int, ...]]) -> tuple:
@@ -433,9 +485,14 @@ def component_membership(p: Tensor) -> int:
 
 
 def is_regular(i: int, lams: Sequence[CycNum]) -> bool:
-    """Whether the parameters put the element inside h_{Pi_i}° (exact test)."""
+    """Whether the parameters put the element inside h_{Pi_i}° (exact test).
+
+    Raises ``ArithmeticError`` if the parametrized element falls outside
+    the Cartan subspace.
+    """
     coords = u_coords(parametrize(i, lams))
-    assert coords is not None
+    if coords is None:
+        raise ArithmeticError("subsystem %d parametrizes outside the Cartan subspace" % i)
     return vanishing_roots(coords) == member_roots(i)
 
 

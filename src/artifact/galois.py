@@ -425,27 +425,29 @@ def normalizer_cosets() -> tuple[tuple[IndexTuple, ...],
                                  tuple[tuple[IndexTuple, cw.WeylMat], ...]]:
     """The normalizer as 192 cosets of its kernel: ``(K, ((g_w, w), ...))``.
 
-    K, the elements acting trivially on the subspace, is the closure of the
-    order-32 stabilizer of a generic element; each generator is checked to
-    act trivially, and the order to be 32.  Each of
-    :func:`normalizer_generators` is checked to normalize the subspace, and
-    its coordinate action is computed once, here.  The lifts come from a
-    breadth-first search over the coordinate symmetries as doubled-integer
-    matrices, driven by those generators: the first product of
-    generators reaching w is its lift g_w, so ``w ==
+    Each of :func:`normalizer_generators` is checked to normalize the
+    subspace, and its coordinate action is computed once, here.  K, the
+    elements acting trivially on the subspace, is the closure of the
+    order-32 stabilizer of a generic element, whose generators are the
+    first of :func:`normalizer_generators`; each is checked, by the action
+    just computed, to act trivially, and the order of K to be 32.  The
+    lifts come from a breadth-first search over the coordinate symmetries
+    as doubled-integer matrices, driven by those generators: the first
+    product of generators reaching w is its lift g_w, so ``w ==
     cartanweyl.h_action_matrix(decode(g_w))``.  :func:`check_cosets` then
     proves that the cosets g_w·K make up the normalizer, of order
     192·32 = 6144.  Elements are index tuples (:func:`encode`).
     """
+    gens = [(encode(g), cw.h_action_matrix(g)) for g in normalizer_generators()]
+    if any(w is None for _, w in gens):
+        raise ArithmeticError("normalizer construction inconsistent")
     kernel_gens = stabilizer_finite_gens()
-    if any(cw.h_action_matrix(k) != cw.W_IDENTITY for k in kernel_gens):
+    actions = dict(gens)
+    if any(actions.get(encode(k)) != cw.W_IDENTITY for k in kernel_gens):
         raise ArithmeticError("a kernel generator moves the subspace")
     kernel = gelt_closure(kernel_gens, 32, "normalizer kernel exceeded order 32")
     if len(kernel) != 32:
         raise ArithmeticError("normalizer kernel came out short")
-    gens = [(encode(g), cw.h_action_matrix(g)) for g in normalizer_generators()]
-    if any(w is None for _, w in gens):
-        raise ArithmeticError("normalizer construction inconsistent")
     # each symmetry reached carries the generator and the symmetry it came
     # from, so that its lift is one product, formed in order of discovery
     reached = orbit((cw._doubled(cw.W_IDENTITY), None, None),

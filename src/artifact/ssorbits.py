@@ -1128,6 +1128,11 @@ def weyl_lift(w: cw.WeylMat) -> GElt:
     return _weyl_lift_table()[w]
 
 
+def _weyl_lift_inverse(w: cw.WeylMat) -> GElt:
+    """The inverse of :func:`weyl_lift`, read from the slot group's tables."""
+    return galois.decode(galois.slot_inv(galois.encode(weyl_lift(w))))
+
+
 @lru_cache(maxsize=None)
 def real_weyl_group(m: int) -> tuple[cw.WeylMat, ...]:
     """Coordinate symmetries with lifts defined over the m-th real form.
@@ -1287,23 +1292,39 @@ def _extract_parameters(i: int, vec: tuple) -> tuple | None:
 def _complex_conjugator(blk: CaseBlock, t: Tensor) -> tuple | None:
     """A pair ``(b, mu)`` with act(b, q(mu)) == t, or None.
 
-    Scans the coordinate symmetry group for an element moving the
-    (complex) canonical coordinates of ``t`` onto the family's parameter
-    span; ``b`` combines the real-basis witness with the symmetry's lift.
+    ``t`` is taken back to the Cartan subspace by the inverse of the
+    real-basis witness ``gstar``, with coordinates nu.  A coordinate
+    symmetry w can carry nu to a regular point q(mu) of the family only if
+    it maps the set Z(nu) of restricted roots vanishing at nu onto the
+    roots vanishing on the family's span (:func:`cartanweyl.member_roots`),
+    since the roots vanishing at w·nu are the images of Z(nu) under w's
+    root permutation (:func:`cartanweyl.root_permutations`).  Z(nu) is
+    computed once, and the symmetries are scanned in the order of
+    :func:`cartanweyl.weyl_group` through that integer test alone; only a
+    w that passes it is applied to nu, solved for the parameters mu,
+    checked regular, and checked exactly by act(b, q(mu)) == t with
+    b = gstar·lift(w)⁻¹.  The first w that passes every check is the one
+    a scan of all of W with the same checks would return.
     """
     cb = cw.seven_cartans()[blk.m - 1]
     back = act_tensor(_gstar_inverse(blk.m), t)
-    mu = cw.u_coords(back)
-    if mu is None:
+    nu = cw.u_coords(back)
+    if nu is None:
         return None
-    for w in cw.weyl_group():
-        moved = cw.w_act_coords(w, mu)
-        params = _extract_parameters(blk.i, moved)
-        if params is None:
+    roots = cw.restricted_roots()
+    members = cw.member_roots(blk.i)
+    vanishing = cw.vanishing_roots(nu)
+    target = {a for a, r in enumerate(roots) if r.coeffs in members}
+    zero = [a for a, r in enumerate(roots) if r.coeffs in vanishing]
+    if len(zero) != len(target):
+        return None
+    for w, perm in zip(cw.weyl_group(), cw.root_permutations()):
+        if any(perm[a] not in target for a in zero):
             continue
-        if not cw.is_regular(blk.i, params):
+        params = _extract_parameters(blk.i, cw.w_act_coords(w, nu))
+        if params is None or not cw.is_regular(blk.i, params):
             continue
-        b = g_mul(cb.gstar, g_inv(weyl_lift(w)))
+        b = g_mul(cb.gstar, _weyl_lift_inverse(w))
         q = cw.parametrize(blk.i, params)
         if act_tensor(b, q) == t:
             return b, params
@@ -1419,11 +1440,15 @@ def verify_ss_tables(case: int | None = None) -> dict:
     and exact coordinates in the stated real canonical subspace,
     semisimplicity, an explicit conjugator onto the family's canonical
     element, and invariants equal to those of the expected complex orbit.
-    That reference is computed once per block (and once more for reciprocal
-    rows), so the non-reciprocal rows of a block are all compared with one
-    shared value and agree with each other when they pass.  A row tensor in
-    the span of its basis is semisimple because that basis is a commuting
-    semisimple family, which is checked once per basis
+    The conjugator is searched over the coordinate symmetries, but only a
+    symmetry whose root permutation carries the row's vanishing roots onto
+    the family's is tried in the field (:func:`_complex_conjugator`), and
+    the one found is checked exactly.  The reference invariants are
+    computed once per block (and once more for reciprocal rows), so the
+    non-reciprocal rows of a block are all compared with one shared value
+    and agree with each other when they pass.  A row tensor in the span of
+    its basis is semisimple because that basis is a commuting semisimple
+    family, which is checked once per basis
     (:func:`cartanweyl.cartan_is_semisimple`), not once per row.  Returns a
     report dict; ``report["ok"]`` is True when nothing failed, and
     ``report["seconds"]`` holds the wall time of each block (in a fresh

@@ -136,6 +136,22 @@ class TestRestrictedRoots:
         keys = {r.coeffs for r in restricted_roots()}
         for k in keys:
             assert tuple(-c for c in k) in keys
+        # vanishing_roots evaluates the first half and negates it
+        roots = restricted_roots()
+        for a in range(24):
+            assert roots[23 - a].coeffs == tuple(-c for c in roots[a].coeffs)
+
+    def test_vanishing_roots_match_every_evaluation(self):
+        # points of every family, walls included, and one with complex coordinates
+        rng = random.Random(21)
+        points = [(rat(2), IMAG, IMAG, ZERO)]
+        for i in range(1, 12):
+            for _ in range(3):
+                lams = [rat(rng.randint(-3, 3)) for _ in range(subsystem(i).param_count)]
+                points.append(u_coords(parametrize(i, lams)))
+        for coords in points:
+            assert vanishing_roots(coords) == frozenset(
+                r.coeffs for r in restricted_roots() if not r.value_at(coords))
 
     def test_value_at(self):
         lam = [rat(7), rat(3), rat(2), rat(1)]
@@ -216,6 +232,34 @@ class TestWeylGroup:
         with pytest.raises(ArithmeticError):
             w_inv(wmat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
 
+    def test_root_permutations_are_a_homomorphism_into_root_bijections(self):
+        group = weyl_group()
+        perms = cw.root_permutations()
+        coeffs = [r.coeffs for r in restricted_roots()]
+        assert len(perms) == 192
+        assert perms[group.index(W_IDENTITY)] == tuple(range(24))
+        for w, perm in zip(group, perms):
+            assert sorted(perm) == list(range(24))
+            # entry a is the index of alpha_a∘w⁻¹, the root whose composite
+            # with w is alpha_a
+            assert [functional_after(coeffs[b], w) for b in perm] == coeffs
+        position = {w: n for n, w in enumerate(group)}
+        reflections = [reflection(r) for r in restricted_roots()]
+        for w, perm in zip(group, perms):
+            for s in reflections:
+                s_perm = perms[position[s]]
+                composed = tuple(perm[s_perm[a]] for a in range(24))
+                assert perms[position[w_mul(w, s)]] == composed
+
+    def test_root_permutation_rejects_a_matrix_outside_w(self):
+        # (-2, 0, 0, 0) keeps an integral image; (-1, -1, -1, -1) does not
+        shear = wmat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [Fraction(1, 2), 0, 0, 1]])
+        with pytest.raises(ArithmeticError, match="not integral"):
+            cw._root_permutation(cw._doubled(shear))
+        double = wmat([[2 * int(r == c) for c in range(4)] for r in range(4)])
+        with pytest.raises(ArithmeticError, match="not a root"):
+            cw._root_permutation(cw._doubled(double))
+
     def test_generic_stabilizer_trivial(self):
         lam = (rat(7), rat(3), rat(2), rat(1))
         assert [w for w in weyl_group() if w_act_coords(w, lam) == lam] == [W_IDENTITY]
@@ -279,6 +323,20 @@ class TestSubsystems:
         assert is_regular(4, [rat(3), rat(1)])
         assert not is_regular(4, [rat(1), rat(1)])
         assert is_regular(11, [])
+
+    def test_regularity_rejects_a_point_off_the_cartan_subspace(self, monkeypatch):
+        # an explicit raise, which python -O keeps
+        monkeypatch.setattr(cw, "parametrize", lambda i, lams: Tensor.basis("0100"))
+        with pytest.raises(ArithmeticError, match="outside the Cartan subspace"):
+            is_regular(2, [rat(1), rat(1), rat(1)])
+
+    def test_from_u_coords_combines_the_u_basis(self):
+        coords = [rat(7), IMAG, rat(-2, 3), ZERO]
+        expected = Tensor.zero()
+        for c, uk in zip(coords, u_basis()):
+            expected = expected + uk.scale(c)
+        assert from_u_coords(coords).c == expected.c
+        assert u_coords(from_u_coords(coords)) == tuple(coords)
 
     def test_param_count_error(self):
         with pytest.raises(ValueError):

@@ -237,6 +237,28 @@ class TestNormalizer:
             assert cw.h_action_matrix(gal.decode(g)) == w
         assert all(cw.h_action_matrix(gal.decode(k)) == cw.W_IDENTITY for k in kernel[::5])
 
+    def test_each_generator_action_is_computed_once(self, monkeypatch):
+        # the kernel generators are the first of the normalizer generators,
+        # so their trivial action is read from the actions computed for all
+        calls = []
+        real = cw.h_action_matrix
+        monkeypatch.setattr(cw, "h_action_matrix", lambda g: calls.append(g) or real(g))
+        warm = gal.normalizer_cosets()
+        for cached in (gal.normalizer_cosets, gal.normalizer_generators,
+                       gal.weyl_cocycle_lifts):
+            cached.cache_clear()
+        assert gal.normalizer_cosets() == warm
+        assert len(calls) == len(gal.normalizer_generators()) == 21
+        assert gal.stabilizer_finite_gens() == gal.normalizer_generators()[:4]
+
+    def test_a_kernel_generator_that_moves_the_subspace_is_rejected(self, monkeypatch):
+        moving = names("-I,I,I,I")
+        assert cw.h_action_matrix(moving) != cw.W_IDENTITY
+        gens = gal.stabilizer_finite_gens() + (moving,)
+        monkeypatch.setattr(gal, "stabilizer_finite_gens", lambda: gens)
+        with pytest.raises(ArithmeticError, match="kernel generator moves"):
+            gal.normalizer_cosets.__wrapped__()
+
     def test_coset_check_catches_each_mislabelled_generator(self, coset_data):
         # a check that skipped any one generator would let its case pass
         gens, kernel, lifts = coset_data

@@ -6,11 +6,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact import _linalg as la
 from artifact import cartanweyl as cw
 from artifact import groupaction as ga
 from artifact import invariants as inv
 from artifact.exactfield import CycNum, ONE, ZERO, rat
 from artifact.liealg import Tensor
+
+
+def _gauss_det(a):
+    """Determinant by Gaussian elimination over Q(η), the reference for la.det."""
+    m = [list(row) for row in a]
+    n = len(m)
+    out = ONE
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return ZERO
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            out = -out
+        out = out * m[c][c]
+        inv_pivot = m[c][c].inverse()
+        for i in range(c + 1, n):
+            f = m[i][c] * inv_pivot
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return out
+
+
+# entries of Q(η) with small rational coordinates, zero about a third of the
+# time, as in the sparse flattenings of diagonalizable tensors
+_entries = st.one_of(
+    st.just(ZERO),
+    st.builds(CycNum, st.lists(st.fractions(-6, 6, max_denominator=4),
+                               min_size=8, max_size=8)),
+)
+_matrices = st.lists(st.lists(_entries, min_size=4, max_size=4), min_size=4, max_size=4)
 
 
 def lam(*values) -> list[CycNum]:
@@ -136,6 +167,24 @@ class TestFlattenings:
     def test_unknown_pairing_rejected(self):
         with pytest.raises(ValueError, match="unknown pairing"):
             inv.flattening_det(Tensor.basis(0), "12|43")
+
+
+class TestDeterminant:
+    @settings(max_examples=30, deadline=None)
+    @given(_matrices, st.integers(0, 3), st.integers(1, 3), _entries)
+    def test_matches_gaussian_elimination(self, m, i, shift, c):
+        d = la.det(m)
+        assert d == _gauss_det(m)
+        # swapping two rows negates the determinant
+        j = (i + shift) % 4
+        swapped = [list(row) for row in m]
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        assert la.det(swapped) == -d == _gauss_det(swapped)
+        # row i replaced by a combination of two other rows: singular
+        k = min({0, 1, 2, 3} - {i, j})
+        singular = [list(row) for row in m]
+        singular[i] = [c * x + y for x, y in zip(m[j], m[k])]
+        assert la.det(singular) == ZERO == _gauss_det(singular)
 
 
 class TestSeparation:

@@ -453,6 +453,55 @@ def test_extract_parameters_matches_elimination():
             assert None in found, i
 
 
+def _full_scan_conjugator(blk, t):
+    # the conjugator search as a scan of all of W with no root-pattern filter
+    cb = cw.seven_cartans()[blk.m - 1]
+    mu = cw.u_coords(act_tensor(g_inv(cb.gstar), t))
+    if mu is None:
+        return None
+    for w in cw.weyl_group():
+        params = ss._extract_parameters(blk.i, cw.w_act_coords(w, mu))
+        if params is None or not cw.is_regular(blk.i, params):
+            continue
+        b = g_mul(cb.gstar, g_inv(ss.weyl_lift(w)))
+        if act_tensor(b, cw.parametrize(blk.i, params)) == t:
+            return b, params
+    return None
+
+
+def test_complex_conjugator_matches_a_full_scan():
+    count = 0
+    for blk in ss.blocks():
+        lams = ss.default_lambda(blk.i, blk.j)
+        for sample in (lams, tuple(rat(3) * v for v in lams)):
+            assert blk.reality.accepts(sample)
+            for row in blk.rows:
+                t = ss.row_tensor(blk.i, blk.j, row.k, sample)
+                found = ss._complex_conjugator(blk, t)
+                assert found is not None, (blk.i, blk.j, row.k)
+                assert found == _full_scan_conjugator(blk, t), (blk.i, blk.j, row.k)
+                count += 1
+    assert count == 324
+
+
+def test_complex_conjugator_finds_none_off_the_family():
+    blk = ss.block(2, 1)
+    gstar = cw.seven_cartans()[blk.m - 1].gstar
+
+    def at(nu):
+        return act_tensor(gstar, cw.from_u_coords(nu))
+
+    # a regular point: no Weyl image lies in the family's span x4 = 0
+    generic = (rat(7), rat(3), rat(2), rat(1))
+    assert all(ss._extract_parameters(2, cw.w_act_coords(w, generic)) is None
+               for w in cw.weyl_group())
+    assert ss._complex_conjugator(blk, at(generic)) is None
+    # a wall point of the span: 2 = 1 + 1
+    wall = (rat(2), rat(1), rat(1))
+    assert not cw.is_regular(2, wall)
+    assert ss._complex_conjugator(blk, at(cw.u_coords(cw.parametrize(2, wall)))) is None
+
+
 def test_basis_coords_match_elimination():
     def reference(m, t):
         basis = cw.seven_cartans()[m - 1].basis
@@ -593,6 +642,7 @@ def test_weyl_lift_is_least_lift():
         lift = ss.weyl_lift(w)
         assert cw.h_action_matrix(lift) == w
         assert lift == g
+        assert ss._weyl_lift_inverse(w) == g_inv(lift)
 
 
 def _plain(x):
