@@ -651,6 +651,20 @@ def basis_coords(m: int, t: Tensor) -> tuple[CycNum, ...] | None:
     return tuple(coords)
 
 
+def from_basis_coords(m: int, coords: Sequence[CycNum]) -> Tensor:
+    """The element with coordinates ``coords`` in the m-th real Cartan basis.
+
+    The inverse of :func:`basis_coords`: each coordinate goes to entry ``a``
+    of its pair ``(a, b)`` and, with the sign of the basis vector, to ``b``.
+    """
+    cb = seven_cartans()[m - 1]
+    entries = [ZERO] * 16
+    for c, (a, b), vec in zip(coords, _U_PAIRS, cb.basis):
+        entries[a] = c
+        entries[b] = c if vec.c[b] == ONE else -c
+    return Tensor(entries)
+
+
 def containing_bases(t: Tensor) -> list[tuple[int, tuple[CycNum, ...]]]:
     """Every (m, coordinates) with t in the span of the m-th real Cartan basis."""
     out = []

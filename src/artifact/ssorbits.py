@@ -25,6 +25,7 @@ import ast
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Sequence
 
 from . import _linalg as la
@@ -1223,13 +1224,7 @@ def row_tensor(i: int, j: int, k: int, lams: Sequence[CycNum]) -> Tensor:
         raise ValueError(
             "parameters %r are not admissible for block (%d, %d)" % (lams, i, j)
         )
-    coords = blk.row(k).coordinates(lams)
-    basis = cw.seven_cartans()[blk.m - 1].basis
-    total = [ZERO] * 16
-    for c, vec in zip(coords, basis):
-        for pos in range(16):
-            total[pos] = total[pos] + c * vec.c[pos]
-    return Tensor(tuple(total))
+    return cw.from_basis_coords(blk.m, blk.row(k).coordinates(lams))
 
 
 def real_point(i: int, j: int, lams: Sequence[CycNum]) -> tuple[Tensor, GElt]:
@@ -1538,23 +1533,206 @@ def _blocks_by_basis(m: int) -> tuple[CaseBlock, ...]:
     return tuple(b for b in blocks() if b.m == m)
 
 
+# Every test classification makes on a (move, row) pair is the zero test of
+# a linear functional on the input's real basis coordinates c: the moves are
+# rational and the eliminator entries Gaussian rationals a + b·i, so a row of
+# E·M sends c to a·M·c + (b·M·c)·i with both terms real, and it vanishes
+# exactly when the rational functionals a·M and b·M both vanish at c.
+
+
+def _gaussian_parts(matrix) -> tuple[list, list]:
+    """Integer matrices A and B with d·matrix = A + B·i for one integer d > 0."""
+    den = lcm(*(v.den for r in matrix for v in r))
+    if any(v.nums[e] for r in matrix for v in r for e in (1, 2, 3, 5, 6, 7)):
+        raise ArithmeticError("eliminator entry is not a Gaussian rational")
+    return ([tuple(v.nums[0] * (den // v.den) for v in r) for r in matrix],
+            [tuple(v.nums[4] * (den // v.den) for v in r) for r in matrix])
+
+
+def _primitive(vec) -> tuple[int, ...]:
+    """The multiple of an integer row with coprime entries and a positive
+    leading entry: rows with one zero set get one key."""
+    g = gcd(*vec) or 1
+    if next((v for v in vec if v), 0) < 0:
+        g = -g
+    return tuple(v // g for v in vec)
+
+
+def _combine(coeffs, rows) -> tuple:
+    return tuple(sum(c * r[p] for c, r in zip(coeffs, rows)) for p in range(4))
+
+
+def _row_conditions(blk: CaseBlock, row: SSTableRow) -> tuple[list, list, list]:
+    """The tests of ``row.solve`` and ``blk.reality.accepts`` as integer rows
+    on the moved coordinates: (rows that must vanish, rows that must not,
+    groups of rows not all of which may vanish).
+
+    For a reciprocal row only the tests of ``solve`` are kept: its avoid rows
+    act on the reciprocals of the parameters, which is not linear.
+    """
+    n = len(row.matrix[0])
+    re, im = _gaussian_parts(row._elim)
+    vanish = re[n:] + im[n:]
+    re, im = re[:n], im[:n]
+    if row.reciprocal:
+        return vanish, [], [list(pair) for pair in zip(re, im)]
+    tags = blk.reality.tags
+    if len(tags) != n:
+        raise ValueError(
+            "family %d takes %d parameters, got %d" % (blk.i, len(tags), n)
+        )
+    nonzero, some = [], []
+    if "coupled" in tags:
+        # i·(l1 + l2) and l1 − l2 real and nonzero
+        vanish += [_combine((1, 1), re), _combine((1, -1), im)]
+        nonzero += [_combine((1, 1), im), _combine((1, -1), re)]
+    else:
+        for tag, r, i in zip(tags, re, im):
+            if tag == "real":
+                vanish.append(i)
+                nonzero.append(r)
+            elif tag == "imaginary":
+                vanish.append(r)
+                nonzero.append(i)
+            else:
+                some.append([r, i])
+    some += [[_combine(a, re), _combine(a, im)] for a in blk.reality.avoid]
+    return vanish, nonzero, some
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Every (move, row) decision of classification on one real basis.
+
+    The tests of all rows, as primitive integer rows on the moved coordinates,
+    become under the real moves the distinct rows ``functionals`` on the
+    input's coordinates: test k after move s is ``functionals[via[s][k]]``,
+    and ``moved[s]`` indexes the rows of M_s − I.  An entry ``(block, row,
+    vanish, nonzero, some)`` of ``rows`` holds masks over the tests (bit k
+    for test k): move s takes the coordinates to the row at admissible
+    parameters exactly when every test in ``vanish`` vanishes after the move,
+    none in ``nonzero`` does and some test of each mask in ``some`` does not;
+    a reciprocal row also needs ``accepts`` of its parameters.
+    """
+
+    functionals: tuple[tuple[int, ...], ...]
+    via: tuple[tuple[int, ...], ...]
+    moved: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple, ...]
+
+
+@lru_cache(maxsize=None)
+def _plan(m: int) -> _Plan:
+    """The classification plan of basis ``m``, in integer arithmetic.
+
+    The distinct tests of all rows on the basis are composed with each real
+    move, scaled to an integer matrix.  Raises ``ArithmeticError`` for a move
+    that is not rational or an eliminator entry that is not Gaussian.
+    """
+    tests: dict[tuple[int, ...], int] = {}
+    functionals: dict[tuple[int, ...], int] = {}
+
+    def mask(vecs) -> int:
+        # a set of distinct bits, so their sum is their union
+        return sum({1 << tests.setdefault(_primitive(v), len(tests)) for v in vecs})
+
+    def index(vec) -> int:
+        return functionals.setdefault(_primitive(vec), len(functionals))
+
+    rows = []
+    for blk in _blocks_by_basis(m):
+        for row in blk.rows:
+            vanish, nonzero, some = _row_conditions(blk, row)
+            rows.append(
+                (blk, row, mask(vanish), mask(nonzero), tuple(mask(g) for g in some))
+            )
+    via, moved = [], []
+    for move in _coordinate_moves(m):
+        if not all(v.is_rational() for r in move for v in r):
+            raise ArithmeticError("real coordinate move is not rational")
+        scale = lcm(*(v.den for r in move for v in r))
+        mat = [[v.nums[0] * (scale // v.den) for v in r] for r in move]
+        via.append(tuple(
+            index([sum(f[a] * mat[a][b] for a in range(4)) for b in range(4)])
+            for f in tests
+        ))
+        moved.append(tuple({
+            index([mat[a][b] - scale * (a == b) for b in range(4)]) for a in range(4)
+        }))
+    return _Plan(tuple(functionals), tuple(via), tuple(moved), tuple(rows))
+
+
+def _vanishing(functionals: tuple[tuple[int, ...], ...], coords: tuple) -> list[bool]:
+    """Whether each functional vanishes at ``coords``.
+
+    Over a common denominator the coordinates are sum_e eta^e·p_e with
+    integer vectors p_e, so f vanishes exactly when every f·p_e does.
+    """
+    den = lcm(*(c.den for c in coords))
+    parts = [
+        p for p in zip(*([n * (den // c.den) for n in c.nums] for c in coords))
+        if any(p)
+    ]
+    return [
+        not any(f[0] * p[0] + f[1] * p[1] + f[2] * p[2] + f[3] * p[3] for p in parts)
+        for f in functionals
+    ]
+
+
+def _matches(m: int, coords: tuple) -> list[tuple]:
+    """Each ``(s, moved, block, row, lams)`` on basis ``m``: move s takes the
+    coordinates to ``row`` at admissible parameters ``lams``; ``moved`` is 1
+    when the move changes the coordinates.  Raises ``ArithmeticError`` for
+    coordinates that are not real."""
+    if not all(c.is_real() for c in coords):
+        raise ArithmeticError("basis coordinates are not real")
+    plan = _plan(m)
+    zero = _vanishing(plan.functionals, coords)
+    moves = _coordinate_moves(m)
+    out = []
+    for s, tests in enumerate(plan.via):
+        z = sum(1 << k for k, f in enumerate(tests) if zero[f])
+        moved = 0 if all(zero[f] for f in plan.moved[s]) else 1
+        vec = None
+        for blk, row, vanish, nonzero, some in plan.rows:
+            if vanish & ~z or nonzero & z or any(not g & ~z for g in some):
+                continue
+            if vec is None:
+                vec = _apply_move(moves[s], coords)
+            lams = row.solve(vec)
+            if lams is None:
+                raise ArithmeticError("plan admitted an inconsistent row")
+            if row.reciprocal and not blk.reality.accepts(lams):
+                continue
+            out.append((s, moved, blk, row, lams))
+    return out
+
+
 def classify_semisimple(t: Tensor) -> SSOrbitLabel:
     """Identify the table row of a real semisimple tensor in canonical position.
 
-    Labels are assigned by row-shape matching.  The result carries the least
-    admissible parameter value over all matches (ordered by magnitude, then
-    sign, coordinatewise); among matches at that parameter, rows matching the
-    input's own coordinate vector win over matches reached through a real
-    coordinate symmetry, then the least (j, k, basis) is taken.  As a
-    consequence every stored table row instantiation is mapped back to its
-    printed label, including rows of the same block whose instantiations are
-    related by a real symmetry (such pairs exist; see ``row k`` lists of the
-    twisted blocks of families 2, 4, 5 and 6).  Input in the span of a real
-    Cartan basis is semisimple because that basis is a commuting semisimple
-    family, checked once per basis; only input outside every basis gets its
-    own semisimplicity test.  Raises ``ValueError`` for
-    non-real input, zero, or input with a nilpotent part, and
-    :class:`GeneralPositionError` when no table row matches (the input is
+    Labels are assigned by row-shape matching.  On each real Cartan basis
+    containing the input, every real coordinate move is tried against every
+    row of every block on that basis; a pair matches when the row takes the
+    moved coordinates at admissible parameters.  Each of those decisions is
+    the zero test of a linear functional on the input's coordinates, so the
+    basis's plan evaluates its distinct integer functionals once, in integer
+    arithmetic, and reads every decision off the resulting zero pattern;
+    parameters are solved only for the matching pairs.
+
+    The result carries the least admissible parameter value over all matches
+    (ordered by magnitude, then sign, coordinatewise); among matches at that
+    parameter, rows matching the input's own coordinate vector win over
+    matches reached through a real coordinate symmetry, then the least
+    (j, k, basis) is taken.  As a consequence every stored table row
+    instantiation is mapped back to its printed label, including rows of the
+    same block whose instantiations are related by a real symmetry (such
+    pairs exist; see ``row k`` lists of the twisted blocks of families 2, 4,
+    5 and 6).  Input in the span of a real Cartan basis is semisimple because
+    that basis is a commuting semisimple family, checked once per basis; only
+    input outside every basis gets its own semisimplicity test.  Raises
+    ``ValueError`` for non-real input, zero, or input with a nilpotent part,
+    and :class:`GeneralPositionError` when no table row matches (the input is
     not in canonical position, or its parameters are degenerate).
     """
     if not isinstance(t, Tensor):
@@ -1567,21 +1745,11 @@ def classify_semisimple(t: Tensor) -> SSOrbitLabel:
     in_semisimple_span = any(cw.cartan_is_semisimple(m) for m, _ in bases)
     if not in_semisimple_span and not liealg.is_semisimple(t):
         raise ValueError("has nilpotent part")
-    candidates = []
-    for m, coords in bases:
-        for move in _coordinate_moves(m):
-            vec = _apply_move(move, coords)
-            moved = 0 if vec == coords else 1
-            for blk in _blocks_by_basis(m):
-                for row in blk.rows:
-                    lams = row.solve(vec)
-                    if lams is None:
-                        continue
-                    if not blk.reality.accepts(lams):
-                        continue
-                    candidates.append(
-                        (_lambda_key(lams), moved, blk.j, row.k, m, blk.i, lams)
-                    )
+    candidates = [
+        (_lambda_key(lams), moved, blk.j, row.k, m, blk.i, lams)
+        for m, coords in bases
+        for _, moved, blk, row, lams in _matches(m, coords)
+    ]
     if not candidates:
         cdim = liealg.centralizer_dim(t)
         ddim = liealg.derived_dim_of_centralizer(t)

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from artifact import _linalg as la
 from artifact import cartanweyl as cw
@@ -255,6 +257,44 @@ def test_row_tensors_distinct():
             assert key not in seen, ((blk.i, blk.j, row.k), seen[key])
             seen[key] = (blk.i, blk.j, row.k)
     assert len(seen) == 162
+
+
+def _draw_lambda(pick, pattern):
+    # parameters of the shapes the tags ask for, from nonzero rationals pick();
+    # the avoid rows are not consulted
+    if "coupled" in pattern.tags:
+        u, v = rat(pick()), rat(pick())
+        return (u + v * IMAG, v * IMAG - u)
+    return tuple(
+        rat(pick()) * (IMAG if tag == "imaginary" else ONE) for tag in pattern.tags
+    )
+
+
+def _random_admissible(rng, pattern):
+    def pick():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 4))
+
+    while True:
+        lams = _draw_lambda(pick, pattern)
+        if pattern.accepts(lams):
+            return lams
+
+
+def test_row_tensor_is_the_dense_basis_sum():
+    rng = random.Random(14)
+    count = 0
+    for blk in ss.blocks():
+        basis = cw.seven_cartans()[blk.m - 1].basis
+        for lams in (ss.default_lambda(blk.i, blk.j),
+                     _random_admissible(rng, blk.reality)):
+            for row in blk.rows:
+                dense = [ZERO] * 16
+                for c, vec in zip(row.coordinates(lams), basis):
+                    for pos in range(16):
+                        dense[pos] = dense[pos] + c * vec.c[pos]
+                assert ss.row_tensor(blk.i, blk.j, row.k, lams) == Tensor(tuple(dense))
+                count += 1
+    assert count == 2 * 162
 
 
 def test_within_block_invariants_agree():
@@ -818,6 +858,156 @@ def test_classify_general_position():
     payload = exc.value.payload
     assert "families" in payload and "invariants" in payload
     assert 1 in payload["families"]
+
+
+def _reference_classify(t):
+    # the row-by-row loop classify_semisimple ran before its plan: every real
+    # move against every row, each pair solved and tested in field arithmetic
+    if not t.is_real():
+        raise ValueError("not a real state")
+    if t.is_zero():
+        raise ValueError("zero state: no orbit label")
+    bases = cw.containing_bases(t)
+    if not any(cw.cartan_is_semisimple(m) for m, _ in bases) and not liealg.is_semisimple(t):
+        raise ValueError("has nilpotent part")
+    candidates = []
+    for m, coords in bases:
+        for move in ss._coordinate_moves(m):
+            vec = ss._apply_move(move, coords)
+            moved = 0 if vec == coords else 1
+            for blk in ss._blocks_by_basis(m):
+                for row in blk.rows:
+                    lams = row.solve(vec)
+                    if lams is None or not blk.reality.accepts(lams):
+                        continue
+                    candidates.append(
+                        (ss._lambda_key(lams), moved, blk.j, row.k, m, blk.i, lams)
+                    )
+    if not candidates:
+        cdim = liealg.centralizer_dim(t)
+        ddim = liealg.derived_dim_of_centralizer(t)
+        raise ss.GeneralPositionError({
+            "centralizer_dim": cdim,
+            "derived_centralizer_dim": ddim,
+            "families": sorted(
+                i for i, dims in ss._FAMILY_DIMS.items() if dims == (cdim, ddim)
+            ),
+            "invariants": invariants.invariants_of(t),
+        })
+    _, _, j, k, m, i, lams = min(candidates, key=lambda c: c[:6])
+    return ss.SSOrbitLabel(i=i, j=j, k=k, m=m, lams=tuple(lams))
+
+
+def _outcome(classify, t):
+    try:
+        return classify(t)
+    except ss.GeneralPositionError as exc:
+        return ("general position", exc.payload)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+_NONZERO_RATIONALS = st.builds(
+    Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 4)
+)
+
+
+@pytest.mark.parametrize("ij", [(b.i, b.j) for b in ss.blocks()], ids=str)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_classify_matches_the_row_by_row_loop(ij, data):
+    # admissible parameters, and parameters on an avoid hyperplane or with a
+    # zero entry, which the classifier resolves through other rows or rejects
+    blk = ss.block(*ij)
+    row = data.draw(st.sampled_from(blk.rows))
+    lams = list(_draw_lambda(lambda: data.draw(_NONZERO_RATIONALS), blk.reality))
+    kinds = ["admissible"]
+    kinds += [("avoid", a) for a in blk.reality.avoid]
+    if not row.reciprocal:
+        kinds += [("zero", p) for p in range(len(lams))]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "admissible":
+        assume(blk.reality.accepts(lams))
+        t = ss.row_tensor(blk.i, blk.j, row.k, lams)
+    else:
+        if kind[0] == "zero":
+            lams[kind[1]] = ZERO
+        else:
+            a = kind[1]
+            p = max(q for q, c in enumerate(a) if c)
+            rest = _rat_dot(a[:p] + (0,) + a[p + 1:], lams)
+            lams[p] = rest.scale(Fraction(-1, a[p]))
+            assume(lams[p] or not row.reciprocal)
+        t = cw.from_basis_coords(blk.m, row.coordinates(lams))
+    assert _outcome(ss.classify_semisimple, t) == _outcome(_reference_classify, t)
+
+
+def test_plan_decides_every_pair_like_solve_and_accepts():
+    # each (move, row) the plan admits, and only those, has a solution that
+    # accepts takes, with the same parameters and the same moved flag
+    admitted = 0
+    for blk in ss.blocks():
+        lams = ss.default_lambda(blk.i, blk.j)
+        for row in blk.rows:
+            t = ss.row_tensor(blk.i, blk.j, row.k, lams)
+            for m, coords in cw.containing_bases(t):
+                want = set()
+                for s, move in enumerate(ss._coordinate_moves(m)):
+                    vec = ss._apply_move(move, coords)
+                    for b in ss._blocks_by_basis(m):
+                        for r in b.rows:
+                            sol = r.solve(vec)
+                            if sol is not None and b.reality.accepts(sol):
+                                want.add((s, int(vec != coords), b.i, b.j, r.k, sol))
+                got = [(s, moved, b.i, b.j, r.k, sol)
+                       for s, moved, b, r, sol in ss._matches(m, coords)]
+                assert len(got) == len(set(got))
+                assert set(got) == want, (blk.i, blk.j, row.k, m)
+                admitted += len(got)
+    assert admitted > 162
+
+
+@pytest.fixture
+def fresh_plans():
+    ss._plan.cache_clear()
+    yield
+    ss._plan.cache_clear()
+
+
+_SQRT2 = CycNum((0, 0, 1, 0, 0, 0, -1, 0))
+
+
+def test_plan_rejects_a_move_that_is_not_rational(monkeypatch, fresh_plans):
+    moves = ss._coordinate_moves(1)
+    bent = (tuple(tuple(v * _SQRT2 for v in r) for r in moves[0]),) + moves[1:]
+    assert all(v.is_real() for r in bent[0] for v in r)
+    monkeypatch.setattr(ss, "_coordinate_moves", lambda m: bent)
+    with pytest.raises(ArithmeticError, match="not rational"):
+        ss.classify_semisimple(ss.row_tensor(1, 1, 1, ss.default_lambda(1, 1)))
+
+
+def test_plan_rejects_an_eliminator_that_is_not_gaussian(monkeypatch, fresh_plans):
+    # a row scaled by sqrt(2) has an eliminator with entries in Q(sqrt 2)
+    blk = ss.block(7, 1)
+    row = blk.rows[0]
+    scaled = dataclasses.replace(
+        row, matrix=tuple(tuple(c * _SQRT2 for c in r) for r in row.matrix)
+    )
+    bent = dataclasses.replace(blk, rows=(scaled,) + blk.rows[1:])
+    others = tuple(b for b in ss._blocks_by_basis(1) if b is not blk)
+    monkeypatch.setattr(ss, "_blocks_by_basis", lambda m: others + (bent,))
+    with pytest.raises(ArithmeticError, match="not a Gaussian rational"):
+        ss.classify_semisimple(ss.row_tensor(1, 1, 1, ss.default_lambda(1, 1)))
+
+
+def test_classify_rejects_coordinates_that_are_not_real(monkeypatch):
+    t = ss.row_tensor(1, 1, 1, ss.default_lambda(1, 1))
+    (m, coords), = cw.containing_bases(t)
+    monkeypatch.setattr(
+        cw, "containing_bases", lambda x: [(m, (IMAG * coords[0],) + coords[1:])]
+    )
+    with pytest.raises(ArithmeticError, match="not real"):
+        ss.classify_semisimple(t)
 
 
 # ---------------------------------------------------------------------------
