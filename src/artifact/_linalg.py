@@ -8,7 +8,7 @@ heuristics beyond "first nonzero" are needed.
 
 from __future__ import annotations
 
-from .exactfield import ONE, ZERO, CycNum
+from .exactfield import ONE, ZERO, CycNum, common_numerators, mul_acc
 
 Vec = list[CycNum]
 Mat = list[list[CycNum]]
@@ -136,20 +136,32 @@ def inverse(a: Mat) -> Mat:
 def det(a: Mat) -> CycNum:
     """Determinant by Laplace expansion along the first row, without division.
 
-    Zero entries of the row are skipped, so the sparse flattenings of
-    diagonalizable tensors expand into few minors; no field element is
-    inverted.  Meant for the small matrices of the invariants (4×4): the
-    cost grows as n!.
+    The entries are brought to one denominator D once
+    (:func:`exactfield.common_numerators`), the expansion runs on their
+    integer numerators, and the result is their determinant over D^n,
+    reduced once.  Zero entries of the row are skipped, so the sparse
+    flattenings of diagonalizable tensors expand into few minors; no field
+    element is inverted.  Meant for the small matrices of the invariants
+    (4×4): the cost grows as n!.
     """
     n = len(a)
-    if n == 1:
-        return a[0][0]
-    out = ZERO
-    for j, x in enumerate(a[0]):
-        if x:
-            term = x * det([row[:j] + row[j + 1:] for row in a[1:]])
-            out = out - term if j % 2 else out + term
-    return out
+    nums, den = common_numerators(x for row in a for x in row)
+    out = _det_numerators([nums[r * n:(r + 1) * n] for r in range(n)])
+    return ZERO if out is None else CycNum._make(out, den ** n)
+
+
+def _det_numerators(rows: list) -> list[int] | tuple[int, ...] | None:
+    """The determinant of a matrix of integer 8-tuples (None for zero)."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = [0] * 8
+    for j, x in enumerate(rows[0]):
+        if x is None:
+            continue
+        minor = _det_numerators([row[:j] + row[j + 1:] for row in rows[1:]])
+        if minor is not None:
+            mul_acc(acc, tuple(-v for v in x) if j % 2 else x, minor)
+    return acc if any(acc) else None
 
 
 def span_dim(vectors: list[Vec]) -> int:
@@ -264,6 +276,7 @@ def minimal_polynomial(a: Mat) -> Poly:
     # express cur in terms of the lower powers
     cols = transpose([[x for row in p for x in row] for p in powers])
     coeffs = solve(cols, [x for row in cur for x in row])
-    assert coeffs is not None
+    if coeffs is None:
+        raise ArithmeticError("matrix power outside the span of the lower powers")
     poly = [-c for c in coeffs] + [ONE]
     return poly_trim(poly)

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from ._orbits import orbit, orbit_classes
-from .exactfield import ONE, ZERO, CycNum, rat
+from .exactfield import ONE, ZERO, CycNum, common_numerators, rat
 from .groupaction import (
     D,
     GElt,
@@ -91,17 +91,6 @@ class RestrictedRoot:
     coeffs: tuple[int, int, int, int]  # alpha(u_k)
     vector: tuple  # LieElt as tuple for hashability
     h_alpha: tuple[Fraction, Fraction, Fraction, Fraction]  # u-coordinates
-
-    @property
-    def functional(self) -> tuple[CycNum, CycNum, CycNum, CycNum]:
-        return tuple(rat(c) for c in self.coeffs)  # type: ignore[return-value]
-
-    def value_at(self, coords: Sequence[CycNum]) -> CycNum:
-        out = ZERO
-        for c, x in zip(self.coeffs, coords):
-            if c:
-                out = out + x.scale(c)
-        return out
 
 
 #: The 24 restricted roots, each as its functional alpha (the values
@@ -444,11 +433,20 @@ def member_roots(i: int) -> frozenset[tuple[int, ...]]:
 def vanishing_roots(coords: Sequence[CycNum]) -> frozenset[tuple[int, ...]]:
     """Functionals of the restricted roots that vanish at ``coords``.
 
-    A root and its negative vanish together, and the roots are sorted, so
-    the negative of the a-th is the (23 - a)-th: only the first 12 are
-    evaluated.
+    The coordinates are brought to one denominator
+    (:func:`exactfield.common_numerators`); a root vanishes exactly when
+    its integer dot product with their numerators does, in each of the
+    eight positions.  A root and its negative vanish together, and the
+    roots are sorted, so the negative of the a-th is the (23 - a)-th: only
+    the first 12 are evaluated.
     """
-    half = [r.coeffs for r in restricted_roots()[:12] if not r.value_at(coords)]
+    nums, _ = common_numerators(coords)
+    # one column per position that is nonzero in some coordinate
+    columns = [col for col in zip(*(n or (0,) * 8 for n in nums)) if any(col)]
+    half = [
+        r.coeffs for r in restricted_roots()[:12]
+        if not any(sum(c * x for c, x in zip(r.coeffs, col)) for col in columns)
+    ]
     return frozenset(half + [tuple(-c for c in k) for k in half])
 
 
@@ -482,18 +480,6 @@ def component_membership(p: Tensor) -> int:
     if pattern not in table:
         raise ArithmeticError("vanishing pattern matches no complete subsystem")
     return table[pattern]
-
-
-def is_regular(i: int, lams: Sequence[CycNum]) -> bool:
-    """Whether the parameters put the element inside h_{Pi_i}° (exact test).
-
-    Raises ``ArithmeticError`` if the parametrized element falls outside
-    the Cartan subspace.
-    """
-    coords = u_coords(parametrize(i, lams))
-    if coords is None:
-        raise ArithmeticError("subsystem %d parametrizes outside the Cartan subspace" % i)
-    return vanishing_roots(coords) == member_roots(i)
 
 
 # -- the complement groups Gamma and their H^1 ----------------------------------------

@@ -250,6 +250,50 @@ def _reduce(nums: list[int] | tuple[int, ...], den: int) -> tuple[tuple[int, ...
     return tuple(nums), den
 
 
+# -- integer kernels -------------------------------------------------------------
+#
+# Hot loops that combine many field elements work on integer numerators over
+# one common denominator and convert back with ``CycNum._make`` once per
+# result, instead of reducing after every product and sum.
+
+def common_numerators(
+    values: Iterable[CycNum],
+) -> tuple[list[tuple[int, ...] | None], int]:
+    """The numerators of ``values`` over their least common denominator.
+
+    Returns ``(nums, den)`` with ``values[k] == nums[k] / den``: each entry
+    an integer 8-tuple, or None where the value is zero.
+    """
+    values = list(values)
+    den = 1
+    for v in values:
+        if v.den != den:
+            den = den * v.den // gcd(den, v.den)
+    out: list[tuple[int, ...] | None] = []
+    for v in values:
+        if v.nums == _ZERO8:
+            out.append(None)
+        elif v.den == den:
+            out.append(v.nums)
+        else:
+            f = den // v.den
+            out.append(tuple(n * f for n in v.nums))
+    return out, den
+
+
+def mul_acc(acc: list[int], a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    """Add the product a·b modulo x^8 + 1 into the integer list ``acc``."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    k = i + j
+                    if k < 8:
+                        acc[k] += x * y
+                    else:
+                        acc[k - 8] -= x * y
+
+
 # -- distinguished constants --------------------------------------------------
 
 ZERO = CycNum._raw(_ZERO8, 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .exactfield import IMAG, ONE, ZERO, CycNum, rat
+from .exactfield import IMAG, ONE, ZERO, CycNum, common_numerators, mul_acc, rat
 from .liealg import LieElt, Tensor, g0_to_quad_mats, quad_mats_to_g0
 
 Mat2 = tuple[tuple[CycNum, CycNum], tuple[CycNum, CycNum]]
@@ -149,26 +149,37 @@ def g_key(x: GElt) -> tuple:
 # -- actions -------------------------------------------------------------------------
 
 def act_tensor(g: GElt, t: Tensor) -> Tensor:
-    """Slot-wise action: factor k acts on tensor index position k."""
-    coeffs = list(t.c)
+    """Slot-wise action: factor k acts on tensor index position k.
+
+    Runs on integer numerators (:func:`exactfield.common_numerators`): the
+    tensor's over one denominator, each moving slot's matrix over its own,
+    so the result's denominator is their product and each of its sixteen
+    coefficients is reduced once at the end.
+    """
+    coeffs, den = common_numerators(t.c)
     for slot in range(4):
         a = g[slot]
         if a == I2:
             continue
+        entries, d = common_numerators((a[0][0], a[0][1], a[1][0], a[1][1]))
+        den *= d
         bit = 8 >> slot
-        out = [ZERO] * 16
+        out: list = [None] * 16
         for ti in range(16):
             c = coeffs[ti]
-            if not c:
+            if c is None:
                 continue
             col = 1 if ti & bit else 0
             for row in (0, 1):
-                v = a[row][col]
-                if v:
+                v = entries[2 * row + col]
+                if v is not None:
                     target = (ti & ~bit) | (bit if row else 0)
-                    out[target] = out[target] + v * c
-        coeffs = out
-    return Tensor(coeffs)
+                    acc = out[target]
+                    if acc is None:
+                        acc = out[target] = [0] * 8
+                    mul_acc(acc, v, c)
+        coeffs = [acc if acc is not None and any(acc) else None for acc in out]
+    return Tensor([ZERO if c is None else CycNum._make(c, den) for c in coeffs])
 
 
 def act_g0(g: GElt, h: LieElt) -> LieElt:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _linalg as la
-from .exactfield import CycNum, ZERO, ONE, cyc_to_str
+from .exactfield import CycNum, ZERO, ONE, common_numerators, cyc_to_str, mul_acc
 from .liealg import Tensor, bracket, build_d4, g1_to_tensor, tensor_to_g1
 
 
@@ -132,12 +132,32 @@ def derive_quadratic() -> dict[tuple[int, int], CycNum]:
     return table
 
 
+@lru_cache(maxsize=1)
+def _quadratic_numerators() -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], int]:
+    """The table of :func:`derive_quadratic` over one denominator:
+    ``(terms, den)`` with each term ``(i, j, numerators of c_ij)``."""
+    table = derive_quadratic()
+    nums, den = common_numerators(table.values())
+    return tuple((i, j, c) for (i, j), c in zip(table, nums)), den
+
+
 def quadratic(t: Tensor) -> CycNum:
-    """Value of the derived degree-2 invariant at ``t``."""
-    total = ZERO
-    for (i, j), c in derive_quadratic().items():
-        total = total + c * t.c[i] * t.c[j]
-    return total
+    """Value of the derived degree-2 invariant at ``t``.
+
+    The sum of c_ij·t_i·t_j runs on integer numerators: the table's over
+    its common denominator Dq, the tensor's over its own Dt, so the total
+    is reduced once, over Dq·Dt².
+    """
+    terms, den = _quadratic_numerators()
+    coeffs, tden = common_numerators(t.c)
+    total = [0] * 8
+    for i, j, c in terms:
+        a, b = coeffs[i], coeffs[j]
+        if a is not None and b is not None:
+            ca = [0] * 8
+            mul_acc(ca, c, a)
+            mul_acc(total, ca, b)
+    return CycNum._make(total, den * tden * tden)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,8 @@ class LieAlgebraD4:
                 add_root(comb(-1, -1), _iadd(_iunit(8 - j, i - 1), _iunit(8 - i, j - 1), -1))
 
         self.dimension = len(mats)
-        assert self.dimension == 28
+        if self.dimension != 28:
+            raise ArithmeticError("expected 28 basis matrices, found %d" % self.dimension)
         self.basis_names = names
         self.eps_roots = eps_roots
         self._int_mats = mats
@@ -120,7 +121,8 @@ class LieAlgebraD4:
         for m in mats:
             pos = next((a, b) for a in range(8) for b in range(8) if m[a][b] == 1)
             probes.append(pos)
-        assert len(set(probes)) == 28
+        if len(set(probes)) != 28:
+            raise ArithmeticError("witness entries of the basis are not distinct")
         self._probes = probes
 
         # Structure constants: [b_i, b_j] = sum_k  c_k b_k, integer c.
@@ -153,11 +155,11 @@ class LieAlgebraD4:
                 gamma_roots.append(None)
                 continue
             sol = la.solve(basis_cols, [rat(x) for x in eps])
-            assert sol is not None
+            if sol is None:
+                raise ArithmeticError("root %r outside the simple-root span" % (eps,))
+            if any(c.to_fraction().denominator != 1 for c in sol):
+                raise ArithmeticError("non-integral root coordinates")
             coeffs = tuple(int(c.to_fraction()) for c in sol)
-            assert all(
-                Fraction(c.to_fraction()).denominator == 1 for c in sol
-            ), "non-integral root coordinates"
             gamma_roots.append(coeffs)
         self.gamma_roots = gamma_roots
 
@@ -170,7 +172,8 @@ class LieAlgebraD4:
         self.g1_indices = [
             k for k in range(28) if gamma_roots[k] is not None and gamma_roots[k][1] % 2 == 1
         ]
-        assert (len(self.g0_indices), len(self.g1_indices)) == (12, 16)
+        if (len(self.g0_indices), len(self.g1_indices)) != (12, 16):
+            raise ArithmeticError("grading does not split the algebra as 12 + 16")
 
         # The four sl2 ideals of g0 (one per tensor slot).  Each triple is
         # (e, h, f) with h given as integer coordinates over H_1..H_4.
@@ -212,12 +215,15 @@ class LieAlgebraD4:
                 for idx, (a, b) in enumerate(probes)
                 if m[a][b] != 0
             ]
-            assert len(hits) == 1 and abs(hits[0][1]) == 1, "tensor basis not monomial"
+            if len(hits) != 1 or abs(hits[0][1]) != 1:
+                raise ArithmeticError("tensor basis not monomial")
             idx, sign = hits[0]
             recon = [[sign * x for x in row] for row in mats[idx]]
-            assert _izero(_iadd(m, recon, -1))
+            if not _izero(_iadd(m, recon, -1)):
+                raise ArithmeticError("tensor basis element is not a signed basis matrix")
             table.append((idx, sign))
-        assert sorted(idx for idx, _ in table) == sorted(self.g1_indices)
+        if sorted(idx for idx, _ in table) != sorted(self.g1_indices):
+            raise ArithmeticError("tensor basis does not cover the degree-one part")
         self.tensor_table = table
 
         self.basis_mats = [
@@ -552,7 +558,8 @@ def g0_to_quad_mats(x: LieElt) -> list[la.Mat]:
     # Cartan part: express over the four slot h's.
     hmat = la.transpose([[rat(v) for v in alg.slot_h[s]] for s in range(4)])
     bcoef = la.solve(hmat, [x[a] for a in range(4)])
-    assert bcoef is not None
+    if bcoef is None:
+        raise ArithmeticError("Cartan part outside the span of the slot h's")
     out = []
     for s in range(4):
         a = x[alg.slot_e[s]]

@@ -1284,28 +1284,42 @@ def _extract_parameters(i: int, vec: tuple) -> tuple | None:
     return tuple(sol)
 
 
+@lru_cache(maxsize=None)
+def _lifted_conjugator(m: int, w_index: int) -> GElt:
+    """gstar·lift(w)⁻¹ for the real form m and the w at ``w_index`` of
+    :func:`cartanweyl.weyl_group`."""
+    gstar = cw.seven_cartans()[m - 1].gstar
+    return g_mul(gstar, _weyl_lift_inverse(cw.weyl_group()[w_index]))
+
+
 def _complex_conjugator(blk: CaseBlock, t: Tensor) -> tuple | None:
     """A pair ``(b, mu)`` with act(b, q(mu)) == t, or None.
 
     ``t`` is taken back to the Cartan subspace by the inverse of the
-    real-basis witness ``gstar``, with coordinates nu.  A coordinate
-    symmetry w can carry nu to a regular point q(mu) of the family only if
-    it maps the set Z(nu) of restricted roots vanishing at nu onto the
-    roots vanishing on the family's span (:func:`cartanweyl.member_roots`),
-    since the roots vanishing at w·nu are the images of Z(nu) under w's
-    root permutation (:func:`cartanweyl.root_permutations`).  Z(nu) is
-    computed once, and the symmetries are scanned in the order of
-    :func:`cartanweyl.weyl_group` through that integer test alone; only a
-    w that passes it is applied to nu, solved for the parameters mu,
-    checked regular, and checked exactly by act(b, q(mu)) == t with
-    b = gstar·lift(w)⁻¹.  The first w that passes every check is the one
-    a scan of all of W with the same checks would return.
+    real-basis witness ``gstar``: it sends the l-th real basis vector to
+    tau_l·u_l (:func:`_twist_factors`), so the coordinates there are
+    nu_l = tau_l·c_l, c the coordinates of ``t`` in the real basis
+    (:func:`cartanweyl.basis_coords`); None when ``t`` is outside its span.
+    A coordinate symmetry w can carry nu to a regular point q(mu) of the
+    family only if it maps the set Z(nu) of restricted roots vanishing at
+    nu onto the roots vanishing on the family's span
+    (:func:`cartanweyl.member_roots`), since the roots vanishing at w·nu are
+    the images of Z(nu) under w's root permutation
+    (:func:`cartanweyl.root_permutations`).  Z(nu) is computed once, and the
+    symmetries are scanned in the order of :func:`cartanweyl.weyl_group`
+    through that integer test alone; only a w that passes it is applied to
+    nu, solved exactly for the parameters mu (:func:`_extract_parameters`),
+    and checked by act(b, q(mu)) == t with b = gstar·lift(w)⁻¹, cached per
+    (m, w).  A w that passes the test and the solve puts mu in the family's
+    regular part: the roots vanishing at q(mu) = w·nu are the image of
+    Z(nu), which is the member roots.  So the first w that passes every
+    check is the one a scan of all of W with a regularity check would
+    return.
     """
-    cb = cw.seven_cartans()[blk.m - 1]
-    back = act_tensor(_gstar_inverse(blk.m), t)
-    nu = cw.u_coords(back)
-    if nu is None:
+    coords = cw.basis_coords(blk.m, t)
+    if coords is None:
         return None
+    nu = tuple(tau * c for tau, c in zip(_twist_factors(blk.m), coords))
     roots = cw.restricted_roots()
     members = cw.member_roots(blk.i)
     vanishing = cw.vanishing_roots(nu)
@@ -1313,15 +1327,14 @@ def _complex_conjugator(blk: CaseBlock, t: Tensor) -> tuple | None:
     zero = [a for a, r in enumerate(roots) if r.coeffs in vanishing]
     if len(zero) != len(target):
         return None
-    for w, perm in zip(cw.weyl_group(), cw.root_permutations()):
+    for index, (w, perm) in enumerate(zip(cw.weyl_group(), cw.root_permutations())):
         if any(perm[a] not in target for a in zero):
             continue
         params = _extract_parameters(blk.i, cw.w_act_coords(w, nu))
-        if params is None or not cw.is_regular(blk.i, params):
+        if params is None:
             continue
-        b = g_mul(cb.gstar, _weyl_lift_inverse(w))
-        q = cw.parametrize(blk.i, params)
-        if act_tensor(b, q) == t:
+        b = _lifted_conjugator(blk.m, index)
+        if act_tensor(b, cw.parametrize(blk.i, params)) == t:
             return b, params
     return None
 
@@ -1356,6 +1369,10 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
                 t: Tensor | None = None, refs: dict | None = None) -> list[dict]:
     """Failures of one row.
 
+    The caller has checked ``lams`` admissible.  The row's tensor is
+    written from ``row.coordinates(lams)``, computed once, into the pair
+    entries of the block's real basis (:func:`cartanweyl.from_basis_coords`);
+    a passed-in ``t`` goes through every check against those coordinates.
     The reference invariants of the expected complex orbit depend only on
     the block, ``lams`` and ``row.reciprocal``; ``refs`` maps the reciprocal
     flag to those already computed for this block and ``lams``, and is
@@ -1367,15 +1384,15 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
     def fail(check: str, detail: str = ""):
         failures.append({"row": rid, "check": check, "detail": detail})
 
+    expected = row.coordinates(lams)
     if t is None:
-        t = row_tensor(blk.i, blk.j, row.k, lams)
+        t = cw.from_basis_coords(blk.m, expected)
     if not t.is_real():
         fail("real", "representative has non-real coefficients")
     coords = cw.basis_coords(blk.m, t)
     if coords is None:
         fail("basis", "not in the stated real canonical subspace")
         return failures
-    expected = row.coordinates(lams)
     if tuple(coords) != tuple(expected):
         fail("coordinates", "coordinates do not match the row formulas")
         return failures
@@ -1435,10 +1452,14 @@ def verify_ss_tables(case: int | None = None) -> dict:
     and exact coordinates in the stated real canonical subspace,
     semisimplicity, an explicit conjugator onto the family's canonical
     element, and invariants equal to those of the expected complex orbit.
-    The conjugator is searched over the coordinate symmetries, but only a
-    symmetry whose root permutation carries the row's vanishing roots onto
-    the family's is tried in the field (:func:`_complex_conjugator`), and
-    the one found is checked exactly.  The reference invariants are
+    Each row's coordinates are evaluated once, and its tensor is written
+    from them.  The conjugator is searched over the coordinate symmetries,
+    but only a symmetry whose root permutation carries the row's vanishing
+    roots onto the family's is tried in the field (:func:`_complex_conjugator`),
+    and the one found is checked exactly.  The group action, the root zero
+    tests and the invariants run on integer numerators over one common
+    denominator per call (:func:`exactfield.common_numerators`), so each
+    result is reduced once.  The reference invariants are
     computed once per block (and once more for reciprocal rows), so the
     non-reciprocal rows of a block are all compared with one shared value
     and agree with each other when they pass.  A row tensor in the span of

@@ -13,7 +13,9 @@ from artifact.exactfield import (
     ONE,
     ZERO,
     CycNum,
+    common_numerators,
     cyc_to_str,
+    mul_acc,
     parse_cyc,
     rat,
 )
@@ -148,6 +150,25 @@ class TestFieldAxioms:
             assert a * a.inverse() == ONE
             assert a + (-a) == ZERO
             count += 1
+
+
+class TestIntegerKernels:
+    @given(st.lists(st.one_of(st.just(ZERO), cycnums), max_size=6))
+    @settings(max_examples=30)
+    def test_common_numerators_share_one_denominator(self, values):
+        nums, den = common_numerators(values)
+        assert len(nums) == len(values)
+        for v, n in zip(values, nums):
+            assert (n is None) == (not v)
+            assert (CycNum(n, den) if n is not None else ZERO) == v
+            assert den % v.den == 0
+
+    @given(cycnums, cycnums, st.lists(st.integers(-9, 9), min_size=8, max_size=8))
+    @settings(max_examples=50)
+    def test_mul_acc_adds_the_product(self, a, b, acc):
+        out = list(acc)
+        mul_acc(out, a.nums, b.nums)
+        assert CycNum(out, a.den * b.den) == CycNum(acc, a.den * b.den) + a * b
 
 
 class TestGalois:

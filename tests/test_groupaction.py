@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from artifact.exactfield import (
     IMAG,
@@ -14,6 +16,7 @@ from artifact.exactfield import (
 )
 from artifact.groupaction import (
     D,
+    I2,
     IDENTITY,
     GElt,
     PermAuto,
@@ -113,7 +116,55 @@ class TestNamedMatrices:
         )
 
 
+def _act_tensor_reference(g, t):
+    # the slot-wise action one CycNum product and sum at a time
+    coeffs = list(t.c)
+    for slot in range(4):
+        a = g[slot]
+        if a == I2:
+            continue
+        bit = 8 >> slot
+        out = [ZERO] * 16
+        for ti in range(16):
+            c = coeffs[ti]
+            if not c:
+                continue
+            col = 1 if ti & bit else 0
+            for row in (0, 1):
+                v = a[row][col]
+                if v:
+                    target = (ti & ~bit) | (bit if row else 0)
+                    out[target] = out[target] + v * c
+        coeffs = out
+    return Tensor(coeffs)
+
+
+# entries of mixed denominators: zero, rational, a single power of eta, or general
+_entries = st.one_of(
+    st.just(ZERO),
+    st.fractions(-6, 6, max_denominator=6).map(rat),
+    st.builds(lambda q, k: CycNum.eta_power(k).scale(q),
+              st.fractions(-6, 6, max_denominator=6), st.integers(0, 15)),
+    st.builds(CycNum, st.lists(st.fractions(-4, 4, max_denominator=5),
+                               min_size=8, max_size=8)),
+)
+_factors = st.one_of(st.just(I2), st.builds(mat2, _entries, _entries, _entries, _entries))
+_tensors = st.one_of(
+    st.just(Tensor.zero()),
+    st.builds(Tensor, st.lists(_entries, min_size=16, max_size=16)),
+    # sparse: a few entries, the rest zero
+    st.dictionaries(st.integers(0, 15), _entries, max_size=3).map(
+        lambda d: Tensor([d.get(k, ZERO) for k in range(16)])),
+)
+
+
 class TestTensorAction:
+    @seed(1501)
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(_factors, _factors, _factors, _factors), _tensors)
+    def test_matches_the_field_loop(self, g, t):
+        assert act_tensor(g, t) == _act_tensor_reference(g, t)
+
     def test_identity_acts_trivially(self):
         rng = random.Random(7)
         for _ in range(5):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from artifact import _linalg as la
@@ -71,7 +71,26 @@ def random_tensor(rng) -> Tensor:
     )
 
 
+def _dense_quadratic(t):
+    # the sum over all 136 monomials t_i·t_j (i ≤ j), one CycNum product at a time
+    table = inv.derive_quadratic()
+    total = ZERO
+    for i in range(16):
+        for j in range(i, 16):
+            c = table.get((i, j), ZERO)
+            total = total + c * t.c[i] * t.c[j]
+    return total
+
+
 class TestQuadratic:
+    @seed(1503)
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(_entries, min_size=16, max_size=16))
+    def test_matches_the_dense_sum(self, entries):
+        t = Tensor(entries)
+        assert inv.quadratic(t) == _dense_quadratic(t)
+        assert inv.quadratic(Tensor.zero()) == ZERO
+
     def test_coefficient_table_is_the_complement_pairing(self):
         table = inv.derive_quadratic()
         assert len(table) == 8
@@ -169,7 +188,29 @@ class TestFlattenings:
             inv.flattening_det(Tensor.basis(0), "12|43")
 
 
+def _laplace_det(a):
+    # the division-free Laplace expansion one CycNum product and sum at a time
+    if len(a) == 1:
+        return a[0][0]
+    out = ZERO
+    for j, x in enumerate(a[0]):
+        if x:
+            term = x * _laplace_det([row[:j] + row[j + 1:] for row in a[1:]])
+            out = out - term if j % 2 else out + term
+    return out
+
+
+_square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
 class TestDeterminant:
+    @seed(1502)
+    @settings(max_examples=40, deadline=None)
+    @given(_square_matrices)
+    def test_matches_the_field_loop(self, m):
+        assert la.det(m) == _laplace_det(m)
+
     @settings(max_examples=30, deadline=None)
     @given(_matrices, st.integers(0, 3), st.integers(1, 3), _entries)
     def test_matches_gaussian_elimination(self, m, i, shift, c):

@@ -493,6 +493,12 @@ def test_extract_parameters_matches_elimination():
             assert None in found, i
 
 
+def _is_regular(i, params):
+    # the parameters put q(params) in the regular part of family i
+    coords = cw.u_coords(cw.parametrize(i, params))
+    return cw.vanishing_roots(coords) == cw.member_roots(i)
+
+
 def _full_scan_conjugator(blk, t):
     # the conjugator search as a scan of all of W with no root-pattern filter
     cb = cw.seven_cartans()[blk.m - 1]
@@ -501,7 +507,7 @@ def _full_scan_conjugator(blk, t):
         return None
     for w in cw.weyl_group():
         params = ss._extract_parameters(blk.i, cw.w_act_coords(w, mu))
-        if params is None or not cw.is_regular(blk.i, params):
+        if params is None or not _is_regular(blk.i, params):
             continue
         b = g_mul(cb.gstar, g_inv(ss.weyl_lift(w)))
         if act_tensor(b, cw.parametrize(blk.i, params)) == t:
@@ -524,6 +530,21 @@ def test_complex_conjugator_matches_a_full_scan():
     assert count == 324
 
 
+def test_complex_conjugator_finds_a_regular_point():
+    # the search checks no regularity itself: its root-pattern test and the
+    # exact parameter solve must imply it
+    count = 0
+    for blk in ss.blocks():
+        lams = ss.default_lambda(blk.i, blk.j)
+        for sample in (lams, tuple(rat(3) * v for v in lams)):
+            for row in blk.rows:
+                t = ss.row_tensor(blk.i, blk.j, row.k, sample)
+                b, mu = ss._complex_conjugator(blk, t)
+                assert _is_regular(blk.i, mu), (blk.i, blk.j, row.k)
+                count += 1
+    assert count == 324
+
+
 def test_complex_conjugator_finds_none_off_the_family():
     blk = ss.block(2, 1)
     gstar = cw.seven_cartans()[blk.m - 1].gstar
@@ -538,7 +559,7 @@ def test_complex_conjugator_finds_none_off_the_family():
     assert ss._complex_conjugator(blk, at(generic)) is None
     # a wall point of the span: 2 = 1 + 1
     wall = (rat(2), rat(1), rat(1))
-    assert not cw.is_regular(2, wall)
+    assert not _is_regular(2, wall)
     assert ss._complex_conjugator(blk, at(cw.u_coords(cw.parametrize(2, wall)))) is None
 
 

@@ -155,3 +155,14 @@ def test_all_lists_the_public_functions_and_classes():
         if api - exported:
             problems.append(f"{path.name}: not in __all__ {sorted(api - exported)}")
     assert problems == []
+
+
+def test_package_has_no_assert_statements():
+    """Checks that must hold raise: ``python -O`` strips ``assert``."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _sources(sorted(PACKAGE.glob("*.py"))).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
