@@ -9,6 +9,8 @@ element itself).  The module imports nothing from the package.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 
 def _itself(x):
     return x
@@ -59,3 +61,20 @@ def orbit_classes(xs, gens, act, key=None) -> list[tuple[object, int]]:
             unseen -= reached.keys()
             out.append((x, len(reached)))
     return out
+
+
+def regular_tables(rows, identity) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``(mul, inv)`` of a group numbered 0..n-1 from its generators' rows.
+
+    Entry x of the (left-regular) row of g is the number of g·x.  The row of
+    g·x is the row of g after the row of x, so all rows are the orbit of the
+    identity row, each keyed by its image of ``identity``: the element.
+    Rows that do not generate the whole group raise ``ArithmeticError``.
+    """
+    n = len(rows[0])
+    found = orbit(tuple(range(n)), rows, lambda r, p: itemgetter(*r)(p),
+                  key=lambda r: r[identity])
+    if len(found) != n:
+        raise ArithmeticError("the rows generate %d of %d elements" % (len(found), n))
+    mul = tuple(found[a] for a in range(n))
+    return mul, tuple(row.index(identity) for row in mul)

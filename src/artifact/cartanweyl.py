@@ -9,14 +9,13 @@ matrices in u-coordinates.  The eleven complete subsystems and their
 complement groups Gamma, and the seven real Cartan bases with their witness
 pairs (g*, n*), are embedded as data and re-verified by the test suite.
 
-Every entry of a Weyl matrix lies in {0, ±1/2, ±1}, so W sits in the lattice
-of half-integral matrices.  A Weyl matrix is a 4x4 tuple of Fractions, but
-products are formed over the integers with the common denominator 2
-(:func:`w_mul`), and an inverse is the transpose, after an exact check that
-the matrix is orthogonal (:func:`w_inv`).  Group closures and the involution
-classes of :func:`gamma_h1` run on those doubled entries, through the
-breadth-first orbit engine of :mod:`artifact._orbits` that the Galois
-cohomology of :mod:`artifact.galois` also uses.
+An element of W is named by its index in :func:`weyl_group`, whose matrices
+are read off the root permutations.  Products and inverses are lookups in
+:func:`weyl_table`, and Gamma, W_Pi and the classes of :func:`gamma_h1` are
+searches over indices by the orbit engine of :mod:`artifact._orbits`.
+Matrices remain only at the boundary: :func:`w_act_coords`,
+:func:`h_action_matrix`, stored data and returned values; :func:`weyl_index`
+maps a matrix to its index and rejects one outside W.
 """
 
 from __future__ import annotations
@@ -24,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
-from ._orbits import orbit, orbit_classes
+from ._orbits import orbit, orbit_classes, regular_tables
 from .exactfield import ONE, ZERO, CycNum, common_numerators, rat
 from .groupaction import (
     D,
@@ -187,73 +187,14 @@ def restricted_roots() -> tuple[RestrictedRoot, ...]:
 
 # -- Weyl group -------------------------------------------------------------------
 
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def wmat(rows) -> WeylMat:
-    return tuple(tuple(_fr(v) for v in row) for row in rows)
+    return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
 W_IDENTITY: WeylMat = wmat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
-
-#: Matrix entries by doubled value; products take their entries from here.
-_HALVES = {n: Fraction(n, 2) for n in range(-4, 5)}
-
-
-def _doubled(w: WeylMat) -> tuple[int, ...]:
-    """The 16 entries of w times 2, row by row, as integers."""
-    out = []
-    for row in w:
-        for v in row:
-            den = v.denominator
-            if den > 2:
-                raise ArithmeticError("matrix entry %s is not a multiple of 1/2" % v)
-            out.append(v.numerator * (2 // den))
-    return tuple(out)
-
-
-def _doubled_product(a2: tuple[int, ...], b2: tuple[int, ...]) -> tuple[int, ...]:
-    """Doubled entries of a·b from the doubled entries of a and b."""
-    out = []
-    for i in range(0, 16, 4):
-        x0, x1, x2, x3 = a2[i:i + 4]
-        for j in range(4):
-            s = x0 * b2[j] + x1 * b2[4 + j] + x2 * b2[8 + j] + x3 * b2[12 + j]
-            if s % 2:
-                raise ArithmeticError("product entry is not a multiple of 1/2")
-            out.append(s // 2)
-    return tuple(out)
-
-
-def _undoubled(c2: tuple[int, ...]) -> WeylMat:
-    entries = [_HALVES[n] if n in _HALVES else Fraction(n, 2) for n in c2]
-    return tuple(tuple(entries[i:i + 4]) for i in range(0, 16, 4))
-
-
-def w_mul(a: WeylMat, b: WeylMat) -> WeylMat:
-    """The product a·b of two half-integral matrices, over the integers.
-
-    Entries are read as integers over the common denominator 2, and
-    ``ArithmeticError`` is raised for any other denominator.  Each doubled
-    product entry is an integer sum divided by 2; it must come out whole,
-    or the product has left the lattice and ``ArithmeticError`` is raised.
-    """
-    return _undoubled(_doubled_product(_doubled(a), _doubled(b)))
-
-
-def w_inv(w: WeylMat) -> WeylMat:
-    """The inverse of an orthogonal matrix: its transpose.
-
-    Every element of W, and every signed permutation matrix, is orthogonal.
-    The transpose is returned after checking w·wᵀ = I exactly with
-    :func:`w_mul`; any other matrix raises ``ArithmeticError``.
-    """
-    t = tuple(zip(*w))
-    if w_mul(w, t) != W_IDENTITY:
-        raise ArithmeticError("matrix is not orthogonal")
-    return t
+#: The roots 2·e_k: for the k-th, alpha∘w is twice row k of w.
+_AXIS_ROOTS = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
 
 
 def w_act_coords(w: WeylMat, coords: Sequence[CycNum]) -> tuple[CycNum, ...]:
@@ -268,17 +209,6 @@ def w_act_coords(w: WeylMat, coords: Sequence[CycNum]) -> tuple[CycNum, ...]:
     return tuple(out)
 
 
-def functional_after(coeffs: Sequence, w: WeylMat) -> tuple[int, ...]:
-    """The functional alpha∘w (row vector times matrix), must stay integral."""
-    out = []
-    for j in range(4):
-        v = sum(_fr(coeffs[k]) * w[k][j] for k in range(4))
-        if v.denominator != 1:
-            raise ArithmeticError("root image is not integral")
-        out.append(int(v))
-    return tuple(out)
-
-
 def reflection(root: RestrictedRoot) -> WeylMat:
     """s_alpha(h) = h - alpha(h) h_alpha as a matrix in u-coordinates."""
     return tuple(
@@ -290,43 +220,50 @@ def reflection(root: RestrictedRoot) -> WeylMat:
     )
 
 
-@lru_cache(maxsize=1)
-def weyl_group() -> tuple[WeylMat, ...]:
-    gens = [reflection(r) for r in restricted_roots()]
-    group = _closure(gens, 192)
-    if len(group) != 192:
-        raise ArithmeticError("Weyl group closure came out short")
-    return group
-
-
-def _root_permutation(w2: tuple[int, ...]) -> tuple[int, ...]:
+def _root_permutation(w: WeylMat) -> tuple[int, ...]:
     """The permutation of the restricted roots induced by a matrix.
 
-    ``w2`` holds the doubled entries of w (:func:`_doubled`).  Entry a of
-    the result is the index, in :func:`restricted_roots`, of the root
-    alpha_a∘w⁻¹.  It is found from the other side: for every root beta,
-    beta∘w is the row vector beta times w, computed over the integers as
-    half of beta times the doubled matrix, and it must be a root alpha_a,
-    whose entry is then the index of beta.  Raises ``ArithmeticError`` if
-    an image is not integral, is not a root, or two roots share an image.
+    Entry a of the result is the index, in :func:`restricted_roots`, of the
+    root alpha_a∘w⁻¹.  It is found from the other side: for every root beta,
+    beta∘w, half of beta times the integer matrix 2·w, must be a root
+    alpha_a, whose entry is then the index of beta.  Raises
+    ``ArithmeticError`` if an image is not integral, is not a root, or two
+    roots share an image.
     """
+    w2 = [[2 * v for v in row] for row in w]
+    if any(v.denominator != 1 for row in w2 for v in row):
+        raise ArithmeticError("root image is not integral")
+    w2 = [[int(v) for v in row] for row in w2]
     coeffs = [r.coeffs for r in restricted_roots()]
     index = {c: a for a, c in enumerate(coeffs)}
     perm = [None] * len(coeffs)
     for b, beta in enumerate(coeffs):
-        image = []
-        for j in range(4):
-            s = sum(beta[k] * w2[4 * k + j] for k in range(4))
-            if s % 2:
-                raise ArithmeticError("root image is not integral")
-            image.append(s // 2)
-        a = index.get(tuple(image))
+        image = [sum(beta[k] * w2[k][j] for k in range(4)) for j in range(4)]
+        if any(v % 2 for v in image):
+            raise ArithmeticError("root image is not integral")
+        a = index.get(tuple(v // 2 for v in image))
         if a is None:
             raise ArithmeticError("%r∘w is not a root" % (beta,))
         if perm[a] is not None:
             raise ArithmeticError("two roots have the same image")
         perm[a] = b
     return tuple(perm)
+
+
+def _doubled_rows(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Twice the rows of the element w of W with root permutation ``perm``.
+
+    For the root beta = 2·e_k, beta∘w is twice row k of w, and it is the
+    root alpha_a whose entry a of ``perm`` is the index of beta.
+    """
+    coeffs = [r.coeffs for r in restricted_roots()]
+    return tuple(coeffs[perm.index(coeffs.index(e))] for e in _AXIS_ROOTS)
+
+
+@lru_cache(maxsize=1)
+def _reflection_permutations() -> tuple[tuple[int, ...], ...]:
+    """The root permutation of each restricted root's reflection, in order."""
+    return tuple(_root_permutation(reflection(r)) for r in restricted_roots())
 
 
 @lru_cache(maxsize=1)
@@ -336,22 +273,71 @@ def root_permutations() -> tuple[tuple[int, ...], ...]:
     Entry (w, a) is the index of alpha_a∘w⁻¹ (:func:`_root_permutation`).
     A root alpha vanishes at w·mu exactly when alpha∘w vanishes at mu, so
     the roots vanishing at w·mu are the images, under the permutation of
-    w, of the roots vanishing at mu.  Built once from doubled integer
-    entries.
+    w, of the roots vanishing at mu.  The permutations of the reflections
+    generate W, since perm(a·b) = perm(a)∘perm(b).
     """
-    return tuple(_root_permutation(_doubled(w)) for w in weyl_group())
+    gens = list(dict.fromkeys(_reflection_permutations()))
+    perms = orbit(tuple(range(len(gens[0]))), gens, lambda p, s: itemgetter(*p)(s),
+                  limit=192, what="Weyl group closure exceeded its order 192")
+    if len(perms) != 192:
+        raise ArithmeticError("Weyl group closure came out short")
+    return tuple(sorted(perms, key=_doubled_rows))
 
 
-def _closure(gens: list[WeylMat], limit: int) -> tuple[WeylMat, ...]:
-    """The group generated by ``gens``, in increasing order.
+@lru_cache(maxsize=1)
+def weyl_group() -> tuple[WeylMat, ...]:
+    """The 192 elements of W as matrices in u-coordinates, in increasing order.
 
-    The closure runs on doubled entries (integer tuples), whose
-    lexicographic order is the order of the matrices themselves.
+    An element's position here is its index, by which the package names it.
     """
-    found = orbit(_doubled(W_IDENTITY), [_doubled(g) for g in gens],
-                  lambda m, g: _doubled_product(g, m),
-                  limit=limit, what="group closure exceeded expected order")
-    return tuple(_undoubled(p) for p in sorted(found))
+    return tuple(tuple(tuple(Fraction(c, 2) for c in row) for row in _doubled_rows(p))
+                 for p in root_permutations())
+
+
+@dataclass(frozen=True)
+class WeylTable:
+    """W on the indices of :func:`weyl_group`: ``mul[a][b]`` is the index of
+    a·b, ``inv[a]`` that of a⁻¹; ``reflections[a]`` is the index of the
+    reflection of the a-th restricted root; ``index`` maps matrix to index.
+    """
+
+    index: dict
+    mul: tuple[tuple[int, ...], ...]
+    inv: tuple[int, ...]
+    identity: int
+    reflections: tuple[int, ...]
+
+
+@lru_cache(maxsize=1)
+def weyl_table() -> WeylTable:
+    """W's tables: the left-regular row of each reflection s is read off the
+    root permutations, perm(s·x) = perm(s)∘perm(x), and every other row is
+    a composition of those (:func:`_orbits.regular_tables`)."""
+    perms = root_permutations()
+    position = {p: n for n, p in enumerate(perms)}
+    reflections = tuple(position[p] for p in _reflection_permutations())
+    rows = [tuple(position[itemgetter(*p)(perms[s])] for p in perms)
+            for s in dict.fromkeys(reflections)]
+    index = {w: n for n, w in enumerate(weyl_group())}
+    identity = index[W_IDENTITY]
+    mul, inv = regular_tables(rows, identity)
+    return WeylTable(index=index, mul=mul, inv=inv, identity=identity,
+                     reflections=reflections)
+
+
+def weyl_index(w: WeylMat) -> int:
+    """The index of ``w`` in :func:`weyl_group`; ``ArithmeticError`` for a
+    matrix outside W or None (:func:`h_action_matrix` of a non-normalizer)."""
+    try:
+        return weyl_table().index[w]
+    except KeyError:
+        raise ArithmeticError("%r is not in the Weyl group" % (w,)) from None
+
+
+def _generated(gens: Sequence[int]) -> tuple[int, ...]:
+    """The subgroup of W generated by the indices ``gens``, in increasing order."""
+    mul = weyl_table().mul
+    return tuple(sorted(orbit(weyl_table().identity, gens, lambda x, g: mul[g][x])))
 
 
 # -- subsystems of Table rows 1..11 --------------------------------------------------
@@ -450,13 +436,11 @@ def vanishing_roots(coords: Sequence[CycNum]) -> frozenset[tuple[int, ...]]:
     return frozenset(half + [tuple(-c for c in k) for k in half])
 
 
-def _canonical_pattern(roots: frozenset[tuple[int, ...]]) -> tuple:
-    best = None
-    for w in weyl_group():
-        img = tuple(sorted(functional_after(a, w) for a in roots))
-        if best is None or img < best:
-            best = img
-    return best
+def _canonical_pattern(roots: frozenset[tuple[int, ...]]) -> tuple[int, ...]:
+    """The least image of a set of roots under W, as sorted root indices
+    (the roots are sorted, so the least indices are the least functionals)."""
+    found = [a for a, r in enumerate(restricted_roots()) if r.coeffs in roots]
+    return min(tuple(sorted(p[a] for a in found)) for p in root_permutations())
 
 
 @lru_cache(maxsize=1)
@@ -485,44 +469,36 @@ def component_membership(p: Tensor) -> int:
 # -- the complement groups Gamma and their H^1 ----------------------------------------
 
 @lru_cache(maxsize=None)
-def gamma_group(i: int) -> tuple[WeylMat, ...]:
-    data = subsystem(i)
-    if data.gamma_gens is None:
-        return weyl_group()
-    if not data.gamma_gens:
-        return (W_IDENTITY,)
-    return _closure(list(data.gamma_gens), 400)
+def gamma_group(i: int) -> tuple[int, ...]:
+    """Gamma(i) as indices into :func:`weyl_group`, in increasing order."""
+    gens = subsystem(i).gamma_gens
+    if gens is None:
+        return tuple(range(len(weyl_group())))
+    return _generated([weyl_index(g) for g in gens])
 
 
 @lru_cache(maxsize=None)
-def w_pi_group(i: int) -> tuple[WeylMat, ...]:
-    """The reflection subgroup W_Pi generated by the member roots."""
+def w_pi_group(i: int) -> tuple[int, ...]:
+    """The reflection subgroup W_Pi generated by the member roots, as indices."""
     members = member_roots(i)
-    gens = [reflection(r) for r in restricted_roots() if r.coeffs in members]
-    if not gens:
-        return (W_IDENTITY,)
-    return _closure(gens, 200)
+    reflections = weyl_table().reflections
+    return _generated([s for s, r in zip(reflections, restricted_roots())
+                       if r.coeffs in members])
 
 
 def gamma_h1(i: int) -> tuple[WeylMat, ...]:
     """H^1(Gamma, trivial conjugation): involution classes, least representatives.
 
     With trivial conjugation, twisted conjugacy is ordinary conjugacy; the
-    classes are conjugacy orbits of involutions, on doubled entries.
+    classes are conjugacy orbits of involutions, found on indices.
     """
-    data = subsystem(i)
-    if data.gamma_gens is None:
-        gens = [reflection(r) for r in restricted_roots()]
-    else:
-        gens = list(data.gamma_gens)
-    conjugators = [(_doubled(g), _doubled(w_inv(g))) for g in gens]
-    one = _doubled(W_IDENTITY)
-    involutions = sorted(
-        g for g in map(_doubled, gamma_group(i)) if _doubled_product(g, g) == one
-    )
-    classes = orbit_classes(involutions, conjugators,
-                            lambda x, c: _doubled_product(_doubled_product(c[0], x), c[1]))
-    return tuple(_undoubled(c) for c, _ in classes)
+    table = weyl_table()
+    mul, inv = table.mul, table.inv
+    gens = subsystem(i).gamma_gens
+    gens = table.reflections if gens is None else [weyl_index(g) for g in gens]
+    involutions = [x for x in gamma_group(i) if mul[x][x] == table.identity]
+    classes = orbit_classes(involutions, gens, lambda x, g: mul[mul[g][x]][inv[g]])
+    return tuple(weyl_group()[c] for c, _ in classes)
 
 
 # -- action of group elements on h ------------------------------------------------------

@@ -28,8 +28,9 @@ module provides:
   cosets of ``K`` make up the whole group, and its cohomology (seven
   classes),
 * the sixteen recorded group elements that induce the order-2 symmetries of
-  the diagonalizable subspace, paired with the 4×4 rational matrices they
-  induce,
+  the diagonalizable subspace, paired with the symmetries they induce: each
+  an element of the Weyl group W, named by its index into
+  ``cartanweyl.weyl_group()`` and multiplied by ``cartanweyl.weyl_table()``,
 * a verifier for externally supplied class lists of stabilizers that may
   have a positive-dimensional identity component: every listed element must
   be a cocycle, no two may be equivalent under the documented finite part or
@@ -46,7 +47,7 @@ from typing import Callable, Sequence
 
 from . import cartanweyl as cw
 from . import groupaction as ga
-from ._orbits import orbit, orbit_classes
+from ._orbits import orbit, orbit_classes, regular_tables
 from .exactfield import INV_SQRT2, IMAG
 from .groupaction import GElt
 
@@ -63,7 +64,7 @@ class FiniteConjGroup:
     ``elements`` is the full (finite) element list in increasing order;
     ``gens`` is a generating subset used to drive orbit searches (it may
     equal ``elements``).  The callables make the container usable both for
-    slot index tuples (:func:`gelt_group`) and for 4×4 rational matrices
+    slot index tuples (:func:`gelt_group`) and for Weyl group indices
     (:func:`weyl_group_view`): ``mul``, ``inv`` and ``sigma`` implement the
     group operations and the twist.  Every element is hashable and totally
     ordered, and it is its own key.
@@ -122,7 +123,7 @@ def slot_group() -> SlotGroup:
     S is the orbit of the identity under the factors.  Each row of the
     product table is the left-regular permutation of an element: those of a
     few factors that generate S are computed from matrix products, 48 each,
-    and every other row is a composition of them.
+    and every other row is a composition of them (:func:`_orbits.regular_tables`).
     """
     factors = list({m: None for g in normalizer_generators() for m in g})
     found = orbit(ga.I2, factors, lambda x, f: ga.m2_mul(f, x), limit=48,
@@ -138,19 +139,14 @@ def slot_group() -> SlotGroup:
         if index[f] not in reached:
             perms.append(tuple(index[ga.m2_mul(f, m)] for m in mats))
             reached = orbit(e, perms, lambda a, p: p[a])
-    # the row of x·y is the row of x composed after the row of y; a row is
-    # keyed by its image of the identity, the element itself
-    rows = orbit(tuple(range(48)), perms, lambda r, p: tuple(p[a] for a in r),
-                 key=lambda r: r[e])
-    mul = tuple(rows[a] for a in range(48))
+    mul, inv = regular_tables(perms, e)
     conj = []
     for m in mats:
         c = index.get(ga.m2_conj(m))
         if c is None:
             raise ArithmeticError("the slot group is not closed under conjugation")
         conj.append(c)
-    return SlotGroup(mats=mats, index=index, mul=mul,
-                     inv=tuple(row.index(e) for row in mul), conj=tuple(conj))
+    return SlotGroup(mats=mats, index=index, mul=mul, inv=inv, conj=tuple(conj))
 
 
 def encode(g: GElt) -> IndexTuple:
@@ -207,24 +203,26 @@ def gelt_group(gens: Sequence[GElt], *, tag: str = "") -> FiniteConjGroup:
 
 
 def weyl_group_view(
-    elements: Sequence[cw.WeylMat],
+    elements: Sequence[int],
     *,
-    gens: Sequence[cw.WeylMat] | None = None,
+    gens: Sequence[int] | None = None,
     tag: str = "",
 ) -> FiniteConjGroup:
-    """Wrap a set of 4×4 rational matrices as a group with trivial twist.
+    """Wrap a subgroup of W, as indices into ``cartanweyl.weyl_group()``, as a
+    group with trivial twist.
 
     The induced symmetries of the diagonalizable subspace are real matrices,
     so conjugation acts trivially on them; cohomology then enumerates
     conjugacy classes of involutions (plus the identity class).
     """
+    table = cw.weyl_table()
     elts = tuple(sorted(elements))
     return FiniteConjGroup(
         elements=elts,
-        mul=cw.w_mul,
-        inv=cw.w_inv,
+        mul=lambda a, b: table.mul[a][b],
+        inv=table.inv.__getitem__,
         sigma=_trivial_sigma,
-        identity=cw.W_IDENTITY,
+        identity=table.identity,
         gens=tuple(gens) if gens is not None else elts,
         tag=tag,
     )
@@ -351,11 +349,10 @@ def stabilizer_finite_gens() -> tuple[GElt, ...]:
 
 
 @lru_cache(maxsize=1)
-def weyl_cocycle_lifts() -> tuple[tuple[cw.WeylMat, GElt], ...]:
-    """The sixteen recorded (matrix, lift) pairs, matrices as exact 4×4."""
-    return tuple(
-        (cw.wmat(rows), ga.gelt_from_names(names)) for rows, names in _LIFT_TABLE
-    )
+def weyl_cocycle_lifts() -> tuple[tuple[int, GElt], ...]:
+    """The sixteen recorded (symmetry, lift) pairs, symmetries as indices."""
+    return tuple((cw.weyl_index(cw.wmat(rows)), ga.gelt_from_names(names))
+                 for rows, names in _LIFT_TABLE)
 
 
 def _hadamard_lift() -> GElt:
@@ -388,32 +385,33 @@ def normalizer_generators() -> tuple[GElt, ...]:
 
 
 def check_cosets(
-    gens: Sequence[tuple[IndexTuple, cw.WeylMat]],
+    gens: Sequence[tuple[IndexTuple, int]],
     kernel: Sequence[IndexTuple],
-    lifts: Sequence[tuple[IndexTuple, cw.WeylMat]],
+    lifts: Sequence[tuple[IndexTuple, int]],
 ) -> None:
     """Prove that the cosets g_w·K make up the group generated by ``gens``.
 
     ``gens`` pairs each generator s with its coordinate action, ``kernel``
     is a group K of elements acting trivially, and ``lifts`` pairs one
-    product g_w of generators with each coordinate symmetry w; all elements
-    are index tuples (:func:`encode`).  The lift of the identity must lie in
+    product g_w of generators with each coordinate symmetry w; elements are
+    index tuples (:func:`encode`), symmetries Weyl group indices, multiplied
+    by ``cartanweyl.weyl_table()``.  The lift of the identity must lie in
     K, and for every generator s and every w the element g_{s·w}⁻¹·s·g_w
     must lie in K, so that s·g_w·K = g_{s·w}·K.  The union of the cosets
     then holds the identity and is closed under the generators, so it is
     the whole group; and by induction over the generators each g_w acts as
     w, so the cosets are disjoint.  Raises ``ArithmeticError`` otherwise.
     """
+    table = cw.weyl_table()
     in_kernel = set(kernel)
-    by_w = {cw._doubled(w): g for g, w in lifts}
+    by_w = {w: g for g, w in lifts}
     if len(by_w) != len(lifts):
         raise ArithmeticError("two lifts carry one coordinate symmetry")
-    if by_w.get(cw._doubled(cw.W_IDENTITY)) not in in_kernel:
+    if by_w.get(table.identity) not in in_kernel:
         raise ArithmeticError("the lift of the identity is not in the kernel")
     for s, s_w in gens:
-        s2 = cw._doubled(s_w)
-        for w2, g in by_w.items():
-            target = by_w.get(cw._doubled_product(s2, w2))
+        for w, g in by_w.items():
+            target = by_w.get(table.mul[s_w][w])
             if target is None:
                 raise ArithmeticError("a generator leads out of the lifted symmetries")
             if slot_mul(slot_mul(slot_inv(target), s), g) not in in_kernel:
@@ -422,44 +420,44 @@ def check_cosets(
 
 @lru_cache(maxsize=1)
 def normalizer_cosets() -> tuple[tuple[IndexTuple, ...],
-                                 tuple[tuple[IndexTuple, cw.WeylMat], ...]]:
+                                 tuple[tuple[IndexTuple, int], ...]]:
     """The normalizer as 192 cosets of its kernel: ``(K, ((g_w, w), ...))``.
 
     Each of :func:`normalizer_generators` is checked to normalize the
-    subspace, and its coordinate action is computed once, here.  K, the
+    subspace, and its coordinate action is computed once, here, as a Weyl
+    group index.  K, the
     elements acting trivially on the subspace, is the closure of the
     order-32 stabilizer of a generic element, whose generators are the
     first of :func:`normalizer_generators`; each is checked, by the action
     just computed, to act trivially, and the order of K to be 32.  The
-    lifts come from a breadth-first search over the coordinate symmetries
-    as doubled-integer matrices, driven by those generators: the first
-    product of generators reaching w is its lift g_w, so ``w ==
-    cartanweyl.h_action_matrix(decode(g_w))``.  :func:`check_cosets` then
+    lifts come from a breadth-first search over the coordinate symmetries,
+    driven by those generators: the first product of generators reaching w
+    is its lift g_w, which acts by ``cartanweyl.weyl_group()[w]``.
+    :func:`check_cosets` then
     proves that the cosets g_w·K make up the normalizer, of order
     192·32 = 6144.  Elements are index tuples (:func:`encode`).
     """
-    gens = [(encode(g), cw.h_action_matrix(g)) for g in normalizer_generators()]
-    if any(w is None for _, w in gens):
-        raise ArithmeticError("normalizer construction inconsistent")
+    table = cw.weyl_table()
+    gens = [(encode(g), cw.weyl_index(cw.h_action_matrix(g)))
+            for g in normalizer_generators()]
     kernel_gens = stabilizer_finite_gens()
     actions = dict(gens)
-    if any(actions.get(encode(k)) != cw.W_IDENTITY for k in kernel_gens):
+    if any(actions.get(encode(k)) != table.identity for k in kernel_gens):
         raise ArithmeticError("a kernel generator moves the subspace")
     kernel = gelt_closure(kernel_gens, 32, "normalizer kernel exceeded order 32")
     if len(kernel) != 32:
         raise ArithmeticError("normalizer kernel came out short")
     # each symmetry reached carries the generator and the symmetry it came
     # from, so that its lift is one product, formed in order of discovery
-    reached = orbit((cw._doubled(cw.W_IDENTITY), None, None),
-                    [(g, cw._doubled(w)) for g, w in gens],
-                    lambda x, s: (cw._doubled_product(s[1], x[0]), s[0], x[0]),
+    reached = orbit((table.identity, None, None), gens,
+                    lambda x, s: (table.mul[s[1]][x[0]], s[0], x[0]),
                     key=lambda x: x[0])
     found = {}
-    for w2, s, prev in reached.values():
-        found[w2] = encode(ga.IDENTITY) if s is None else slot_mul(s, found[prev])
+    for w, s, prev in reached.values():
+        found[w] = encode(ga.IDENTITY) if s is None else slot_mul(s, found[prev])
     if len(found) != 192:
         raise ArithmeticError("expected 192 coordinate symmetries, found %d" % len(found))
-    lifts = tuple((g, cw._undoubled(w2)) for w2, g in found.items())
+    lifts = tuple((g, w) for w, g in found.items())
     check_cosets(gens, kernel, lifts)
     return kernel, lifts
 

@@ -166,30 +166,30 @@ def quadratic(t: Tensor) -> CycNum:
 
 PAIRINGS = ("12|34", "13|24", "14|23")
 
-_PAIRING_SLOTS = {
-    "12|34": ((1, 2), (3, 4)),
-    "13|24": ((1, 3), (2, 4)),
-    "14|23": ((1, 4), (2, 3)),
+#: For each pairing ab|cd, the (row, column) of every tensor index in its
+#: flattening: slot s is bit 4 - s of the index, the row reads the bits of
+#: slots a and b, the column those of c and d.
+_FLATTENING_POSITIONS = {
+    pairing: tuple(
+        (2 * (idx >> (4 - a) & 1) + (idx >> (4 - b) & 1),
+         2 * (idx >> (4 - c) & 1) + (idx >> (4 - d) & 1))
+        for idx in range(16)
+    )
+    for pairing, (a, b, c, d) in zip(PAIRINGS, ((1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 2, 3)))
 }
-
-
-def _slot_bit(index: int, slot: int) -> int:
-    return (index >> (4 - slot)) & 1
 
 
 def flattening_matrix(t: Tensor, pairing: str) -> la.Mat:
     """The 4×4 matrix reshaping ``t`` with rows/columns from a slot pairing."""
     try:
-        (a, b), (c, d) = _PAIRING_SLOTS[pairing]
+        positions = _FLATTENING_POSITIONS[pairing]
     except KeyError:
         raise ValueError(
             "unknown pairing %r; expected one of %s" % (pairing, (PAIRINGS,))
         ) from None
     mat = [[ZERO] * 4 for _ in range(4)]
-    for idx in range(16):
-        r = 2 * _slot_bit(idx, a) + _slot_bit(idx, b)
-        cc = 2 * _slot_bit(idx, c) + _slot_bit(idx, d)
-        mat[r][cc] = t.c[idx]
+    for (r, c), x in zip(positions, t.c):
+        mat[r][c] = x
     return mat
 
 

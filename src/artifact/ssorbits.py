@@ -890,7 +890,7 @@ class CaseBlock:
     i: int
     j: int
     m: int
-    gamma: cw.WeylMat
+    gamma: int  # the twist's coordinate action, as a Weyl group index
     n: GElt
     g: GElt
     zs: tuple[GElt, ...]
@@ -937,11 +937,15 @@ def _compile_block(i: int, variables: tuple[str, ...], raw: dict) -> CaseBlock:
         raise ValueError(
             "block (%d, %d): twist acts by %r, table says %r" % (i, raw["j"], act, gamma)
         )
-    # The twist is a cocycle (up to the kernel of the action: slotwise
-    # ±identity with an even number of signs) and the witness produces it
-    # exactly: g⁻¹·conj(g) = n.
+    # The twist and every stabilizer element are cocycles (up to the kernel
+    # of the action: slotwise ±identity with an even number of signs), and
+    # the witness produces the twist exactly: g⁻¹·conj(g) = n.
     if not _even_sign_tuple(g_mul(n, conj_g(n))):
         raise ValueError("block (%d, %d): twist is not a cocycle" % (i, raw["j"]))
+    for idx, z in enumerate(zs):
+        if not _even_sign_tuple(g_mul(z, conj_g(z))):
+            raise ValueError("block (%d, %d): stabilizer element %d is not a cocycle"
+                             % (i, raw["j"], idx))
     rel = g_mul(g_inv(g), conj_g(g))
     if g_key(rel) != g_key(n):
         raise ValueError(
@@ -955,7 +959,7 @@ def _compile_block(i: int, variables: tuple[str, ...], raw: dict) -> CaseBlock:
         i=i,
         j=raw["j"],
         m=raw["m"],
-        gamma=gamma,
+        gamma=cw.weyl_index(gamma),
         n=n,
         g=g,
         zs=zs,
@@ -1010,12 +1014,10 @@ def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock) -> CaseBlock:
     gamma = cw.h_action_matrix(n)
     if gamma is None:
         raise ValueError("transported twist does not act on the subspace")
-    # Consistency: the transported action is the permuted original action.
-    pmat = cw.wmat(
-        [[1 if rho.get(c) == r else 0 for c in range(4)] for r in range(4)]
-    )
-    pinv = cw.w_inv(pmat)
-    if cw.w_mul(cw.w_mul(pmat, blk.gamma), pinv) != gamma:
+    # Consistency: the transported action is the original one on relabelled
+    # coordinates, P·gamma·P⁻¹ for the permutation P of rho, which is not in W.
+    old = cw.weyl_group()[blk.gamma]
+    if gamma != tuple(tuple(old[perm4[r]][perm4[c]] for c in range(4)) for r in range(4)):
         raise ValueError("transported twist action mismatch")
     reality = RealityPattern(
         i=i_dst, j=blk.j, tags=blk.reality.tags, avoid=blk.reality.avoid
@@ -1024,7 +1026,7 @@ def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock) -> CaseBlock:
         i=i_dst,
         j=blk.j,
         m=m_dst,
-        gamma=gamma,
+        gamma=cw.weyl_index(gamma),
         n=n,
         g=g,
         zs=zs,
@@ -1111,25 +1113,23 @@ def default_lambda(i: int, j: int) -> tuple:
 
 
 @lru_cache(maxsize=1)
-def _weyl_lift_table() -> dict:
-    """For each of the 192 coordinate symmetries w, its least lift.
+def _weyl_lift_table() -> tuple[GElt, ...]:
+    """For each coordinate symmetry, by Weyl group index, its least lift.
 
     The lifts of w are the coset g_w·K of :func:`galois.normalizer_cosets`;
     the least index tuple among them is the least lift by ``g_key``.
     """
     kernel, lifts = galois.normalizer_cosets()
-    return {
-        w: galois.decode(min(galois.slot_mul(g, k) for k in kernel))
-        for g, w in lifts
-    }
+    least = {w: min(galois.slot_mul(g, k) for k in kernel) for g, w in lifts}
+    return tuple(galois.decode(least[w]) for w in range(len(least)))
 
 
-def weyl_lift(w: cw.WeylMat) -> GElt:
-    """A group element inducing the coordinate symmetry ``w``."""
+def weyl_lift(w: int) -> GElt:
+    """A group element inducing the coordinate symmetry of Weyl group index ``w``."""
     return _weyl_lift_table()[w]
 
 
-def _weyl_lift_inverse(w: cw.WeylMat) -> GElt:
+def _weyl_lift_inverse(w: int) -> GElt:
     """The inverse of :func:`weyl_lift`, read from the slot group's tables."""
     return galois.decode(galois.slot_inv(galois.encode(weyl_lift(w))))
 
@@ -1156,7 +1156,8 @@ def real_weyl_group(m: int) -> tuple[cw.WeylMat, ...]:
         return mul(mul(nstar, galois.slot_conj(x)), nstar_inv)
 
     twists = {mul(k, inv(sigma(k))) for k in kernel}
-    return tuple(sorted(w for g, w in lifts if mul(inv(g), sigma(g)) in twists))
+    real = sorted(w for g, w in lifts if mul(inv(g), sigma(g)) in twists)
+    return tuple(cw.weyl_group()[w] for w in real)
 
 
 @lru_cache(maxsize=None)
@@ -1289,7 +1290,7 @@ def _lifted_conjugator(m: int, w_index: int) -> GElt:
     """gstar·lift(w)⁻¹ for the real form m and the w at ``w_index`` of
     :func:`cartanweyl.weyl_group`."""
     gstar = cw.seven_cartans()[m - 1].gstar
-    return g_mul(gstar, _weyl_lift_inverse(cw.weyl_group()[w_index]))
+    return g_mul(gstar, _weyl_lift_inverse(w_index))
 
 
 def _complex_conjugator(blk: CaseBlock, t: Tensor) -> tuple | None:
@@ -1345,11 +1346,15 @@ def _complex_conjugator(blk: CaseBlock, t: Tensor) -> tuple | None:
 
 
 def _gamma_in_group(blk: CaseBlock) -> bool:
-    if blk.i in _TRANSPORTS:
-        # generated family: the coordinate symmetry group is the permuted
-        # original, already checked during transport
-        return True
-    return blk.gamma in cw.gamma_group(blk.i)
+    """Whether the twist acts by an element of Gamma(i), or of W_Pi(i)·Gamma(i)
+    for a transported block: W_Pi(i) fixes the family's span pointwise, and
+    relabelling the coordinates carries W_Pi, not the stored Gamma, of the
+    source family onto that of family i."""
+    gamma = cw.gamma_group(blk.i)
+    if blk.i not in _TRANSPORTS:
+        return blk.gamma in gamma
+    mul = cw.weyl_table().mul
+    return any(mul[w][x] == blk.gamma for w in cw.w_pi_group(blk.i) for x in gamma)
 
 
 def _expected_orbit_parameters(blk: CaseBlock, row: SSTableRow, lams: tuple) -> tuple:
@@ -1434,8 +1439,6 @@ def _verify_block(blk: CaseBlock, lams: tuple) -> list[dict]:
         p = None
     if p is not None:
         for idx, z in enumerate(blk.zs):
-            if not _even_sign_tuple(g_mul(z, conj_g(z))):
-                fail("stabilizer-cocycle", "element %d" % idx)
             if act_tensor(z, p) != p:
                 fail("stabilizer-fix", "element %d does not fix the real point" % idx)
     refs: dict = {}
@@ -1447,8 +1450,9 @@ def _verify_block(blk: CaseBlock, lams: tuple) -> list[dict]:
 def verify_ss_tables(case: int | None = None) -> dict:
     """Re-derive and check every table entry at canonical sample parameters.
 
-    Checks, per block: the recorded twist action, the witness relation, the
-    stabilizer cocycles fixing the real point; per row: realness, membership
+    Checks, per block: the twist's action (:func:`_gamma_in_group`) and the
+    stabilizer elements fixing the real point (the rest of the block is
+    checked once, by :func:`blocks`); per row: realness, membership
     and exact coordinates in the stated real canonical subspace,
     semisimplicity, an explicit conjugator onto the family's canonical
     element, and invariants equal to those of the expected complex orbit.

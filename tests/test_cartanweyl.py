@@ -11,7 +11,6 @@ from artifact.cartanweyl import (
     component_membership,
     containing_bases,
     from_u_coords,
-    functional_after,
     gamma_group,
     gamma_h1,
     h_action_matrix,
@@ -24,10 +23,10 @@ from artifact.cartanweyl import (
     u_coords,
     vanishing_roots,
     w_act_coords,
-    w_inv,
-    w_mul,
     w_pi_group,
     weyl_group,
+    weyl_index,
+    weyl_table,
     wmat,
 )
 from artifact.exactfield import IMAG, ONE, ZERO, CycNum, rat
@@ -100,6 +99,19 @@ def _derived_root_vectors():
             inv = next(c for c in vecs[0] if c).inverse()
             roots[tag] = [inv * c for c in vecs[0]]
     return roots
+
+
+def _product(a, b):
+    """The matrix product a·b, entry by entry over Fractions."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
+        for i in range(4)
+    )
+
+
+def _after(coeffs, w):
+    """The functional alpha∘w: the row vector of alpha times w."""
+    return tuple(sum(Fraction(c) * w[k][j] for k, c in enumerate(coeffs)) for j in range(4))
 
 
 def _value_at(root, coords):
@@ -180,9 +192,12 @@ class TestWeylGroup:
         assert len(weyl_group()) == 192
 
     def test_reflections_are_involutions(self):
-        for r in restricted_roots():
+        table = weyl_table()
+        for r, n in zip(restricted_roots(), table.reflections):
             s = reflection(r)
-            assert w_mul(s, s) == W_IDENTITY
+            assert _product(s, s) == W_IDENTITY
+            assert weyl_index(s) == n
+            assert table.mul[n][n] == table.identity
 
     def test_closed_under_composition(self):
         rng = random.Random(5)
@@ -190,14 +205,20 @@ class TestWeylGroup:
         glist = sorted(group)
         for _ in range(50):
             a, b = rng.choice(glist), rng.choice(glist)
-            assert w_mul(a, b) in group
+            assert _product(a, b) in group
 
     def test_permutes_roots(self):
         rng = random.Random(9)
         keys = {r.coeffs for r in restricted_roots()}
         for _ in range(10):
             w = rng.choice(weyl_group())
-            assert {functional_after(k, w) for k in keys} == keys
+            assert {_after(k, w) for k in keys} == keys
+
+    def test_index_is_the_position_in_weyl_group(self):
+        group, table = weyl_group(), weyl_table()
+        assert [weyl_index(w) for w in group] == list(range(192))
+        assert group[table.identity] == W_IDENTITY
+        assert list(group) == sorted(group)
 
     def test_order_is_checked(self, monkeypatch):
         # the eight doubled roots alone generate only the 16 sign changes
@@ -207,46 +228,52 @@ class TestWeylGroup:
             r for r in restricted_roots() if sorted(map(abs, r.coeffs)) == [0, 0, 0, 2]
         )
         monkeypatch.setattr(cw, "restricted_roots", lambda: doubled)
+        monkeypatch.setattr(cw, "_reflection_permutations",
+                            cw._reflection_permutations.__wrapped__)
         with pytest.raises(ArithmeticError, match="short"):
-            cw.weyl_group.__wrapped__()
+            cw.root_permutations.__wrapped__()
 
-    def test_w_mul_matches_fraction_product(self):
-        def reference(a, b):
-            return tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
-                for i in range(4)
-            )
-
+    def test_product_table_matches_fraction_product(self):
+        group, table = weyl_group(), weyl_table()
         reflections = [reflection(r) for r in restricted_roots()]
-        for w in weyl_group():
-            for s in reflections:
-                assert w_mul(w, s) == reference(w, s)
-                assert w_mul(s, w) == reference(s, w)
+        for a, w in enumerate(group):
+            for n, s in zip(table.reflections, reflections):
+                assert group[table.mul[a][n]] == _product(w, s)
+                assert group[table.mul[n][a]] == _product(s, w)
 
+    # a matrix off the half lattice, or outside W, has no index and no root
+    # permutation; the product of W's elements is a table lookup
     @pytest.mark.parametrize("entry", [Fraction(1, 4), Fraction(1, 3)])
     def test_w_mul_rejects_entries_off_the_half_lattice(self, entry):
         bad = wmat([[entry, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         with pytest.raises(ArithmeticError):
-            w_mul(bad, W_IDENTITY)
+            weyl_index(bad)
         with pytest.raises(ArithmeticError):
-            w_mul(W_IDENTITY, bad)
+            cw._root_permutation(bad)
 
     def test_w_mul_rejects_a_product_off_the_half_lattice(self):
         # the first column of the product is 1/4
         half = wmat([[Fraction(1, 2), 0, 0, 0]] * 4)
         with pytest.raises(ArithmeticError):
-            w_mul(half, half)
+            weyl_index(half)
+        with pytest.raises(ArithmeticError):
+            weyl_index(_product(half, half))
 
-    def test_w_inv_matches_gauss_jordan(self):
-        for w in weyl_group():
-            assert w_inv(w) == _winv(w)
-            assert w_mul(w, w_inv(w)) == W_IDENTITY
+    def test_inverse_table_matches_gauss_jordan(self):
+        group, table = weyl_group(), weyl_table()
+        for a, w in enumerate(group):
+            inverse = group[table.inv[a]]
+            assert inverse == _winv(w)
+            assert inverse == tuple(zip(*w))
+            assert table.mul[a][table.inv[a]] == table.identity
 
     def test_w_inv_rejects_a_matrix_that_is_not_orthogonal(self):
         with pytest.raises(ArithmeticError):
-            w_inv(wmat([[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+            weyl_index(wmat([[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
         with pytest.raises(ArithmeticError):
-            w_inv(wmat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+            weyl_index(wmat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+        with pytest.raises(ArithmeticError):
+            weyl_index(None)
 
     def test_root_permutations_are_a_homomorphism_into_root_bijections(self):
         group = weyl_group()
@@ -258,23 +285,26 @@ class TestWeylGroup:
             assert sorted(perm) == list(range(24))
             # entry a is the index of alpha_a∘w⁻¹, the root whose composite
             # with w is alpha_a
-            assert [functional_after(coeffs[b], w) for b in perm] == coeffs
+            assert [_after(coeffs[b], w) for b in perm] == coeffs
         position = {w: n for n, w in enumerate(group)}
         reflections = [reflection(r) for r in restricted_roots()]
         for w, perm in zip(group, perms):
             for s in reflections:
                 s_perm = perms[position[s]]
                 composed = tuple(perm[s_perm[a]] for a in range(24))
-                assert perms[position[w_mul(w, s)]] == composed
+                assert perms[position[_product(w, s)]] == composed
 
     def test_root_permutation_rejects_a_matrix_outside_w(self):
         # (-2, 0, 0, 0) keeps an integral image; (-1, -1, -1, -1) does not
         shear = wmat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [Fraction(1, 2), 0, 0, 1]])
         with pytest.raises(ArithmeticError, match="not integral"):
-            cw._root_permutation(cw._doubled(shear))
+            cw._root_permutation(shear)
         double = wmat([[2 * int(r == c) for c in range(4)] for r in range(4)])
         with pytest.raises(ArithmeticError, match="not a root"):
-            cw._root_permutation(cw._doubled(double))
+            cw._root_permutation(double)
+        for w in (shear, double):
+            with pytest.raises(ArithmeticError, match="not in the Weyl group"):
+                weyl_index(w)
 
     def test_generic_stabilizer_trivial(self):
         lam = (rat(7), rat(3), rat(2), rat(1))
@@ -377,13 +407,40 @@ class TestGammaGroups:
             gens = subsystem(i).gamma_gens
             for g in gens:
                 assert g in group, i
+                assert weyl_index(g) in gamma_group(i), i
 
     def test_generators_normalize_w_pi(self):
+        group = weyl_group()
         for i in range(2, 12):
-            wp = set(w_pi_group(i))
+            wp = {group[x] for x in w_pi_group(i)}
             for g in subsystem(i).gamma_gens:
-                conj = {w_mul(w_mul(g, x), _winv(g)) for x in wp}
+                conj = {_product(_product(g, x), _winv(g)) for x in wp}
                 assert conj == wp, i
+
+    def test_closures_match_a_fraction_closure(self):
+        # each group of indices is the closure of its generators under the
+        # Fraction product, in increasing matrix order
+        group = weyl_group()
+        reflections = {r.coeffs: reflection(r) for r in restricted_roots()}
+        for i in range(1, 12):
+            w_pi_gens = [reflections[c] for c in member_roots(i)]
+            gamma_gens = subsystem(i).gamma_gens
+            if gamma_gens is None:
+                gamma_gens = list(reflections.values())
+            for indices, gens in ((w_pi_group(i), w_pi_gens), (gamma_group(i), gamma_gens)):
+                if len(gens) == 24:
+                    # all the reflections: the whole of W, already in order
+                    assert indices == tuple(range(192)), i
+                    continue
+                closure, frontier = {W_IDENTITY}, [W_IDENTITY]
+                while frontier:
+                    x = frontier.pop()
+                    for g in gens:
+                        y = _product(g, x)
+                        if y not in closure:
+                            closure.add(y)
+                            frontier.append(y)
+                assert [group[n] for n in indices] == sorted(closure), i
 
     def test_w_pi_orders(self):
         # A1 -> 2, A2 -> 6, 2A1 -> 4, A3 -> 24, 3A1 -> 8, D4 -> 192
@@ -397,7 +454,7 @@ class TestGammaGroups:
     def test_h1_representatives_are_involutions(self):
         for i in range(1, 11):
             for z in gamma_h1(i):
-                assert w_mul(z, z) == W_IDENTITY
+                assert _product(z, z) == W_IDENTITY
 
 
 def _winv(w):
@@ -493,4 +550,4 @@ class TestHActionMatrix:
         g = gelt_from_names("J,J,J,J")
         m = h_action_matrix(g)
         assert m is not None
-        assert w_mul(m, m) == W_IDENTITY
+        assert _product(m, m) == W_IDENTITY

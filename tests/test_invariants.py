@@ -146,6 +146,19 @@ class TestFlattenings:
         for pairing in inv.PAIRINGS:
             assert inv.flattening_det(t, pairing) == ZERO
 
+    def test_flattening_matrix_is_the_reshape(self):
+        # the entry of t at bits (b1, b2, b3, b4) sits at row 2·b_a + b_b and
+        # column 2·b_c + b_d of the pairing ab|cd, slot 1 the leading bit
+        rng = random.Random(34)
+        t = Tensor([CycNum(tuple(rng.randint(-5, 5) for _ in range(8)), rng.randint(1, 4))
+                    for _ in range(16)])
+        for pairing in inv.PAIRINGS:
+            a, b, c, d = (int(ch) - 1 for ch in pairing.replace("|", ""))
+            mat = inv.flattening_matrix(t, pairing)
+            for idx in range(16):
+                bits = [int(ch) for ch in format(idx, "04b")]
+                assert mat[2 * bits[a] + bits[b]][2 * bits[c] + bits[d]] == t.c[idx]
+
     def test_degenerate_diagonal_family_values(self):
         p = cw.parametrize(1, lam(2, 1, 1, 1))
         values = [inv.flattening_det(p, pr) for pr in inv.PAIRINGS]

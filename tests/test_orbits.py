@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from artifact._orbits import orbit, orbit_classes
+from artifact._orbits import orbit, orbit_classes, regular_tables
 
 
 def compose(p, q):
@@ -79,3 +79,24 @@ def test_orbit_classes_raise_when_the_action_leaves_the_set():
     # an orbit larger than the set
     with pytest.raises(ArithmeticError, match="left the set"):
         orbit_classes([0], [1], add_mod(5))
+
+
+def test_regular_tables_match_composition():
+    # S4 numbered in sorted order, from the left-regular rows of its generators
+    group = sorted(itertools.permutations(range(4)))
+    number = {p: n for n, p in enumerate(group)}
+    rows = [tuple(number[compose(g, x)] for x in group) for g in S4_GENS]
+    identity = number[(0, 1, 2, 3)]
+    mul, inv = regular_tables(rows, identity)
+    for a, x in enumerate(group):
+        assert group[inv[a]] == inverse(x)
+        for b, y in enumerate(group):
+            assert group[mul[a][b]] == compose(x, y)
+
+
+def test_regular_tables_raise_when_the_rows_do_not_generate():
+    group = sorted(itertools.permutations(range(4)))
+    number = {p: n for n, p in enumerate(group)}
+    rows = [tuple(number[compose(S4_GENS[1], x)] for x in group)]
+    with pytest.raises(ArithmeticError, match="generate 4 of 24"):
+        regular_tables(rows, number[(0, 1, 2, 3)])

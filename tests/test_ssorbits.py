@@ -68,7 +68,37 @@ def test_block_witness_identities():
     for blk in ss.blocks():
         rel = g_mul(g_inv(blk.g), conj_g(blk.g))
         assert g_key(rel) == g_key(blk.n), (blk.i, blk.j)
-        assert cw.h_action_matrix(blk.n) == blk.gamma, (blk.i, blk.j)
+        assert cw.h_action_matrix(blk.n) == cw.weyl_group()[blk.gamma], (blk.i, blk.j)
+
+
+def test_twists_lie_in_their_symmetry_groups():
+    # every twist acts on its family's span as an element of Gamma(i); a
+    # transported one only up to W_Pi(i): relabelling the coordinates does
+    # not carry the stored Gamma(4) onto Gamma(5) or Gamma(6)
+    assert all(ss._gamma_in_group(blk) for blk in ss.blocks())
+    outside = [(b.i, b.j) for b in ss.blocks() if b.gamma not in cw.gamma_group(b.i)]
+    assert outside == [(5, 4), (6, 4)]
+
+
+def test_a_transported_twist_outside_w_pi_gamma_fails():
+    mul = cw.weyl_table().mul
+    for i, j in ((5, 4), (8, 1)):
+        blk = ss.block(i, j)
+        allowed = {mul[w][x] for w in cw.w_pi_group(i) for x in cw.gamma_group(i)}
+        bad = dataclasses.replace(blk, gamma=min(set(range(192)) - allowed))
+        lams = ss.default_lambda(i, j)
+        assert [f["check"] for f in ss._verify_block(blk, lams)] == []
+        assert [f["check"] for f in ss._verify_block(bad, lams)] == ["gamma"]
+
+
+def test_a_stabilizer_element_that_is_not_a_cocycle_is_rejected():
+    # J·conj(J) = -I in one slot: an odd number of signs
+    variables = ss._NATIVE[1]["vars"]
+    raw = dict(ss._NATIVE[1]["blocks"][0])
+    ss._compile_block(1, variables, raw)
+    raw["zs"] = raw["zs"][:3] + ("J,I,I,I",) + raw["zs"][4:]
+    with pytest.raises(ValueError, match="stabilizer element 3 is not a cocycle"):
+        ss._compile_block(1, variables, raw)
 
 
 def test_unknown_block_raises():
@@ -505,11 +535,11 @@ def _full_scan_conjugator(blk, t):
     mu = cw.u_coords(act_tensor(g_inv(cb.gstar), t))
     if mu is None:
         return None
-    for w in cw.weyl_group():
+    for index, w in enumerate(cw.weyl_group()):
         params = ss._extract_parameters(blk.i, cw.w_act_coords(w, mu))
         if params is None or not _is_regular(blk.i, params):
             continue
-        b = g_mul(cb.gstar, g_inv(ss.weyl_lift(w)))
+        b = g_mul(cb.gstar, g_inv(ss.weyl_lift(index)))
         if act_tensor(b, cw.parametrize(blk.i, params)) == t:
             return b, params
     return None
@@ -637,8 +667,7 @@ def _normalizer_pairs():
 
 def test_real_weyl_group_matches_fraction_keyed_reference():
     pairs = _normalizer_pairs()
-    # each coset carries one coordinate-action object
-    assert len({id(w) for _, w in pairs}) == len({w for _, w in pairs}) == 192
+    assert len({w for _, w in pairs}) == 192
     mul, inv, conj = galois.slot_mul, galois.slot_inv, galois.slot_conj
     action = dict(pairs)
     elements = galois.build_normalizer().elements
@@ -653,7 +682,7 @@ def test_real_weyl_group_matches_fraction_keyed_reference():
                 twisted = mul(mul(nstar, conj(g)), nstar_inv)
                 if twisted == g:
                     reference.add(w)
-        assert ss.real_weyl_group(m) == tuple(sorted(reference)), m
+        assert ss.real_weyl_group(m) == tuple(cw.weyl_group()[w] for w in sorted(reference)), m
 
 
 def test_family_one_rows_meet_each_real_weyl_orbit_once():
@@ -701,7 +730,7 @@ def test_weyl_lift_is_least_lift():
     assert len(least) == 192
     for w, g in least.items():
         lift = ss.weyl_lift(w)
-        assert cw.h_action_matrix(lift) == w
+        assert cw.h_action_matrix(lift) == cw.weyl_group()[w]
         assert lift == g
         assert ss._weyl_lift_inverse(w) == g_inv(lift)
 
@@ -763,10 +792,10 @@ def test_normalizer_pairs_lift_each_symmetry_32_times():
         lifts[w] = lifts.get(w, 0) + 1
     assert len(lifts) == 192
     assert set(lifts.values()) == {32}
-    assert set(lifts) == set(cw.weyl_group())
+    assert set(lifts) == set(range(len(cw.weyl_group())))
     for idx in random.Random(6144).sample(range(len(pairs)), 200):
         g, w = pairs[idx]
-        assert cw.h_action_matrix(galois.decode(g)) == w
+        assert cw.h_action_matrix(galois.decode(g)) == cw.weyl_group()[w]
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,7 @@ KEPT = {
     "lie_sub": "used by the bracket-equivariance checks of act_tensor and act_g0",
     "gelt_group": "the group view the tests of the h1 engine run on",
     "weyl_group_view": "the group view that checks gamma_h1 against h1",
-    "w_pi_group": "checks the stored generators of the groups Gamma",
     "component_membership": "checks the stored subsystem data",
-    "functional_after": "checks the stored subsystem data after a Weyl move",
     "mat_vec": "a matrix-vector helper of the linear-algebra tests",
     "random_cyc": "draws the random field elements of the property tests",
 }
@@ -165,4 +163,41 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def _package_modules(tree):
+    """Local names bound to modules of the package, by ``from . import m``."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level == 1 and node.module is None)
+            or (node.level == 0 and node.module == "artifact")
+        ):
+            for alias in node.names:
+                out[alias.asname or alias.name] = alias.name
+    return out
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A module uses only the public names of the package's other modules, so
+    that what one keeps private can change without the others."""
+    found = []
+    for path, tree in _sources(sorted(PACKAGE.glob("*.py"))).items():
+        modules = _package_modules(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                node.level == 1 or node.module.startswith("artifact.")
+            ):
+                found += [f"{path.name}:{node.lineno}: {node.module}.{a.name}"
+                          for a in node.names if a.name.startswith("_")]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+            ):
+                found.append(f"{path.name}:{node.lineno}: "
+                             f"{modules[node.value.id]}.{node.attr}")
     assert found == []
