@@ -55,10 +55,6 @@ def transpose(a: Mat) -> Mat:
     return [list(row) for row in zip(*a)]
 
 
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def is_zero_vec(v: Vec) -> bool:
     return all(not x for x in v)
 
@@ -147,7 +143,7 @@ def det(a: Mat) -> CycNum:
     n = len(a)
     nums, den = common_numerators(x for row in a for x in row)
     out = _det_numerators([nums[r * n:(r + 1) * n] for r in range(n)])
-    return ZERO if out is None else CycNum._make(out, den ** n)
+    return ZERO if out is None else CycNum.from_numerators(out, den ** n)
 
 
 def _det_numerators(rows: list) -> list[int] | tuple[int, ...] | None:
@@ -173,8 +169,7 @@ def span_dim(vectors: list[Vec]) -> int:
 class IncrementalSpan:
     """Row space built up one vector at a time, with membership testing."""
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self.rows: list[Vec] = []  # in echelon form
         self.pivots: list[int] = []
 
@@ -204,10 +199,6 @@ class IncrementalSpan:
         self.rows.append(w)
         self.pivots.append(p)
         return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 # -- polynomials ---------------------------------------------------------------
@@ -262,7 +253,7 @@ def poly_deriv(p: Poly) -> Poly:
 def minimal_polynomial(a: Mat) -> Poly:
     """Monic minimal polynomial of a square matrix, by Krylov elimination."""
     n = len(a)
-    span = IncrementalSpan(n * n)
+    span = IncrementalSpan()
     powers: list[Mat] = [identity(n)]
     span.add([x for row in powers[0] for x in row])
     cur = powers[0]

@@ -1,18 +1,23 @@
 """Cartan subspace, restricted roots, Weyl group, subsystems, real Cartan bases.
 
-The 24 restricted roots are stored data, each a functional with a root
-vector, and every one is checked against the algebra by brackets,
+Elements of the Cartan subspace h = <u_1, ..., u_4> are written in
+u-coordinates, their coordinates in the first of the seven real Cartan
+bases (:func:`basis_coords` and :func:`from_basis_coords` with m = 1).  The
+24 restricted roots are stored data, each a functional with a root vector,
+and every one is checked against the algebra by brackets,
 [u_k, v] = alpha(u_k)·v, before use; each is paired with its coroot h_alpha,
 computed from one bracket and normalized by alpha(h_alpha) = 2.  The Weyl
-group (order 192) is generated by the 24 reflections as exact rational 4x4
-matrices in u-coordinates.  The eleven complete subsystems and their
-complement groups Gamma, and the seven real Cartan bases with their witness
-pairs (g*, n*), are embedded as data and re-verified by the test suite.
+group (order 192) is the closure of the 24 reflections' permutations of the
+restricted roots, and each element's exact rational 4x4 matrix in
+u-coordinates is read off its permutation.  The eleven complete subsystems
+and their complement groups Gamma, and the seven real Cartan bases with
+their witness pairs (g*, n*), are embedded as data and re-verified by the
+test suite.
 
-An element of W is named by its index in :func:`weyl_group`, whose matrices
-are read off the root permutations.  Products and inverses are lookups in
-:func:`weyl_table`, and Gamma, W_Pi and the classes of :func:`gamma_h1` are
-searches over indices by the orbit engine of :mod:`artifact._orbits`.
+An element of W is named by its index in :func:`weyl_group`.  Products
+and inverses are lookups in :func:`weyl_table`, and Gamma, W_Pi and the
+classes of :func:`gamma_h1` are searches over indices by the orbit engine
+of :mod:`artifact._orbits`.
 Matrices remain only at the boundary: :func:`w_act_coords`,
 :func:`h_action_matrix`, stored data and returned values; :func:`weyl_index`
 maps a matrix to its index and rejects one outside W.
@@ -27,7 +32,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from ._orbits import orbit, orbit_classes, regular_tables
-from .exactfield import ONE, ZERO, CycNum, common_numerators, rat
+from .exactfield import ONE, ZERO, CycNum, rat, vanishing_functionals
 from .groupaction import (
     D,
     GElt,
@@ -49,37 +54,11 @@ from .liealg import (
     u_basis,
 )
 
-# u_k = e(pair0) + e(pair1); v_k = e(pair0) - e(pair1)
-_U_PAIRS = ((0, 15), (6, 9), (5, 10), (3, 12))
+#: The two tensor positions (a, b) where u_k has its unit entries; the k-th
+#: vector of every real Cartan basis is e_a ± e_b.
+_U_PAIRS = tuple(tuple(p for p, c in enumerate(uk.c) if c) for uk in u_basis())
 
 WeylMat = tuple[tuple[Fraction, ...], ...]
-
-
-def u_coords(t: Tensor) -> tuple[CycNum, CycNum, CycNum, CycNum] | None:
-    """Coordinates of t over u_1..u_4, or None when t is outside their span."""
-    coords = []
-    allowed = set()
-    for a, b in _U_PAIRS:
-        if t.c[a] != t.c[b]:
-            return None
-        coords.append(t.c[a])
-        allowed.update((a, b))
-    for idx in range(16):
-        if idx not in allowed and t.c[idx]:
-            return None
-    return tuple(coords)  # type: ignore[return-value]
-
-
-def from_u_coords(coords: Sequence[CycNum]) -> Tensor:
-    """The element with coordinates ``coords`` over u_1..u_4, as a tensor.
-
-    Each coordinate is written into both positions of its pair in
-    ``_U_PAIRS``, which is where u_k has its two unit entries.
-    """
-    entries = [ZERO] * 16
-    for c, (a, b) in zip(coords, _U_PAIRS):
-        entries[a] = entries[b] = c
-    return Tensor(entries)
 
 
 # -- restricted roots ------------------------------------------------------------
@@ -170,7 +149,7 @@ def restricted_roots() -> tuple[RestrictedRoot, ...]:
             raise ArithmeticError("root %r has no negative" % (tag,))
         br = bracket(v, neg)
         t = g1_to_tensor(br)
-        coords = u_coords(t)
+        coords = basis_coords(1, t)
         if coords is None:
             raise ArithmeticError("coroot fell outside the Cartan subspace")
         pairing = ZERO
@@ -400,7 +379,7 @@ def parametrize(i: int, lams: Sequence[CycNum]) -> Tensor:
         for k in range(4):
             if bvec[k]:
                 coords[k] = coords[k] + lam.scale(bvec[k])
-    return from_u_coords(coords)
+    return from_basis_coords(1, coords)
 
 
 @lru_cache(maxsize=None)
@@ -417,22 +396,16 @@ def member_roots(i: int) -> frozenset[tuple[int, ...]]:
 
 
 def vanishing_roots(coords: Sequence[CycNum]) -> frozenset[tuple[int, ...]]:
-    """Functionals of the restricted roots that vanish at ``coords``.
+    """Functionals of the restricted roots that vanish at ``coords``
+    (u-coordinates), by the integer test
+    :func:`exactfield.vanishing_functionals`.
 
-    The coordinates are brought to one denominator
-    (:func:`exactfield.common_numerators`); a root vanishes exactly when
-    its integer dot product with their numerators does, in each of the
-    eight positions.  A root and its negative vanish together, and the
-    roots are sorted, so the negative of the a-th is the (23 - a)-th: only
-    the first 12 are evaluated.
+    A root and its negative vanish together, and the roots are sorted, so
+    the negative of the a-th is the (23 - a)-th: only the first 12 are
+    evaluated.
     """
-    nums, _ = common_numerators(coords)
-    # one column per position that is nonzero in some coordinate
-    columns = [col for col in zip(*(n or (0,) * 8 for n in nums)) if any(col)]
-    half = [
-        r.coeffs for r in restricted_roots()[:12]
-        if not any(sum(c * x for c, x in zip(r.coeffs, col)) for col in columns)
-    ]
+    half = [r.coeffs for r in restricted_roots()[:12]]
+    half = [f for f, zero in zip(half, vanishing_functionals(half, coords)) if zero]
     return frozenset(half + [tuple(-c for c in k) for k in half])
 
 
@@ -456,7 +429,7 @@ def _pattern_table() -> dict[tuple, int]:
 
 def component_membership(p: Tensor) -> int:
     """The unique i in 1..11 with p conjugate into the normal position of row i."""
-    coords = u_coords(p)
+    coords = basis_coords(1, p)
     if coords is None:
         raise ValueError("element is not in the Cartan subspace")
     pattern = _canonical_pattern(vanishing_roots(coords))
@@ -512,8 +485,7 @@ def h_action_matrix(g: GElt) -> WeylMat | None:
     """
     cols = []
     for uk in u_basis():
-        img = act_tensor(g, uk)
-        coords = u_coords(img)
+        coords = basis_coords(1, act_tensor(g, uk))
         if coords is None:
             return None
         col = []
@@ -599,13 +571,13 @@ def basis_coords(m: int, t: Tensor) -> tuple[CycNum, ...] | None:
     """Coordinates of ``t`` in the m-th real Cartan basis, or None.
 
     The l-th basis vector is ``e_a ± e_b`` for the l-th pair ``(a, b)`` of
-    ``_U_PAIRS``, so its coordinate is read off entry ``a``.
+    ``_U_PAIRS``, with the l-th sign of ``_CARTAN_SIGNS[m - 1]``, so its
+    coordinate is read off entry ``a``.
     """
-    cb = seven_cartans()[m - 1]
     coords = []
-    for (a, b), vec in zip(_U_PAIRS, cb.basis):
+    for (a, b), sign in zip(_U_PAIRS, _CARTAN_SIGNS[m - 1]):
         c = t.c[a]
-        if t.c[b] != (c if vec.c[b] == ONE else -c):
+        if t.c[b] != (c if sign > 0 else -c):
             return None
         coords.append(c)
     if any(t.c[pos] for pos in _OFF_PAIR_POSITIONS):
@@ -619,11 +591,10 @@ def from_basis_coords(m: int, coords: Sequence[CycNum]) -> Tensor:
     The inverse of :func:`basis_coords`: each coordinate goes to entry ``a``
     of its pair ``(a, b)`` and, with the sign of the basis vector, to ``b``.
     """
-    cb = seven_cartans()[m - 1]
     entries = [ZERO] * 16
-    for c, (a, b), vec in zip(coords, _U_PAIRS, cb.basis):
+    for c, (a, b), sign in zip(coords, _U_PAIRS, _CARTAN_SIGNS[m - 1]):
         entries[a] = c
-        entries[b] = c if vec.c[b] == ONE else -c
+        entries[b] = c if sign > 0 else -c
     return Tensor(entries)
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from operator import mul
+from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -68,6 +69,12 @@ class CycNum:
         return out
 
     @staticmethod
+    def from_numerators(nums: list[int], den: int) -> "CycNum":
+        """The value nums / den of integer numerators over a nonzero
+        denominator, reduced; the way back from the integer kernels below."""
+        return CycNum._raw(*_reduce(nums, den))
+
+    @staticmethod
     def from_rational(q: Rat) -> "CycNum":
         f = Fraction(q)
         return CycNum._raw((f.numerator, 0, 0, 0, 0, 0, 0, 0), f.denominator)
@@ -107,8 +114,8 @@ class CycNum:
             return NotImplemented
         da, db = self.den, other.den
         if da == db:
-            return CycNum._make([x + y for x, y in zip(self.nums, other.nums)], da)
-        return CycNum._make(
+            return CycNum.from_numerators([x + y for x, y in zip(self.nums, other.nums)], da)
+        return CycNum.from_numerators(
             [x * db + y * da for x, y in zip(self.nums, other.nums)], da * db
         )
 
@@ -117,8 +124,8 @@ class CycNum:
             return NotImplemented
         da, db = self.den, other.den
         if da == db:
-            return CycNum._make([x - y for x, y in zip(self.nums, other.nums)], da)
-        return CycNum._make(
+            return CycNum.from_numerators([x - y for x, y in zip(self.nums, other.nums)], da)
+        return CycNum.from_numerators(
             [x * db - y * da for x, y in zip(self.nums, other.nums)], da * db
         )
 
@@ -141,7 +148,7 @@ class CycNum:
                     c[k] += ai * bj
                 else:
                     c[k - 8] -= ai * bj
-        return CycNum._make(c, self.den * other.den)
+        return CycNum.from_numerators(c, self.den * other.den)
 
     def __truediv__(self, other: "CycNum") -> "CycNum":
         if not isinstance(other, CycNum):
@@ -163,7 +170,9 @@ class CycNum:
     def scale(self, q: Rat) -> "CycNum":
         """Multiply by a rational; cheaper than full multiplication."""
         f = Fraction(q)
-        return CycNum._make([n * f.numerator for n in self.nums], self.den * f.denominator)
+        return CycNum.from_numerators(
+            [n * f.numerator for n in self.nums], self.den * f.denominator
+        )
 
     # -- field structure -----------------------------------------------------
 
@@ -209,10 +218,6 @@ class CycNum:
 
     # -- plumbing ------------------------------------------------------------
 
-    @staticmethod
-    def _make(nums: list[int], den: int) -> "CycNum":
-        return CycNum._raw(*_reduce(nums, den))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycNum):
             return NotImplemented
@@ -253,8 +258,8 @@ def _reduce(nums: list[int] | tuple[int, ...], den: int) -> tuple[tuple[int, ...
 # -- integer kernels -------------------------------------------------------------
 #
 # Hot loops that combine many field elements work on integer numerators over
-# one common denominator and convert back with ``CycNum._make`` once per
-# result, instead of reducing after every product and sum.
+# one common denominator and convert back with ``CycNum.from_numerators`` once
+# per result, instead of reducing after every product and sum.
 
 def common_numerators(
     values: Iterable[CycNum],
@@ -279,6 +284,24 @@ def common_numerators(
             f = den // v.den
             out.append(tuple(n * f for n in v.nums))
     return out, den
+
+
+def vanishing_functionals(
+    functionals: Sequence[Sequence[int]], values: Sequence[CycNum]
+) -> list[bool]:
+    """Whether each integer functional f vanishes at ``values``, that is
+    whether sum_k f[k]·values[k] == 0, in the order of ``functionals``.
+
+    Over their common denominator (:func:`common_numerators`) the values are
+    sum_e eta^e·p_e with integer vectors p_e, so f vanishes exactly when the
+    integer dot product f·p_e does for every position e.
+    """
+    nums, _ = common_numerators(values)
+    zero = [True] * len(functionals)
+    for p in zip(*(n or _ZERO8 for n in nums)):
+        if any(p):
+            zero = [z and not sum(map(mul, f, p)) for z, f in zip(zero, functionals)]
+    return zero
 
 
 def mul_acc(acc: list[int], a: tuple[int, ...], b: tuple[int, ...]) -> None:

@@ -179,7 +179,7 @@ def act_tensor(g: GElt, t: Tensor) -> Tensor:
                         acc = out[target] = [0] * 8
                     mul_acc(acc, v, c)
         coeffs = [acc if acc is not None and any(acc) else None for acc in out]
-    return Tensor([ZERO if c is None else CycNum._make(c, den) for c in coeffs])
+    return Tensor([ZERO if c is None else CycNum.from_numerators(c, den) for c in coeffs])
 
 
 def act_g0(g: GElt, h: LieElt) -> LieElt:

@@ -157,7 +157,7 @@ def quadratic(t: Tensor) -> CycNum:
             ca = [0] * 8
             mul_acc(ca, c, a)
             mul_acc(total, ca, b)
-    return CycNum._make(total, den * tden * tden)
+    return CycNum.from_numerators(total, den * tden * tden)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +216,6 @@ class InvariantVector:
     L12: CycNum
     L13: CycNum
     L14: CycNum
-
-    def entries(self) -> tuple[CycNum, CycNum, CycNum, CycNum]:
-        return (self.H, self.L12, self.L13, self.L14)
 
     def as_dict(self) -> dict[str, str]:
         return {

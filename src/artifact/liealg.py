@@ -104,7 +104,6 @@ class LieAlgebraD4:
         if self.dimension != 28:
             raise ArithmeticError("expected 28 basis matrices, found %d" % self.dimension)
         self.basis_names = names
-        self.eps_roots = eps_roots
         self._int_mats = mats
         self.index = {n: k for k, n in enumerate(names)}
 
@@ -123,7 +122,6 @@ class LieAlgebraD4:
             probes.append(pos)
         if len(set(probes)) != 28:
             raise ArithmeticError("witness entries of the basis are not distinct")
-        self._probes = probes
 
         # Structure constants: [b_i, b_j] = sum_k  c_k b_k, integer c.
         struct: dict[tuple[int, int], dict[int, int]] = {}
@@ -226,10 +224,6 @@ class LieAlgebraD4:
             raise ArithmeticError("tensor basis does not cover the degree-one part")
         self.tensor_table = table
 
-        self.basis_mats = [
-            [[rat(x) for x in row] for row in m] for m in mats
-        ]
-
     # -- element plumbing ----------------------------------------------------
 
     def zero(self) -> LieElt:
@@ -251,13 +245,6 @@ class LieAlgebraD4:
                         if ra[b]:
                             m[a][b] = m[a][b] + c.scale(ra[b])
         return m
-
-    def from_matrix(self, m: la.Mat) -> LieElt:
-        x = [m[a][b] for a, b in self._probes]
-        recon = self.to_matrix(x)
-        if not la.mat_eq(recon, m):
-            raise ValueError("matrix is not in so(8)")
-        return x
 
 
 @lru_cache(maxsize=None)
@@ -472,32 +459,21 @@ class Tensor:
         return "Tensor(" + (" + ".join(parts) if parts else "0") + ")"
 
     # JSON: {"coeffs": {"0000": "<value>", ...}}, omitted keys are zero.
-    def to_json_dict(self) -> dict:
-        return {
-            "coeffs": {
-                _index_to_bits(t): cyc_to_str(self.c[t])
-                for t in range(16)
-                if self.c[t]
-            }
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "Tensor":
-        if not isinstance(d, dict) or "coeffs" not in d or not isinstance(d["coeffs"], dict):
-            raise ValueError('tensor JSON needs a "coeffs" object')
-        cs = [ZERO] * 16
-        for bits, text in d["coeffs"].items():
-            if not isinstance(text, str):
-                raise ValueError("tensor coefficients must be strings")
-            cs[_bits_to_index(bits)] = parse_cyc(text)
-        return Tensor(cs)
+        coeffs = {_index_to_bits(t): cyc_to_str(c) for t, c in enumerate(self.c) if c}
+        return json.dumps({"coeffs": coeffs}, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "Tensor":
-        return Tensor.from_json_dict(json.loads(text))
+        d = json.loads(text)
+        if not isinstance(d, dict) or "coeffs" not in d or not isinstance(d["coeffs"], dict):
+            raise ValueError('tensor JSON needs a "coeffs" object')
+        cs = [ZERO] * 16
+        for bits, value in d["coeffs"].items():
+            if not isinstance(value, str):
+                raise ValueError("tensor coefficients must be strings")
+            cs[_bits_to_index(bits)] = parse_cyc(value)
+        return Tensor(cs)
 
 
 def tensor(spec: dict[str, Fraction | int | str | CycNum]) -> Tensor:

@@ -25,7 +25,7 @@ import ast
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from . import _linalg as la
@@ -33,7 +33,16 @@ from . import cartanweyl as cw
 from . import galois
 from . import invariants
 from . import liealg
-from .exactfield import CycNum, IMAG, MINUS_ONE, ONE, ZERO, rat
+from .exactfield import (
+    CycNum,
+    IMAG,
+    MINUS_ONE,
+    ONE,
+    ZERO,
+    common_numerators,
+    rat,
+    vanishing_functionals,
+)
 from .groupaction import (
     GElt,
     PermAuto,
@@ -232,7 +241,7 @@ class SSTableRow:
             if not all(values):
                 raise ValueError("zero parameter where a reciprocal is required")
             values = [v.inverse() for v in values]
-        return tuple(_dot(r, values) for r in self.matrix)
+        return tuple(la.mat_vec(self.matrix, values))
 
     @cached_property
     def _elim(self) -> tuple:
@@ -248,14 +257,6 @@ class SSTableRow:
                 return None
             sol = [v.inverse() for v in sol]
         return tuple(sol)
-
-
-def _dot(coeffs, values) -> CycNum:
-    acc = ZERO
-    for c, v in zip(coeffs, values):
-        if c and v:
-            acc = acc + c * v
-    return acc
 
 
 def _eliminator(matrix) -> tuple:
@@ -276,9 +277,8 @@ def _eliminator(matrix) -> tuple:
 def _eliminate(elim: tuple, n: int, vec: Sequence[CycNum]) -> list | None:
     """The x with ``matrix · x = vec``, from the eliminator of ``matrix``
     (n columns); None when the consistency rows ``E[n:]`` reject ``vec``."""
-    if any(_dot(row, vec) for row in elim[n:]):
-        return None
-    return [_dot(row, vec) for row in elim[:n]]
+    out = la.mat_vec(elim, vec)
+    return None if any(out[n:]) else out[:n]
 
 
 def _compile_row(k: int, exprs: tuple, variables: tuple[str, ...]) -> SSTableRow:
@@ -1171,7 +1171,7 @@ def _twist_factors(m: int) -> tuple:
     taus = []
     for l, vec in enumerate(cw.seven_cartans()[m - 1].basis):
         back = act_tensor(_gstar_inverse(m), vec)
-        mu = cw.u_coords(back)
+        mu = cw.basis_coords(1, back)
         if mu is None:
             raise ArithmeticError("real basis does not map into the subspace")
         for pos, val in enumerate(mu):
@@ -1206,10 +1206,6 @@ def _coordinate_moves(m: int) -> tuple:
             mat.append(tuple(row))
         moves.append(tuple(mat))
     return tuple(moves)
-
-
-def _apply_move(mat, coords) -> tuple:
-    return tuple(_dot(mat[a], coords) for a in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -1252,15 +1248,10 @@ def real_point(i: int, j: int, lams: Sequence[CycNum]) -> tuple[Tensor, GElt]:
 
 @lru_cache(maxsize=None)
 def _family_columns(i: int) -> tuple:
-    """Columns: coordinates of the family's canonical element per parameter."""
-    count = cw.subsystem(i).param_count
-    cols = [[ZERO] * count for _ in range(4)]
-    for t in range(count):
-        unit = tuple(ONE if s == t else ZERO for s in range(count))
-        vec = cw.u_coords(cw.parametrize(i, unit))
-        for r in range(4):
-            cols[r][t] = vec[r]
-    return tuple(tuple(r) for r in cols)
+    """Columns: u-coordinates of the family's canonical element per
+    parameter, the transpose of the subsystem's ``h_basis``."""
+    h_basis = cw.subsystem(i).h_basis
+    return tuple(tuple(rat(b[r]) for b in h_basis) for r in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -1279,9 +1270,8 @@ def _extract_parameters(i: int, vec: tuple) -> tuple | None:
     sol = _eliminate(_family_eliminator(i), len(cols[0]), vec)
     if sol is None:
         return None
-    for r in range(4):
-        if _dot(cols[r], sol) != vec[r]:
-            return None
+    if la.mat_vec(cols, sol) != list(vec):
+        return None
     return tuple(sol)
 
 
@@ -1565,13 +1555,22 @@ def _blocks_by_basis(m: int) -> tuple[CaseBlock, ...]:
 # exactly when the rational functionals a·M and b·M both vanish at c.
 
 
+def _numerator_rows(matrix) -> tuple[list, int]:
+    """The entries of ``matrix`` as integer 8-tuples over their common
+    denominator d (:func:`exactfield.common_numerators`), row by row, and d."""
+    nums, den = common_numerators(v for r in matrix for v in r)
+    nums = [x or (0,) * 8 for x in nums]
+    n = len(matrix[0])
+    return [nums[k:k + n] for k in range(0, len(nums), n)], den
+
+
 def _gaussian_parts(matrix) -> tuple[list, list]:
     """Integer matrices A and B with d·matrix = A + B·i for one integer d > 0."""
-    den = lcm(*(v.den for r in matrix for v in r))
-    if any(v.nums[e] for r in matrix for v in r for e in (1, 2, 3, 5, 6, 7)):
+    rows, _ = _numerator_rows(matrix)
+    if any(x[e] for r in rows for x in r for e in (1, 2, 3, 5, 6, 7)):
         raise ArithmeticError("eliminator entry is not a Gaussian rational")
-    return ([tuple(v.nums[0] * (den // v.den) for v in r) for r in matrix],
-            [tuple(v.nums[4] * (den // v.den) for v in r) for r in matrix])
+    return ([tuple(x[0] for x in r) for r in rows],
+            [tuple(x[4] for x in r) for r in rows])
 
 
 def _primitive(vec) -> tuple[int, ...]:
@@ -1673,10 +1672,10 @@ def _plan(m: int) -> _Plan:
             )
     via, moved = [], []
     for move in _coordinate_moves(m):
-        if not all(v.is_rational() for r in move for v in r):
+        nums, scale = _numerator_rows(move)
+        if any(any(x[1:]) for r in nums for x in r):
             raise ArithmeticError("real coordinate move is not rational")
-        scale = lcm(*(v.den for r in move for v in r))
-        mat = [[v.nums[0] * (scale // v.den) for v in r] for r in move]
+        mat = [[x[0] for x in r] for r in nums]
         via.append(tuple(
             index([sum(f[a] * mat[a][b] for a in range(4)) for b in range(4)])
             for f in tests
@@ -1687,23 +1686,6 @@ def _plan(m: int) -> _Plan:
     return _Plan(tuple(functionals), tuple(via), tuple(moved), tuple(rows))
 
 
-def _vanishing(functionals: tuple[tuple[int, ...], ...], coords: tuple) -> list[bool]:
-    """Whether each functional vanishes at ``coords``.
-
-    Over a common denominator the coordinates are sum_e eta^e·p_e with
-    integer vectors p_e, so f vanishes exactly when every f·p_e does.
-    """
-    den = lcm(*(c.den for c in coords))
-    parts = [
-        p for p in zip(*([n * (den // c.den) for n in c.nums] for c in coords))
-        if any(p)
-    ]
-    return [
-        not any(f[0] * p[0] + f[1] * p[1] + f[2] * p[2] + f[3] * p[3] for p in parts)
-        for f in functionals
-    ]
-
-
 def _matches(m: int, coords: tuple) -> list[tuple]:
     """Each ``(s, moved, block, row, lams)`` on basis ``m``: move s takes the
     coordinates to ``row`` at admissible parameters ``lams``; ``moved`` is 1
@@ -1712,7 +1694,7 @@ def _matches(m: int, coords: tuple) -> list[tuple]:
     if not all(c.is_real() for c in coords):
         raise ArithmeticError("basis coordinates are not real")
     plan = _plan(m)
-    zero = _vanishing(plan.functionals, coords)
+    zero = vanishing_functionals(plan.functionals, coords)
     moves = _coordinate_moves(m)
     out = []
     for s, tests in enumerate(plan.via):
@@ -1723,7 +1705,7 @@ def _matches(m: int, coords: tuple) -> list[tuple]:
             if vanish & ~z or nonzero & z or any(not g & ~z for g in some):
                 continue
             if vec is None:
-                vec = _apply_move(moves[s], coords)
+                vec = la.mat_vec(moves[s], coords)
             lams = row.solve(vec)
             if lams is None:
                 raise ArithmeticError("plan admitted an inconsistent row")

@@ -7,10 +7,11 @@ import pytest
 
 from artifact.cartanweyl import (
     W_IDENTITY,
+    basis_coords,
     cartan_is_semisimple,
     component_membership,
     containing_bases,
-    from_u_coords,
+    from_basis_coords,
     gamma_group,
     gamma_h1,
     h_action_matrix,
@@ -20,7 +21,6 @@ from artifact.cartanweyl import (
     restricted_roots,
     seven_cartans,
     subsystem,
-    u_coords,
     vanishing_roots,
     w_act_coords,
     w_pi_group,
@@ -168,7 +168,7 @@ class TestRestrictedRoots:
         for i in range(1, 12):
             for _ in range(3):
                 lams = [rat(rng.randint(-3, 3)) for _ in range(subsystem(i).param_count)]
-                points.append(u_coords(parametrize(i, lams)))
+                points.append(basis_coords(1, parametrize(i, lams)))
         # mixed denominators, and irrational coordinates
         points.append((rat(1, 2), rat(1, 3), rat(5, 6), rat(-7, 4)))
         points.append((rat(1, 2), rat(1, 3), rat(5, 6), ZERO))
@@ -328,7 +328,8 @@ class TestSubsystems:
         assert component_membership(u[0]) == 10
         assert component_membership(u[0] + u[1] + u[2]) == 2
         assert component_membership(Tensor.zero()) == 11
-        assert component_membership(from_u_coords([rat(7), rat(3), rat(2), rat(1)])) == 1
+        p = from_basis_coords(1, [rat(7), rat(3), rat(2), rat(1)])
+        assert component_membership(p) == 1
 
     def test_membership_all_families(self):
         expects = {
@@ -351,10 +352,10 @@ class TestSubsystems:
     def test_membership_after_weyl_move(self):
         rng = random.Random(3)
         p = parametrize(4, [rat(3), rat(1)])
-        coords = u_coords(p)
+        coords = basis_coords(1, p)
         for _ in range(5):
             w = rng.choice(weyl_group())
-            moved = from_u_coords(w_act_coords(w, coords))
+            moved = from_basis_coords(1, w_act_coords(w, coords))
             assert component_membership(moved) == 4
 
     def test_membership_complex_parameters(self):
@@ -364,7 +365,7 @@ class TestSubsystems:
 
     def test_regularity(self):
         def regular(i, lams):
-            return vanishing_roots(u_coords(parametrize(i, lams))) == member_roots(i)
+            return vanishing_roots(basis_coords(1, parametrize(i, lams))) == member_roots(i)
 
         assert regular(2, [rat(1), rat(1), rat(1)])
         assert not regular(2, [rat(2), rat(1), rat(1)])  # 2 = 1+1 wall
@@ -378,8 +379,8 @@ class TestSubsystems:
         expected = Tensor.zero()
         for c, uk in zip(coords, u_basis()):
             expected = expected + uk.scale(c)
-        assert from_u_coords(coords).c == expected.c
-        assert u_coords(from_u_coords(coords)) == tuple(coords)
+        assert from_basis_coords(1, coords).c == expected.c
+        assert basis_coords(1, from_basis_coords(1, coords)) == tuple(coords)
 
     def test_param_count_error(self):
         with pytest.raises(ValueError):

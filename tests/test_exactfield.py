@@ -17,7 +17,9 @@ from artifact.exactfield import (
     cyc_to_str,
     mul_acc,
     parse_cyc,
+    random_cyc,
     rat,
+    vanishing_functionals,
 )
 
 
@@ -169,6 +171,30 @@ class TestIntegerKernels:
         out = list(acc)
         mul_acc(out, a.nums, b.nums)
         assert CycNum(out, a.den * b.den) == CycNum(acc, a.den * b.den) + a * b
+
+    def test_vanishing_functionals_match_evaluation(self):
+        # points with zero, rational and non-rational coordinates over
+        # unequal denominators, each put on the kernel of a drawn functional
+        rng = random.Random(17)
+        functionals = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(40)]
+
+        def value(f, values):
+            return sum((v.scale(c) for c, v in zip(f, values)), ZERO)
+
+        seen = set()
+        for _ in range(300):
+            values = [rng.choice((ZERO, rat(rng.randint(-5, 5), rng.randint(1, 7)),
+                                  random_cyc(rng, 3, 6))) for _ in range(4)]
+            g = rng.choice(functionals)
+            k = next((k for k, c in enumerate(g) if c), None)
+            if k is not None:
+                values[k] = ZERO
+                values[k] = value(g, values).scale(Fraction(-1, g[k]))
+            expected = [not value(f, values) for f in functionals]
+            assert vanishing_functionals(functionals, values) == expected
+            assert expected[functionals.index(g)]
+            seen.update(expected)
+        assert seen == {True, False}
 
 
 class TestGalois:

@@ -497,7 +497,7 @@ def _reference_extract(i, vec):
     # plain elimination on the family columns, then the re-check
     cols = ss._family_columns(i)
     sol = la.solve([list(r) for r in cols], list(vec))
-    if sol is None or any(ss._dot(cols[r], sol) != vec[r] for r in range(4)):
+    if sol is None or la.mat_vec(cols, sol) != list(vec):
         return None
     return tuple(sol)
 
@@ -511,7 +511,8 @@ def test_extract_parameters_matches_elimination():
         lams = ss.default_lambda(blk.i, blk.j)
         family = vectors.setdefault(blk.i, set())
         for row in blk.rows:
-            mu = cw.u_coords(act_tensor(ginv, ss.row_tensor(blk.i, blk.j, row.k, lams)))
+            t = ss.row_tensor(blk.i, blk.j, row.k, lams)
+            mu = cw.basis_coords(1, act_tensor(ginv, t))
             family.update(cw.w_act_coords(w, mu) for w in cw.weyl_group())
             family.update(mu[:p] + (mu[p] + ONE,) + mu[p + 1:] for p in range(4))
     assert sorted(vectors) == list(range(1, 11))
@@ -525,14 +526,14 @@ def test_extract_parameters_matches_elimination():
 
 def _is_regular(i, params):
     # the parameters put q(params) in the regular part of family i
-    coords = cw.u_coords(cw.parametrize(i, params))
+    coords = cw.basis_coords(1, cw.parametrize(i, params))
     return cw.vanishing_roots(coords) == cw.member_roots(i)
 
 
 def _full_scan_conjugator(blk, t):
     # the conjugator search as a scan of all of W with no root-pattern filter
     cb = cw.seven_cartans()[blk.m - 1]
-    mu = cw.u_coords(act_tensor(g_inv(cb.gstar), t))
+    mu = cw.basis_coords(1, act_tensor(g_inv(cb.gstar), t))
     if mu is None:
         return None
     for index, w in enumerate(cw.weyl_group()):
@@ -580,7 +581,7 @@ def test_complex_conjugator_finds_none_off_the_family():
     gstar = cw.seven_cartans()[blk.m - 1].gstar
 
     def at(nu):
-        return act_tensor(gstar, cw.from_u_coords(nu))
+        return act_tensor(gstar, cw.from_basis_coords(1, nu))
 
     # a regular point: no Weyl image lies in the family's span x4 = 0
     generic = (rat(7), rat(3), rat(2), rat(1))
@@ -590,7 +591,8 @@ def test_complex_conjugator_finds_none_off_the_family():
     # a wall point of the span: 2 = 1 + 1
     wall = (rat(2), rat(1), rat(1))
     assert not _is_regular(2, wall)
-    assert ss._complex_conjugator(blk, at(cw.u_coords(cw.parametrize(2, wall)))) is None
+    wall_coords = cw.basis_coords(1, cw.parametrize(2, wall))
+    assert ss._complex_conjugator(blk, at(wall_coords)) is None
 
 
 def test_basis_coords_match_elimination():
@@ -698,11 +700,12 @@ def test_family_one_rows_meet_each_real_weyl_orbit_once():
         lams = ss.default_lambda(1, j)
 
         def mu(k):
-            return cw.u_coords(act_tensor(ginv, ss.row_tensor(1, j, k, lams)))
+            return cw.basis_coords(1, act_tensor(ginv, ss.row_tensor(1, j, k, lams)))
 
         images = {cw.w_act_coords(w, mu(1)) for w in cw.weyl_group()}
         assert len(images) == 192, j
-        real = {nu for nu in images if act_tensor(gstar, cw.from_u_coords(nu)).is_real()}
+        real = {nu for nu in images
+                if act_tensor(gstar, cw.from_basis_coords(1, nu)).is_real()}
         group = ss.real_weyl_group(blk.m)
         orbit_of, orbits = {}, 0
         for start in real:
@@ -923,7 +926,7 @@ def _reference_classify(t):
     candidates = []
     for m, coords in bases:
         for move in ss._coordinate_moves(m):
-            vec = ss._apply_move(move, coords)
+            vec = tuple(la.mat_vec(move, coords))
             moved = 0 if vec == coords else 1
             for blk in ss._blocks_by_basis(m):
                 for row in blk.rows:
@@ -1003,7 +1006,7 @@ def test_plan_decides_every_pair_like_solve_and_accepts():
             for m, coords in cw.containing_bases(t):
                 want = set()
                 for s, move in enumerate(ss._coordinate_moves(m)):
-                    vec = ss._apply_move(move, coords)
+                    vec = tuple(la.mat_vec(move, coords))
                     for b in ss._blocks_by_basis(m):
                         for r in b.rows:
                             sol = r.solve(vec)

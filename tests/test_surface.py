@@ -1,11 +1,13 @@
 """The package's public surface is the pipeline it serves.
 
-Every public top-level definition in ``src/artifact`` must be referenced by
-code that is not a test: by another part of the package (outside the
-definition's own body), by the ``artifact`` command, or by the benchmark
-scripts in ``bench/``.  A reference is a name, an attribute or a string
-constant equal to the definition's name (the benchmark's tracer patches
-functions by their names as strings).  References are counted transitively:
+Every public top-level definition in ``src/artifact``, and every public
+method and property of its classes, must be referenced by code that is not
+a test: by another part of the package (outside the definition's own body),
+by the ``artifact`` command, or by the benchmark scripts in ``bench/``.  A
+reference is a name, an attribute or a string constant equal to the
+definition's name (the benchmark's tracer patches functions by their names
+as strings); a method is read as an attribute, so a bare name, such as a
+local variable, does not reach it.  References are counted transitively:
 a definition reached only from definitions that are themselves reached only
 from tests does not count as reached.  The names in ``KEPT`` are the
 exceptions, each kept as a reference or a guard for the tests.
@@ -34,8 +36,12 @@ KEPT = {
     "gelt_group": "the group view the tests of the h1 engine run on",
     "weyl_group_view": "the group view that checks gamma_h1 against h1",
     "component_membership": "checks the stored subsystem data",
-    "mat_vec": "a matrix-vector helper of the linear-algebra tests",
     "random_cyc": "draws the random field elements of the property tests",
+    "coefficients": "CycNum's rational coefficients, read by the field tests",
+    "as_dict": "InvariantVector as text, the reference of the invariants' report form",
+    "to_json": "Tensor's JSON text, the input format states are written in",
+    "from_json": "reads Tensor's JSON text, the input format states are written in",
+    "basis_name": "the letter of a label's or block's real Cartan basis, as the paper names it",
 }
 
 
@@ -44,7 +50,8 @@ def _sources(paths):
 
 
 def _names(node):
-    """Identifiers and identifier-like strings used under ``node``.
+    """Identifiers and identifier-like strings used under ``node``, the
+    attributes and strings marked by a leading ``.``.
 
     Imports and ``__all__`` lists are skipped: naming a definition there is
     not a use of it.
@@ -58,10 +65,10 @@ def _names(node):
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out.add("." + n.attr)
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
             if n.value.isidentifier():
-                out.add(n.value)
+                out.add("." + n.value)
         stack.extend(ast.iter_child_nodes(n))
     return out
 
@@ -88,34 +95,59 @@ def _defined(stmt):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
+def _public_methods(cls):
+    """The public methods and properties defined in a class body."""
+    return [
+        n for n in cls.body
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not n.name.startswith("_")
+    ]
+
+
+def _reaches(used):
+    """The definitions a use reaches: an attribute or a string ``.x`` the
+    top-level ``x`` and the methods ``.x``, a bare name ``x`` only ``x``."""
+    return (used, used[1:]) if used.startswith(".") else (used,)
+
+
 def _reachability():
-    """(public definitions, names reached from non-test code) of the package."""
+    """(public definitions, names reached from non-test code) of the package.
+
+    A public method or property is a definition of its own, keyed ``.name``;
+    the rest of its class's body is reached with the class.
+    """
     trees = _sources(sorted(PACKAGE.glob("*.py")))
     roots: set[str] = set()
-    defs: dict[str, list[ast.stmt]] = {}
+    uses: dict[str, set[str]] = {}  # definition -> the names its bodies use
     for tree in trees.values():
         for stmt in tree.body:
             names = [n for n in _defined(stmt) if not n.startswith("__")]
-            for n in names:
-                defs.setdefault(n, []).append(stmt)
             if not names:
                 roots |= _names(stmt)
+                continue
+            parts = [stmt]
+            if isinstance(stmt, ast.ClassDef):
+                methods = _public_methods(stmt)
+                for method in methods:
+                    uses.setdefault("." + method.name, set()).update(_names(method))
+                parts = [c for c in ast.iter_child_nodes(stmt) if c not in methods]
+            for n in names:
+                uses.setdefault(n, set()).update(*map(_names, parts))
     for tree in _sources(sorted(BENCH.glob("*.py"))).values():
         roots |= _names(tree)
     roots |= _names(trees[PACKAGE / "cli.py"])
     # A definition's body reaches names only once the definition is reached.
     reached = set()
-    frontier = [n for n in roots if n in defs]
+    frontier = [d for u in roots for d in _reaches(u) if d in uses]
     while frontier:
         name = frontier.pop()
         if name in reached:
             continue
         reached.add(name)
-        for stmt in defs[name]:
-            used = _names(stmt) - {name}
-            frontier.extend(n for n in used if n in defs and n not in reached)
-    public = {n for n in defs if not n.startswith("_")}
-    return public, reached
+        frontier.extend(d for u in uses[name] for d in _reaches(u)
+                        if d in uses and d not in reached)
+    public = {d.lstrip(".") for d in uses if not d.lstrip(".").startswith("_")}
+    return public, {d.lstrip(".") for d in reached}
 
 
 def test_every_public_definition_serves_the_pipeline():
@@ -166,25 +198,33 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def _package_modules(tree):
-    """Local names bound to modules of the package, by ``from . import m``."""
+def _package_imports(tree):
+    """Local names bound by imports from the package, each to what it names:
+    a module by ``from . import m``, or ``m.Name`` by ``from .m import Name``."""
     out = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (
-            (node.level == 1 and node.module is None)
-            or (node.level == 0 and node.module == "artifact")
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if (node.level == 1 and node.module is None) or (
+            node.level == 0 and node.module == "artifact"
         ):
-            for alias in node.names:
-                out[alias.asname or alias.name] = alias.name
+            prefix = ""
+        elif node.level == 1 or (node.module or "").startswith("artifact."):
+            prefix = node.module.removeprefix("artifact.") + "."
+        else:
+            continue
+        for alias in node.names:
+            out[alias.asname or alias.name] = prefix + alias.name
     return out
 
 
 def test_no_module_reads_another_modules_private_names():
-    """A module uses only the public names of the package's other modules, so
-    that what one keeps private can change without the others."""
+    """A module uses only the public names of the package's other modules,
+    and of the classes it imports from them, so that what one keeps private
+    can change without the others."""
     found = []
     for path, tree in _sources(sorted(PACKAGE.glob("*.py"))).items():
-        modules = _package_modules(tree)
+        modules = _package_imports(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module and (
                 node.level == 1 or node.module.startswith("artifact.")
