@@ -120,15 +120,6 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     return x
 
 
-def inverse(a: Mat) -> Mat:
-    n = len(a)
-    aug = [list(row) + list(idr) for row, idr in zip(a, identity(n))]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
-
-
 def det(a: Mat) -> CycNum:
     """Determinant by Laplace expansion along the first row, without division.
 
@@ -158,12 +149,6 @@ def _det_numerators(rows: list) -> list[int] | tuple[int, ...] | None:
         if minor is not None:
             mul_acc(acc, tuple(-v for v in x) if j % 2 else x, minor)
     return acc if any(acc) else None
-
-
-def span_dim(vectors: list[Vec]) -> int:
-    if not vectors:
-        return 0
-    return rank(vectors)
 
 
 class IncrementalSpan:

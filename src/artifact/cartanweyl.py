@@ -5,9 +5,11 @@ u-coordinates, their coordinates in the first of the seven real Cartan
 bases (:func:`basis_coords` and :func:`from_basis_coords` with m = 1).  The
 24 restricted roots are stored data, each a functional with a root vector,
 and every one is checked against the algebra by brackets,
-[u_k, v] = alpha(u_k)·v, before use; each is paired with its coroot h_alpha,
-computed from one bracket and normalized by alpha(h_alpha) = 2.  The Weyl
-group (order 192) is the closure of the 24 reflections' permutations of the
+[u_k, v] = alpha(u_k)·v, before use; each is paired with its coroot, the
+closed form h_alpha = 2·alpha/(alpha·alpha).  A wrong coroot raises where
+its reflection does not permute the roots or the reflections do not close
+to order 192, and the tests pin the resulting group.  The Weyl group
+(order 192) is the closure of the 24 reflections' permutations of the
 restricted roots, and each element's exact rational 4x4 matrix in
 u-coordinates is read off its permutation.  The eleven complete subsystems
 and their complement groups Gamma, and the seven real Cartan bases with
@@ -32,7 +34,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from ._orbits import orbit, orbit_classes, regular_tables
-from .exactfield import ONE, ZERO, CycNum, rat, vanishing_functionals
+from .exactfield import ONE, ZERO, CycNum, vanishing_functionals
 from .groupaction import (
     D,
     GElt,
@@ -48,7 +50,6 @@ from .liealg import (
     LieElt,
     Tensor,
     bracket,
-    g1_to_tensor,
     is_commuting_semisimple,
     tensor_to_g1,
     u_basis,
@@ -136,31 +137,19 @@ def restricted_roots() -> tuple[RestrictedRoot, ...]:
     """The 24 restricted roots, in increasing order of functional.
 
     The root vectors are the stored table, checked by brackets
-    (:func:`_checked_root_vectors`).  Each h_alpha is read off
-    [v_alpha, v_-alpha], which lies in the Cartan subspace, scaled so that
-    alpha(h_alpha) = 2.
+    (:func:`_checked_root_vectors`).  Each coroot is the closed form
+    h_alpha = 2·alpha/(alpha·alpha) in u-coordinates, so alpha(h_alpha) = 2.
+    A wrong coroot gives a wrong reflection, and is rejected by
+    :func:`_root_permutation` (every reflection must permute the 24 roots),
+    by :func:`root_permutations` (the closure must have order 192) and by
+    the pinned digest of :func:`weyl_group` in the tests.
     """
     roots = _checked_root_vectors(_ROOTS)
     out = []
     for tag in sorted(roots):
-        v = roots[tag]
-        neg = roots.get(tuple(-c for c in tag))
-        if neg is None:
-            raise ArithmeticError("root %r has no negative" % (tag,))
-        br = bracket(v, neg)
-        t = g1_to_tensor(br)
-        coords = basis_coords(1, t)
-        if coords is None:
-            raise ArithmeticError("coroot fell outside the Cartan subspace")
-        pairing = ZERO
-        for c, x in zip(tag, coords):
-            if c:
-                pairing = pairing + x.scale(c)
-        if not pairing:
-            raise ArithmeticError("degenerate root pairing")
-        scale = rat(2) / pairing
-        h = tuple((scale * x).to_fraction() for x in coords)
-        out.append(RestrictedRoot(coeffs=tag, vector=tuple(v), h_alpha=h))
+        norm = sum(c * c for c in tag)
+        h = tuple(Fraction(2 * c, norm) for c in tag)
+        out.append(RestrictedRoot(coeffs=tag, vector=tuple(roots[tag]), h_alpha=h))
     return tuple(out)
 
 
@@ -515,15 +504,17 @@ def _pair_vector(k: int, sign: int) -> Tensor:
     return Tensor(t)
 
 
-_CARTAN_SIGNS = (
-    (1, 1, 1, 1),      # u
-    (-1, -1, -1, -1),  # v
-    (-1, -1, -1, 1),   # w
-    (-1, -1, 1, 1),    # x
-    (-1, 1, -1, 1),    # y
-    (-1, 1, 1, -1),    # z
-    (-1, 1, 1, 1),     # t
-)
+#: The signs of the pair vectors e_a ± e_b of the m-th real Cartan basis,
+#: keyed by m, so that an m outside 1..7 raises ``KeyError``.
+_CARTAN_SIGNS = {
+    1: (1, 1, 1, 1),      # u
+    2: (-1, -1, -1, -1),  # v
+    3: (-1, -1, -1, 1),   # w
+    4: (-1, -1, 1, 1),    # x
+    5: (-1, 1, -1, 1),    # y
+    6: (-1, 1, 1, -1),    # z
+    7: (-1, 1, 1, 1),     # t
+}
 
 
 def _gstar_list() -> list[GElt]:
@@ -545,7 +536,7 @@ def _gstar_list() -> list[GElt]:
 @lru_cache(maxsize=1)
 def seven_cartans() -> tuple[CartanBasis, ...]:
     out = []
-    for m, (signs, gs) in enumerate(zip(_CARTAN_SIGNS, _gstar_list()), start=1):
+    for (m, signs), gs in zip(_CARTAN_SIGNS.items(), _gstar_list()):
         basis = tuple(_pair_vector(k, s) for k, s in enumerate(signs))
         ns = g_mul(g_inv(gs), conj_g(gs))
         out.append(CartanBasis(index=m, basis=basis, gstar=gs, nstar=ns))
@@ -571,11 +562,11 @@ def basis_coords(m: int, t: Tensor) -> tuple[CycNum, ...] | None:
     """Coordinates of ``t`` in the m-th real Cartan basis, or None.
 
     The l-th basis vector is ``e_a ± e_b`` for the l-th pair ``(a, b)`` of
-    ``_U_PAIRS``, with the l-th sign of ``_CARTAN_SIGNS[m - 1]``, so its
-    coordinate is read off entry ``a``.
+    ``_U_PAIRS``, with the l-th sign of ``_CARTAN_SIGNS[m]``, so its
+    coordinate is read off entry ``a``.  ``KeyError`` for m outside 1..7.
     """
     coords = []
-    for (a, b), sign in zip(_U_PAIRS, _CARTAN_SIGNS[m - 1]):
+    for (a, b), sign in zip(_U_PAIRS, _CARTAN_SIGNS[m]):
         c = t.c[a]
         if t.c[b] != (c if sign > 0 else -c):
             return None
@@ -592,7 +583,7 @@ def from_basis_coords(m: int, coords: Sequence[CycNum]) -> Tensor:
     of its pair ``(a, b)`` and, with the sign of the basis vector, to ``b``.
     """
     entries = [ZERO] * 16
-    for c, (a, b), sign in zip(coords, _U_PAIRS, _CARTAN_SIGNS[m - 1]):
+    for c, (a, b), sign in zip(coords, _U_PAIRS, _CARTAN_SIGNS[m]):
         entries[a] = c
         entries[b] = c if sign > 0 else -c
     return Tensor(entries)

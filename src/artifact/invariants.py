@@ -2,10 +2,11 @@
 
 Two families of classical invariants are provided:
 
-* the degree-2 invariant ``H`` — its sixteen coefficients are *derived* by
-  solving the linear system "the Lie-algebra action annihilates the
-  polynomial" rather than transcribed from anywhere, eliminating any
-  sign-convention risk;
+* the degree-2 invariant ``H``, half the ε⊗ε⊗ε⊗ε pairing of a tensor with
+  itself (ε the determinant form of one slot): eight terms
+  ±t_a·t_{15-a}.  The tests check that each of the twelve generators of
+  the degree-zero part of the algebra annihilates it, MᵀS + SM = 0 for its
+  action matrix M and the pairing's symmetric matrix S;
 * the three degree-4 flattening determinants, one per way of splitting the
   four slots into two pairs.
 
@@ -21,143 +22,36 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import _linalg as la
-from .exactfield import CycNum, ZERO, ONE, common_numerators, cyc_to_str, mul_acc
-from .liealg import Tensor, bracket, build_d4, g1_to_tensor, tensor_to_g1
+from .exactfield import CycNum, ZERO, common_numerators, cyc_to_str, mul_acc
+from .liealg import Tensor
 
 
 # ---------------------------------------------------------------------------
 # the quadratic invariant
 # ---------------------------------------------------------------------------
 
-
-def _monomials() -> list[tuple[int, int]]:
-    return [(i, j) for i in range(16) for j in range(i, 16)]
-
-
-@lru_cache(maxsize=1)
-def derive_quadratic() -> dict[tuple[int, int], CycNum]:
-    """Coefficient table of the degree-2 invariant, solved from scratch.
-
-    Unknowns are coefficients c_{ij} (i ≤ j) of the 136 degree-2 monomials
-    t_i·t_j in the sixteen tensor coordinates.  For every basis element X of
-    the degree-0 part of the algebra, the derivation action must vanish:
-
-        Σ_i (X·t)_i ∂P/∂t_i = 0.
-
-    Stacking these conditions gives an exact homogeneous linear system whose
-    kernel must be one-dimensional; the solution is normalized so that the
-    coefficient of t₀·t₁₅ equals 1.
-    """
-    alg = build_d4()
-    monos = _monomials()
-    index_of = {m: k for k, m in enumerate(monos)}
-    # The solution space is carried along as a list of sparse columns
-    # (dicts monomial-index → coefficient) and cut down one generator at a
-    # time; the early diagonal generators shrink it fast, keeping every
-    # nullspace computation small.
-    space: list[dict[int, CycNum]] = [{k: ONE} for k in range(len(monos))]
-    for xk in alg.g0_indices:
-        x = alg.basis_elt(xk)
-        # action matrix on tensor coordinates: column j is X·e_j
-        action = []
-        for j in range(16):
-            col = g1_to_tensor(bracket(x, tensor_to_g1(Tensor.basis(j))))
-            action.append(col.c)
-        # condition rows: coefficient of each target monomial in X·P
-        conditions: dict[tuple[int, int], dict[int, CycNum]] = {}
-        for (i, j) in monos:
-            contrib: dict[tuple[int, int], CycNum] = {}
-            for m in range(16):
-                a = action[i][m]
-                if a != ZERO:
-                    key = (m, j) if m <= j else (j, m)
-                    contrib[key] = contrib.get(key, ZERO) + a
-                b = action[j][m]
-                if b != ZERO:
-                    key = (i, m) if i <= m else (m, i)
-                    contrib[key] = contrib.get(key, ZERO) + b
-            src = index_of[(i, j)]
-            for key, val in contrib.items():
-                if val != ZERO:
-                    conditions.setdefault(key, {})[src] = val
-        if not conditions:
-            continue
-        # restrict the conditions to the current solution space
-        small: list[list[CycNum]] = []
-        for terms in conditions.values():
-            row = []
-            for col in space:
-                acc = ZERO
-                short, long = (terms, col) if len(terms) <= len(col) else (col, terms)
-                for m, v in short.items():
-                    w = long.get(m)
-                    if w is not None:
-                        acc = acc + v * w
-                row.append(acc)
-            if any(v != ZERO for v in row):
-                small.append(row)
-        if not small:
-            continue
-        kern = la.nullspace(small)
-        new_space: list[dict[int, CycNum]] = []
-        for vec in kern:
-            combo: dict[int, CycNum] = {}
-            for c, col in zip(vec, space):
-                if c == ZERO:
-                    continue
-                for m, v in col.items():
-                    acc = combo.get(m, ZERO) + c * v
-                    if acc == ZERO:
-                        combo.pop(m, None)
-                    else:
-                        combo[m] = acc
-            new_space.append(combo)
-        space = new_space
-        if not space:
-            raise ArithmeticError("invariance system degenerate")
-    if len(space) != 1:
-        raise ArithmeticError("invariance system degenerate")
-    sol = space[0]
-    pivot = sol.get(index_of[(0, 15)], ZERO)
-    if pivot == ZERO:
-        raise ArithmeticError("invariance system degenerate")
-    table: dict[tuple[int, int], CycNum] = {}
-    for mono, k in index_of.items():
-        v = sol.get(k, ZERO) / pivot
-        if v != ZERO:
-            table[mono] = v
-    return table
-
-
-@lru_cache(maxsize=1)
-def _quadratic_numerators() -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], int]:
-    """The table of :func:`derive_quadratic` over one denominator:
-    ``(terms, den)`` with each term ``(i, j, numerators of c_ij)``."""
-    table = derive_quadratic()
-    nums, den = common_numerators(table.values())
-    return tuple((i, j, c) for (i, j), c in zip(table, nums)), den
+#: The sign (-1)^popcount(a) of the term t_a·t_{15-a} of H, for a < 8: the
+#: product over the four slots of ε(e_0, e_1) = 1 and ε(e_1, e_0) = -1.
+_H_SIGNS = tuple(-1 if bin(a).count("1") % 2 else 1 for a in range(8))
 
 
 def quadratic(t: Tensor) -> CycNum:
-    """Value of the derived degree-2 invariant at ``t``.
+    """The degree-2 invariant H(t) = Σ_{a<8} (-1)^popcount(a)·t_a·t_{15-a}.
 
-    The sum of c_ij·t_i·t_j runs on integer numerators: the table's over
-    its common denominator Dq, the tensor's over its own Dt, so the total
-    is reduced once, over Dq·Dt².
+    H is half the ε⊗ε⊗ε⊗ε pairing of t with itself, ε the determinant form
+    of one slot, so it is invariant under SL(2)^4.  The sum runs on the
+    integer numerators of t over its common denominator D, reduced once,
+    over D².
     """
-    terms, den = _quadratic_numerators()
-    coeffs, tden = common_numerators(t.c)
+    coeffs, den = common_numerators(t.c)
     total = [0] * 8
-    for i, j, c in terms:
-        a, b = coeffs[i], coeffs[j]
-        if a is not None and b is not None:
-            ca = [0] * 8
-            mul_acc(ca, c, a)
-            mul_acc(total, ca, b)
-    return CycNum.from_numerators(total, den * tden * tden)
+    for a, sign in enumerate(_H_SIGNS):
+        x, y = coeffs[a], coeffs[15 - a]
+        if x is not None and y is not None:
+            mul_acc(total, x if sign > 0 else tuple(-v for v in x), y)
+    return CycNum.from_numerators(total, den * den)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +141,6 @@ def approx_complex(v: CycNum) -> complex:
 __all__ = [
     "PAIRINGS",
     "InvariantVector",
-    "derive_quadratic",
     "quadratic",
     "flattening_matrix",
     "flattening_det",

@@ -137,28 +137,20 @@ class LieAlgebraD4:
                 struct[(i, j)] = coords
         self.struct = struct
 
-        # Roots in simple-root coordinates (gamma_2 is the central node).
-        simple = {
-            "g1": (1, -1, 0, 0),
-            "g2": (0, 1, -1, 0),
-            "g3": (0, 0, 1, -1),
-            "g4": (0, 0, 1, 1),
-        }
-        basis_cols = la.transpose(
-            [[rat(x) for x in simple[g]] for g in ("g1", "g2", "g3", "g4")]
-        )
+        # Roots in simple-root coordinates (gamma_2 is the central node):
+        # r = c1·gamma_1 + ... + c4·gamma_4 has eps-coordinates
+        # (c1, c2 - c1, c3 + c4 - c2, c4 - c3).
         gamma_roots: list[tuple[int, ...] | None] = []
         for eps in eps_roots:
             if eps is None:
                 gamma_roots.append(None)
                 continue
-            sol = la.solve(basis_cols, [rat(x) for x in eps])
-            if sol is None:
-                raise ArithmeticError("root %r outside the simple-root span" % (eps,))
-            if any(c.to_fraction().denominator != 1 for c in sol):
+            r1, r2, r3, r4 = eps
+            if (r1 + r2 + r3 + r4) % 2:
                 raise ArithmeticError("non-integral root coordinates")
-            coeffs = tuple(int(c.to_fraction()) for c in sol)
-            gamma_roots.append(coeffs)
+            gamma_roots.append(
+                (r1, r1 + r2, (r1 + r2 + r3 - r4) // 2, (r1 + r2 + r3 + r4) // 2)
+            )
         self.gamma_roots = gamma_roots
 
         # Grading by parity of the gamma_2-coefficient.
@@ -609,4 +601,4 @@ def derived_dim_of_centralizer(x: "LieElt | Tensor") -> int:
             b = bracket(basis[i], basis[j])
             if not lie_is_zero(b):
                 brackets.append(b)
-    return la.span_dim(brackets) if brackets else 0
+    return la.rank(brackets)

@@ -1265,14 +1265,13 @@ def _family_eliminator(i: int) -> tuple:
 
 
 def _extract_parameters(i: int, vec: tuple) -> tuple | None:
-    """Solve for family parameters with canonical coordinates ``vec``."""
-    cols = _family_columns(i)
-    sol = _eliminate(_family_eliminator(i), len(cols[0]), vec)
-    if sol is None:
-        return None
-    if la.mat_vec(cols, sol) != list(vec):
-        return None
-    return tuple(sol)
+    """Solve for family parameters with canonical coordinates ``vec``.
+
+    The eliminator is invertible, so once its consistency rows accept
+    ``vec`` the solution satisfies columns·sol = vec exactly.
+    """
+    sol = _eliminate(_family_eliminator(i), cw.subsystem(i).param_count, vec)
+    return None if sol is None else tuple(sol)
 
 
 @lru_cache(maxsize=None)

@@ -44,6 +44,7 @@ from artifact.groupaction import (
 from artifact.liealg import (
     Tensor,
     bracket,
+    g1_to_tensor,
     is_commuting_semisimple,
     is_semisimple,
     lie_is_zero,
@@ -151,6 +152,18 @@ class TestRestrictedRoots:
         for r in restricted_roots():
             val = sum(Fraction(c) * h for c, h in zip(r.coeffs, r.h_alpha))
             assert val == 2
+
+    def test_coroots_match_the_algebra(self):
+        # [v_alpha, v_-alpha] is a nonzero rational multiple of h_alpha
+        vectors = {r.coeffs: list(r.vector) for r in restricted_roots()}
+        for r in restricted_roots():
+            neg = vectors[tuple(-c for c in r.coeffs)]
+            br = g1_to_tensor(bracket(list(r.vector), neg))
+            h = from_basis_coords(1, [rat(x) for x in r.h_alpha])
+            lead = next(p for p in range(16) if h.c[p])
+            c = br.c[lead] / h.c[lead]
+            assert c and c.is_rational(), r.coeffs
+            assert h.scale(c) == br, r.coeffs
 
     def test_roots_come_in_pairs(self):
         keys = {r.coeffs for r in restricted_roots()}
@@ -533,6 +546,16 @@ class TestSevenCartans:
         assert got and got[0][0] == 2
         assert [c.to_fraction() for c in got[0][1]] == [1, 0, 0, 0]
         assert containing_bases(Tensor.basis("0100")) == []
+
+    @pytest.mark.parametrize("m", [-1, 0, 8])
+    @pytest.mark.parametrize("convert", [
+        lambda m: basis_coords(m, seven_cartans()[6].basis[0]),
+        lambda m: from_basis_coords(m, (ONE, ZERO, ZERO, ZERO)),
+    ], ids=["basis_coords", "from_basis_coords"])
+    def test_basis_number_outside_one_to_seven_is_rejected(self, convert, m):
+        # m = 0 and m = -1 must not wrap around to bases 7 and 6
+        with pytest.raises(KeyError):
+            convert(m)
 
     def test_detect_prefers_first_listed(self):
         # e0011+e1100 = u4 lies in spaces 1 and 4's spans? u4 appears in bases

@@ -1,6 +1,7 @@
 """Tests for the polynomial invariants and the separation oracle."""
 
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, seed, settings
@@ -11,7 +12,7 @@ from artifact import cartanweyl as cw
 from artifact import groupaction as ga
 from artifact import invariants as inv
 from artifact.exactfield import CycNum, ONE, ZERO, rat
-from artifact.liealg import Tensor
+from artifact.liealg import Tensor, bracket, build_d4, g1_to_tensor, tensor_to_g1
 
 
 def _gauss_det(a):
@@ -71,15 +72,62 @@ def random_tensor(rng) -> Tensor:
     )
 
 
+@cache
+def _coefficient_table():
+    # the coefficients c_ij (i ≤ j) of quadratic, read off by polarization:
+    # c_ii = H(e_i), c_ij = H(e_i + e_j) - H(e_i) - H(e_j)
+    e = [Tensor.basis(i) for i in range(16)]
+    diag = [inv.quadratic(x) for x in e]
+    table = {}
+    for i in range(16):
+        for j in range(i, 16):
+            c = diag[i] if i == j else inv.quadratic(e[i] + e[j]) - diag[i] - diag[j]
+            if c:
+                table[(i, j)] = c
+    return table
+
+
 def _dense_quadratic(t):
     # the sum over all 136 monomials t_i·t_j (i ≤ j), one CycNum product at a time
-    table = inv.derive_quadratic()
+    table = _coefficient_table()
     total = ZERO
     for i in range(16):
         for j in range(i, 16):
             c = table.get((i, j), ZERO)
             total = total + c * t.c[i] * t.c[j]
     return total
+
+
+def _pairing_matrix(table):
+    # the symmetric S with tᵀ·S·t = 2·H(t)
+    s = [[ZERO] * 16 for _ in range(16)]
+    for (i, j), c in table.items():
+        s[i][j] = s[i][j] + c
+        s[j][i] = s[j][i] + c
+    return s
+
+
+@cache
+def _g0_action_matrices():
+    # for each basis element X of the degree-zero part, the matrix of
+    # t ↦ [X, t] on tensor coordinates: column j is [X, e_j]
+    alg = build_d4()
+    out = []
+    for k in alg.g0_indices:
+        x = alg.basis_elt(k)
+        cols = [g1_to_tensor(bracket(x, tensor_to_g1(Tensor.basis(j)))).c for j in range(16)]
+        out.append(la.transpose(cols))
+    return out
+
+
+def _invariance_defects(s):
+    # the nonzero entries of MᵀS + SM over the degree-zero generators M;
+    # none exactly when every generator annihilates the form tᵀ·S·t
+    count = 0
+    for m in _g0_action_matrices():
+        left, right = la.mat_mul(la.transpose(m), s), la.mat_mul(s, m)
+        count += sum(1 for ra, rb in zip(left, right) for x, y in zip(ra, rb) if x + y)
+    return count
 
 
 class TestQuadratic:
@@ -92,11 +140,20 @@ class TestQuadratic:
         assert inv.quadratic(Tensor.zero()) == ZERO
 
     def test_coefficient_table_is_the_complement_pairing(self):
-        table = inv.derive_quadratic()
+        table = _coefficient_table()
         assert len(table) == 8
         for i in range(8):
             sign = -1 if bin(i).count("1") % 2 else 1
             assert table[(i, 15 - i)] == rat(sign)
+
+    def test_annihilated_by_the_degree_zero_part(self):
+        table = _coefficient_table()
+        assert len(_g0_action_matrices()) == 12
+        assert _invariance_defects(_pairing_matrix(table)) == 0
+        # negative control: one pairing sign flipped breaks the invariance
+        flipped = dict(table)
+        flipped[(0, 15)] = -flipped[(0, 15)]
+        assert _invariance_defects(_pairing_matrix(flipped)) == 16
 
     def test_normalization_value(self):
         u1 = cw.parametrize(1, lam(1, 0, 0, 0))

@@ -32,6 +32,8 @@ KEPT = {
     "act_g0": "the degree-zero action, the reference for act_tensor's bracket equivariance",
     "g0_to_quad_mats": "the slot matrices behind act_g0",
     "quad_mats_to_g0": "the inverse of g0_to_quad_mats, behind act_g0",
+    "g1_to_tensor": "the inverse of tensor_to_g1, reading brackets back as tensors in the "
+                    "equivariance, invariance and coroot checks",
     "lie_sub": "used by the bracket-equivariance checks of act_tensor and act_g0",
     "gelt_group": "the group view the tests of the h1 engine run on",
     "weyl_group_view": "the group view that checks gamma_h1 against h1",
