@@ -8,6 +8,8 @@ heuristics beyond "first nonzero" are needed.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .exactfield import ONE, ZERO, CycNum, common_numerators, mul_acc
 
 Vec = list[CycNum]
@@ -25,21 +27,6 @@ def identity(n: int) -> Mat:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            acc = ZERO
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = acc + x * y
-            orow.append(acc)
-        out.append(orow)
-    return out
-
-
 def mat_vec(a: Mat, v: Vec) -> Vec:
     out = []
     for row in a:
@@ -53,10 +40,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
 
 def transpose(a: Mat) -> Mat:
     return [list(row) for row in zip(*a)]
-
-
-def is_zero_vec(v: Vec) -> bool:
-    return all(not x for x in v)
 
 
 # -- elimination --------------------------------------------------------------
@@ -151,41 +134,6 @@ def _det_numerators(rows: list) -> list[int] | tuple[int, ...] | None:
     return acc if any(acc) else None
 
 
-class IncrementalSpan:
-    """Row space built up one vector at a time, with membership testing."""
-
-    def __init__(self):
-        self.rows: list[Vec] = []  # in echelon form
-        self.pivots: list[int] = []
-
-    def _reduce(self, v: Vec) -> Vec:
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
-    def contains(self, v: Vec) -> bool:
-        return is_zero_vec(self._reduce(v))
-
-    def add(self, v: Vec) -> bool:
-        """Add a vector; returns True if it enlarged the span."""
-        w = self._reduce(v)
-        p = next((i for i, x in enumerate(w) if x), None)
-        if p is None:
-            return False
-        inv = w[p].inverse()
-        w = [inv * x for x in w]
-        for i, row in enumerate(self.rows):
-            if row[p]:
-                f = row[p]
-                self.rows[i] = [x - f * y for x, y in zip(row, w)]
-        self.rows.append(w)
-        self.pivots.append(p)
-        return True
-
-
 # -- polynomials ---------------------------------------------------------------
 
 def poly_trim(p: Poly) -> Poly:
@@ -236,23 +184,72 @@ def poly_deriv(p: Poly) -> Poly:
 
 
 def minimal_polynomial(a: Mat) -> Poly:
-    """Monic minimal polynomial of a square matrix, by Krylov elimination."""
+    """Monic minimal polynomial of a square matrix, by Krylov elimination.
+
+    The entries are brought to one denominator D once
+    (:func:`exactfield.common_numerators`), and the search runs on the
+    integer numerators B = D·a.  The k-th Krylov row is the flattened power
+    B^k, kept beside its polynomial x^k, and is reduced against each earlier
+    row w in turn by fraction-free (Bareiss) elimination: at w's pivot p,
+    v ← (w[p]·v − v[p]·w)/p', with p' the pivot of the row before w.  The
+    division is exact, and every entry stays a minor of the Krylov rows, so
+    entry sizes grow polynomially in k; dividing by an integer gcd alone
+    would let them compound at every step off the rationals.  The first row
+    that reduces to zero gives q(B) = 0 with q of least degree; the result
+    is q(D·x) made monic, which takes one field inverse.
+    """
     n = len(a)
-    span = IncrementalSpan()
-    powers: list[Mat] = [identity(n)]
-    span.add([x for row in powers[0] for x in row])
-    cur = powers[0]
+    nums, den = common_numerators(x for row in a for x in row)
+    cols = [[(k, nums[k * n + c]) for k in range(n) if nums[k * n + c]] for c in range(n)]
+    unit = (1, 0, 0, 0, 0, 0, 0, 0)
+    power = [unit if r == c else None for r in range(n) for c in range(n)]
+    rows: list[tuple[int, list, list, CycNum]] = []  # pivot, row, polynomial, 1/pivot
     while True:
-        cur = mat_mul(cur, a)
-        flat = [x for row in cur for x in row]
-        if span.contains(flat):
+        v, q, last = power, [None] * len(rows) + [unit], ONE
+        for p, w, qw, inv in rows:
+            v, q = _cross(w[p], v, v[p], w, last), _cross(w[p], q, v[p], qw, last)
+            last = inv
+        pivot = next((k for k, e in enumerate(v) if e), None)
+        if pivot is None:
             break
-        span.add(flat)
-        powers.append(cur)
-    # express cur in terms of the lower powers
-    cols = transpose([[x for row in p for x in row] for p in powers])
-    coeffs = solve(cols, [x for row in cur for x in row])
-    if coeffs is None:
-        raise ArithmeticError("matrix power outside the span of the lower powers")
-    poly = [-c for c in coeffs] + [ONE]
-    return poly_trim(poly)
+        rows.append((pivot, v, q, CycNum.from_numerators(v[pivot], 1).inverse()))
+        power = [_dot(power[r * n:(r + 1) * n], col) for r in range(n) for col in cols]
+    inv = CycNum.from_numerators(q[-1], 1).inverse()
+    d = len(q) - 1
+    return [
+        CycNum.from_numerators(e, den ** (d - i)) * inv if e else ZERO for i, e in enumerate(q)
+    ]
+
+
+def _cross(c: tuple[int, ...], v: list, b: tuple[int, ...] | None, w: list, inv: CycNum) -> list:
+    """(c·v − b·w)·inv entrywise on integer 8-tuples (None for zero), the
+    shorter list padded with zeros; ``ArithmeticError`` unless 1/inv
+    divides every entry exactly."""
+    nb = b and tuple(-x for x in b)
+    out = []
+    for x, y in zip_longest(v, w):
+        if not (x or y and nb):
+            out.append(None)
+            continue
+        acc = [0] * 8
+        if x:
+            mul_acc(acc, c, x)
+        if y and nb:
+            mul_acc(acc, nb, y)
+        if any(acc) and inv != ONE:
+            acc, scaled = [0] * 8, acc
+            mul_acc(acc, scaled, inv.nums)
+            if any(e % inv.den for e in acc):
+                raise ArithmeticError("inexact division in the Krylov elimination")
+            acc = [e // inv.den for e in acc]
+        out.append(tuple(acc) if any(acc) else None)
+    return out
+
+
+def _dot(row: list, col: list) -> tuple[int, ...] | None:
+    """sum_k row[k]·y over the (k, y) of ``col``, on integer 8-tuples."""
+    acc = [0] * 8
+    for k, y in col:
+        if row[k]:
+            mul_acc(acc, row[k], y)
+    return tuple(acc) if any(acc) else None

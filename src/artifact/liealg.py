@@ -14,9 +14,13 @@ equivariant isomorphism anchored at "root vector of weight -gamma_2 maps to
 e_0000".
 
 Elements are coordinate vectors (28 CycNum) over the fixed basis; 2x2x2x2
-arrays are `Tensor` values (16 CycNum).  Semisimplicity is decided exactly
-at the 8x8 matrix level, by a squarefree minimal polynomial; for so(8) the
-matrix notion agrees with the adjoint one.
+arrays are `Tensor` values (16 CycNum).  The structure constants come from
+sparse integer basis matrices (two entries each), and `bracket` combines
+them with the integer numerators of its arguments over one common
+denominator.  Semisimplicity is decided exactly at the 8x8 matrix level, by
+a squarefree minimal polynomial, which `_linalg.minimal_polynomial` finds by
+fraction-free Krylov elimination on integer numerators; for so(8) the matrix
+notion agrees with the adjoint one.
 """
 
 from __future__ import annotations
@@ -27,40 +31,55 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import _linalg as la
-from .exactfield import ONE, ZERO, CycNum, cyc_to_str, parse_cyc, rat
+from .exactfield import ONE, ZERO, CycNum, common_numerators, cyc_to_str, mul_acc, parse_cyc, rat
 
 LieElt = list[CycNum]
 
-_N8 = 8  # natural representation dimension
+# -- sparse integer 8x8 matrices, {(row, col): value}, used during construction --
+
+SparseMat = dict[tuple[int, int], int]
 
 
-# -- integer 8x8 helpers used during construction ------------------------------
-
-def _imat() -> list[list[int]]:
-    return [[0] * _N8 for _ in range(_N8)]
-
-
-def _iunit(i: int, j: int) -> list[list[int]]:
-    m = _imat()
-    m[i][j] = 1
-    return m
-
-
-def _iadd(a, b, sb=1):
-    return [[x + sb * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _comm(a: SparseMat, b: SparseMat) -> SparseMat:
+    """The commutator ab - ba, zero entries dropped."""
+    out: SparseMat = {}
+    for sign, x, y in ((1, a, b), (-1, b, a)):
+        for (i, k), u in x.items():
+            for (k2, j), v in y.items():
+                if k == k2:
+                    out[i, j] = out.get((i, j), 0) + sign * u * v
+    return {p: v for p, v in out.items() if v}
 
 
-def _imul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+def _structure_constants(mats: Sequence[SparseMat]) -> tuple[list[tuple[int, int]], dict]:
+    """The witness entries and the structure constants of a basis of so(8).
 
-
-def _icomm(a, b):
-    return _iadd(_imul(a, b), _imul(b, a), -1)
-
-
-def _izero(a) -> bool:
-    return all(x == 0 for row in a for x in row)
+    Each matrix must lie in so(8) for the antidiagonal form S, that is
+    M^T S + S M = 0, or M[r][c] = -M[7-c][7-r] at every entry.  The
+    coordinates of a matrix are read off at one witness entry per basis
+    element (its first entry equal to 1), and every commutator
+    [b_i, b_j] = sum_k c_k b_k must be rebuilt exactly from the coordinates
+    read there.  Raises ``ArithmeticError`` when a check fails.
+    """
+    for m in mats:
+        if any(m.get((7 - c, 7 - r), 0) != -v for (r, c), v in m.items()):
+            raise ArithmeticError("basis matrix not in so(8)")
+    probes = [min((p for p, v in m.items() if v == 1), default=None) for m in mats]
+    if None in probes or len(set(probes)) != len(mats):
+        raise ArithmeticError("witness entries of the basis are missing or not distinct")
+    struct: dict[tuple[int, int], dict[int, int]] = {}
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            c = _comm(mats[i], mats[j])
+            coords = {k: c[p] for k, p in enumerate(probes) if p in c}
+            recon: SparseMat = {}
+            for k, v in coords.items():
+                for p, x in mats[k].items():
+                    recon[p] = recon.get(p, 0) + v * x
+            if {p: x for p, x in recon.items() if x} != c:
+                raise ArithmeticError("bracket leaves the basis span")
+            struct[(i, j)] = coords
+    return probes, struct
 
 
 class LieAlgebraD4:
@@ -71,34 +90,28 @@ class LieAlgebraD4:
 
     def __init__(self):
         names: list[str] = []
-        mats: list[list[list[int]]] = []
+        mats: list[SparseMat] = []
         eps_roots: list[tuple[int, ...] | None] = []
 
-        for i in range(1, 5):
-            names.append(f"H{i}")
-            mats.append(_iadd(_iunit(i - 1, i - 1), _iunit(8 - i, 8 - i), -1))
-            eps_roots.append(None)
-
-        def add_root(eps: tuple[int, int, int, int], m) -> None:
-            names.append("X[%d,%d,%d,%d]" % eps)
-            mats.append(m)
+        # Every basis matrix is E_a - E_b for two positions a and b.
+        def add(name: str, eps: tuple[int, ...] | None, a, b) -> None:
+            names.append(name)
+            mats.append({a: 1, b: -1})
             eps_roots.append(eps)
 
-        for i in range(1, 5):
-            for j in range(i + 1, 5):
-                ei = [0, 0, 0, 0]
-                ei[i - 1] = 1
-                ej = [0, 0, 0, 0]
-                ej[j - 1] = 1
-                pi, pj = tuple(ei), tuple(ej)
-
-                def comb(ci, cj):
-                    return tuple(ci * a + cj * b for a, b in zip(pi, pj))
-
-                add_root(comb(1, -1), _iadd(_iunit(i - 1, j - 1), _iunit(8 - j, 8 - i), -1))
-                add_root(comb(-1, 1), _iadd(_iunit(j - 1, i - 1), _iunit(8 - i, 8 - j), -1))
-                add_root(comb(1, 1), _iadd(_iunit(i - 1, 8 - j), _iunit(j - 1, 8 - i), -1))
-                add_root(comb(-1, -1), _iadd(_iunit(8 - j, i - 1), _iunit(8 - i, j - 1), -1))
+        for i in range(4):
+            add(f"H{i + 1}", None, (i, i), (7 - i, 7 - i))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                for si, sj, a, b in (
+                    (1, -1, (i, j), (7 - j, 7 - i)),
+                    (-1, 1, (j, i), (7 - i, 7 - j)),
+                    (1, 1, (i, 7 - j), (j, 7 - i)),
+                    (-1, -1, (7 - j, i), (7 - i, j)),
+                ):
+                    eps = [0, 0, 0, 0]
+                    eps[i], eps[j] = si, sj
+                    add("X[%d,%d,%d,%d]" % tuple(eps), tuple(eps), a, b)
 
         self.dimension = len(mats)
         if self.dimension != 28:
@@ -107,35 +120,8 @@ class LieAlgebraD4:
         self._int_mats = mats
         self.index = {n: k for k, n in enumerate(names)}
 
-        # Verify membership in so(8) for the antidiagonal form S.
-        s_form = [[1 if a + b == 7 else 0 for b in range(8)] for a in range(8)]
-        for m in mats:
-            mt = [list(r) for r in zip(*m)]
-            if not _izero(_iadd(_imul(mt, s_form), _imul(s_form, m))):
-                raise AssertionError("basis matrix not in so(8)")
-
-        # Coordinates of any so(8) matrix are read off at one witness entry
-        # per basis element (all 28 positions are distinct).
-        probes: list[tuple[int, int]] = []
-        for m in mats:
-            pos = next((a, b) for a in range(8) for b in range(8) if m[a][b] == 1)
-            probes.append(pos)
-        if len(set(probes)) != 28:
-            raise ArithmeticError("witness entries of the basis are not distinct")
-
         # Structure constants: [b_i, b_j] = sum_k  c_k b_k, integer c.
-        struct: dict[tuple[int, int], dict[int, int]] = {}
-        for i in range(28):
-            for j in range(i + 1, 28):
-                c = _icomm(mats[i], mats[j])
-                coords = {k: c[a][b] for k, (a, b) in enumerate(probes) if c[a][b]}
-                recon = _imat()
-                for k, v in coords.items():
-                    recon = _iadd(recon, [[v * x for x in row] for row in mats[k]])
-                if not _izero(_iadd(c, recon, -1)):
-                    raise AssertionError("bracket leaves the basis span")
-                struct[(i, j)] = coords
-        self.struct = struct
+        probes, self.struct = _structure_constants(mats)
 
         # Roots in simple-root coordinates (gamma_2 is the central node):
         # r = c1·gamma_1 + ... + c4·gamma_4 has eps-coordinates
@@ -196,20 +182,15 @@ class LieAlgebraD4:
         anchor = xi((0, -1, 1, 0))
         table: list[tuple[int, int]] = []
         for t in range(16):
-            m = [row[:] for row in mats[anchor]]
+            m = mats[anchor]
             for k in range(4):
                 if t & (8 >> k):
-                    m = _icomm(mats[self.slot_f[k]], m)
-            hits = [
-                (idx, m[a][b])
-                for idx, (a, b) in enumerate(probes)
-                if m[a][b] != 0
-            ]
+                    m = _comm(mats[self.slot_f[k]], m)
+            hits = [(idx, m[p]) for idx, p in enumerate(probes) if p in m]
             if len(hits) != 1 or abs(hits[0][1]) != 1:
                 raise ArithmeticError("tensor basis not monomial")
             idx, sign = hits[0]
-            recon = [[sign * x for x in row] for row in mats[idx]]
-            if not _izero(_iadd(m, recon, -1)):
+            if m != {p: sign * x for p, x in mats[idx].items()}:
                 raise ArithmeticError("tensor basis element is not a signed basis matrix")
             table.append((idx, sign))
         if sorted(idx for idx, _ in table) != sorted(self.g1_indices):
@@ -230,12 +211,8 @@ class LieAlgebraD4:
         m = la.zeros(8, 8)
         for k, c in enumerate(x):
             if c:
-                bm = self._int_mats[k]
-                for a in range(8):
-                    ra = bm[a]
-                    for b in range(8):
-                        if ra[b]:
-                            m[a][b] = m[a][b] + c.scale(ra[b])
+                for (a, b), v in self._int_mats[k].items():
+                    m[a][b] = m[a][b] + c.scale(v)
         return m
 
 
@@ -248,25 +225,37 @@ def build_d4() -> LieAlgebraD4:
 # -- basic operations -----------------------------------------------------------
 
 def bracket(x: LieElt, y: LieElt) -> LieElt:
-    alg = build_d4()
-    out = alg.zero()
-    for i, ci in enumerate(x):
-        if not ci:
+    """[x, y] from the integer structure constants.
+
+    Both arguments are brought to their own common denominator
+    (:func:`exactfield.common_numerators`); each product of numerators is
+    formed once per basis pair with a nonzero bracket and added into integer
+    accumulators, and the result is read back over the product of the two
+    denominators, one reduction per coordinate.
+    """
+    struct = build_d4().struct
+    xs, dx = common_numerators(x)
+    ys, dy = common_numerators(y)
+    acc = [[0] * 8 for _ in range(28)]
+    for i, a in enumerate(xs):
+        if a is None:
             continue
-        for j, cj in enumerate(y):
-            if not cj:
+        for j, b in enumerate(ys):
+            if b is None or i == j:
                 continue
-            if i == j:
+            terms = struct[(i, j)] if i < j else struct[(j, i)]
+            if not terms:
                 continue
-            if i < j:
-                terms = alg.struct[(i, j)]
-                c = ci * cj
-            else:
-                terms = alg.struct[(j, i)]
-                c = -(ci * cj)
+            prod = [0] * 8
+            mul_acc(prod, a, b)
+            sign = 1 if i < j else -1
             for k, v in terms.items():
-                out[k] = out[k] + c.scale(v)
-    return out
+                v *= sign
+                out = acc[k]
+                for e in range(8):
+                    out[e] += v * prod[e]
+    den = dx * dy
+    return [CycNum.from_numerators(n, den) if any(n) else ZERO for n in acc]
 
 
 def ad_matrix(x: LieElt) -> la.Mat:

@@ -62,9 +62,8 @@ def _eigenspace(mat, vectors, ev):
     shifted = [row[:] for row in mat]
     for i in range(n):
         shifted[i][i] = shifted[i][i] + rat(-ev)
-    columns = [[vec[i] for vec in vectors] for i in range(n)]
     out = []
-    for coeffs in la.nullspace(la.mat_mul(shifted, columns)):
+    for coeffs in la.nullspace(la.transpose([la.mat_vec(shifted, v) for v in vectors])):
         vec = [ZERO] * n
         for j, cf in enumerate(coeffs):
             if cf:

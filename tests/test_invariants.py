@@ -125,7 +125,8 @@ def _invariance_defects(s):
     # none exactly when every generator annihilates the form tᵀ·S·t
     count = 0
     for m in _g0_action_matrices():
-        left, right = la.mat_mul(la.transpose(m), s), la.mat_mul(s, m)
+        left = [la.mat_vec(la.transpose(s), col) for col in la.transpose(m)]
+        right = la.transpose([la.mat_vec(s, col) for col in la.transpose(m)])
         count += sum(1 for ra, rb in zip(left, right) for x, y in zip(ra, rb) if x + y)
     return count
 

@@ -1,10 +1,12 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from artifact import _linalg as la
 from artifact import liealg as L
-from artifact.exactfield import IMAG, ONE, rat, random_cyc
+from artifact.exactfield import IMAG, ONE, ZERO, CycNum, rat, random_cyc
 from artifact.groupaction import I2, act_tensor
 from artifact.liealg import (
     Tensor,
@@ -61,6 +63,36 @@ class TestConstruction:
         # gamma_0 = gamma_1 + 2*gamma_2 + gamma_3 + gamma_4 is a root
         assert (1, 2, 1, 1) in alg.gamma_roots
 
+    def test_structure_constants_are_pinned(self):
+        # SHA-256 as computed from dense 8x8 integer commutators; the sparse
+        # construction must reproduce every constant and the tensor table
+        data = ([[list(k), sorted(v.items())] for k, v in sorted(alg.struct.items())],
+                alg.tensor_table)
+        text = json.dumps(data, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e67b677425ab20610fc657fa4affca7f6893adbf2263b7bdd66e95c8b72c4392"
+        )
+
+    def test_structure_constants_check_their_input(self):
+        probes, struct = L._structure_constants(alg._int_mats)
+        assert struct == alg.struct and len(set(probes)) == 28
+        # H1 without its second entry is not in so(8)
+        off = list(alg._int_mats)
+        off[0] = {(0, 0): 1}
+        with pytest.raises(ArithmeticError, match="not in so\\(8\\)"):
+            L._structure_constants(off)
+        # H1 + H2 in place of H1: still in so(8), with distinct witness
+        # entries, but [X(e1-e2), X(e2-e1)] = H1 - H2 is outside the span
+        short = list(alg._int_mats)
+        short[0] = {**alg._int_mats[0], **alg._int_mats[1]}
+        with pytest.raises(ArithmeticError, match="leaves the basis span"):
+            L._structure_constants(short)
+        # 2·H1 is in so(8) but has no entry equal to 1 to read coordinates at
+        doubled = list(alg._int_mats)
+        doubled[0] = {p: 2 * v for p, v in alg._int_mats[0].items()}
+        with pytest.raises(ArithmeticError, match="missing or not distinct"):
+            L._structure_constants(doubled)
+
 
 class TestBracket:
     def test_antisymmetry_on_self(self):
@@ -88,6 +120,54 @@ class TestBracket:
         x = [random_cyc(rng, 2, 1) for _ in range(28)]
         y = [random_cyc(rng, 2, 1) for _ in range(28)]
         assert la.mat_vec(ad_matrix(x), y) == bracket(x, y)
+
+
+def _bracket_reference(x, y):
+    # the bracket one CycNum product and scaled sum at a time
+    out = alg.zero()
+    for i, ci in enumerate(x):
+        for j, cj in enumerate(y):
+            if not ci or not cj or i == j:
+                continue
+            if i < j:
+                terms, c = alg.struct[(i, j)], ci * cj
+            else:
+                terms, c = alg.struct[(j, i)], -(ci * cj)
+            for k, v in terms.items():
+                out[k] = out[k] + c.scale(v)
+    return out
+
+
+def _random_entry(rng):
+    # zero, a rational, a rational times a power of eta, or a general value,
+    # with denominators up to 6
+    kind = rng.randrange(4)
+    q = rat(rng.randint(-6, 6), rng.randint(1, 6))
+    if kind == 0:
+        return ZERO
+    if kind == 1:
+        return q
+    if kind == 2:
+        return CycNum.eta_power(rng.randrange(16)) * q
+    return random_cyc(rng, 4, 6)
+
+
+class TestBracketKernel:
+    def test_matches_the_field_loop(self):
+        rng = random.Random(1901)
+        for _ in range(60):
+            x = [_random_entry(rng) for _ in range(28)]
+            y = [_random_entry(rng) for _ in range(28)]
+            assert bracket(x, y) == _bracket_reference(x, y)
+
+    def test_basis_pairs_read_the_structure_constants(self):
+        for i in range(28):
+            for j in range(i + 1, 28):
+                want = alg.zero()
+                for k, v in alg.struct[(i, j)].items():
+                    want[k] = rat(v)
+                assert bracket(alg.basis_elt(i), alg.basis_elt(j)) == want
+                assert bracket(alg.basis_elt(j), alg.basis_elt(i)) == [-c for c in want]
 
 
 class TestTensorIso:
@@ -176,6 +256,110 @@ class TestJordan:
         ad_s = ad_matrix(tensor_to_g1(s))
         mp = la.minimal_polynomial(ad_s)
         assert la.poly_deg(la.poly_gcd(mp, la.poly_deriv(mp))) == 0
+
+
+class _SpanReference:
+    """Row space built up one vector at a time in field arithmetic, with
+    membership testing: the elimination the Krylov search used to run on."""
+
+    def __init__(self):
+        self.rows, self.pivots = [], []
+
+    def reduce(self, v):
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, row)]
+        return v
+
+    def add(self, v):
+        w = self.reduce(v)
+        p = next(i for i, x in enumerate(w) if x)
+        inv = w[p].inverse()
+        w = [inv * x for x in w]
+        for i, row in enumerate(self.rows):
+            if row[p]:
+                f = row[p]
+                self.rows[i] = [x - f * y for x, y in zip(row, w)]
+        self.rows.append(w)
+        self.pivots.append(p)
+
+
+def _minimal_polynomial_reference(a):
+    # Krylov search on CycNum matrix powers, then one solve
+    span = _SpanReference()
+    powers = [la.identity(len(a))]
+    span.add([x for row in powers[0] for x in row])
+    cur = powers[0]
+    while True:
+        cur = [la.mat_vec(la.transpose(a), row) for row in cur]
+        flat = [x for row in cur for x in row]
+        if not any(span.reduce(flat)):
+            break
+        span.add(flat)
+        powers.append(cur)
+    cols = la.transpose([[x for row in p for x in row] for p in powers])
+    coeffs = la.solve(cols, [x for row in cur for x in row])
+    return la.poly_trim([-c for c in coeffs] + [ONE])
+
+
+def _conjugated(rng, m):
+    # E·m·E^-1 for a product E of elementary matrices I + t·E_ij
+    n = len(m)
+    for _ in range(6):
+        i, j = rng.sample(range(n), 2)
+        t = _random_entry(rng) or ONE
+        m = [list(row) for row in m]
+        for c in range(n):  # rows: r_i += t·r_j
+            m[i][c] = m[i][c] + t * m[j][c]
+        for r in range(n):  # columns: c_j -= t·c_i
+            m[r][j] = m[r][j] - t * m[r][i]
+    return m
+
+
+def _test_matrices(rng):
+    n = 8
+    general = [[random_cyc(rng, 2, 3) for _ in range(n)] for _ in range(n)]
+    mixed = [[_random_entry(rng) for _ in range(n)] for _ in range(n)]
+    singular = [list(row) for row in mixed]
+    singular[7] = [a + b.scale(-2) for a, b in zip(singular[1], singular[4])]
+    upper = [[_random_entry(rng) if c > r else ZERO for c in range(n)] for r in range(n)]
+    scalar = la.zeros(n, n)
+    diag = la.zeros(n, n)
+    for r, value in enumerate([1, 1, 2, 2, 2, -1, -1, 0]):
+        scalar[r][r] = CycNum.eta_power(3) + rat(1, 2)
+        diag[r][r] = CycNum.eta_power(value * 4) if value else ZERO
+    return {
+        "general": general,
+        "mixed-denominator": mixed,
+        "singular": singular,
+        "nilpotent": _conjugated(rng, upper),
+        "scalar": scalar,
+        "repeated eigenvalues": _conjugated(rng, diag),
+        "zero": la.zeros(n, n),
+        "rational": [[rat(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                     for _ in range(n)],
+    }
+
+
+class TestMinimalPolynomialKernel:
+    def test_matches_the_field_loop(self):
+        rng = random.Random(1902)
+        polys = {}
+        for name, m in _test_matrices(rng).items():
+            polys[name] = la.minimal_polynomial(m)
+            assert polys[name] == _minimal_polynomial_reference(m), name
+        assert len(polys["general"]) == len(polys["singular"]) == 9
+        assert not polys["singular"][0]
+        assert len(polys["nilpotent"]) == 7 and not any(polys["nilpotent"][:-1])
+        assert len(polys["scalar"]) == 2
+        assert polys["zero"] == [ZERO, ONE]
+        # eigenvalues i, -1, -i and 0: x^4 + x^3 + x^2 + x
+        assert polys["repeated eigenvalues"] == [ZERO, ONE, ONE, ONE, ONE]
+
+    def test_matches_the_field_loop_on_an_adjoint_matrix(self):
+        ad = ad_matrix(tensor_to_g1(u1 + u2 + u3 + Tensor.basis("0011")))
+        assert la.minimal_polynomial(ad) == _minimal_polynomial_reference(ad)
 
 
 class TestCommutingSemisimple:
