@@ -1,22 +1,24 @@
-"""First Galois cohomology of finite matrix groups under an order-2 twist.
+"""First Galois cohomology of finite subgroups of S⁴ under complex conjugation.
 
 The objects classified elsewhere in this package carry an action of complex
-conjugation.  For a group ``G`` stable under a conjugation map σ (an
-automorphism with σ² = id), the relevant invariant is the set
+conjugation σ.  For a group ``G`` with σ(G) = G, the relevant invariant is
+the set
 
     H¹(G, σ) = {c ∈ G : c·σ(c) = 1} / (c ~ a·c·σ(a)⁻¹ for a ∈ G),
 
-the first nonabelian cohomology set of Z/2Z acting on G through σ.  This
-module provides:
+the first nonabelian cohomology set of Z/2Z acting on G through σ.  Every
+such G here is a subgroup of S⁴, for the group S below.  This module
+provides:
 
-* a small container :class:`FiniteConjGroup` bundling a finite group with its
-  conjugation map and the callables needed to compute with it,
 * the slot group S: the 48 2×2 matrices that fill every slot of every finite
   group of 4-tuples here.  An element of S⁴ is written as a 4-tuple of
   indices into S, sorted by ``groupaction.m2_key``, so that products,
   inverses and conjugates are table lookups and the tuple is its own key,
   ordered as ``groupaction.g_key`` orders the matrices (:func:`encode`,
-  :func:`decode`),
+  :func:`decode`).  Conjugation is checked once, on the whole product
+  table, to be an involutive automorphism of S, so it is one of S⁴,
+* a container :class:`FiniteConjGroup` for a subgroup of S⁴: its elements
+  and generators as index tuples,
 * exact enumeration of 1-cocycles and their twisted-conjugacy classes with
   deterministic (lexicographically least) representatives; the classes, like
   every group closure here, come from the breadth-first orbit engine of
@@ -43,47 +45,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import cartanweyl as cw
 from . import groupaction as ga
 from ._orbits import orbit, orbit_classes, regular_tables
 from .exactfield import INV_SQRT2, IMAG
 from .groupaction import GElt
-
-
-# ---------------------------------------------------------------------------
-# groups with conjugation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteConjGroup:
-    """A finite group together with an order-2 twist map.
-
-    ``elements`` is the full (finite) element list in increasing order;
-    ``gens`` is a generating subset used to drive orbit searches (it may
-    equal ``elements``).  The callables make the container usable both for
-    slot index tuples (:func:`gelt_group`) and for Weyl group indices
-    (:func:`weyl_group_view`): ``mul``, ``inv`` and ``sigma`` implement the
-    group operations and the twist.  Every element is hashable and totally
-    ordered, and it is its own key.
-    """
-
-    elements: tuple
-    mul: Callable
-    inv: Callable
-    sigma: Callable
-    identity: object
-    gens: tuple
-    tag: str = ""
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def _trivial_sigma(x):
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +74,7 @@ class SlotGroup:
     4-tuple of indices whose lexicographic order is ``groupaction.g_key``
     order.  ``mul[a][b]`` is the index of ``mats[a]·mats[b]``, and
     ``inv[a]`` and ``conj[a]`` are those of its inverse and its complex
-    conjugate.
+    conjugate; ``conj`` is an involutive automorphism of S.
     """
 
     mats: tuple[ga.Mat2, ...]
@@ -124,6 +92,9 @@ def slot_group() -> SlotGroup:
     product table is the left-regular permutation of an element: those of a
     few factors that generate S are computed from matrix products, 48 each,
     and every other row is a composition of them (:func:`_orbits.regular_tables`).
+    Conjugation is checked to be an involutive automorphism on every entry
+    of the product table, so it is one of S⁴ slot by slot and of every
+    subgroup of S⁴ that it maps into itself; ``ArithmeticError`` otherwise.
     """
     factors = list({m: None for g in normalizer_generators() for m in g})
     found = orbit(ga.I2, factors, lambda x, f: ga.m2_mul(f, x), limit=48,
@@ -146,6 +117,11 @@ def slot_group() -> SlotGroup:
         if c is None:
             raise ArithmeticError("the slot group is not closed under conjugation")
         conj.append(c)
+    for a in range(48):
+        if conj[conj[a]] != a:
+            raise ArithmeticError("conjugation on the slot group is not an involution")
+        if any(conj[mul[a][b]] != mul[conj[a]][conj[b]] for b in range(48)):
+            raise ArithmeticError("conjugation on the slot group is not an automorphism")
     return SlotGroup(mats=mats, index=index, mul=mul, inv=inv, conj=tuple(conj))
 
 
@@ -188,75 +164,31 @@ def gelt_closure(gens: Sequence[GElt], limit: int, what: str) -> tuple[IndexTupl
     return tuple(sorted(found))
 
 
+@dataclass(frozen=True)
+class FiniteConjGroup:
+    """A finite subgroup of S⁴, twisted by complex conjugation.
+
+    ``elements`` is the full element list, as index tuples (:func:`encode`)
+    in increasing order; ``gens`` generates the group and drives the orbit
+    searches.  Products, inverses and the twist σ are :func:`slot_mul`,
+    :func:`slot_inv` and :func:`slot_conj`.
+    """
+
+    elements: tuple[IndexTuple, ...]
+    gens: tuple[IndexTuple, ...]
+    tag: str = ""
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
 def gelt_group(gens: Sequence[GElt], *, tag: str = "") -> FiniteConjGroup:
-    """The group generated by ``gens`` as index tuples, twisted by conjugation."""
-    identity = encode(ga.IDENTITY)
+    """The group generated by ``gens``, as index tuples."""
     return FiniteConjGroup(
         elements=gelt_closure(gens, 100_000, "group closure exceeded 100000 elements"),
-        mul=slot_mul,
-        inv=slot_inv,
-        sigma=slot_conj,
-        identity=identity,
-        gens=tuple(encode(g) for g in gens) or (identity,),
+        gens=tuple(encode(g) for g in gens) or (encode(ga.IDENTITY),),
         tag=tag,
     )
-
-
-def weyl_group_view(
-    elements: Sequence[int],
-    *,
-    gens: Sequence[int] | None = None,
-    tag: str = "",
-) -> FiniteConjGroup:
-    """Wrap a subgroup of W, as indices into ``cartanweyl.weyl_group()``, as a
-    group with trivial twist.
-
-    The induced symmetries of the diagonalizable subspace are real matrices,
-    so conjugation acts trivially on them; cohomology then enumerates
-    conjugacy classes of involutions (plus the identity class).
-    """
-    table = cw.weyl_table()
-    elts = tuple(sorted(elements))
-    return FiniteConjGroup(
-        elements=elts,
-        mul=lambda a, b: table.mul[a][b],
-        inv=table.inv.__getitem__,
-        sigma=_trivial_sigma,
-        identity=table.identity,
-        gens=tuple(gens) if gens is not None else elts,
-        tag=tag,
-    )
-
-
-def validate_group(group: FiniteConjGroup) -> None:
-    """Check that σ is an involutive automorphism preserving the group.
-
-    σ² = id and σ(G) ⊆ G are checked on every element.  The homomorphism
-    property is checked on all pairs for small groups and on a deterministic
-    sample of pairs for large ones.
-    """
-    members = set(group.elements)
-    for x in group.elements:
-        sx = group.sigma(x)
-        if sx not in members:
-            raise ValueError("conjugation map does not preserve the group")
-        if group.sigma(sx) != x:
-            raise ValueError("conjugation map is not an involution")
-    n = len(group.elements)
-    if n <= 48:
-        pairs = [(x, y) for x in group.elements for y in group.elements]
-    else:
-        # Deterministic sample: stride through the sorted element list.
-        flat = group.elements
-        pairs = [
-            (flat[(i * 7919) % n], flat[(i * 104729 + i * i) % n])
-            for i in range(400)
-        ]
-    for x, y in pairs:
-        lhs = group.sigma(group.mul(x, y))
-        rhs = group.mul(group.sigma(x), group.sigma(y))
-        if lhs != rhs:
-            raise ValueError("conjugation map is not an automorphism")
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +214,21 @@ class CocycleClassList:
         return len(self.representatives)
 
 
-def cocycles(group: FiniteConjGroup) -> list:
-    """All c in G with c·σ(c) = identity, in increasing order."""
-    validate_group(group)
-    return sorted(
-        c for c in group.elements if group.mul(c, group.sigma(c)) == group.identity
-    )
+def cocycles(group: FiniteConjGroup) -> list[IndexTuple]:
+    """All c in G with c·σ(c) = identity, in increasing order.
+
+    ``ValueError`` if σ maps an element of G outside G.
+    """
+    identity = encode(ga.IDENTITY)
+    members = set(group.elements)
+    out = []
+    for c in group.elements:
+        s = slot_conj(c)
+        if s not in members:
+            raise ValueError("conjugation does not preserve the group")
+        if slot_mul(c, s) == identity:
+            out.append(c)
+    return sorted(out)
 
 
 def h1(group: FiniteConjGroup, case_tag: str = "") -> CocycleClassList:
@@ -300,9 +241,9 @@ def h1(group: FiniteConjGroup, case_tag: str = "") -> CocycleClassList:
     orbit; because the cocycles are scanned in increasing order, the first
     unseen cocycle is automatically its orbit's minimum.
     """
-    twists = [(a, group.sigma(group.inv(a))) for a in group.gens]
+    twists = [(a, slot_conj(slot_inv(a))) for a in group.gens]
     classes = orbit_classes(cocycles(group), twists,
-                            lambda x, t: group.mul(group.mul(t[0], x), t[1]))
+                            lambda x, t: slot_mul(slot_mul(t[0], x), t[1]))
     return CocycleClassList(
         representatives=tuple(c for c, _ in classes),
         case_tag=case_tag or group.tag,
@@ -474,10 +415,6 @@ def build_normalizer() -> FiniteConjGroup:
     kernel, lifts = normalizer_cosets()
     return FiniteConjGroup(
         elements=tuple(sorted(slot_mul(g, k) for g, _ in lifts for k in kernel)),
-        mul=slot_mul,
-        inv=slot_inv,
-        sigma=slot_conj,
-        identity=encode(ga.IDENTITY),
         gens=tuple(encode(g) for g in normalizer_generators()),
         tag="normalizer",
     )
@@ -619,8 +556,6 @@ __all__ = [
     "slot_conj",
     "gelt_group",
     "gelt_closure",
-    "weyl_group_view",
-    "validate_group",
     "cocycles",
     "h1",
     "stabilizer_finite_gens",

@@ -428,9 +428,6 @@ class Tensor:
     def __hash__(self) -> int:
         return hash(self.c)
 
-    def key(self) -> tuple:
-        return tuple(x.key() for x in self.c)
-
     def __repr__(self) -> str:
         parts = [
             f"{cyc_to_str(self.c[t])}*e{_index_to_bits(t)}"

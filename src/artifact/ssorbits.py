@@ -968,42 +968,22 @@ def _compile_block(i: int, variables: tuple[str, ...], raw: dict) -> CaseBlock:
     )
 
 
-def _pair_permutation(auto: PermAuto, m_src: int) -> tuple[int, dict]:
-    """Where a slot transposition sends a canonical subspace basis.
-
-    Returns ``(m_dst, rho)`` where ``rho`` maps source coordinate position
-    (0-based) to target position, such that the image of source basis
-    vector ``l`` is exactly the target basis vector ``rho[l]`` (with
-    coefficient +1; anything else is an error).
-    """
-    cartans = cw.seven_cartans()
-    src = cartans[m_src - 1].basis
-    images = [auto(b) for b in src]
-    for cand in cartans:
-        rho: dict[int, int] = {}
-        used: set[int] = set()
-        ok = True
-        for l, img in enumerate(images):
-            match = None
-            for p, vec in enumerate(cand.basis):
-                if p not in used and img == vec:
-                    match = p
-                    break
-            if match is None:
-                ok = False
-                break
-            rho[l] = match
-            used.add(match)
-        if ok:
-            return cand.index, rho
-    raise ValueError("slot transposition does not preserve the basis family")
-
-
 def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock) -> CaseBlock:
-    m_dst, rho = _pair_permutation(auto, blk.m)
+    # The slot transposition sends the source basis onto the target basis
+    # m_dst that holds the sum of the images, source vector l onto target
+    # vector p with coefficient +1; perm4[p] = l (anything else is an error).
+    images = [auto(b) for b in cw.seven_cartans()[blk.m - 1].basis]
+    found = cw.containing_bases(sum(images[1:], images[0]))
+    if len(found) != 1:
+        raise ValueError("slot transposition does not preserve the basis family")
+    m_dst = found[0][0]
     perm4 = [0, 0, 0, 0]
-    for src_pos, dst_pos in rho.items():
-        perm4[dst_pos] = src_pos
+    for l, img in enumerate(images):
+        coords = cw.basis_coords(m_dst, img)
+        nonzero = [p for p, c in enumerate(coords or ()) if c]
+        if len(nonzero) != 1 or coords[nonzero[0]] != ONE:
+            raise ValueError("slot transposition does not preserve the basis family")
+        perm4[nonzero[0]] = l
     rows = tuple(
         replace(row, matrix=tuple(row.matrix[perm4[r]] for r in range(4)))
         for row in blk.rows
@@ -1015,7 +995,7 @@ def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock) -> CaseBlock:
     if gamma is None:
         raise ValueError("transported twist does not act on the subspace")
     # Consistency: the transported action is the original one on relabelled
-    # coordinates, P·gamma·P⁻¹ for the permutation P of rho, which is not in W.
+    # coordinates, P·gamma·P⁻¹ for the permutation P of perm4, which is not in W.
     old = cw.weyl_group()[blk.gamma]
     if gamma != tuple(tuple(old[perm4[r]][perm4[c]] for c in range(4)) for r in range(4)):
         raise ValueError("transported twist action mismatch")

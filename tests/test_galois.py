@@ -17,6 +17,45 @@ def names(spec):
     return ga.gelt_from_names(spec)
 
 
+def one():
+    """The identity of S⁴ as an index tuple."""
+    return gal.encode(I4)
+
+
+def cocycle_condition(c):
+    return gal.slot_mul(c, gal.slot_conj(c)) == one()
+
+
+def twisted(a, c):
+    """a·c·σ(a)⁻¹, the twisted action of a on c."""
+    return gal.slot_mul(gal.slot_mul(a, c), gal.slot_conj(gal.slot_inv(a)))
+
+
+def _wmat_mul(a, b):
+    return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(4)) for c in range(4))
+                 for r in range(4))
+
+
+def _transpose(a):
+    return tuple(tuple(a[c][r] for c in range(4)) for r in range(4))
+
+
+def involution_class_count(indices):
+    """Conjugacy classes of the x with x·x = 1 in a group of Weyl matrices.
+
+    A brute-force reference on the matrices themselves: each class is
+    g·x·g⁻¹ over every element g, with g⁻¹ the transpose (checked).
+    """
+    group = [cw.weyl_group()[w] for w in indices]
+    assert all(_wmat_mul(g, _transpose(g)) == cw.W_IDENTITY for g in group)
+    seen, count = set(), 0
+    for x in group:
+        if _wmat_mul(x, x) == cw.W_IDENTITY and x not in seen:
+            seen |= {_wmat_mul(_wmat_mul(g, x), _transpose(g)) for g in group}
+            count += 1
+    return count
+
+
 def normalizer_pairs():
     """The 6144 normalizer elements, coset by coset, each with its action."""
     kernel, lifts = gal.normalizer_cosets()
@@ -56,7 +95,7 @@ class TestEngine:
         group = gal.gelt_group([], tag="trivial")
         classes = gal.h1(group)
         assert len(classes) == 1
-        assert classes.representatives[0] == group.identity
+        assert classes.representatives[0] == one()
 
     def test_order_two_group_has_two_classes(self):
         group = gal.gelt_group([names("-I,-I,-I,-I")])
@@ -66,15 +105,13 @@ class TestEngine:
         assert classes.sizes == (1, 1)
 
     def test_weyl_group_with_trivial_twist_has_seven_classes(self):
-        view = gal.weyl_group_view(range(len(cw.weyl_group())), tag="coordinate-symmetries")
-        classes = gal.h1(view)
-        assert len(classes) == 7
-        assert sum(classes.sizes) == len(gal.cocycles(view))
+        # Γ(1) is the whole coordinate symmetry group W
+        assert len(cw.gamma_group(1)) == len(cw.weyl_group()) == 192
+        assert involution_class_count(range(192)) == 7 == len(cw.gamma_h1(1))
 
     @pytest.mark.parametrize("i", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
     def test_engine_agrees_with_direct_involution_count(self, i):
-        view = gal.weyl_group_view(cw.gamma_group(i))
-        assert len(gal.h1(view)) == len(cw.gamma_h1(i))
+        assert involution_class_count(cw.gamma_group(i)) == len(cw.gamma_h1(i))
 
     def test_class_sizes_sum_to_cocycle_count(self, stab_group):
         classes = gal.h1(stab_group)
@@ -85,7 +122,7 @@ class TestEngine:
         classes = gal.h1(stab_group)
         assert len(classes) == 12
         for z in classes.representatives:
-            assert stab_group.mul(z, stab_group.sigma(z)) == stab_group.identity
+            assert cocycle_condition(z)
 
     def test_representatives_sorted_and_distinct(self, stab_group):
         classes = gal.h1(stab_group)
@@ -98,70 +135,50 @@ class TestEngine:
         g = stab_group
         c = gal.cocycles(g)[3]
         a, b = g.elements[5], g.elements[17]
-        step = g.mul(g.mul(a, c), g.sigma(g.inv(a)))
-        two_steps = g.mul(g.mul(b, step), g.sigma(g.inv(b)))
-        ba = g.mul(b, a)
-        direct = g.mul(g.mul(ba, c), g.sigma(g.inv(ba)))
+        step = twisted(a, c)
+        two_steps = twisted(b, step)
+        ba = gal.slot_mul(b, a)
+        direct = twisted(ba, c)
         assert two_steps == direct
 
     def test_twisted_image_of_cocycle_is_cocycle(self, stab_group):
         g = stab_group
         for c in gal.cocycles(g)[:6]:
             for a in g.elements[::7]:
-                moved = g.mul(g.mul(a, c), g.sigma(g.inv(a)))
-                assert g.mul(moved, g.sigma(moved)) == g.identity
+                moved = twisted(a, c)
+                assert cocycle_condition(moved)
 
-    def test_sigma_not_involution_rejected(self):
-        base = gal.gelt_group([names("J,J,J,J")])
-        bad = gal.FiniteConjGroup(
-            elements=base.elements,
-            mul=base.mul,
-            inv=base.inv,
-            sigma=lambda x: base.identity,
-            identity=base.identity,
-            gens=base.gens,
-        )
-        with pytest.raises(ValueError, match="involution"):
-            gal.cocycles(bad)
+    # the slot group is rebuilt uncached under a patched conjugation, so the
+    # cached tables the other tests use stay as they are
 
-    def test_sigma_not_automorphism_rejected(self):
-        base = gal.gelt_group([names("J,J,J,J")])
-        jj = next(x for x in base.elements if x == gal.encode(names("J,J,J,J")))
-        minus = next(x for x in base.elements if x == gal.encode(names("-I,-I,-I,-I")))
-        swap = {jj: minus, minus: jj}
+    def test_sigma_not_involution_rejected(self, monkeypatch):
+        # conjugating by an element of order 3 is an automorphism of S of
+        # order 3, so the slot group must refuse it as the twist
+        r = next(m for m in gal.slot_group().mats
+                 if m != ga.I2 and ga.m2_mul(m, ga.m2_mul(m, m)) == ga.I2)
+        monkeypatch.setattr(
+            ga, "m2_conj", lambda m: ga.m2_mul(ga.m2_mul(r, m), ga.m2_inv(r)))
+        with pytest.raises(ArithmeticError, match="involution"):
+            gal.slot_group.__wrapped__()
 
-        def bad_sigma(x):
-            return swap.get(x, x)
-
-        bad = gal.FiniteConjGroup(
-            elements=base.elements,
-            mul=base.mul,
-            inv=base.inv,
-            sigma=bad_sigma,
-            identity=base.identity,
-            gens=base.gens,
-        )
-        with pytest.raises(ValueError, match="automorphism"):
-            gal.cocycles(bad)
+    def test_sigma_not_automorphism_rejected(self, monkeypatch):
+        # inversion is an involution of S but reverses products
+        monkeypatch.setattr(ga, "m2_conj", ga.m2_inv)
+        with pytest.raises(ArithmeticError, match="automorphism"):
+            gal.slot_group.__wrapped__()
 
     def test_sigma_leaving_group_rejected(self):
-        base = gal.gelt_group([names("-I,-I,-I,-I")])
-        leak = gal.encode(names("J,I,I,I"))
+        # an element r of order 3 whose conjugate is not a power of r
+        slots = gal.slot_group()
+        e = slots.index[ga.I2]
+        r = next(a for a in range(48) if a != e and slots.mul[a][slots.mul[a][a]] == e
+                 and slots.conj[a] not in (a, slots.mul[a][a]))
+        base = gal.gelt_group([gal.decode((r, e, e, e))])
+        assert len(base) == 3
+        leak = gal.slot_conj((r, e, e, e))
         assert leak not in base.elements
-
-        def leak_sigma(x):
-            return leak
-
-        bad = gal.FiniteConjGroup(
-            elements=base.elements,
-            mul=base.mul,
-            inv=base.inv,
-            sigma=leak_sigma,
-            identity=base.identity,
-            gens=base.gens,
-        )
         with pytest.raises(ValueError, match="preserve"):
-            gal.cocycles(bad)
+            gal.cocycles(base)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=3), max_size=6), st.integers(0, 11))
@@ -169,17 +186,17 @@ class TestEngine:
         g = stab_group
         classes = gal.h1(g)
         c = classes.representatives[class_idx % len(classes)]
-        a = g.identity
+        a = one()
         for k in word:
-            a = g.mul(a, g.gens[k])
-        moved = g.mul(g.mul(a, c), g.sigma(g.inv(a)))
+            a = gal.slot_mul(a, g.gens[k])
+        moved = twisted(a, c)
         # verify by a fresh orbit search seeded at the moved element
         orbit = {moved}
         frontier = [moved]
         while frontier:
             x = frontier.pop()
             for gen in g.gens:
-                y = g.mul(g.mul(gen, x), g.sigma(g.inv(gen)))
+                y = twisted(gen, x)
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)
@@ -320,7 +337,7 @@ class TestNormalizer:
         for basis in cw.seven_cartans():
             n = gal.encode(basis.nstar)
             assert n in members
-            assert normalizer.mul(n, normalizer.sigma(n)) == normalizer.identity
+            assert cocycle_condition(n)
 
     def test_all_sixteen_lifts_verify(self, normalizer):
         members = set(normalizer.elements)
@@ -329,7 +346,7 @@ class TestNormalizer:
         for w, lift in rows:
             x = gal.encode(lift)
             assert x in members
-            assert normalizer.mul(x, normalizer.sigma(x)) == normalizer.identity
+            assert cocycle_condition(x)
             assert cw.h_action_matrix(lift) == cw.weyl_group()[w]
 
     def test_specific_lift_images(self):
@@ -406,9 +423,7 @@ class TestVerifyClassList:
         c = classes.representatives[big]
         partner = None
         for a in stab_group.elements:
-            moved = stab_group.mul(
-                stab_group.mul(a, c), stab_group.sigma(stab_group.inv(a))
-            )
+            moved = twisted(a, c)
             if moved != c:
                 partner = moved
                 break

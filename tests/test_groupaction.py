@@ -300,7 +300,7 @@ class TestPermutationAutomorphisms:
         p = PermAuto((2, 3, 4))  # 2->3->4->2
         # composition of (2,3) then ... just check orbit on u2,u3,u4:
         images = [p(u[1]), p(u[2]), p(u[3])]
-        assert set(x.key() for x in images) == set(x.key() for x in (u[1], u[2], u[3]))
+        assert set(images) == {u[1], u[2], u[3]}
         assert p(u[1]) != u[1]
 
     def test_inverse(self):

@@ -14,7 +14,7 @@ from artifact import _linalg as la
 from artifact import cartanweyl as cw
 from artifact import galois, invariants, liealg
 from artifact import ssorbits as ss
-from artifact.exactfield import CycNum, IMAG, MINUS_ONE, ONE, ZERO, rat
+from artifact.exactfield import CycNum, IMAG, MINUS_ONE, ONE, ZERO, random_cyc, rat
 from artifact.groupaction import act_tensor, conj_g, g_inv, g_key, g_mul
 from artifact.liealg import Tensor
 
@@ -168,11 +168,30 @@ def _rat_dot(row, lams):
     return acc
 
 
+def _real(v):
+    return v.conjugate() == v
+
+
+def _imaginary(v):
+    return v.conjugate() == -v
+
+
 def _reference_accepts(pattern, lams):
-    # the tag checks as they stand, then every avoid row as rat(c) * v products
-    if not dataclasses.replace(pattern, avoid=()).accepts(lams):
-        return False
-    return all(_rat_dot(row, lams) for row in pattern.avoid)
+    # the tags checked through complex conjugation, then every avoid row as
+    # rat(c) * v products
+    assert len(lams) == len(pattern.tags)
+    if "coupled" in pattern.tags:
+        assert pattern.tags == ("coupled", "coupled")
+        a, b = lams
+        s, d = IMAG * (a + b), a - b
+        tags_hold = s != ZERO and d != ZERO and _real(s) and _real(d)
+    else:
+        assert set(pattern.tags) <= {"real", "imaginary"}
+        tags_hold = all(
+            v != ZERO and (_real(v) if tag == "real" else _imaginary(v))
+            for tag, v in zip(pattern.tags, lams)
+        )
+    return tags_hold and all(_rat_dot(row, lams) != ZERO for row in pattern.avoid)
 
 
 def test_accepts_matches_rational_products():
@@ -190,6 +209,61 @@ def test_accepts_matches_rational_products():
             assert pattern.accepts(hit) is _reference_accepts(pattern, hit) is False
             hits += 1
     assert hits > 37
+
+
+def _draw_value(rng, kind):
+    def q():
+        return rat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    if kind == "rational":
+        return q()
+    if kind == "gaussian":
+        return q() + q() * IMAG
+    if kind == "sqrt2":
+        return q() + q() * _SQRT2 + (q() + q() * _SQRT2) * IMAG
+    return random_cyc(rng, 3, 3)
+
+
+def _draw_lams(rng, pattern):
+    """Seeded λ: values of one kind, some with a zero entry; half of them cut
+    down to what the tags ask for; some moved onto an avoid hyperplane."""
+    kind = rng.choice(("rational", "gaussian", "sqrt2", "general"))
+    lams = [_draw_value(rng, kind) for _ in pattern.tags]
+    if rng.random() < 0.15:
+        lams[rng.randrange(len(lams))] = ZERO
+    if rng.random() < 0.5:
+        half = Fraction(1, 2)
+        re = [(v + v.conjugate()).scale(half) for v in lams]
+        if "coupled" in pattern.tags:
+            # i·(a+b) = s and a−b = d for the real parts s, d; a zero entry
+            # makes one of them zero
+            s, d = re
+            lams = [(d - IMAG * s).scale(half), (-d - IMAG * s).scale(half)]
+        else:
+            lams = [r if tag == "real" else IMAG * r for tag, r in zip(pattern.tags, re)]
+    if pattern.avoid and rng.random() < 0.2:
+        row = rng.choice(pattern.avoid)
+        p = max(q for q, c in enumerate(row) if c)
+        rest = _rat_dot(row[:p] + (0,) + row[p + 1:], lams)
+        lams[p] = rest.scale(Fraction(-1, row[p]))
+    return tuple(lams)
+
+
+def test_accepts_matches_reference_on_seeded_draws():
+    rng = random.Random(20)
+    accepted = rejected = 0
+    for blk in ss.blocks():
+        outcomes = set()
+        for _ in range(200):
+            lams = _draw_lams(rng, blk.reality)
+            expected = _reference_accepts(blk.reality, lams)
+            assert blk.reality.accepts(lams) is expected, (blk.i, blk.j, lams)
+            outcomes.add(expected)
+            accepted += expected
+            rejected += not expected
+        # every block sees both outcomes
+        assert outcomes == {True, False}, (blk.i, blk.j)
+    assert min(accepted, rejected) > 1000, (accepted, rejected)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ KEPT = {
                     "equivariance, invariance and coroot checks",
     "lie_sub": "used by the bracket-equivariance checks of act_tensor and act_g0",
     "gelt_group": "the group view the tests of the h1 engine run on",
-    "weyl_group_view": "the group view that checks gamma_h1 against h1",
     "component_membership": "checks the stored subsystem data",
     "random_cyc": "draws the random field elements of the property tests",
     "coefficients": "CycNum's rational coefficients, read by the field tests",
