@@ -27,8 +27,8 @@ provides:
   four copies of SL(2, C), built from its group structure: the order-32
   kernel ``K`` (the elements acting trivially on the subspace) and one lift
   for each of the 192 coordinate symmetries, with a proof that these 192
-  cosets of ``K`` make up the whole group, and its cohomology (seven
-  classes),
+  cosets of ``K`` make up the whole group, the symmetry of an element read
+  from the least element of its coset, and its cohomology (seven classes),
 * the sixteen recorded group elements that induce the order-2 symmetries of
   the diagonalizable subspace, paired with the symmetries they induce: each
   an element of the Weyl group W, named by its index into
@@ -88,29 +88,29 @@ class SlotGroup:
 def slot_group() -> SlotGroup:
     """Build S and its tables from the slot factors of the normalizer generators.
 
-    S is the orbit of the identity under the factors.  Each row of the
-    product table is the left-regular permutation of an element: those of a
-    few factors that generate S are computed from matrix products, 48 each,
-    and every other row is a composition of them (:func:`_orbits.regular_tables`).
+    S is the orbit of the identity under the factors that enlarge it: a
+    factor already in the group the earlier ones generate is skipped (4 of
+    the 11 are kept).  Each row of the product table is the left-regular
+    permutation of an element: those of the kept factors are computed from
+    matrix products, 48 each, and every other row is a composition of them
+    (:func:`_orbits.regular_tables`).
     Conjugation is checked to be an involutive automorphism on every entry
     of the product table, so it is one of S⁴ slot by slot and of every
     subgroup of S⁴ that it maps into itself; ``ArithmeticError`` otherwise.
     """
-    factors = list({m: None for g in normalizer_generators() for m in g})
-    found = orbit(ga.I2, factors, lambda x, f: ga.m2_mul(f, x), limit=48,
-                  what="the slot group exceeded 48 elements")
+    gens: list[ga.Mat2] = []
+    found = {ga.I2: ga.I2}
+    for f in {m: None for g in normalizer_generators() for m in g}:
+        if f not in found:
+            gens.append(f)
+            found = orbit(ga.I2, gens, lambda x, h: ga.m2_mul(h, x), limit=48,
+                          what="the slot group exceeded 48 elements")
     mats = tuple(sorted(found, key=ga.m2_key))
     if len(mats) != 48:
         raise ArithmeticError("expected 48 slot matrices, found %d" % len(mats))
     index = {m: a for a, m in enumerate(mats)}
-    e = index[ga.I2]
-    perms: list[tuple[int, ...]] = []
-    reached = {e}
-    for f in factors:
-        if index[f] not in reached:
-            perms.append(tuple(index[ga.m2_mul(f, m)] for m in mats))
-            reached = orbit(e, perms, lambda a, p: p[a])
-    mul, inv = regular_tables(perms, e)
+    rows = [tuple(index[ga.m2_mul(f, m)] for m in mats) for f in gens]
+    mul, inv = regular_tables(rows, index[ga.I2])
     conj = []
     for m in mats:
         c = index.get(ga.m2_conj(m))
@@ -404,6 +404,24 @@ def normalizer_cosets() -> tuple[tuple[IndexTuple, ...],
 
 
 @lru_cache(maxsize=1)
+def least_lifts() -> tuple[IndexTuple, ...]:
+    """The least element of each coset g_w·K of :func:`normalizer_cosets`,
+    at the Weyl group index w of the symmetry it induces."""
+    kernel, lifts = normalizer_cosets()
+    least = {w: min(slot_mul(g, k) for k in kernel) for g, w in lifts}
+    return tuple(least[w] for w in range(len(least)))
+
+
+def coset_symmetry(x: IndexTuple) -> int | None:
+    """The Weyl group index of the symmetry that ``x`` induces: the place of
+    the least element of x·K in :func:`least_lifts`; None when ``x`` does not
+    lie in N."""
+    kernel, _ = normalizer_cosets()
+    least, lifts = min(slot_mul(x, k) for k in kernel), least_lifts()
+    return lifts.index(least) if least in lifts else None
+
+
+@lru_cache(maxsize=1)
 def build_normalizer() -> FiniteConjGroup:
     """The full normalizer of the diagonalizable subspace, order 6144.
 
@@ -562,6 +580,8 @@ __all__ = [
     "weyl_cocycle_lifts",
     "normalizer_generators",
     "normalizer_cosets",
+    "least_lifts",
+    "coset_symmetry",
     "check_cosets",
     "build_normalizer",
     "h1_of_normalizer",

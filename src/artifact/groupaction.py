@@ -97,15 +97,16 @@ def named(name: str) -> Mat2:
     """A named 2×2 matrix, optionally with a leading - sign.
 
     The names are the fixed matrices I, J, K, L, M, N, F, the product ``LF``
-    (L·F), and ``Dk`` for D(η^k), η a primitive 16th root of unity, with k
-    read modulo 16.
+    (L·F), and ``Dk`` for D(η^k) = diag(η^k, η^-k), η a primitive 16th root
+    of unity, written from the two powers of η without inverting one.
     """
     if name.startswith("-"):
         return m2_neg(named(name[1:]))
     if name == "LF":
         return m2_mul(_NAMED["L"], _NAMED["F"])
     if name.startswith("D") and name[1:].isdigit():
-        return D(CycNum.eta_power(int(name[1:]) % 16))
+        k = int(name[1:])
+        return mat2(CycNum.eta_power(k), ZERO, ZERO, CycNum.eta_power(-k))
     try:
         return _NAMED[name]
     except KeyError:

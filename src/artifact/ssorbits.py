@@ -25,6 +25,7 @@ import ast
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import combinations, product
 from math import gcd
 from typing import Sequence
 
@@ -45,17 +46,16 @@ from .exactfield import (
 )
 from .groupaction import (
     GElt,
+    I2,
     PermAuto,
     act_tensor,
     conj_g,
     g_inv,
-    g_key,
     g_mul,
     gelt,
     gelt_from_names,
     m2_neg,
     mat2,
-    named,
     sharp,
     D,
 )
@@ -197,7 +197,8 @@ def _form(node: ast.AST, variables: tuple[str, ...], text: str) -> dict:
     if c is not None:
         if not c:
             raise ValueError("division by zero in table entry %r" % text)
-        return {name: v * c.inverse() for name, v in a.items()}
+        c = c.inverse()
+        return {name: v * c for name, v in a.items()}
     # c/(a*lN) is the one reciprocal the tables print
     num = _constant(a)
     if num is None or len(b) != 1 or "" in b or next(iter(b)).startswith("~"):
@@ -293,7 +294,8 @@ def _compile_row(k: int, exprs: tuple, variables: tuple[str, ...]) -> SSTableRow
             "reciprocally: %r" % (k, exprs)
         )
     matrix = tuple(tuple(form.get(c, ZERO) for c in columns) for form in forms)
-    if la.rank([list(r) for r in matrix]) != len(columns):
+    # the columns are independent exactly when some maximal minor is nonzero
+    if not any(map(la.det, combinations(matrix, len(columns)))):
         raise ValueError("row %d has linearly dependent columns" % k)
     return SSTableRow(k=k, matrix=matrix, reciprocal=reciprocal)
 
@@ -872,10 +874,8 @@ _TRANSPORTS: dict[int, tuple[int, tuple[int, int]]] = {
 
 def _build_wmat(gamma) -> cw.WeylMat:
     if isinstance(gamma[0], tuple):
-        return cw.wmat([list(r) for r in gamma])
-    return cw.wmat(
-        [[gamma[r] if r == c else 0 for c in range(4)] for r in range(4)]
-    )
+        return cw.wmat(gamma)
+    return cw.wmat([[gamma[r] if r == c else 0 for c in range(4)] for r in range(4)])
 
 
 # ---------------------------------------------------------------------------
@@ -908,50 +908,54 @@ class CaseBlock:
         raise KeyError("block (%d, %d) has no row k=%d" % (self.i, self.j, k))
 
 
-def _even_sign_tuple(g: GElt) -> bool:
-    """True when every slot is ±identity with an even number of minus signs."""
-    minus = 0
-    i2 = named("I")
-    mi2 = m2_neg(i2)
-    for slot in g:
-        if slot == i2:
+@lru_cache(maxsize=1)
+def _even_signs() -> frozenset:
+    """Slotwise ±identity with an even number of minus signs, as index
+    tuples: the elements of S⁴ that act trivially on tensors."""
+    index = galois.slot_group().index
+    plus, minus = index[I2], index[m2_neg(I2)]
+    return frozenset(x for x in product((plus, minus), repeat=4) if x.count(minus) % 2 == 0)
+
+
+def _checked_twist(i: int, j: int, n: GElt, g: GElt, zs: tuple) -> int:
+    """Check a block's group data; return the Weyl group index of its twist.
+
+    The twist ``n`` and each stabilizer element x must lie in S⁴, be a
+    cocycle up to the kernel of the tensor action (x·σ(x) in
+    :func:`_even_signs`) and lie in N (:func:`galois.coset_symmetry`).
+    The witness must give σ(g) = g·n, checked on the matrices: four
+    witnesses have slots (D5, F) outside S.
+    """
+    index = galois.slot_group().index
+    for what, x in [("twist", n)] + [("stabilizer element %d" % k, z) for k, z in enumerate(zs)]:
+        t = tuple(index.get(m) for m in x)
+        if None in t:
+            problem = "lies outside the slot group"
+        elif galois.slot_mul(t, galois.slot_conj(t)) not in _even_signs():
+            problem = "is not a cocycle"
+        elif galois.coset_symmetry(t) is None:
+            problem = "lies outside the normalizer"
+        else:
             continue
-        if slot == mi2:
-            minus += 1
-            continue
-        return False
-    return minus % 2 == 0
+        raise ValueError("block (%d, %d): %s %s" % (i, j, what, problem))
+    if conj_g(g) != g_mul(g, n):
+        raise ValueError("block (%d, %d): witness does not produce the recorded twist" % (i, j))
+    return galois.coset_symmetry(galois.encode(n))
 
 
 def _compile_block(i: int, variables: tuple[str, ...], raw: dict) -> CaseBlock:
+    """Compile a stored block; its ``gamma`` must be its twist's symmetry."""
     rows = tuple(
         _compile_row(k + 1, exprs, variables) for k, exprs in enumerate(raw["rows"])
     )
     n = gelt_from_names(raw["n"])
     g = gelt_from_names(raw["g"])
     zs = tuple(gelt_from_names(z) for z in raw["zs"])
+    w = _checked_twist(i, raw["j"], n, g, zs)
     gamma = _build_wmat(raw["gamma"])
-    # The recorded coordinate action of the twist must match the group action.
-    act = cw.h_action_matrix(n)
-    if act != gamma:
-        raise ValueError(
-            "block (%d, %d): twist acts by %r, table says %r" % (i, raw["j"], act, gamma)
-        )
-    # The twist and every stabilizer element are cocycles (up to the kernel
-    # of the action: slotwise ±identity with an even number of signs), and
-    # the witness produces the twist exactly: g⁻¹·conj(g) = n.
-    if not _even_sign_tuple(g_mul(n, conj_g(n))):
-        raise ValueError("block (%d, %d): twist is not a cocycle" % (i, raw["j"]))
-    for idx, z in enumerate(zs):
-        if not _even_sign_tuple(g_mul(z, conj_g(z))):
-            raise ValueError("block (%d, %d): stabilizer element %d is not a cocycle"
-                             % (i, raw["j"], idx))
-    rel = g_mul(g_inv(g), conj_g(g))
-    if g_key(rel) != g_key(n):
-        raise ValueError(
-            "block (%d, %d): witness does not produce the recorded twist"
-            % (i, raw["j"])
-        )
+    if cw.weyl_group()[w] != gamma:
+        raise ValueError("block (%d, %d): twist acts by %r, table says %r"
+                         % (i, raw["j"], cw.weyl_group()[w], gamma))
     reality = RealityPattern(
         i=i, j=raw["j"], tags=tuple(raw["tags"]), avoid=tuple(raw["avoid"])
     )
@@ -959,7 +963,7 @@ def _compile_block(i: int, variables: tuple[str, ...], raw: dict) -> CaseBlock:
         i=i,
         j=raw["j"],
         m=raw["m"],
-        gamma=cw.weyl_index(gamma),
+        gamma=w,
         n=n,
         g=g,
         zs=zs,
@@ -991,33 +995,21 @@ def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock) -> CaseBlock:
     n = auto.on_gelt(blk.n)
     g = auto.on_gelt(blk.g)
     zs = tuple(auto.on_gelt(z) for z in blk.zs)
-    gamma = cw.h_action_matrix(n)
-    if gamma is None:
-        raise ValueError("transported twist does not act on the subspace")
+    w = _checked_twist(i_dst, blk.j, n, g, zs)
     # Consistency: the transported action is the original one on relabelled
     # coordinates, P·gamma·P⁻¹ for the permutation P of perm4, which is not in W.
     old = cw.weyl_group()[blk.gamma]
-    if gamma != tuple(tuple(old[perm4[r]][perm4[c]] for c in range(4)) for r in range(4)):
+    if cw.weyl_group()[w] != tuple(tuple(old[perm4[r]][perm4[c]] for c in range(4))
+                                   for r in range(4)):
         raise ValueError("transported twist action mismatch")
-    reality = RealityPattern(
-        i=i_dst, j=blk.j, tags=blk.reality.tags, avoid=blk.reality.avoid
-    )
-    return CaseBlock(
-        i=i_dst,
-        j=blk.j,
-        m=m_dst,
-        gamma=cw.weyl_index(gamma),
-        n=n,
-        g=g,
-        zs=zs,
-        rows=rows,
-        reality=reality,
-    )
+    return replace(blk, i=i_dst, m=m_dst, gamma=w, n=n, g=g, zs=zs, rows=rows,
+                   reality=replace(blk.reality, i=i_dst))
 
 
 @lru_cache(maxsize=1)
 def blocks() -> tuple[CaseBlock, ...]:
-    """Every ``(i, j)`` block of the tables, stored and generated alike."""
+    """Every ``(i, j)`` block of the tables, stored and generated alike, each
+    with its group data checked in the slot group (:func:`_checked_twist`)."""
     out: list[CaseBlock] = []
     for i, spec in _NATIVE.items():
         for raw in spec["blocks"]:
@@ -1092,21 +1084,10 @@ def default_lambda(i: int, j: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _weyl_lift_table() -> tuple[GElt, ...]:
-    """For each coordinate symmetry, by Weyl group index, its least lift.
-
-    The lifts of w are the coset g_w·K of :func:`galois.normalizer_cosets`;
-    the least index tuple among them is the least lift by ``g_key``.
-    """
-    kernel, lifts = galois.normalizer_cosets()
-    least = {w: min(galois.slot_mul(g, k) for k in kernel) for g, w in lifts}
-    return tuple(galois.decode(least[w]) for w in range(len(least)))
-
-
 def weyl_lift(w: int) -> GElt:
-    """A group element inducing the coordinate symmetry of Weyl group index ``w``."""
-    return _weyl_lift_table()[w]
+    """A group element inducing the coordinate symmetry of Weyl group index
+    ``w``: the least of its lifts (:func:`galois.least_lifts`) by ``g_key``."""
+    return galois.decode(galois.least_lifts()[w])
 
 
 def _weyl_lift_inverse(w: int) -> GElt:
@@ -1762,7 +1743,6 @@ def classify_semisimple(t: Tensor) -> SSOrbitLabel:
 
 def _stabilizer_data(i: int) -> tuple[tuple[GElt, ...], tuple[GElt, ...], int]:
     """Finite generators, identity-component samples and class count."""
-    I2 = named("I")
     U = mat2(ONE, ONE, ZERO, ONE)
     V = mat2(ONE, ZERO, ONE, ONE)
     eta = CycNum.eta_power(1)

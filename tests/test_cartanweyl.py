@@ -102,11 +102,22 @@ def _derived_root_vectors():
 
 
 def _product(a, b):
-    """The matrix product a·b, entry by entry over Fractions."""
+    """The matrix product a·b, entry by entry (Fractions or integers)."""
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
         for i in range(4)
     )
+
+
+def _doubled(w):
+    """2·w as integers; w must lie on the half lattice."""
+    out = tuple(tuple(2 * x for x in row) for row in w)
+    assert all(x.denominator == 1 for row in out for x in row)
+    return tuple(tuple(int(x) for x in row) for row in out)
+
+
+def _scaled(a, c):
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def _after(coeffs, w):
@@ -246,12 +257,14 @@ class TestWeylGroup:
             cw.root_permutations.__wrapped__()
 
     def test_product_table_matches_fraction_product(self):
+        # on the doubled matrices, integer by the half lattice: (2a)·(2b) = 4·ab
         group, table = weyl_group(), weyl_table()
-        reflections = [reflection(r) for r in restricted_roots()]
-        for a, w in enumerate(group):
+        doubled = [_doubled(w) for w in group]
+        reflections = [_doubled(reflection(r)) for r in restricted_roots()]
+        for a, w in enumerate(doubled):
             for n, s in zip(table.reflections, reflections):
-                assert group[table.mul[a][n]] == _product(w, s)
-                assert group[table.mul[n][a]] == _product(s, w)
+                assert _scaled(doubled[table.mul[a][n]], 2) == _product(w, s)
+                assert _scaled(doubled[table.mul[n][a]], 2) == _product(s, w)
 
     # a matrix off the half lattice, or outside W, has no index and no root
     # permutation; the product of W's elements is a table lookup

@@ -1,5 +1,7 @@
 """Tests for twisted cohomology of finite matrix groups and the normalizer."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -254,6 +256,21 @@ class TestNormalizer:
         for g, w in lifts[::12]:
             assert cw.h_action_matrix(gal.decode(g)) == cw.weyl_group()[w]
         assert all(cw.h_action_matrix(gal.decode(k)) == cw.W_IDENTITY for k in kernel[::5])
+
+    def test_coset_symmetry_reads_the_action(self, normalizer):
+        # every element of N by its coset, a sample against the tensor action,
+        # and seeded elements of S⁴ with a sample of N by membership
+        pairs = normalizer_pairs()
+        assert all(gal.coset_symmetry(x) == w for x, w in pairs)
+        for x, _ in pairs[::24]:
+            assert gal.coset_symmetry(x) == cw.weyl_index(cw.h_action_matrix(gal.decode(x)))
+        members = set(normalizer.elements)
+        rng = random.Random(22)
+        draws = [tuple(rng.randrange(48) for _ in range(4)) for _ in range(300)]
+        draws += normalizer.elements[::97]
+        assert {gal.coset_symmetry(x) is None for x in draws} == {True, False}
+        for x in draws:
+            assert (gal.coset_symmetry(x) is None) is (x not in members)
 
     def test_each_generator_action_is_computed_once(self, monkeypatch):
         # the kernel generators are the first of the normalizer generators,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -105,15 +106,31 @@ class TestBracket:
             for b in us:
                 assert L.lie_is_zero(bracket(a, b))
 
-    def test_jacobi_random_triples(self):
+    def test_jacobi_on_basis_triples(self):
+        # the bracket is bilinear (below) and antisymmetric (above, and
+        # TestBracketKernel on every basis pair), so Jacobi on every triple
+        # of distinct basis elements gives it on all triples
+        basis = [alg.basis_elt(i) for i in range(28)]
+        assert all(L.lie_is_zero(bracket(e, e)) for e in basis)
+        inner = {(a, b): bracket(basis[a], basis[b])
+                 for a in range(28) for b in range(28) if a != b}
+        for i, j, k in combinations(range(28), 3):
+            terms = (bracket(basis[i], inner[j, k]), bracket(basis[j], inner[k, i]),
+                     bracket(basis[k], inner[i, j]))
+            assert L.lie_is_zero([a + b + c for a, b, c in zip(*terms)]), (i, j, k)
+
+    def test_bracket_is_bilinear(self):
+        # [c·x + x', y] = c·[x, y] + [x', y], and likewise in y, for seeded
+        # Q(eta) scalars c and vectors
         rng = random.Random(11)
-        for _ in range(200):
-            x, y, z = (
-                [random_cyc(rng, 2, 1) for _ in range(28)] for _ in range(3)
-            )
-            terms = (bracket(x, bracket(y, z)), bracket(y, bracket(z, x)),
-                     bracket(z, bracket(x, y)))
-            assert L.lie_is_zero([a + b + c for a, b, c in zip(*terms)])
+        for _ in range(40):
+            x, x2, y = ([random_cyc(rng, 2, 1) for _ in range(28)] for _ in range(3))
+            c = random_cyc(rng, 2, 1)
+            combo = [c * a + b for a, b in zip(x, x2)]
+            assert bracket(combo, y) == [
+                c * a + b for a, b in zip(bracket(x, y), bracket(x2, y))]
+            assert bracket(y, combo) == [
+                c * a + b for a, b in zip(bracket(y, x), bracket(y, x2))]
 
     def test_ad_matrix_consistency(self):
         rng = random.Random(3)

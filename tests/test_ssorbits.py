@@ -15,7 +15,7 @@ from artifact import cartanweyl as cw
 from artifact import galois, invariants, liealg
 from artifact import ssorbits as ss
 from artifact.exactfield import CycNum, IMAG, MINUS_ONE, ONE, ZERO, random_cyc, rat
-from artifact.groupaction import act_tensor, conj_g, g_inv, g_key, g_mul
+from artifact.groupaction import PermAuto, act_tensor, conj_g, g_inv, g_key, g_mul
 from artifact.liealg import Tensor
 
 
@@ -99,6 +99,46 @@ def test_a_stabilizer_element_that_is_not_a_cocycle_is_rejected():
     raw["zs"] = raw["zs"][:3] + ("J,I,I,I",) + raw["zs"][4:]
     with pytest.raises(ValueError, match="stabilizer element 3 is not a cocycle"):
         ss._compile_block(1, variables, raw)
+
+
+def _replaced(items, idx, item):
+    return items[:idx] + (item,) + items[idx + 1:]
+
+
+# Block (1, 2): twist -I,I,I,I acting as -1, witness L,I,I,I.  J,I,I,I has
+# J·conj(J) = -I in one slot; K,I,I,I is a cocycle of S⁴ outside N; D1 is
+# not a slot matrix.
+@pytest.mark.parametrize("field, change, message", [
+    ("n", lambda raw: "J,I,I,I", r"block \(1, 2\): twist is not a cocycle"),
+    ("g", lambda raw: "I,I,I,I",
+     r"block \(1, 2\): witness does not produce the recorded twist"),
+    ("gamma", lambda raw: (1, 1, 1, 1), r"block \(1, 2\): twist acts by"),
+    ("n", lambda raw: "D1,I,I,I", r"block \(1, 2\): twist lies outside the slot group"),
+    ("n", lambda raw: "K,I,I,I", r"block \(1, 2\): twist lies outside the normalizer"),
+    ("zs", lambda raw: _replaced(raw["zs"], 4, "D1,I,I,I"),
+     r"block \(1, 2\): stabilizer element 4 lies outside the slot group"),
+    ("zs", lambda raw: _replaced(raw["zs"], 5, "K,I,I,I"),
+     r"block \(1, 2\): stabilizer element 5 lies outside the normalizer"),
+    ("rows", lambda raw: _replaced(raw["rows"], 1, ("l1+l2", "l1+l2", "l3", "l4")),
+     "row 2 has linearly dependent columns"),
+])
+def test_a_block_with_broken_group_data_or_rows_is_rejected(field, change, message):
+    variables = ss._NATIVE[1]["vars"]
+    raw = dict(ss._NATIVE[1]["blocks"][1])
+    assert ss._compile_block(1, variables, raw) == ss.block(1, 2)
+    raw[field] = change(raw)
+    with pytest.raises(ValueError, match=message):
+        ss._compile_block(1, variables, raw)
+
+
+def test_a_transported_block_is_checked_like_a_stored_one():
+    auto = PermAuto((2, 3))
+    blk = ss.block(4, 2)
+    assert ss._transport_block(5, auto, blk) == ss.block(5, 2)
+    with pytest.raises(ValueError, match="transported twist action mismatch"):
+        ss._transport_block(5, auto, dataclasses.replace(blk, gamma=cw.weyl_table().identity))
+    with pytest.raises(ValueError, match=r"block \(5, 2\): witness does not produce"):
+        ss._transport_block(5, auto, dataclasses.replace(blk, g=blk.n))
 
 
 def test_unknown_block_raises():
