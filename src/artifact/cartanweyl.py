@@ -3,18 +3,19 @@
 Elements of the Cartan subspace h = <u_1, ..., u_4> are written in
 u-coordinates, their coordinates in the first of the seven real Cartan
 bases (:func:`basis_coords` and :func:`from_basis_coords` with m = 1).  The
-24 restricted roots are stored data, each a functional with a root vector,
-and every one is checked against the algebra by brackets,
-[u_k, v] = alpha(u_k)·v, before use; each is paired with its coroot, the
-closed form h_alpha = 2·alpha/(alpha·alpha).  A wrong coroot raises where
-its reflection does not permute the roots or the reflections do not close
-to order 192, and the tests pin the resulting group.  The Weyl group
-(order 192) is the closure of the 24 reflections' permutations of the
-restricted roots, and each element's exact rational 4x4 matrix in
-u-coordinates is read off its permutation.  The eleven complete subsystems
-and their complement groups Gamma, and the seven real Cartan bases with
-their witness pairs (g*, n*), are embedded as data and re-verified by the
-test suite.
+24 restricted roots are stored data, each a functional with a root vector
+written by its signs, and every one is checked against the algebra by
+integer brackets, [u_k, v] = alpha(u_k)·v, before use; each is paired with
+its coroot, the closed form h_alpha = 2·alpha/(alpha·alpha).  A reflection
+takes a root beta to beta - beta(h_alpha)·alpha, read off in integers; a
+wrong coroot raises where its reflection does not permute the roots or the
+reflections do not close to order 192, and the tests pin the resulting
+group.  The Weyl group (order 192) is the closure of the 24 reflections'
+permutations of the restricted roots, and each element's exact rational
+4x4 matrix in u-coordinates is read off its permutation.  The eleven
+complete subsystems and their complement groups Gamma, and the seven real
+Cartan bases with their witness pairs (g*, n*), are embedded as data and
+re-verified by the test suite.
 
 An element of W is named by its index in :func:`weyl_group`.  Products
 and inverses are lookups in :func:`weyl_table`, and Gamma, W_Pi and the
@@ -30,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import itemgetter
 from typing import Sequence
 
@@ -49,9 +51,9 @@ from .groupaction import (
 from .liealg import (
     LieElt,
     Tensor,
-    bracket,
+    build_d4,
     is_commuting_semisimple,
-    tensor_to_g1,
+    sparse_bracket,
     u_basis,
 )
 
@@ -106,27 +108,33 @@ _ROOTS: tuple[tuple[tuple[int, int, int, int], str], ...] = (
 
 
 def _checked_root_vectors(table) -> dict[tuple[int, ...], LieElt]:
-    """The root vectors of ``table``, each checked by brackets.
+    """The root vectors of ``table``, each checked by integer brackets.
 
-    For every entry, [u_k, v] = alpha(u_k)·v must hold for k = 1..4 (96
-    brackets for the 24 roots), with v nonzero.  Root vectors of distinct
+    A root vector is written by its signs and u_k = e_a + e_b by its pair
+    (a, b) of tensor positions, each e_t plus or minus one basis element,
+    so both have integer coordinates.  For every entry,
+    [u_k, v] = alpha(u_k)·v must hold for k = 1..4 (96 brackets for the 24
+    roots, by :func:`liealg.sparse_bracket` on the structure constants of
+    :func:`liealg.build_d4`), with v nonzero.  Root vectors of distinct
     functionals are linearly independent, and the centralizer of the Cartan
     subspace contains u_1..u_4; so 24 distinct nonzero functionals in the
     28-dimensional algebra make each root space one-dimensional and the
     centralizer four-dimensional: the table is the whole decomposition.
     Raises ``ArithmeticError`` otherwise.
     """
-    signs = {".": ZERO, "+": ONE, "-": -ONE}
-    us = [tensor_to_g1(uk) for uk in u_basis()]
+    alg = build_d4()
+    signs = {".": 0, "+": 1, "-": -1}
+    values = {".": ZERO, "+": ONE, "-": -ONE}
+    us = [dict(alg.tensor_table[p] for p in pair) for pair in _U_PAIRS]
     roots: dict[tuple[int, ...], LieElt] = {}
     for tag, pattern in table:
-        v = [signs[ch] for ch in pattern]
-        if len(v) != 28 or not any(v) or not any(tag) or tag in roots:
+        v = {k: signs[ch] for k, ch in enumerate(pattern) if signs[ch]}
+        if len(pattern) != 28 or not v or not any(tag) or tag in roots:
             raise ArithmeticError("malformed root entry %r" % (tag,))
         for uk, a in zip(us, tag):
-            if bracket(uk, v) != [x.scale(a) for x in v]:
+            if sparse_bracket(alg.struct, uk, v) != {k: a * x for k, x in v.items() if a}:
                 raise ArithmeticError("%r is not a root vector of %r" % (pattern, tag))
-        roots[tag] = v
+        roots[tag] = [values[ch] for ch in pattern]
     if len(roots) != 24:
         raise ArithmeticError(f"expected 24 restricted roots, found {len(roots)}")
     return roots
@@ -136,13 +144,13 @@ def _checked_root_vectors(table) -> dict[tuple[int, ...], LieElt]:
 def restricted_roots() -> tuple[RestrictedRoot, ...]:
     """The 24 restricted roots, in increasing order of functional.
 
-    The root vectors are the stored table, checked by brackets
+    The root vectors are the stored table, checked by integer brackets
     (:func:`_checked_root_vectors`).  Each coroot is the closed form
     h_alpha = 2·alpha/(alpha·alpha) in u-coordinates, so alpha(h_alpha) = 2.
     A wrong coroot gives a wrong reflection, and is rejected by
-    :func:`_root_permutation` (every reflection must permute the 24 roots),
-    by :func:`root_permutations` (the closure must have order 192) and by
-    the pinned digest of :func:`weyl_group` in the tests.
+    :func:`_reflection_permutations` (every reflection must permute the 24
+    roots), by :func:`root_permutations` (the closure must have order 192)
+    and by the pinned digest of :func:`weyl_group` in the tests.
     """
     roots = _checked_root_vectors(_ROOTS)
     out = []
@@ -177,47 +185,6 @@ def w_act_coords(w: WeylMat, coords: Sequence[CycNum]) -> tuple[CycNum, ...]:
     return tuple(out)
 
 
-def reflection(root: RestrictedRoot) -> WeylMat:
-    """s_alpha(h) = h - alpha(h) h_alpha as a matrix in u-coordinates."""
-    return tuple(
-        tuple(
-            (Fraction(1) if r == c else Fraction(0)) - root.h_alpha[r] * root.coeffs[c]
-            for c in range(4)
-        )
-        for r in range(4)
-    )
-
-
-def _root_permutation(w: WeylMat) -> tuple[int, ...]:
-    """The permutation of the restricted roots induced by a matrix.
-
-    Entry a of the result is the index, in :func:`restricted_roots`, of the
-    root alpha_a∘w⁻¹.  It is found from the other side: for every root beta,
-    beta∘w, half of beta times the integer matrix 2·w, must be a root
-    alpha_a, whose entry is then the index of beta.  Raises
-    ``ArithmeticError`` if an image is not integral, is not a root, or two
-    roots share an image.
-    """
-    w2 = [[2 * v for v in row] for row in w]
-    if any(v.denominator != 1 for row in w2 for v in row):
-        raise ArithmeticError("root image is not integral")
-    w2 = [[int(v) for v in row] for row in w2]
-    coeffs = [r.coeffs for r in restricted_roots()]
-    index = {c: a for a, c in enumerate(coeffs)}
-    perm = [None] * len(coeffs)
-    for b, beta in enumerate(coeffs):
-        image = [sum(beta[k] * w2[k][j] for k in range(4)) for j in range(4)]
-        if any(v % 2 for v in image):
-            raise ArithmeticError("root image is not integral")
-        a = index.get(tuple(v // 2 for v in image))
-        if a is None:
-            raise ArithmeticError("%r∘w is not a root" % (beta,))
-        if perm[a] is not None:
-            raise ArithmeticError("two roots have the same image")
-        perm[a] = b
-    return tuple(perm)
-
-
 def _doubled_rows(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Twice the rows of the element w of W with root permutation ``perm``.
 
@@ -230,19 +197,47 @@ def _doubled_rows(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=1)
 def _reflection_permutations() -> tuple[tuple[int, ...], ...]:
-    """The root permutation of each restricted root's reflection, in order."""
-    return tuple(_root_permutation(reflection(r)) for r in restricted_roots())
+    """The root permutation of each restricted root's reflection, in order.
+
+    The reflection s_alpha(h) = h - alpha(h)·h_alpha takes a root beta to
+    beta∘s_alpha = beta - beta(h_alpha)·alpha, read in integers from the
+    stored coroot written over its common denominator.  Entry a of the
+    permutation is the index of the root beta with beta∘s_alpha = alpha_a,
+    that is of alpha_a∘s_alpha⁻¹.  Raises ``ArithmeticError`` if a pairing
+    beta(h_alpha) is not an integer, an image is not a root, or two roots
+    share an image.
+    """
+    coeffs = [r.coeffs for r in restricted_roots()]
+    index = {c: a for a, c in enumerate(coeffs)}
+    out = []
+    for r in restricted_roots():
+        den = lcm(*(h.denominator for h in r.h_alpha))
+        coroot = [h.numerator * (den // h.denominator) for h in r.h_alpha]
+        perm = [None] * len(coeffs)
+        for b, beta in enumerate(coeffs):
+            pairing, rest = divmod(sum(x * h for x, h in zip(beta, coroot)), den)
+            if rest:
+                raise ArithmeticError("root image is not integral")
+            a = index.get(tuple(x - pairing * y for x, y in zip(beta, r.coeffs)))
+            if a is None:
+                raise ArithmeticError("%r∘s_%r is not a root" % (beta, r.coeffs))
+            if perm[a] is not None:
+                raise ArithmeticError("two roots have the same image")
+            perm[a] = b
+        out.append(tuple(perm))
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)
 def root_permutations() -> tuple[tuple[int, ...], ...]:
     """For each element of :func:`weyl_group`, in order, its root permutation.
 
-    Entry (w, a) is the index of alpha_a∘w⁻¹ (:func:`_root_permutation`).
+    Entry (w, a) is the index of alpha_a∘w⁻¹.
     A root alpha vanishes at w·mu exactly when alpha∘w vanishes at mu, so
     the roots vanishing at w·mu are the images, under the permutation of
     w, of the roots vanishing at mu.  The permutations of the reflections
-    generate W, since perm(a·b) = perm(a)∘perm(b).
+    (:func:`_reflection_permutations`) generate W, since
+    perm(a·b) = perm(a)∘perm(b).
     """
     gens = list(dict.fromkeys(_reflection_permutations()))
     perms = orbit(tuple(range(len(gens[0]))), gens, lambda p, s: itemgetter(*p)(s),
@@ -252,13 +247,17 @@ def root_permutations() -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(perms, key=_doubled_rows))
 
 
+#: The entries of W's matrices, c/2 for the doubled entries c, shared.
+_HALVES = {c: Fraction(c, 2) for c in range(-2, 3)}
+
+
 @lru_cache(maxsize=1)
 def weyl_group() -> tuple[WeylMat, ...]:
     """The 192 elements of W as matrices in u-coordinates, in increasing order.
 
     An element's position here is its index, by which the package names it.
     """
-    return tuple(tuple(tuple(Fraction(c, 2) for c in row) for row in _doubled_rows(p))
+    return tuple(tuple(tuple(_HALVES[c] for c in row) for row in _doubled_rows(p))
                  for p in root_permutations())
 
 
@@ -278,16 +277,22 @@ class WeylTable:
 
 @lru_cache(maxsize=1)
 def weyl_table() -> WeylTable:
-    """W's tables: the left-regular row of each reflection s is read off the
-    root permutations, perm(s·x) = perm(s)∘perm(x), and every other row is
-    a composition of those (:func:`_orbits.regular_tables`)."""
+    """W's tables.  The left-regular row of a reflection s is read off the
+    root permutations, perm(s·x) = perm(s)∘perm(x).  Only the reflections
+    that enlarge the group the earlier ones generate get a row (4 of the 12
+    distinct ones), and every other row is a composition of those
+    (:func:`_orbits.regular_tables`)."""
     perms = root_permutations()
     position = {p: n for n, p in enumerate(perms)}
     reflections = tuple(position[p] for p in _reflection_permutations())
-    rows = [tuple(position[itemgetter(*p)(perms[s])] for p in perms)
-            for s in dict.fromkeys(reflections)]
     index = {w: n for n, w in enumerate(weyl_group())}
     identity = index[W_IDENTITY]
+    rows: list[tuple[int, ...]] = []
+    found = {identity: identity}
+    for s in reflections:
+        if s not in found:
+            rows.append(tuple(position[itemgetter(*p)(perms[s])] for p in perms))
+            found = orbit(identity, rows, lambda x, row: row[x])
     mul, inv = regular_tables(rows, identity)
     return WeylTable(index=index, mul=mul, inv=inv, identity=identity,
                      reflections=reflections)

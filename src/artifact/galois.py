@@ -90,26 +90,37 @@ def slot_group() -> SlotGroup:
 
     S is the orbit of the identity under the factors that enlarge it: a
     factor already in the group the earlier ones generate is skipped (4 of
-    the 11 are kept).  Each row of the product table is the left-regular
-    permutation of an element: those of the kept factors are computed from
-    matrix products, 48 each, and every other row is a composition of them
+    the 11 are kept).  Each product of a kept factor and an element is
+    formed once, by ``groupaction.m2_mul``, and kept, 48 per factor: the
+    orbits read the products they have met, and the left-regular row of
+    each kept factor is read off its products.  Every other row of the
+    product table is a composition of those
     (:func:`_orbits.regular_tables`).
     Conjugation is checked to be an involutive automorphism on every entry
     of the product table, so it is one of S⁴ slot by slot and of every
     subgroup of S⁴ that it maps into itself; ``ArithmeticError`` otherwise.
     """
     gens: list[ga.Mat2] = []
+    products: list[dict] = []  # products[g][m] is gens[g]·m
+
+    def act(m: ga.Mat2, g: int) -> ga.Mat2:
+        known = products[g]
+        if m not in known:
+            known[m] = ga.m2_mul(gens[g], m)
+        return known[m]
+
     found = {ga.I2: ga.I2}
     for f in {m: None for g in normalizer_generators() for m in g}:
         if f not in found:
             gens.append(f)
-            found = orbit(ga.I2, gens, lambda x, h: ga.m2_mul(h, x), limit=48,
+            products.append({})
+            found = orbit(ga.I2, range(len(gens)), act, limit=48,
                           what="the slot group exceeded 48 elements")
     mats = tuple(sorted(found, key=ga.m2_key))
     if len(mats) != 48:
         raise ArithmeticError("expected 48 slot matrices, found %d" % len(mats))
     index = {m: a for a, m in enumerate(mats)}
-    rows = [tuple(index[ga.m2_mul(f, m)] for m in mats) for f in gens]
+    rows = [tuple(index[known[m]] for m in mats) for known in products]
     mul, inv = regular_tables(rows, index[ga.I2])
     conj = []
     for m in mats:

@@ -17,10 +17,12 @@ Elements are coordinate vectors (28 CycNum) over the fixed basis; 2x2x2x2
 arrays are `Tensor` values (16 CycNum).  The structure constants come from
 sparse integer basis matrices (two entries each), and `bracket` combines
 them with the integer numerators of its arguments over one common
-denominator.  Semisimplicity is decided exactly at the 8x8 matrix level, by
-a squarefree minimal polynomial, which `_linalg.minimal_polynomial` finds by
-fraction-free Krylov elimination on integer numerators; for so(8) the matrix
-notion agrees with the adjoint one.
+denominator; `sparse_bracket` brackets elements with integer coordinates,
+such as the stored root vectors, without field arithmetic.  Semisimplicity
+is decided exactly at the 8x8 matrix level, by a squarefree minimal
+polynomial, which `_linalg.minimal_polynomial` finds by fraction-free
+Krylov elimination on integer numerators; for so(8) the matrix notion
+agrees with the adjoint one.
 """
 
 from __future__ import annotations
@@ -258,6 +260,27 @@ def bracket(x: LieElt, y: LieElt) -> LieElt:
     return [CycNum.from_numerators(n, den) if any(n) else ZERO for n in acc]
 
 
+SparseElt = dict[int, int]
+
+
+def sparse_bracket(struct: dict, x: SparseElt, y: SparseElt) -> SparseElt:
+    """[x, y] for elements with integer coordinates {basis index: value},
+    from the structure constants ``struct`` of :class:`LieAlgebraD4`; zero
+    entries are dropped."""
+    out: SparseElt = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            if i < j:
+                terms, c = struct[(i, j)], a * b
+            elif i > j:
+                terms, c = struct[(j, i)], -a * b
+            else:
+                continue
+            for k, v in terms.items():
+                out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
 def ad_matrix(x: LieElt) -> la.Mat:
     """28x28 matrix of ad(x) over the fixed basis (columns = images)."""
     alg = build_d4()
@@ -285,21 +308,8 @@ def verify_built(alg: LieAlgebraD4 | None = None) -> dict:
     triples behave as sl2's and commute pairwise.
     """
     alg = alg or build_d4()
-    struct = alg.struct
-
-    def sbracket(i: int, j: int) -> dict[int, int]:
-        if i == j:
-            return {}
-        if i < j:
-            return struct[(i, j)]
-        return {k: -v for k, v in struct[(j, i)].items()}
-
-    def sbracket_vec(i: int, vec: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for m, c in vec.items():
-            for k, v in sbracket(i, m).items():
-                out[k] = out.get(k, 0) + c * v
-        return out
+    units = [{i: 1} for i in range(28)]
+    inner = [[sparse_bracket(alg.struct, x, y) for y in units] for x in units]
 
     jacobi_bad = 0
     for i in range(28):
@@ -307,7 +317,7 @@ def verify_built(alg: LieAlgebraD4 | None = None) -> dict:
             for k in range(28):
                 acc: dict[int, int] = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, v in sbracket_vec(a, sbracket(b, c)).items():
+                    for m, v in sparse_bracket(alg.struct, units[a], inner[b][c]).items():
                         acc[m] = acc.get(m, 0) + v
                 if any(acc.values()):
                     jacobi_bad += 1
@@ -318,8 +328,8 @@ def verify_built(alg: LieAlgebraD4 | None = None) -> dict:
     for i in range(28):
         for j in range(28):
             target0 = (i in g0) == (j in g0)  # even*even or odd*odd lands in g0
-            for k, v in sbracket(i, j).items():
-                if v and (k in g0) != target0:
+            for k in inner[i][j]:
+                if (k in g0) != target0:
                     grading_bad += 1
 
     # sl2 ideals

@@ -197,6 +197,9 @@ def _form(node: ast.AST, variables: tuple[str, ...], text: str) -> dict:
     if c is not None:
         if not c:
             raise ValueError("division by zero in table entry %r" % text)
+        if c.is_rational():
+            q = 1 / c.to_fraction()
+            return {name: v.scale(q) for name, v in a.items()}
         c = c.inverse()
         return {name: v * c for name, v in a.items()}
     # c/(a*lN) is the one reciprocal the tables print

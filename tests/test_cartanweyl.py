@@ -1,6 +1,7 @@
 """Tests for restricted roots, Weyl group, subsystems, and real Cartan bases."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from artifact.cartanweyl import (
     h_action_matrix,
     member_roots,
     parametrize,
-    reflection,
     restricted_roots,
     seven_cartans,
     subsystem,
@@ -48,6 +48,7 @@ from artifact.liealg import (
     is_commuting_semisimple,
     is_semisimple,
     lie_is_zero,
+    sparse_bracket,
     tensor_to_g1,
     u_basis,
 )
@@ -125,6 +126,31 @@ def _after(coeffs, w):
     return tuple(sum(Fraction(c) * w[k][j] for k, c in enumerate(coeffs)) for j in range(4))
 
 
+def _reflection(root):
+    """s_alpha(h) = h - alpha(h)·h_alpha as a matrix in u-coordinates."""
+    return tuple(
+        tuple(Fraction(int(r == c)) - root.h_alpha[r] * root.coeffs[c] for c in range(4))
+        for r in range(4)
+    )
+
+
+def _table_reflections():
+    """The reflection of each restricted root, in order, read from W's table."""
+    group = weyl_group()
+    return [group[n] for n in weyl_table().reflections]
+
+
+def _reflection_permutations_of(monkeypatch, roots):
+    """The reflection permutations computed afresh from ``roots``."""
+    monkeypatch.setattr(cw, "restricted_roots", lambda: roots)
+    return cw._reflection_permutations.__wrapped__()
+
+
+def _with_coroot(roots, a, h_alpha):
+    """``roots`` with the coroot of the a-th replaced by ``h_alpha``."""
+    return roots[:a] + (replace(roots[a], h_alpha=h_alpha),) + roots[a + 1:]
+
+
 def _value_at(root, coords):
     # the root's value at u-coordinates, evaluated one coordinate at a time
     out = ZERO
@@ -138,6 +164,20 @@ class TestRestrictedRoots:
     def test_stored_roots_match_the_eigenspace_derivation(self):
         stored = {r.coeffs: list(r.vector) for r in restricted_roots()}
         assert stored == _derived_root_vectors()
+
+    def test_integer_brackets_match_the_field_brackets(self):
+        # the sparse integer bracket the root check runs, against bracket on
+        # the stored vectors and u_1..u_4 as field elements
+        alg = build_d4()
+        us = [tensor_to_g1(uk) for uk in u_basis()]
+        for r in restricted_roots():
+            v = {k: c.to_fraction() for k, c in enumerate(r.vector) if c}
+            assert set(v.values()) <= {1, -1}
+            for uk, a in zip(us, r.coeffs):
+                sparse_uk = {k: c.to_fraction() for k, c in enumerate(uk) if c}
+                got = sparse_bracket(alg.struct, sparse_uk, v)
+                assert [rat(got.get(k, 0)) for k in range(28)] == bracket(uk, list(r.vector))
+                assert got == {k: a * x for k, x in v.items() if a}, r.coeffs
 
     def test_a_flipped_sign_is_rejected(self):
         table = list(cw._ROOTS)
@@ -217,7 +257,7 @@ class TestWeylGroup:
     def test_reflections_are_involutions(self):
         table = weyl_table()
         for r, n in zip(restricted_roots(), table.reflections):
-            s = reflection(r)
+            s = _reflection(r)
             assert _product(s, s) == W_IDENTITY
             assert weyl_index(s) == n
             assert table.mul[n][n] == table.identity
@@ -260,21 +300,24 @@ class TestWeylGroup:
         # on the doubled matrices, integer by the half lattice: (2a)·(2b) = 4·ab
         group, table = weyl_group(), weyl_table()
         doubled = [_doubled(w) for w in group]
-        reflections = [_doubled(reflection(r)) for r in restricted_roots()]
+        reflections = [_doubled(s) for s in _table_reflections()]
         for a, w in enumerate(doubled):
             for n, s in zip(table.reflections, reflections):
                 assert _scaled(doubled[table.mul[a][n]], 2) == _product(w, s)
                 assert _scaled(doubled[table.mul[n][a]], 2) == _product(s, w)
 
-    # a matrix off the half lattice, or outside W, has no index and no root
-    # permutation; the product of W's elements is a table lookup
+    # a matrix off the half lattice, or outside W, has no index, and a
+    # coroot off the half lattice has no root permutation; the product of
+    # W's elements is a table lookup
     @pytest.mark.parametrize("entry", [Fraction(1, 4), Fraction(1, 3)])
-    def test_w_mul_rejects_entries_off_the_half_lattice(self, entry):
+    def test_w_mul_rejects_entries_off_the_half_lattice(self, entry, monkeypatch):
         bad = wmat([[entry, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         with pytest.raises(ArithmeticError):
             weyl_index(bad)
+        # the root (2, 0, 0, 0) with coroot (entry, 0, 0, 0)
+        roots = _with_coroot(restricted_roots(), 23, (entry, 0, 0, 0))
         with pytest.raises(ArithmeticError):
-            cw._root_permutation(bad)
+            _reflection_permutations_of(monkeypatch, roots)
 
     def test_w_mul_rejects_a_product_off_the_half_lattice(self):
         # the first column of the product is 1/4
@@ -312,24 +355,37 @@ class TestWeylGroup:
             # with w is alpha_a
             assert [_after(coeffs[b], w) for b in perm] == coeffs
         position = {w: n for n, w in enumerate(group)}
-        reflections = [reflection(r) for r in restricted_roots()]
+        reflections = _table_reflections()
         for w, perm in zip(group, perms):
             for s in reflections:
                 s_perm = perms[position[s]]
                 composed = tuple(perm[s_perm[a]] for a in range(24))
                 assert perms[position[_product(w, s)]] == composed
 
-    def test_root_permutation_rejects_a_matrix_outside_w(self):
-        # (-2, 0, 0, 0) keeps an integral image; (-1, -1, -1, -1) does not
+    def test_root_permutation_rejects_a_matrix_outside_w(self, monkeypatch):
         shear = wmat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [Fraction(1, 2), 0, 0, 1]])
-        with pytest.raises(ArithmeticError, match="not integral"):
-            cw._root_permutation(shear)
         double = wmat([[2 * int(r == c) for c in range(4)] for r in range(4)])
-        with pytest.raises(ArithmeticError, match="not a root"):
-            cw._root_permutation(double)
         for w in (shear, double):
             with pytest.raises(ArithmeticError, match="not in the Weyl group"):
                 weyl_index(w)
+        roots = restricted_roots()
+        assert roots[22].coeffs == (1, 1, 1, 1) and roots[23].coeffs == (2, 0, 0, 0)
+        # the coroot (1/4, 1/4, 1/4, 1/4) pairs with (2, 0, 0, 0) to 1/2
+        quarter = (Fraction(1, 4),) * 4
+        with pytest.raises(ArithmeticError, match="not integral"):
+            _reflection_permutations_of(monkeypatch, _with_coroot(roots, 22, quarter))
+        # with the coroot of (0, 2, 0, 0), the root (0, 2, 0, 0) goes to
+        # (0, 2, 0, 0) - 2·(2, 0, 0, 0)
+        with pytest.raises(ArithmeticError, match="not a root"):
+            _reflection_permutations_of(monkeypatch, _with_coroot(roots, 23, roots[14].h_alpha))
+
+    def test_a_doubled_coroot_is_rejected(self, monkeypatch):
+        # 2·h_alpha pairs with alpha to 4, so alpha goes to -3·alpha
+        roots = restricted_roots()
+        for a, r in enumerate(roots):
+            doubled = tuple(2 * h for h in r.h_alpha)
+            with pytest.raises(ArithmeticError, match="not a root"):
+                _reflection_permutations_of(monkeypatch, _with_coroot(roots, a, doubled))
 
     def test_generic_stabilizer_trivial(self):
         lam = (rat(7), rat(3), rat(2), rat(1))
@@ -337,8 +393,8 @@ class TestWeylGroup:
 
     def test_reflection_action(self):
         # the reflection for a doubled root flips one u-coordinate
-        r = next(x for x in restricted_roots() if x.coeffs == (2, 0, 0, 0))
-        s = reflection(r)
+        a = next(a for a, x in enumerate(restricted_roots()) if x.coeffs == (2, 0, 0, 0))
+        s = _table_reflections()[a]
         lam = [rat(5), rat(3), rat(2), rat(1)]
         assert [v.to_fraction() for v in w_act_coords(s, lam)] == [-5, 3, 2, 1]
 
@@ -447,7 +503,7 @@ class TestGammaGroups:
         # each group of indices is the closure of its generators under the
         # Fraction product, in increasing matrix order
         group = weyl_group()
-        reflections = {r.coeffs: reflection(r) for r in restricted_roots()}
+        reflections = {r.coeffs: s for r, s in zip(restricted_roots(), _table_reflections())}
         for i in range(1, 12):
             w_pi_gens = [reflections[c] for c in member_roots(i)]
             gamma_gens = subsystem(i).gamma_gens

@@ -187,6 +187,27 @@ class TestBracketKernel:
                 assert bracket(alg.basis_elt(j), alg.basis_elt(i)) == [-c for c in want]
 
 
+class TestSparseBracket:
+    def test_matches_the_bracket_on_basis_pairs(self):
+        # every ordered pair, i == j included
+        for i in range(28):
+            for j in range(28):
+                got = L.sparse_bracket(alg.struct, {i: 1}, {j: 1})
+                want = bracket(alg.basis_elt(i), alg.basis_elt(j))
+                assert all(v for v in got.values()), (i, j)
+                assert [rat(got.get(k, 0)) for k in range(28)] == want, (i, j)
+
+    def test_is_bilinear_on_integer_vectors(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            x, y = ({k: rng.randint(-3, 3) for k in rng.sample(range(28), 5)}
+                    for _ in range(2))
+            got = L.sparse_bracket(alg.struct, x, y)
+            want = bracket([rat(x.get(k, 0)) for k in range(28)],
+                           [rat(y.get(k, 0)) for k in range(28)])
+            assert [rat(got.get(k, 0)) for k in range(28)] == want
+
+
 class TestTensorIso:
     def test_anchor(self):
         # e_0000 corresponds to the root vector of weight -gamma_2

@@ -169,6 +169,29 @@ def test_compile_row_rejects_malformed_rows(exprs, message):
         ss._compile_row(1, exprs, ("l1", "l2", "l3", "l4"))
 
 
+@pytest.mark.parametrize("text, form, inversions", [
+    # a rational divisor scales, with no field inverse
+    ("(l1+l2)/2", {"l1": rat(1, 2), "l2": rat(1, 2)}, 0),
+    ("-i*(l1-l3)/2", {"l1": -IMAG.scale(Fraction(1, 2)), "l3": IMAG.scale(Fraction(1, 2))}, 0),
+    # a reciprocal entry inverts its coefficient, once
+    ("2/l1", {"~l1": rat(2)}, 1),
+    ("2/(i*l1)", {"~l1": -rat(2) * IMAG}, 1),
+    # a divisor outside Q is inverted, once
+    ("l1/i", {"l1": -IMAG}, 1),
+])
+def test_entries_invert_only_what_is_not_rational(monkeypatch, text, form, inversions):
+    calls = []
+    inverse = CycNum.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycNum, "inverse", counting)
+    assert ss._parse_entry(text, ("l1", "l2", "l3")) == form
+    assert len(calls) == inversions
+
+
 # ---------------------------------------------------------------------------
 # admissibility patterns
 # ---------------------------------------------------------------------------
