@@ -36,7 +36,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from ._orbits import orbit, orbit_classes, regular_tables
-from .exactfield import ONE, ZERO, CycNum, vanishing_functionals
+from .exactfield import ONE, ZERO, CycNum, common_numerators, vanishing_functionals
 from .groupaction import (
     D,
     GElt,
@@ -173,26 +173,49 @@ W_IDENTITY: WeylMat = wmat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 
 _AXIS_ROOTS = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
 
 
-def w_act_coords(w: WeylMat, coords: Sequence[CycNum]) -> tuple[CycNum, ...]:
-    """Image of an h-element (u-coordinates) under w."""
+def _doubled(w: WeylMat) -> tuple[tuple[int, ...], ...]:
+    """Twice the entries of ``w``, as integer rows; ``ArithmeticError`` for
+    an entry off the half lattice, so for a matrix outside W."""
     out = []
-    for i in range(4):
-        acc = ZERO
-        for j in range(4):
-            if w[i][j]:
-                acc = acc + coords[j].scale(w[i][j])
-        out.append(acc)
+    for row in w:
+        doubled = []
+        for f in row:
+            c, rest = divmod(2 * f.numerator, f.denominator)
+            if rest:
+                raise ArithmeticError("%r is not in the Weyl group" % (w,))
+            doubled.append(c)
+        out.append(tuple(doubled))
     return tuple(out)
 
 
-def _doubled_rows(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Twice the rows of the element w of W with root permutation ``perm``.
+def w_act_coords(w: WeylMat, coords: Sequence[CycNum]) -> tuple[CycNum, ...]:
+    """Image of an h-element (u-coordinates) under w.
+
+    Runs on integers, as :func:`groupaction.act_tensor` does: the doubled
+    rows of w (:func:`_doubled`) act on the coordinates' numerators over
+    their common denominator (:func:`exactfield.common_numerators`), and
+    each image coordinate is reduced once, over twice that denominator.
+    """
+    nums, den = common_numerators(coords)
+    out = []
+    for row in _doubled(w):
+        acc = [0] * 8
+        for c, p in zip(row, nums):
+            if c and p is not None:
+                acc = [a + c * x for a, x in zip(acc, p)]
+        out.append(CycNum.from_numerators(acc, 2 * den))
+    return tuple(out)
+
+
+def _doubled_rows(perms) -> list[tuple[tuple[int, ...], ...]]:
+    """Twice the rows of each element w of W with root permutation in ``perms``.
 
     For the root beta = 2·e_k, beta∘w is twice row k of w, and it is the
-    root alpha_a whose entry a of ``perm`` is the index of beta.
+    root alpha_a whose entry a of w's permutation is the index of beta.
     """
     coeffs = [r.coeffs for r in restricted_roots()]
-    return tuple(coeffs[perm.index(coeffs.index(e))] for e in _AXIS_ROOTS)
+    axes = [coeffs.index(e) for e in _AXIS_ROOTS]
+    return [tuple(coeffs[perm.index(b)] for b in axes) for perm in perms]
 
 
 @lru_cache(maxsize=1)
@@ -244,7 +267,8 @@ def root_permutations() -> tuple[tuple[int, ...], ...]:
                   limit=192, what="Weyl group closure exceeded its order 192")
     if len(perms) != 192:
         raise ArithmeticError("Weyl group closure came out short")
-    return tuple(sorted(perms, key=_doubled_rows))
+    # distinct elements have distinct rows, so the permutations never compare
+    return tuple(perm for _, perm in sorted(zip(_doubled_rows(perms), perms)))
 
 
 #: The entries of W's matrices, c/2 for the doubled entries c, shared.
@@ -257,15 +281,16 @@ def weyl_group() -> tuple[WeylMat, ...]:
 
     An element's position here is its index, by which the package names it.
     """
-    return tuple(tuple(tuple(_HALVES[c] for c in row) for row in _doubled_rows(p))
-                 for p in root_permutations())
+    return tuple(tuple(tuple(_HALVES[c] for c in row) for row in rows)
+                 for rows in _doubled_rows(root_permutations()))
 
 
 @dataclass(frozen=True)
 class WeylTable:
     """W on the indices of :func:`weyl_group`: ``mul[a][b]`` is the index of
     a·b, ``inv[a]`` that of a⁻¹; ``reflections[a]`` is the index of the
-    reflection of the a-th restricted root; ``index`` maps matrix to index.
+    reflection of the a-th restricted root; ``index`` maps the doubled
+    integer rows of an element (:func:`_doubled_rows`) to its index.
     """
 
     index: dict
@@ -285,8 +310,8 @@ def weyl_table() -> WeylTable:
     perms = root_permutations()
     position = {p: n for n, p in enumerate(perms)}
     reflections = tuple(position[p] for p in _reflection_permutations())
-    index = {w: n for n, w in enumerate(weyl_group())}
-    identity = index[W_IDENTITY]
+    index = {rows: n for n, rows in enumerate(_doubled_rows(perms))}
+    identity = index[_doubled(W_IDENTITY)]
     rows: list[tuple[int, ...]] = []
     found = {identity: identity}
     for s in reflections:
@@ -299,10 +324,13 @@ def weyl_table() -> WeylTable:
 
 
 def weyl_index(w: WeylMat) -> int:
-    """The index of ``w`` in :func:`weyl_group`; ``ArithmeticError`` for a
-    matrix outside W or None (:func:`h_action_matrix` of a non-normalizer)."""
+    """The index of ``w`` in :func:`weyl_group`, looked up by its doubled
+    integer rows; ``ArithmeticError`` for a matrix outside W, one off the
+    half lattice, or None (:func:`h_action_matrix` of a non-normalizer)."""
+    if w is None:
+        raise ArithmeticError("None is not in the Weyl group")
     try:
-        return weyl_table().index[w]
+        return weyl_table().index[_doubled(w)]
     except KeyError:
         raise ArithmeticError("%r is not in the Weyl group" % (w,)) from None
 

@@ -423,13 +423,18 @@ def least_lifts() -> tuple[IndexTuple, ...]:
     return tuple(least[w] for w in range(len(least)))
 
 
+@lru_cache(maxsize=1)
+def _least_lift_places() -> dict[IndexTuple, int]:
+    """The place of each element of :func:`least_lifts` in it."""
+    return {x: w for w, x in enumerate(least_lifts())}
+
+
 def coset_symmetry(x: IndexTuple) -> int | None:
     """The Weyl group index of the symmetry that ``x`` induces: the place of
     the least element of x·K in :func:`least_lifts`; None when ``x`` does not
     lie in N."""
     kernel, _ = normalizer_cosets()
-    least, lifts = min(slot_mul(x, k) for k in kernel), least_lifts()
-    return lifts.index(least) if least in lifts else None
+    return _least_lift_places().get(min(slot_mul(x, k) for k in kernel))
 
 
 @lru_cache(maxsize=1)

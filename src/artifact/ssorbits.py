@@ -930,20 +930,22 @@ def _checked_twist(i: int, j: int, n: GElt, g: GElt, zs: tuple) -> int:
     witnesses have slots (D5, F) outside S.
     """
     index = galois.slot_group().index
+    symmetries = []
     for what, x in [("twist", n)] + [("stabilizer element %d" % k, z) for k, z in enumerate(zs)]:
         t = tuple(index.get(m) for m in x)
         if None in t:
             problem = "lies outside the slot group"
         elif galois.slot_mul(t, galois.slot_conj(t)) not in _even_signs():
             problem = "is not a cocycle"
-        elif galois.coset_symmetry(t) is None:
+        elif (w := galois.coset_symmetry(t)) is None:
             problem = "lies outside the normalizer"
         else:
+            symmetries.append(w)
             continue
         raise ValueError("block (%d, %d): %s %s" % (i, j, what, problem))
     if conj_g(g) != g_mul(g, n):
         raise ValueError("block (%d, %d): witness does not produce the recorded twist" % (i, j))
-    return galois.coset_symmetry(galois.encode(n))
+    return symmetries[0]
 
 
 def _compile_block(i: int, variables: tuple[str, ...], raw: dict) -> CaseBlock:
@@ -1246,45 +1248,60 @@ def _lifted_conjugator(m: int, w_index: int) -> GElt:
     return g_mul(gstar, _weyl_lift_inverse(w_index))
 
 
+@lru_cache(maxsize=None)
+def _weyl_candidates(i: int, vanishing: frozenset) -> tuple[int, ...]:
+    """The indices, in the order of :func:`cartanweyl.weyl_group`, of the w
+    whose root permutation (:func:`cartanweyl.root_permutations`) carries
+    the restricted roots ``vanishing`` onto the roots vanishing on family
+    i's span (:func:`cartanweyl.member_roots`).  The roots vanishing at a
+    point are those whose hyperplanes contain it, so the keys are finitely
+    many.
+    """
+    roots = cw.restricted_roots()
+    members = cw.member_roots(i)
+    target = {a for a, r in enumerate(roots) if r.coeffs in members}
+    zero = [a for a, r in enumerate(roots) if r.coeffs in vanishing]
+    if len(zero) != len(target):
+        return ()
+    return tuple(index for index, perm in enumerate(cw.root_permutations())
+                 if all(perm[a] in target for a in zero))
+
+
 def _complex_conjugator(blk: CaseBlock, t: Tensor) -> tuple | None:
-    """A pair ``(b, mu)`` with act(b, q(mu)) == t, or None.
+    """A pair ``(b, mu)`` with act(b, q(mu)) == t, or None: the search of
+    :func:`_conjugator_from_coords` at the coordinates of ``t`` in the
+    block's real basis (:func:`cartanweyl.basis_coords`), None when ``t``
+    is outside its span."""
+    coords = cw.basis_coords(blk.m, t)
+    return None if coords is None else _conjugator_from_coords(blk, t, coords)
+
+
+def _conjugator_from_coords(blk: CaseBlock, t: Tensor, coords: tuple) -> tuple | None:
+    """A pair ``(b, mu)`` with act(b, q(mu)) == t, or None, for ``t`` with
+    coordinates ``coords`` in the block's real basis.
 
     ``t`` is taken back to the Cartan subspace by the inverse of the
     real-basis witness ``gstar``: it sends the l-th real basis vector to
     tau_l·u_l (:func:`_twist_factors`), so the coordinates there are
-    nu_l = tau_l·c_l, c the coordinates of ``t`` in the real basis
-    (:func:`cartanweyl.basis_coords`); None when ``t`` is outside its span.
-    A coordinate symmetry w can carry nu to a regular point q(mu) of the
-    family only if it maps the set Z(nu) of restricted roots vanishing at
-    nu onto the roots vanishing on the family's span
-    (:func:`cartanweyl.member_roots`), since the roots vanishing at w·nu are
-    the images of Z(nu) under w's root permutation
-    (:func:`cartanweyl.root_permutations`).  Z(nu) is computed once, and the
-    symmetries are scanned in the order of :func:`cartanweyl.weyl_group`
-    through that integer test alone; only a w that passes it is applied to
-    nu, solved exactly for the parameters mu (:func:`_extract_parameters`),
-    and checked by act(b, q(mu)) == t with b = gstar·lift(w)⁻¹, cached per
-    (m, w).  A w that passes the test and the solve puts mu in the family's
-    regular part: the roots vanishing at q(mu) = w·nu are the image of
-    Z(nu), which is the member roots.  So the first w that passes every
-    check is the one a scan of all of W with a regularity check would
-    return.
+    nu_l = tau_l·c_l.  A coordinate symmetry w can carry nu to a regular
+    point q(mu) of the family only if it maps the set Z(nu) of restricted
+    roots vanishing at nu onto the roots vanishing on the family's span,
+    since the roots vanishing at w·nu are the images of Z(nu) under w's
+    root permutation.  The symmetries that pass this integer test are read,
+    in the order of :func:`cartanweyl.weyl_group`, from a list computed
+    once per family and Z(nu) (:func:`_weyl_candidates`); only those are
+    applied to nu, solved exactly for the parameters mu
+    (:func:`_extract_parameters`), and checked by act(b, q(mu)) == t with
+    b = gstar·lift(w)⁻¹, cached per (m, w).  A w that passes the test and
+    the solve puts mu in the family's regular part: the roots vanishing at
+    q(mu) = w·nu are the image of Z(nu), which is the member roots.  So the
+    first w that passes every check is the one a scan of all of W with a
+    regularity check would return.
     """
-    coords = cw.basis_coords(blk.m, t)
-    if coords is None:
-        return None
     nu = tuple(tau * c for tau, c in zip(_twist_factors(blk.m), coords))
-    roots = cw.restricted_roots()
-    members = cw.member_roots(blk.i)
-    vanishing = cw.vanishing_roots(nu)
-    target = {a for a, r in enumerate(roots) if r.coeffs in members}
-    zero = [a for a, r in enumerate(roots) if r.coeffs in vanishing]
-    if len(zero) != len(target):
-        return None
-    for index, (w, perm) in enumerate(zip(cw.weyl_group(), cw.root_permutations())):
-        if any(perm[a] not in target for a in zero):
-            continue
-        params = _extract_parameters(blk.i, cw.w_act_coords(w, nu))
+    group = cw.weyl_group()
+    for index in _weyl_candidates(blk.i, cw.vanishing_roots(nu)):
+        params = _extract_parameters(blk.i, cw.w_act_coords(group[index], nu))
         if params is None:
             continue
         b = _lifted_conjugator(blk.m, index)
@@ -1318,23 +1335,33 @@ def _expected_orbit_parameters(blk: CaseBlock, row: SSTableRow, lams: tuple) -> 
     return tuple(four * v.inverse() for v in lams)
 
 
+#: How many reference invariants :func:`_orbit_invariants` keeps: more
+#: than the (family, parameters) pairs of a pass over every block at its
+#: default parameters and at one more sample.
+_REFERENCE_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
 def _orbit_invariants(i: int, params: tuple) -> invariants.InvariantVector:
-    """Invariants of the family's canonical element at ``params``."""
+    """Invariants of the family's canonical element at ``params``, computed
+    once per (family, parameters) and shared by every row and call that
+    compares with them."""
     return invariants.invariants_of(cw.parametrize(i, params))
 
 
 def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
-                t: Tensor | None = None, refs: dict | None = None) -> list[dict]:
+                t: Tensor | None = None) -> list[dict]:
     """Failures of one row.
 
     The caller has checked ``lams`` admissible.  The row's tensor is
     written from ``row.coordinates(lams)``, computed once, into the pair
     entries of the block's real basis (:func:`cartanweyl.from_basis_coords`);
     a passed-in ``t`` goes through every check against those coordinates.
+    The coordinates of ``t`` in the basis are read once, checked, and
+    handed to the conjugator search (:func:`_conjugator_from_coords`).
     The reference invariants of the expected complex orbit depend only on
-    the block, ``lams`` and ``row.reciprocal``; ``refs`` maps the reciprocal
-    flag to those already computed for this block and ``lams``, and is
-    filled on first use.
+    the family and the orbit's parameters, and come from
+    :func:`_orbit_invariants`.
     """
     failures = []
     rid = (blk.i, blk.j, row.k)
@@ -1358,17 +1385,11 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
     # a commuting semisimple family
     if not cw.cartan_is_semisimple(blk.m):
         fail("semisimple", "stated basis is not a commuting semisimple family")
-    found = _complex_conjugator(blk, t)
-    if found is None:
+    if _conjugator_from_coords(blk, t, coords) is None:
         fail("conjugate", "no conjugator onto the canonical element found")
         return failures
-    t_inv = invariants.invariants_of(t)
-    if refs is None:
-        refs = {}
-    if row.reciprocal not in refs:
-        ref = _expected_orbit_parameters(blk, row, lams)
-        refs[row.reciprocal] = _orbit_invariants(blk.i, ref)
-    if t_inv != refs[row.reciprocal]:
+    reference = _orbit_invariants(blk.i, _expected_orbit_parameters(blk, row, lams))
+    if invariants.invariants_of(t) != reference:
         fail("orbit", "invariants differ from the expected complex orbit")
     return failures
 
@@ -1394,9 +1415,8 @@ def _verify_block(blk: CaseBlock, lams: tuple) -> list[dict]:
         for idx, z in enumerate(blk.zs):
             if act_tensor(z, p) != p:
                 fail("stabilizer-fix", "element %d does not fix the real point" % idx)
-    refs: dict = {}
     for row in blk.rows:
-        failures.extend(_verify_row(blk, row, lams, refs=refs))
+        failures.extend(_verify_row(blk, row, lams))
     return failures
 
 
@@ -1410,18 +1430,20 @@ def verify_ss_tables(case: int | None = None) -> dict:
     semisimplicity, an explicit conjugator onto the family's canonical
     element, and invariants equal to those of the expected complex orbit.
     Each row's coordinates are evaluated once, and its tensor is written
-    from them.  The conjugator is searched over the coordinate symmetries,
-    but only a symmetry whose root permutation carries the row's vanishing
-    roots onto the family's is tried in the field (:func:`_complex_conjugator`),
-    and the one found is checked exactly.  The group action, the root zero
-    tests and the invariants run on integer numerators over one common
-    denominator per call (:func:`exactfield.common_numerators`), so each
-    result is reduced once.  The reference invariants are
-    computed once per block (and once more for reciprocal rows), so the
-    non-reciprocal rows of a block are all compared with one shared value
-    and agree with each other when they pass.  A row tensor in the span of
-    its basis is semisimple because that basis is a commuting semisimple
-    family, which is checked once per basis
+    from them, and its coordinates in the basis are read once.  The
+    conjugator is searched only over the coordinate symmetries whose root
+    permutation carries the row's vanishing roots onto the family's, a list
+    computed once per family and vanishing pattern; those are tried in the
+    field (:func:`_conjugator_from_coords`), and the one found is checked
+    exactly.  The group action, the Weyl action, the root zero tests and
+    the invariants run on integer numerators over one common denominator
+    per call (:func:`exactfield.common_numerators`), so each result is
+    reduced once.  The reference invariants are computed once per family
+    and parameters and kept across calls (:func:`_orbit_invariants`), so
+    the non-reciprocal rows of a block are all compared with one shared
+    value and agree with each other when they pass.  A row tensor in the
+    span of its basis is semisimple because that basis is a commuting
+    semisimple family, which is checked once per basis
     (:func:`cartanweyl.cartan_is_semisimple`), not once per row.  Returns a
     report dict; ``report["ok"]`` is True when nothing failed, and
     ``report["seconds"]`` holds the wall time of each block (in a fresh

@@ -29,7 +29,7 @@ from artifact.cartanweyl import (
     weyl_table,
     wmat,
 )
-from artifact.exactfield import IMAG, ONE, ZERO, CycNum, rat
+from artifact.exactfield import IMAG, ONE, ZERO, CycNum, random_cyc, rat
 from artifact.groupaction import (
     act_tensor,
     conj_g,
@@ -397,6 +397,18 @@ class TestWeylGroup:
         s = _table_reflections()[a]
         lam = [rat(5), rat(3), rat(2), rat(1)]
         assert [v.to_fraction() for v in w_act_coords(s, lam)] == [-5, 3, 2, 1]
+
+    def test_w_act_coords_matches_the_field_formula(self):
+        # the integer action against sum_j w[i][j]·coords[j] in the field, on
+        # every element of W at seeded coordinates with unlike denominators,
+        # one of them zero
+        rng = random.Random(24)
+        for w in weyl_group():
+            coords = [random_cyc(rng) for _ in range(4)]
+            coords[rng.randrange(4)] = ZERO
+            expected = tuple(sum((c.scale(f) for f, c in zip(row, coords)), ZERO)
+                             for row in w)
+            assert w_act_coords(w, coords) == expected
 
 
 class TestSubsystems:

@@ -533,6 +533,9 @@ def test_check_row_outside_span_fails_basis():
 
 
 def test_verify_computes_each_row_invariant_once(monkeypatch):
+    # each row's tensor invariants once, and the reference invariants once
+    # per (family, parameters): the rows of a block share them, also across
+    # single-row checks, and a repeated pass computes none
     calls = []
     per_tensor = invariants.invariants_of
 
@@ -540,28 +543,67 @@ def test_verify_computes_each_row_invariant_once(monkeypatch):
         calls.append(t)
         return per_tensor(t)
 
-    references = []
-    reference = ss._orbit_invariants
+    def computed():
+        # the uncached reference computations so far
+        return ss._orbit_invariants.cache_info().misses
 
-    def counting_reference(i, params):
-        references.append((i, params))
-        return reference(i, params)
+    def orbits(blks):
+        # the (family, parameters) pairs of the rows' expected complex orbits
+        return {(blk.i, ss._expected_orbit_parameters(
+                    blk, row, ss.default_lambda(blk.i, blk.j)))
+                for blk in blks for row in blk.rows}
 
     monkeypatch.setattr(invariants, "invariants_of", counting)
-    monkeypatch.setattr(ss, "_orbit_invariants", counting_reference)
     # family 3 has four rows per block; family 10 has reciprocal and
     # non-reciprocal rows
     for i in (3, 10):
+        family = [blk for blk in ss.blocks() if blk.i == i]
+        ss._orbit_invariants.cache_clear()
+        for cold in (True, False):
+            calls.clear()
+            before = computed()
+            report = ss.verify_ss_tables(i)
+            references = computed() - before
+            assert report["ok"]
+            assert references == (len(orbits(family)) if cold else 0)
+            assert references <= 2 * report["blocks"]
+            assert len(calls) == report["rows"] + references
+        ss._orbit_invariants.cache_clear()
         calls.clear()
-        references.clear()
-        report = ss.verify_ss_tables(i)
-        assert report["ok"]
-        assert len(references) <= 2 * report["blocks"]
-        assert len(calls) == report["rows"] + len(references)
-    # one reference per row for a single-row check
-    references.clear()
-    ss.check_row(10, 1, 1)
-    assert len(references) == 1
+        before = computed()
+        for blk in family:
+            for row in blk.rows:
+                ss.check_row(i, blk.j, row.k)
+        references = computed() - before
+        assert references == len(orbits(family))
+        assert len(calls) == report["rows"] + references
+    # one reference for a single-row check, none when it is repeated
+    ss._orbit_invariants.cache_clear()
+    for expected in (1, 0):
+        before = computed()
+        ss.check_row(10, 1, 1)
+        assert computed() - before == expected
+
+
+def test_warm_caches_still_reject_a_perturbed_row():
+    # with the reference invariants and the Weyl candidates cached at lams,
+    # a perturbed representative fails, and so does a row whose tensor is
+    # twice the printed one: it lies in another complex orbit
+    for i, j in ((3, 1), (10, 1)):
+        blk = ss.block(i, j)
+        lams = ss.default_lambda(i, j)
+        assert ss.verify_ss_tables(i)["ok"]
+        for row in blk.rows:
+            ss.check_row(i, j, row.k, lams)
+            good = ss.row_tensor(i, j, row.k, lams)
+            for pos in range(16):
+                coeffs = list(good.c)
+                coeffs[pos] = coeffs[pos] + ONE
+                with pytest.raises(ss.TableRowError):
+                    ss.check_row(i, j, row.k, lams, tensor=Tensor(tuple(coeffs)))
+            doubled = dataclasses.replace(
+                row, matrix=tuple(tuple(rat(2) * c for c in r) for r in row.matrix))
+            assert [f["check"] for f in ss._verify_row(blk, doubled, lams)] == ["orbit"]
 
 
 def test_orbit_check_compares_with_the_reference(monkeypatch):
