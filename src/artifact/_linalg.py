@@ -23,10 +23,6 @@ def zeros(n: int, m: int) -> Mat:
     return [[ZERO] * m for _ in range(n)]
 
 
-def identity(n: int) -> Mat:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def mat_vec(a: Mat, v: Vec) -> Vec:
     out = []
     for row in a:

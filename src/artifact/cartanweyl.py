@@ -15,7 +15,9 @@ permutations of the restricted roots, and each element's exact rational
 4x4 matrix in u-coordinates is read off its permutation.  The eleven
 complete subsystems and their complement groups Gamma, and the seven real
 Cartan bases with their witness pairs (g*, n*), are embedded as data and
-re-verified by the test suite.
+re-verified by the test suite.  Each real basis is shown to be a commuting
+semisimple family from the checked roots and its twist factors
+(:func:`cartan_is_semisimple`), without a minimal polynomial.
 
 An element of W is named by its index in :func:`weyl_group`.  Products
 and inverses are lookups in :func:`weyl_table`, and Gamma, W_Pi and the
@@ -52,7 +54,6 @@ from .liealg import (
     LieElt,
     Tensor,
     build_d4,
-    is_commuting_semisimple,
     sparse_bracket,
     u_basis,
 )
@@ -112,20 +113,24 @@ def _checked_root_vectors(table) -> dict[tuple[int, ...], LieElt]:
 
     A root vector is written by its signs and u_k = e_a + e_b by its pair
     (a, b) of tensor positions, each e_t plus or minus one basis element,
-    so both have integer coordinates.  For every entry,
-    [u_k, v] = alpha(u_k)·v must hold for k = 1..4 (96 brackets for the 24
-    roots, by :func:`liealg.sparse_bracket` on the structure constants of
-    :func:`liealg.build_d4`), with v nonzero.  Root vectors of distinct
-    functionals are linearly independent, and the centralizer of the Cartan
-    subspace contains u_1..u_4; so 24 distinct nonzero functionals in the
-    28-dimensional algebra make each root space one-dimensional and the
-    centralizer four-dimensional: the table is the whole decomposition.
-    Raises ``ArithmeticError`` otherwise.
+    so both have integer coordinates.  The six brackets [u_k, u_l], k < l,
+    must vanish, and for every entry [u_k, v] = alpha(u_k)·v must hold for
+    k = 1..4 (96 brackets for the 24 roots), with v nonzero; all of them
+    by :func:`liealg.sparse_bracket` on the structure constants of
+    :func:`liealg.build_d4`.  Root vectors of distinct functionals are
+    linearly independent, and the centralizer of the Cartan subspace
+    contains the four independent u_k; so 24 distinct nonzero functionals
+    in the 28-dimensional algebra make each root space one-dimensional and
+    the centralizer four-dimensional: the table is the whole decomposition,
+    and u_1..u_4 with the 24 root vectors are a basis on which every u_k
+    acts diagonally.  Raises ``ArithmeticError`` otherwise.
     """
     alg = build_d4()
     signs = {".": 0, "+": 1, "-": -1}
     values = {".": ZERO, "+": ONE, "-": -ONE}
     us = [dict(alg.tensor_table[p] for p in pair) for pair in _U_PAIRS]
+    if any(sparse_bracket(alg.struct, x, y) for k, x in enumerate(us) for y in us[k + 1:]):
+        raise ArithmeticError("u_1..u_4 do not commute")
     roots: dict[tuple[int, ...], LieElt] = {}
     for tag, pattern in table:
         v = {k: signs[ch] for k, ch in enumerate(pattern) if signs[ch]}
@@ -578,12 +583,48 @@ def seven_cartans() -> tuple[CartanBasis, ...]:
 
 @lru_cache(maxsize=None)
 def cartan_is_semisimple(m: int) -> bool:
-    """Whether the m-th real Cartan basis is a commuting semisimple family.
+    """Whether the m-th real Cartan basis is shown to be a commuting
+    semisimple family; False when the proof below does not go through.
 
-    When it is, every tensor in its span is semisimple (the span is a Cartan
-    subspace of g1), so membership stands in for a per-tensor check.
+    The proof rests on checks the cold start makes anyway, not on minimal
+    polynomials.  u_1..u_4 commute, and with the 24 root vectors they form
+    a basis on which every u_k acts diagonally (:func:`_checked_root_vectors`,
+    run by :func:`restricted_roots`); so every element of their span is
+    semisimple and any two of them commute.  The inverse of the witness
+    g* maps the l-th vector of basis m onto tau_l·u_l with tau_l nonzero
+    (:func:`twist_factors`), and the group acts by automorphisms of the
+    algebra, which keep semisimplicity and brackets; so the basis vectors
+    are semisimple and commute pairwise, and commuting semisimple elements
+    are simultaneously diagonalizable.  When it holds, every tensor in the
+    span of the basis is semisimple, so membership stands in for a
+    per-tensor check.
     """
-    return is_commuting_semisimple(seven_cartans()[m - 1].basis)
+    restricted_roots()
+    try:
+        twist_factors(m)
+    except ArithmeticError:
+        return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def twist_factors(m: int) -> tuple[CycNum, ...]:
+    """Scalars tau with act(gstar⁻¹, basis_l) = tau_l·u_l for the m-th real
+    Cartan basis.  Raises ``ArithmeticError`` when a basis vector does not
+    map onto a nonzero multiple of its u_l."""
+    cb = seven_cartans()[m - 1]
+    back = g_inv(cb.gstar)
+    taus = []
+    for l, vec in enumerate(cb.basis):
+        mu = basis_coords(1, act_tensor(back, vec))
+        if mu is None:
+            raise ArithmeticError("real basis does not map into the subspace")
+        if any(val for pos, val in enumerate(mu) if pos != l):
+            raise ArithmeticError("real basis vector maps across axes")
+        if not mu[l]:
+            raise ArithmeticError("degenerate twist factor")
+        taus.append(mu[l])
+    return tuple(taus)
 
 
 _OFF_PAIR_POSITIONS = tuple(

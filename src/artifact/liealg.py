@@ -559,22 +559,6 @@ def is_semisimple(x: "LieElt | Tensor") -> bool:
     return la.poly_deg(la.poly_gcd(p, la.poly_deriv(p))) == 0
 
 
-def is_commuting_semisimple(vectors: Sequence["LieElt | Tensor"]) -> bool:
-    """Whether the vectors are semisimple and pairwise commute.
-
-    Commuting semisimple elements are simultaneously diagonalizable, so when
-    this holds every element of their span is semisimple.
-    """
-    coords = [_as_coords(v) for v in vectors]
-    if not all(is_semisimple(x) for x in coords):
-        return False
-    return all(
-        lie_is_zero(bracket(coords[a], coords[b]))
-        for a in range(len(coords))
-        for b in range(a + 1, len(coords))
-    )
-
-
 # -- centralizers -------------------------------------------------------------------
 
 def centralizer_dim(x: "LieElt | Tensor") -> int:

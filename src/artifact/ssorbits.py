@@ -50,7 +50,6 @@ from .groupaction import (
     PermAuto,
     act_tensor,
     conj_g,
-    g_inv,
     g_mul,
     gelt,
     gelt_from_names,
@@ -263,19 +262,82 @@ class SSTableRow:
         return tuple(sol)
 
 
+def _gaussian_integers(matrix) -> tuple[list, int]:
+    """The rows of d·matrix as Gaussian integers ``(a, b)`` = a + b·i, and
+    d > 0, the common denominator of the entries
+    (:func:`exactfield.common_numerators`).  Raises ``ArithmeticError`` for
+    an entry that is not a Gaussian rational."""
+    rows, den = _numerator_rows(matrix)
+    if any(x[e] for r in rows for x in r for e in (1, 2, 3, 5, 6, 7)):
+        raise ArithmeticError("matrix entry is not a Gaussian rational")
+    return [[(x[0], x[4]) for x in r] for r in rows], den
+
+
 def _eliminator(matrix) -> tuple:
     """Invertible ``E`` with ``E · matrix = [I_n; 0]``, for n independent columns.
 
-    Read off one ``rref`` of ``[matrix | I]``: with independent columns, the
-    first n pivots sit on the columns of ``matrix``.
+    Read off the reduced row echelon form of ``[matrix | I]``: with
+    independent columns, the first n pivots sit on the columns of
+    ``matrix``.  That form is unique, and it is reached without a field
+    inversion, by fraction-free (Bareiss) Gauss–Jordan elimination of
+    ``[d·matrix | d·I]`` on Gaussian integers (:func:`_gaussian_integers`).
+    The step with pivot p sets every other row to (p·row − a·pivot row)/p',
+    with a the row's entry in the pivot column and p' the previous pivot
+    (1 at the start).  Every entry stays a minor of the start matrix, so
+    the division is exact, and the earlier pivot rows take p as their
+    pivot.  At the end every row has the last pivot P as its pivot, and
+    each entry is divided by P once.  Raises ``ArithmeticError`` for an
+    entry that is not a Gaussian rational, a division with a remainder, or
+    dependent columns.
     """
-    n = len(matrix[0])
-    reduced, pivots = la.rref(
-        [list(r) + row for r, row in zip(matrix, la.identity(len(matrix)))]
-    )
+    gauss, den = _gaussian_integers(matrix)
+    n, size = len(matrix[0]), len(gauss)
+    a = [row + [(den if c == r else 0, 0) for c in range(size)]
+         for r, row in enumerate(gauss)]
+    pivots: list[int] = []
+    prev = (1, 0)
+    for c in range(n + size):
+        r = len(pivots)
+        pivot = next((i for i in range(r, size) if a[i][c] != (0, 0)), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        (pr, pi), top = a[r][c], a[r]
+        for i in range(size):
+            if i != r:
+                fr, fi = a[i][c]
+                a[i] = [_gaussian_quotient(pr * xr - pi * xi - fr * yr + fi * yi,
+                                           pr * xi + pi * xr - fr * yi - fi * yr, prev)
+                        for (xr, xi), (yr, yi) in zip(a[i], top)]
+        pivots.append(c)
+        prev = (pr, pi)
+        if len(pivots) == size:
+            break
     if pivots[:n] != list(range(n)):
         raise ArithmeticError("matrix has linearly dependent columns")
-    return tuple(tuple(r[n:]) for r in reduced)
+    # x/P = x·conj(P)/|P|²
+    pr, pi = prev
+    norm = pr * pr + pi * pi
+    return tuple(
+        tuple(CycNum.from_numerators((xr * pr + xi * pi, 0, 0, 0, xi * pr - xr * pi, 0, 0, 0),
+                                     norm)
+              for xr, xi in row[n:])
+        for row in a
+    )
+
+
+def _gaussian_quotient(re: int, im: int, q: tuple[int, int]) -> tuple[int, int]:
+    """(re + im·i)/q for a Gaussian integer q that divides it exactly;
+    ``ArithmeticError`` otherwise."""
+    qr, qi = q
+    if not qi:
+        (xr, rr), (xi, ri) = divmod(re, qr), divmod(im, qr)
+    else:
+        norm = qr * qr + qi * qi
+        (xr, rr), (xi, ri) = divmod(re * qr + im * qi, norm), divmod(im * qr - re * qi, norm)
+    if rr or ri:
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return xr, xi
 
 
 def _eliminate(elim: tuple, n: int, vec: Sequence[CycNum]) -> list | None:
@@ -1127,50 +1189,24 @@ def real_weyl_group(m: int) -> tuple[cw.WeylMat, ...]:
 
 
 @lru_cache(maxsize=None)
-def _gstar_inverse(m: int) -> GElt:
-    return g_inv(cw.seven_cartans()[m - 1].gstar)
-
-
-@lru_cache(maxsize=None)
-def _twist_factors(m: int) -> tuple:
-    """Scalars tau with act(gstar⁻¹, basis_l) = tau_l · (l-th axis vector)."""
-    taus = []
-    for l, vec in enumerate(cw.seven_cartans()[m - 1].basis):
-        back = act_tensor(_gstar_inverse(m), vec)
-        mu = cw.basis_coords(1, back)
-        if mu is None:
-            raise ArithmeticError("real basis does not map into the subspace")
-        for pos, val in enumerate(mu):
-            if pos != l and val:
-                raise ArithmeticError("real basis vector maps across axes")
-        if not mu[l]:
-            raise ArithmeticError("degenerate twist factor")
-        taus.append(mu[l])
-    return tuple(taus)
-
-
-@lru_cache(maxsize=None)
 def _coordinate_moves(m: int) -> tuple:
     """Real 4×4 matrices: the action of the real coordinate symmetries
-    on coordinates with respect to the m-th real basis."""
-    taus = _twist_factors(m)
-    taus_inv = [t.inverse() for t in taus]
+    on coordinates with respect to the m-th real basis.
+
+    The entry (a, b) of the move of w is tau_a⁻¹·w_ab·tau_b, with the twist
+    factors tau of the basis (:func:`cartanweyl.twist_factors`): the ratios
+    tau_a⁻¹·tau_b are formed once per basis, and each entry scales one by
+    the rational w_ab.
+    """
+    taus = cw.twist_factors(m)
+    ratios = [[inv * u for u in taus] for inv in (t.inverse() for t in taus)]
     moves = []
     for w in real_weyl_group(m):
-        mat = []
-        for a in range(4):
-            row = []
-            for b in range(4):
-                frac = w[a][b]
-                coeff = rat(frac.numerator, frac.denominator)
-                val = taus_inv[a] * coeff * taus[b]
-                if not val.is_real():
-                    raise ArithmeticError(
-                        "real symmetry has a non-real coordinate action"
-                    )
-                row.append(val)
-            mat.append(tuple(row))
-        moves.append(tuple(mat))
+        mat = tuple(tuple(ratio.scale(q) for ratio, q in zip(ratios[a], w[a]))
+                    for a in range(4))
+        if not all(v.is_real() for row in mat for v in row):
+            raise ArithmeticError("real symmetry has a non-real coordinate action")
+        moves.append(mat)
     return tuple(moves)
 
 
@@ -1282,7 +1318,7 @@ def _conjugator_from_coords(blk: CaseBlock, t: Tensor, coords: tuple) -> tuple |
 
     ``t`` is taken back to the Cartan subspace by the inverse of the
     real-basis witness ``gstar``: it sends the l-th real basis vector to
-    tau_l·u_l (:func:`_twist_factors`), so the coordinates there are
+    tau_l·u_l (:func:`cartanweyl.twist_factors`), so the coordinates there are
     nu_l = tau_l·c_l.  A coordinate symmetry w can carry nu to a regular
     point q(mu) of the family only if it maps the set Z(nu) of restricted
     roots vanishing at nu onto the roots vanishing on the family's span,
@@ -1298,7 +1334,7 @@ def _conjugator_from_coords(blk: CaseBlock, t: Tensor, coords: tuple) -> tuple |
     first w that passes every check is the one a scan of all of W with a
     regularity check would return.
     """
-    nu = tuple(tau * c for tau, c in zip(_twist_factors(blk.m), coords))
+    nu = tuple(tau * c for tau, c in zip(cw.twist_factors(blk.m), coords))
     group = cw.weyl_group()
     for index in _weyl_candidates(blk.i, cw.vanishing_roots(nu)):
         params = _extract_parameters(blk.i, cw.w_act_coords(group[index], nu))
@@ -1551,11 +1587,9 @@ def _numerator_rows(matrix) -> tuple[list, int]:
 
 def _gaussian_parts(matrix) -> tuple[list, list]:
     """Integer matrices A and B with d·matrix = A + B·i for one integer d > 0."""
-    rows, _ = _numerator_rows(matrix)
-    if any(x[e] for r in rows for x in r for e in (1, 2, 3, 5, 6, 7)):
-        raise ArithmeticError("eliminator entry is not a Gaussian rational")
-    return ([tuple(x[0] for x in r) for r in rows],
-            [tuple(x[4] for x in r) for r in rows])
+    rows, _ = _gaussian_integers(matrix)
+    return ([tuple(a for a, _ in r) for r in rows],
+            [tuple(b for _, b in r) for r in rows])
 
 
 def _primitive(vec) -> tuple[int, ...]:

@@ -45,7 +45,6 @@ from artifact.liealg import (
     Tensor,
     bracket,
     g1_to_tensor,
-    is_commuting_semisimple,
     is_semisimple,
     lie_is_zero,
     sparse_bracket,
@@ -188,6 +187,13 @@ class TestRestrictedRoots:
             bad = table[:idx] + [(tag, flipped)] + table[idx + 1:]
             with pytest.raises(ArithmeticError, match="not a root vector"):
                 cw._checked_root_vectors(bad)
+
+    def test_non_commuting_u_data_is_rejected(self, monkeypatch):
+        # u_2 = e_0001 + e_0010 does not commute with u_1, u_3 or u_4
+        pairs = (cw._U_PAIRS[0], (1, 2)) + cw._U_PAIRS[2:]
+        monkeypatch.setattr(cw, "_U_PAIRS", pairs)
+        with pytest.raises(ArithmeticError, match="do not commute"):
+            cw._checked_root_vectors(cw._ROOTS)
 
     def test_count(self):
         assert len(restricted_roots()) == 24
@@ -593,8 +599,35 @@ class TestSevenCartans:
                     assert lie_is_zero(
                         bracket(tensor_to_g1(a), tensor_to_g1(b))
                     )
-            assert is_commuting_semisimple(cb.basis)
             assert cartan_is_semisimple(cb.index)
+
+    def test_a_nilpotent_basis_vector_is_not_proved_semisimple(self, monkeypatch):
+        # swapping any basis vector for the nilpotent e_0000 breaks the
+        # twist-factor step of the proof: g*⁻¹·e_0000 is nilpotent, so it is
+        # no nonzero multiple of a u_l
+        cartans = seven_cartans()
+        e = Tensor.basis("0000")
+        assert not is_semisimple(e)
+        try:
+            for cb in cartans:
+                for l in range(4):
+                    basis = cb.basis[:l] + (e,) + cb.basis[l + 1:]
+                    bent = cartans[:cb.index - 1] + (replace(cb, basis=basis),) + cartans[cb.index:]
+                    monkeypatch.setattr(cw, "seven_cartans", lambda bent=bent: bent)
+                    cw.cartan_is_semisimple.cache_clear()
+                    cw.twist_factors.cache_clear()
+                    assert not cartan_is_semisimple(cb.index), (cb.index, l)
+        finally:
+            cw.cartan_is_semisimple.cache_clear()
+            cw.twist_factors.cache_clear()
+
+    def test_twist_factors_carry_each_basis_vector_to_its_axis(self):
+        for cb in seven_cartans():
+            back = g_inv(cb.gstar)
+            taus = cw.twist_factors(cb.index)
+            for l, (tau, vec) in enumerate(zip(taus, cb.basis)):
+                assert tau
+                assert act_tensor(back, vec) == u_basis()[l].scale(tau), (cb.index, l)
 
     def test_basis_spans_transported_cartan(self):
         # each basis vector lies in the complex span of {g* u_k}

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from artifact import _linalg as la
@@ -703,6 +703,76 @@ def test_extract_parameters_matches_elimination():
             assert None in found, i
 
 
+def _reference_eliminator(matrix):
+    # one field rref of [matrix | I]; the first n pivots must be the columns
+    n, size = len(matrix[0]), len(matrix)
+    reduced, pivots = la.rref(
+        [list(r) + [ONE if c == k else ZERO for c in range(size)] for k, r in enumerate(matrix)]
+    )
+    if pivots[:n] != list(range(n)):
+        raise ArithmeticError("matrix has linearly dependent columns")
+    return tuple(tuple(r[n:]) for r in reduced)
+
+
+def test_eliminator_matches_the_field_rref():
+    matrices = [row.matrix for blk in ss.blocks() for row in blk.rows]
+    matrices += [ss._family_columns(i) for i in range(1, 11)]
+    assert len(matrices) == 172
+    for matrix in matrices:
+        assert ss._eliminator(matrix) == _reference_eliminator(matrix), matrix
+
+
+_GAUSSIAN_ENTRIES = st.builds(
+    lambda a, b, d: CycNum((a, 0, 0, 0, b, 0, 0, 0), d),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4),
+)
+
+
+@seed(2501)
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(_GAUSSIAN_ENTRIES, min_size=n, max_size=n),
+                           min_size=4, max_size=4)
+    ),
+    st.integers(0, 4),
+)
+def test_eliminator_matches_the_field_rref_on_gaussian_matrices(matrix, zeros):
+    # the first `zeros` rows start with 0, so the first pivot needs a row
+    # swap (or, for all four, the first column vanishes)
+    matrix = tuple(tuple([ZERO] + r[1:] if k < zeros else r) for k, r in enumerate(matrix))
+    try:
+        want = _reference_eliminator(matrix)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError, match="linearly dependent"):
+            ss._eliminator(matrix)
+        return
+    got = ss._eliminator(matrix)
+    assert got == want
+    n = len(matrix[0])
+    product = [la.mat_vec(got, list(col)) for col in zip(*matrix)]
+    assert product == [[ONE if r == c else ZERO for r in range(4)] for c in range(n)]
+
+
+def test_eliminator_rejects_dependent_columns_and_other_entries():
+    cols = ss._family_columns(1)
+    doubled = tuple(r[:3] + (rat(2) * r[2],) for r in cols)
+    with pytest.raises(ArithmeticError, match="linearly dependent"):
+        ss._eliminator(doubled)
+    with pytest.raises(ArithmeticError, match="linearly dependent"):
+        _reference_eliminator(doubled)
+    bent = ((cols[0][0] * _SQRT2,) + cols[0][1:],) + cols[1:]
+    _reference_eliminator(bent)
+    with pytest.raises(ArithmeticError, match="not a Gaussian rational"):
+        ss._eliminator(bent)
+    # the exact division of the elimination steps: (5 + 0i)/(1 + 2i) = 1 − 2i
+    assert ss._gaussian_quotient(5, 0, (1, 2)) == (1, -2)
+    assert ss._gaussian_quotient(-6, 4, (2, 0)) == (-3, 2)
+    for re, im, q in ((3, 1, (2, 0)), (5, 1, (1, 2))):
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            ss._gaussian_quotient(re, im, q)
+
+
 def _is_regular(i, params):
     # the parameters put q(params) in the regular part of family i
     coords = cw.basis_coords(1, cw.parametrize(i, params))
@@ -864,6 +934,32 @@ def test_real_weyl_group_matches_fraction_keyed_reference():
                 if twisted == g:
                     reference.add(w)
         assert ss.real_weyl_group(m) == tuple(cw.weyl_group()[w] for w in sorted(reference)), m
+
+
+def test_coordinate_moves_match_the_entrywise_formula():
+    # entry (a, b) of the move of w is tau_a⁻¹·w_ab·tau_b
+    for m in range(1, 8):
+        taus = cw.twist_factors(m)
+        want = tuple(
+            tuple(tuple(taus[a].inverse() * rat(w[a][b]) * taus[b] for b in range(4))
+                  for a in range(4))
+            for w in ss.real_weyl_group(m)
+        )
+        assert ss._coordinate_moves(m) == want, m
+
+
+def test_coordinate_moves_reject_a_non_real_action(monkeypatch):
+    # an imaginary twist factor on one axis makes the moves that mix that
+    # axis with another imaginary
+    taus = cw.twist_factors(1)
+    bent = (IMAG * taus[0],) + taus[1:]
+    monkeypatch.setattr(cw, "twist_factors", lambda m: bent)
+    ss._coordinate_moves.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="non-real"):
+            ss._coordinate_moves(1)
+    finally:
+        ss._coordinate_moves.cache_clear()
 
 
 def test_family_one_rows_meet_each_real_weyl_orbit_once():
