@@ -112,19 +112,20 @@ def det(a: Mat) -> CycNum:
     """
     n = len(a)
     nums, den = common_numerators(x for row in a for x in row)
-    out = _det_numerators([nums[r * n:(r + 1) * n] for r in range(n)])
+    out = det_numerators([nums[r * n:(r + 1) * n] for r in range(n)])
     return ZERO if out is None else CycNum.from_numerators(out, den ** n)
 
 
-def _det_numerators(rows: list) -> list[int] | tuple[int, ...] | None:
-    """The determinant of a matrix of integer 8-tuples (None for zero)."""
+def det_numerators(rows: list) -> list[int] | tuple[int, ...] | None:
+    """The determinant of a matrix of integer 8-tuples (None for zero), the
+    numerator of :func:`det` over the entries' common denominator."""
     if len(rows) == 1:
         return rows[0][0]
     acc = [0] * 8
     for j, x in enumerate(rows[0]):
         if x is None:
             continue
-        minor = _det_numerators([row[:j] + row[j + 1:] for row in rows[1:]])
+        minor = det_numerators([row[:j] + row[j + 1:] for row in rows[1:]])
         if minor is not None:
             mul_acc(acc, tuple(-v for v in x) if j % 2 else x, minor)
     return acc if any(acc) else None

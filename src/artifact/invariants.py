@@ -37,15 +37,16 @@ from .liealg import Tensor
 _H_SIGNS = tuple(-1 if bin(a).count("1") % 2 else 1 for a in range(8))
 
 
-def quadratic(t: Tensor) -> CycNum:
+def quadratic(t: Tensor, numerators: tuple | None = None) -> CycNum:
     """The degree-2 invariant H(t) = Σ_{a<8} (-1)^popcount(a)·t_a·t_{15-a}.
 
     H is half the ε⊗ε⊗ε⊗ε pairing of t with itself, ε the determinant form
     of one slot, so it is invariant under SL(2)^4.  The sum runs on the
     integer numerators of t over its common denominator D, reduced once,
-    over D².
+    over D².  ``numerators`` is ``common_numerators(t.c)`` when the caller
+    has it already (:func:`invariants_of`).
     """
-    coeffs, den = common_numerators(t.c)
+    coeffs, den = numerators or common_numerators(t.c)
     total = [0] * 8
     for a, sign in enumerate(_H_SIGNS):
         x, y = coeffs[a], coeffs[15 - a]
@@ -73,28 +74,41 @@ _FLATTENING_POSITIONS = {
 }
 
 
-def flattening_matrix(t: Tensor, pairing: str) -> la.Mat:
-    """The 4×4 matrix reshaping ``t`` with rows/columns from a slot pairing."""
+def _reshape(entries, pairing: str) -> list[list]:
+    """The 16 ``entries`` of a tensor as the 4×4 matrix of a slot pairing."""
     try:
         positions = _FLATTENING_POSITIONS[pairing]
     except KeyError:
         raise ValueError(
             "unknown pairing %r; expected one of %s" % (pairing, (PAIRINGS,))
         ) from None
-    mat = [[ZERO] * 4 for _ in range(4)]
-    for (r, c), x in zip(positions, t.c):
+    mat = [[None] * 4 for _ in range(4)]
+    for (r, c), x in zip(positions, entries):
         mat[r][c] = x
     return mat
 
 
-def flattening_det(t: Tensor, pairing: str) -> CycNum:
+def flattening_matrix(t: Tensor, pairing: str) -> la.Mat:
+    """The 4×4 matrix reshaping ``t`` with rows/columns from a slot pairing."""
+    return _reshape(t.c, pairing)
+
+
+def flattening_det(t: Tensor, pairing: str, numerators: tuple | None = None) -> CycNum:
     """Determinant of the flattening — a degree-4 invariant of ``t``.
 
     Under the group action the matrix transforms by (A⊗B) on rows and
     (C⊗D)ᵀ on columns, so the determinant picks up (det A·det B·det C·det D)²
-    which is 1 for unimodular factors.
+    which is 1 for unimodular factors.  With ``numerators`` =
+    ``common_numerators(t.c)`` given (:func:`invariants_of`), the
+    determinant is expanded on those, reshaped, over D⁴: the flattening
+    holds the entries of t, so D is its common denominator too, and no
+    field matrix is built.
     """
-    return la.det(flattening_matrix(t, pairing))
+    if numerators is None:
+        return la.det(flattening_matrix(t, pairing))
+    nums, den = numerators
+    out = la.det_numerators(_reshape(nums, pairing))
+    return ZERO if out is None else CycNum.from_numerators(out, den ** 4)
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +135,14 @@ class InvariantVector:
 
 
 def invariants_of(t: Tensor) -> InvariantVector:
+    """H, L12, L13 and L14 of ``t``, from one pass over its numerators
+    (:func:`exactfield.common_numerators`) shared by the four values."""
+    numerators = common_numerators(t.c)
     return InvariantVector(
-        H=quadratic(t),
-        L12=flattening_det(t, "12|34"),
-        L13=flattening_det(t, "13|24"),
-        L14=flattening_det(t, "14|23"),
+        H=quadratic(t, numerators),
+        L12=flattening_det(t, "12|34", numerators),
+        L13=flattening_det(t, "13|24", numerators),
+        L14=flattening_det(t, "14|23", numerators),
     )
 
 

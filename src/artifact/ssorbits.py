@@ -41,6 +41,7 @@ from .exactfield import (
     ONE,
     ZERO,
     common_numerators,
+    mul_acc,
     rat,
     vanishing_functionals,
 )
@@ -247,8 +248,12 @@ class SSTableRow:
         return tuple(la.mat_vec(self.matrix, values))
 
     @cached_property
+    def _gaussian_elim(self) -> tuple[list, int]:
+        return _gaussian_eliminator(self.matrix)
+
+    @cached_property
     def _elim(self) -> tuple:
-        return _eliminator(self.matrix)
+        return _field_rows(*self._gaussian_elim)
 
     def solve(self, vec: Sequence[CycNum]) -> tuple | None:
         """Parameters that reproduce ``vec``, or None when inconsistent."""
@@ -274,7 +279,21 @@ def _gaussian_integers(matrix) -> tuple[list, int]:
 
 
 def _eliminator(matrix) -> tuple:
-    """Invertible ``E`` with ``E · matrix = [I_n; 0]``, for n independent columns.
+    """Invertible ``E`` with ``E · matrix = [I_n; 0]``, for n independent
+    columns, as rows of field elements (:func:`_gaussian_eliminator`)."""
+    return _field_rows(*_gaussian_eliminator(matrix))
+
+
+def _field_rows(rows: list, norm: int) -> tuple:
+    """The rows of Gaussian integers ``(a, b)`` = a + b·i over ``norm`` as
+    rows of field elements, each reduced once."""
+    return tuple(tuple(CycNum.from_numerators((a, 0, 0, 0, b, 0, 0, 0), norm) for a, b in row)
+                 for row in rows)
+
+
+def _gaussian_eliminator(matrix) -> tuple[list, int]:
+    """The eliminator ``E`` of :func:`_eliminator` as rows of Gaussian
+    integers ``(a, b)`` = a + b·i and a positive integer N with E = rows/N.
 
     Read off the reduced row echelon form of ``[matrix | I]``: with
     independent columns, the first n pivots sit on the columns of
@@ -285,8 +304,9 @@ def _eliminator(matrix) -> tuple:
     with a the row's entry in the pivot column and p' the previous pivot
     (1 at the start).  Every entry stays a minor of the start matrix, so
     the division is exact, and the earlier pivot rows take p as their
-    pivot.  At the end every row has the last pivot P as its pivot, and
-    each entry is divided by P once.  Raises ``ArithmeticError`` for an
+    pivot.  At the end every row has the last pivot P as its pivot, so
+    E = x/P = x·conj(P)/|P|² for the right-hand block x: the rows are
+    x·conj(P) and N = |P|².  Raises ``ArithmeticError`` for an
     entry that is not a Gaussian rational, a division with a remainder, or
     dependent columns.
     """
@@ -317,13 +337,8 @@ def _eliminator(matrix) -> tuple:
         raise ArithmeticError("matrix has linearly dependent columns")
     # x/P = x·conj(P)/|P|²
     pr, pi = prev
-    norm = pr * pr + pi * pi
-    return tuple(
-        tuple(CycNum.from_numerators((xr * pr + xi * pi, 0, 0, 0, xi * pr - xr * pi, 0, 0, 0),
-                                     norm)
-              for xr, xi in row[n:])
-        for row in a
-    )
+    return ([[(xr * pr + xi * pi, xi * pr - xr * pi) for xr, xi in row[n:]] for row in a],
+            pr * pr + pi * pi)
 
 
 def _gaussian_quotient(re: int, im: int, q: tuple[int, int]) -> tuple[int, int]:
@@ -407,14 +422,9 @@ class RealityPattern:
                     return False
                 if tag == "imaginary" and not val.is_imaginary():
                     return False
-        for row in self.avoid:
-            acc = ZERO
-            for c, v in zip(row, lams):
-                if c:
-                    acc = acc + v.scale(c)
-            if not acc:
-                return False
-        return True
+        # the avoid rows are integer functionals: one zero test of them all
+        # on the parameters' numerators
+        return not (self.avoid and any(vanishing_functionals(self.avoid, lams)))
 
 
 def _plus_minus_rows(n: int) -> tuple[tuple[int, ...], ...]:
@@ -1285,6 +1295,61 @@ def _lifted_conjugator(m: int, w_index: int) -> GElt:
 
 
 @lru_cache(maxsize=None)
+def _restricted_action(m: int, w_index: int) -> tuple[tuple, int]:
+    """The 4×4 matrix A of b = gstar·lift(w)⁻¹ (:func:`_lifted_conjugator`)
+    restricted to the Cartan subspace, from u-coordinates to coordinates in
+    the m-th real basis, as integer numerator rows over one denominator
+    (:func:`exactfield.common_numerators`).
+
+    Column k is read from the group action itself: the coordinates, in
+    basis m, of act(b, u_k).  Raises ``ArithmeticError`` when an image
+    leaves the span of basis m: then b does not carry the Cartan subspace
+    into that span, and no 4×4 matrix describes it.
+    """
+    b = _lifted_conjugator(m, w_index)
+    columns = []
+    for k in range(4):
+        unit = [ZERO] * 4
+        unit[k] = ONE
+        image = cw.basis_coords(m, act_tensor(b, cw.from_basis_coords(1, unit)))
+        if image is None:
+            raise ArithmeticError(
+                "the conjugator of Weyl element %d moves u_%d out of basis %d"
+                % (w_index, k + 1, m))
+        columns.append(image)
+    nums, den = common_numerators(x for row in zip(*columns) for x in row)
+    return tuple(tuple(nums[a:a + 4]) for a in range(0, 16, 4)), den
+
+
+def _moved_coords(m: int, w_index: int, i: int, params: tuple) -> tuple:
+    """The coordinates in basis m of act(b, q(params)), b the lifted
+    conjugator of (m, w_index) and q(params) the canonical element of
+    family i, as A·(h_basis·params) with A from :func:`_restricted_action`.
+
+    The group acts linearly and q(params) = sum_k c_k·u_k with
+    c = h_basis·params, so act(b, q(params)) = sum_k c_k·act(b, u_k), whose
+    coordinates are A·c.  The products run on integer numerators and each
+    coordinate is reduced once.
+    """
+    rows, den = _restricted_action(m, w_index)
+    nums, pden = common_numerators(params)
+    c = [None] * 4
+    for p, bvec in zip(nums, cw.subsystem(i).h_basis):
+        if p is not None:
+            for k, h in enumerate(bvec):
+                if h:
+                    c[k] = [a + h * x for a, x in zip(c[k] or (0,) * 8, p)]
+    out = []
+    for row in rows:
+        acc = [0] * 8
+        for x, y in zip(row, c):
+            if x is not None and y is not None:
+                mul_acc(acc, x, y)
+        out.append(CycNum.from_numerators(acc, den * pden))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _weyl_candidates(i: int, vanishing: frozenset) -> tuple[int, ...]:
     """The indices, in the order of :func:`cartanweyl.weyl_group`, of the w
     whose root permutation (:func:`cartanweyl.root_permutations`) carries
@@ -1309,12 +1374,12 @@ def _complex_conjugator(blk: CaseBlock, t: Tensor) -> tuple | None:
     block's real basis (:func:`cartanweyl.basis_coords`), None when ``t``
     is outside its span."""
     coords = cw.basis_coords(blk.m, t)
-    return None if coords is None else _conjugator_from_coords(blk, t, coords)
+    return None if coords is None else _conjugator_from_coords(blk, coords)
 
 
-def _conjugator_from_coords(blk: CaseBlock, t: Tensor, coords: tuple) -> tuple | None:
-    """A pair ``(b, mu)`` with act(b, q(mu)) == t, or None, for ``t`` with
-    coordinates ``coords`` in the block's real basis.
+def _conjugator_from_coords(blk: CaseBlock, coords: tuple) -> tuple | None:
+    """A pair ``(b, mu)`` with act(b, q(mu)) == t, or None, for the tensor
+    ``t`` with coordinates ``coords`` in the block's real basis.
 
     ``t`` is taken back to the Cartan subspace by the inverse of the
     real-basis witness ``gstar``: it sends the l-th real basis vector to
@@ -1326,13 +1391,22 @@ def _conjugator_from_coords(blk: CaseBlock, t: Tensor, coords: tuple) -> tuple |
     root permutation.  The symmetries that pass this integer test are read,
     in the order of :func:`cartanweyl.weyl_group`, from a list computed
     once per family and Z(nu) (:func:`_weyl_candidates`); only those are
-    applied to nu, solved exactly for the parameters mu
-    (:func:`_extract_parameters`), and checked by act(b, q(mu)) == t with
-    b = gstar·lift(w)⁻¹, cached per (m, w).  A w that passes the test and
-    the solve puts mu in the family's regular part: the roots vanishing at
+    applied to nu and solved exactly for the parameters mu
+    (:func:`_extract_parameters`).  A w that passes the test and the solve
+    puts mu in the family's regular part: the roots vanishing at
     q(mu) = w·nu are the image of Z(nu), which is the member roots.  So the
     first w that passes every check is the one a scan of all of W with a
     regularity check would return.
+
+    The conjugator b = gstar·lift(w)⁻¹ (:func:`_lifted_conjugator`, cached
+    per (m, w)) is checked by act(b, q(mu)) == t, in coordinates of the
+    block's basis: ``t`` is the element of the span with coordinates
+    ``coords``, and act(b, q(mu)) has the coordinates A·(h_basis·mu), with A
+    the restriction of b to the Cartan subspace, read column by column from
+    act(b, u_k) and cached per (m, w) (:func:`_restricted_action`,
+    :func:`_moved_coords`).  Both tensors lie in the span, so the two are
+    equal exactly when their coordinates are; that compares four
+    coordinates instead of acting on sixteen entries.
     """
     nu = tuple(tau * c for tau, c in zip(cw.twist_factors(blk.m), coords))
     group = cw.weyl_group()
@@ -1340,9 +1414,8 @@ def _conjugator_from_coords(blk: CaseBlock, t: Tensor, coords: tuple) -> tuple |
         params = _extract_parameters(blk.i, cw.w_act_coords(group[index], nu))
         if params is None:
             continue
-        b = _lifted_conjugator(blk.m, index)
-        if act_tensor(b, cw.parametrize(blk.i, params)) == t:
-            return b, params
+        if _moved_coords(blk.m, index, blk.i, params) == coords:
+            return _lifted_conjugator(blk.m, index), params
     return None
 
 
@@ -1421,7 +1494,7 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
     # a commuting semisimple family
     if not cw.cartan_is_semisimple(blk.m):
         fail("semisimple", "stated basis is not a commuting semisimple family")
-    if _conjugator_from_coords(blk, t, coords) is None:
+    if _conjugator_from_coords(blk, coords) is None:
         fail("conjugate", "no conjugator onto the canonical element found")
         return failures
     reference = _orbit_invariants(blk.i, _expected_orbit_parameters(blk, row, lams))
@@ -1470,12 +1543,18 @@ def verify_ss_tables(case: int | None = None) -> dict:
     conjugator is searched only over the coordinate symmetries whose root
     permutation carries the row's vanishing roots onto the family's, a list
     computed once per family and vanishing pattern; those are tried in the
-    field (:func:`_conjugator_from_coords`), and the one found is checked
-    exactly.  The group action, the Weyl action, the root zero tests and
-    the invariants run on integer numerators over one common denominator
-    per call (:func:`exactfield.common_numerators`), so each result is
-    reduced once.  The reference invariants are computed once per family
-    and parameters and kept across calls (:func:`_orbit_invariants`), so
+    field (:func:`_conjugator_from_coords`).  The conjugator b found is
+    checked exactly, act(b, q(mu)) == t, as the same equality in the four
+    coordinates of the row's basis: both tensors lie in its span, and the
+    restriction of b to the Cartan subspace, a 4×4 matrix read from the
+    group action once per (basis, Weyl element), gives the coordinates of
+    act(b, q(mu)) (:func:`_moved_coords`).  The group action, the Weyl
+    action, the root zero tests, that check and the four invariants (one
+    pass for all four) run on integer numerators over one common
+    denominator per call (:func:`exactfield.common_numerators`), so each
+    result is reduced once.  The reference invariants are computed once
+    per family and parameters and kept across calls
+    (:func:`_orbit_invariants`), so
     the non-reciprocal rows of a block are all compared with one shared
     value and agree with each other when they pass.  A row tensor in the
     span of its basis is semisimple because that basis is a commuting
@@ -1585,13 +1664,6 @@ def _numerator_rows(matrix) -> tuple[list, int]:
     return [nums[k:k + n] for k in range(0, len(nums), n)], den
 
 
-def _gaussian_parts(matrix) -> tuple[list, list]:
-    """Integer matrices A and B with d·matrix = A + B·i for one integer d > 0."""
-    rows, _ = _gaussian_integers(matrix)
-    return ([tuple(a for a, _ in r) for r in rows],
-            [tuple(b for _, b in r) for r in rows])
-
-
 def _primitive(vec) -> tuple[int, ...]:
     """The multiple of an integer row with coprime entries and a positive
     leading entry: rows with one zero set get one key."""
@@ -1614,7 +1686,10 @@ def _row_conditions(blk: CaseBlock, row: SSTableRow) -> tuple[list, list, list]:
     act on the reciprocals of the parameters, which is not linear.
     """
     n = len(row.matrix[0])
-    re, im = _gaussian_parts(row._elim)
+    # N·E = re + im·i with N > 0, which changes no zero test
+    gauss, _ = row._gaussian_elim
+    re = [tuple(a for a, _ in r) for r in gauss]
+    im = [tuple(b for _, b in r) for r in gauss]
     vanish = re[n:] + im[n:]
     re, im = re[:n], im[:n]
     if row.reciprocal:

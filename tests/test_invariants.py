@@ -11,7 +11,7 @@ from artifact import _linalg as la
 from artifact import cartanweyl as cw
 from artifact import groupaction as ga
 from artifact import invariants as inv
-from artifact.exactfield import CycNum, ONE, ZERO, rat
+from artifact.exactfield import CycNum, ONE, ZERO, random_cyc, rat
 from artifact.liealg import Tensor, bracket, build_d4, g1_to_tensor, tensor_to_g1
 
 
@@ -327,6 +327,26 @@ class TestSeparation:
 
         approx = inv.approx_complex(CycNum.eta_power(1))
         assert abs(approx - exp(1j * pi / 8)) < 1e-12
+
+    def test_one_pass_matches_each_invariant(self):
+        # invariants_of reads t's numerators once for all four values; the
+        # reference takes H and la.det of each field flattening on its own,
+        # on the zero tensor, a basis tensor, a canonical element and seeded
+        # tensors from sparse to dense with unlike denominators
+        rng = random.Random(2701)
+        tensors = [Tensor.zero(), Tensor.basis(5, rat(3, 2)), cw.parametrize(1, lam(7, 3, 2, 1))]
+        for _ in range(40):
+            zeros = rng.randrange(17)
+            entries = [random_cyc(rng, 5, 4) for _ in range(16)]
+            for pos in rng.sample(range(16), zeros):
+                entries[pos] = ZERO
+            tensors.append(Tensor(entries))
+        for t in tensors:
+            want = inv.InvariantVector(
+                inv.quadratic(t),
+                *(la.det(inv.flattening_matrix(t, pr)) for pr in inv.PAIRINGS))
+            assert inv.invariants_of(t) == want, t
+        assert inv.invariants_of(Tensor.zero()) == inv.InvariantVector(ZERO, ZERO, ZERO, ZERO)
 
     def test_invariant_vector_serialization(self):
         p = cw.parametrize(1, lam(2, 1, 1, 1))

@@ -314,9 +314,10 @@ def _draw_lams(rng, pattern):
 
 def test_accepts_matches_reference_on_seeded_draws():
     rng = random.Random(20)
-    accepted = rejected = 0
+    accepted = rejected = avoided = 0
     for blk in ss.blocks():
         outcomes = set()
+        tags_only = dataclasses.replace(blk.reality, avoid=())
         for _ in range(200):
             lams = _draw_lams(rng, blk.reality)
             expected = _reference_accepts(blk.reality, lams)
@@ -324,9 +325,12 @@ def test_accepts_matches_reference_on_seeded_draws():
             outcomes.add(expected)
             accepted += expected
             rejected += not expected
+            # rejected by a vanishing avoid row alone
+            avoided += not expected and _reference_accepts(tags_only, lams)
         # every block sees both outcomes
         assert outcomes == {True, False}, (blk.i, blk.j)
     assert min(accepted, rejected) > 1000, (accepted, rejected)
+    assert avoided > 300, avoided
 
 
 # ---------------------------------------------------------------------------
@@ -842,6 +846,54 @@ def test_complex_conjugator_finds_none_off_the_family():
     assert not _is_regular(2, wall)
     wall_coords = cw.basis_coords(1, cw.parametrize(2, wall))
     assert ss._complex_conjugator(blk, at(wall_coords)) is None
+
+
+def test_moved_coords_are_the_coordinates_of_the_group_action():
+    # A·(h_basis·mu) against the basis coordinates of act(b, q(mu)) on all
+    # sixteen entries, at seeded (m, w, family) and parameters with unlike
+    # denominators, some of them zero
+    rng = random.Random(2702)
+    for _ in range(40):
+        m, index, i = rng.randrange(1, 8), rng.randrange(192), rng.randrange(1, 11)
+        params = [random_cyc(rng, 3, 3) for _ in range(cw.subsystem(i).param_count)]
+        if rng.random() < 0.3:
+            params[rng.randrange(len(params))] = ZERO
+        b = ss._lifted_conjugator(m, index)
+        want = cw.basis_coords(m, act_tensor(b, cw.parametrize(i, params)))
+        assert want is not None
+        assert ss._moved_coords(m, index, i, tuple(params)) == want, (m, index, i)
+
+
+def test_restricted_action_rejects_an_image_outside_the_basis(monkeypatch):
+    # the witness of basis 4 carries u_1 onto a vector of basis 4 that is
+    # outside the span of basis 1
+    other = cw.seven_cartans()[3].gstar
+    assert cw.basis_coords(1, act_tensor(other, cw.seven_cartans()[0].basis[0])) is None
+    monkeypatch.setattr(ss, "_lifted_conjugator", lambda m, w: other)
+    with pytest.raises(ArithmeticError, match="out of basis 1"):
+        ss._restricted_action.__wrapped__(1, 0)
+
+
+def test_a_sign_flip_in_one_restricted_column_fails_conjugate(monkeypatch):
+    # a regular point of family 1 has four nonzero u-coordinates, the values
+    # of the roots 2·e_k, so flipping column k of every restricted action
+    # moves every candidate's image off the row tensor
+    restricted = ss._restricted_action
+    rows = [(blk.j, row.k) for blk in ss.blocks() if blk.i == 1 for row in blk.rows]
+    for k in range(4):
+        def flipped(m, w, k=k):
+            cols, den = restricted(m, w)
+            return tuple(r[:k] + (r[k] and tuple(-x for x in r[k]),) + r[k + 1:]
+                         for r in cols), den
+
+        monkeypatch.setattr(ss, "_restricted_action", flipped)
+        for j, row in rows:
+            with pytest.raises(ss.TableRowError) as exc:
+                ss.check_row(1, j, row)
+            assert exc.value.check == "conjugate", (k, j, row)
+    monkeypatch.undo()
+    for j, row in rows:
+        ss.check_row(1, j, row)
 
 
 def test_basis_coords_match_elimination():
