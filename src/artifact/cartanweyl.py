@@ -197,17 +197,13 @@ def w_act_coords(w: WeylMat, coords: Sequence[CycNum]) -> tuple[CycNum, ...]:
     """Image of an h-element (u-coordinates) under w.
 
     Runs on integers, as :func:`groupaction.act_tensor` does: the doubled
-    rows of w act on the coordinates' numerators over their common
-    denominator (:func:`exactfield.common_numerators`), and each image
-    coordinate is reduced once, over twice that denominator.  The doubled
-    rows of the elements of :func:`weyl_group` are computed once and kept
-    (:func:`_kept_doubled`); those of any other matrix on each call.
+    rows of w (:func:`_doubled`) act on the coordinates' numerators over
+    their common denominator (:func:`exactfield.common_numerators`), and
+    each image coordinate is reduced once, over twice that denominator.
     """
-    kept = _kept_doubled().get(id(w))
-    doubled = _doubled(w) if kept is None else kept[1]
     nums, den = common_numerators(coords)
     out = []
-    for row in doubled:
+    for row in _doubled(w):
         acc = [0] * 8
         for c, p in zip(row, nums):
             if c and p is not None:
@@ -292,15 +288,6 @@ def weyl_group() -> tuple[WeylMat, ...]:
     """
     return tuple(tuple(tuple(_HALVES[c] for c in row) for row in rows)
                  for rows in _doubled_rows(root_permutations()))
-
-
-@lru_cache(maxsize=1)
-def _kept_doubled() -> dict[int, tuple[WeylMat, tuple[tuple[int, ...], ...]]]:
-    """The doubled rows (:func:`_doubled`) of each matrix of
-    :func:`weyl_group`, keyed by the matrix's ``id``.  Each entry holds its
-    matrix, so no other object can take that id; hashing the matrix's
-    ``Fraction`` entries would cost more than doubling them again."""
-    return {id(w): (w, _doubled(w)) for w in weyl_group()}
 
 
 @dataclass(frozen=True)

@@ -74,8 +74,11 @@ _FLATTENING_POSITIONS = {
 }
 
 
-def _reshape(entries, pairing: str) -> list[list]:
-    """The 16 ``entries`` of a tensor as the 4×4 matrix of a slot pairing."""
+def flattening_matrix(entries, pairing: str) -> list[list]:
+    """The 16 ``entries`` of a tensor as the 4×4 matrix of a slot pairing:
+    its coefficients ``t.c`` give the flattening of t, their numerators
+    over a common denominator (:func:`exactfield.common_numerators`) that
+    matrix's numerators."""
     try:
         positions = _FLATTENING_POSITIONS[pairing]
     except KeyError:
@@ -88,26 +91,20 @@ def _reshape(entries, pairing: str) -> list[list]:
     return mat
 
 
-def flattening_matrix(t: Tensor, pairing: str) -> la.Mat:
-    """The 4×4 matrix reshaping ``t`` with rows/columns from a slot pairing."""
-    return _reshape(t.c, pairing)
-
-
 def flattening_det(t: Tensor, pairing: str, numerators: tuple | None = None) -> CycNum:
     """Determinant of the flattening — a degree-4 invariant of ``t``.
 
     Under the group action the matrix transforms by (A⊗B) on rows and
     (C⊗D)ᵀ on columns, so the determinant picks up (det A·det B·det C·det D)²
-    which is 1 for unimodular factors.  With ``numerators`` =
-    ``common_numerators(t.c)`` given (:func:`invariants_of`), the
-    determinant is expanded on those, reshaped, over D⁴: the flattening
-    holds the entries of t, so D is its common denominator too, and no
-    field matrix is built.
+    which is 1 for unimodular factors.  The flattening holds the entries of
+    t, so the common denominator D of t is that of the matrix: the
+    determinant is expanded on the numerators of t, reshaped
+    (:func:`_linalg.det_numerators`), and reduced once, over D⁴.
+    ``numerators`` is ``common_numerators(t.c)`` when the caller has it
+    already (:func:`invariants_of`).
     """
-    if numerators is None:
-        return la.det(flattening_matrix(t, pairing))
-    nums, den = numerators
-    out = la.det_numerators(_reshape(nums, pairing))
+    nums, den = numerators or common_numerators(t.c)
+    out = la.det_numerators(flattening_matrix(nums, pairing))
     return ZERO if out is None else CycNum.from_numerators(out, den ** 4)
 
 

@@ -416,22 +416,6 @@ class TestWeylGroup:
                              for row in w)
             assert w_act_coords(w, coords) == expected
 
-    def test_w_act_coords_keeps_the_doubled_rows_of_w(self):
-        # the rows kept for each element of W are its doubled matrix, and an
-        # equal matrix that is another object, whose rows are computed on
-        # the call, gets the same image
-        group = weyl_group()
-        kept = cw._kept_doubled()
-        assert len(kept) == 192
-        for w in group:
-            assert kept[id(w)][0] is w and kept[id(w)][1] == _doubled(w)
-        rng = random.Random(27)
-        for w in rng.sample(group, 24):
-            copy = wmat(w)
-            assert copy == w and id(copy) not in kept
-            coords = [random_cyc(rng) for _ in range(4)]
-            assert w_act_coords(copy, coords) == w_act_coords(w, coords)
-
 
 class TestSubsystems:
     def test_member_counts(self):

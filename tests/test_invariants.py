@@ -212,7 +212,7 @@ class TestFlattenings:
                     for _ in range(16)])
         for pairing in inv.PAIRINGS:
             a, b, c, d = (int(ch) - 1 for ch in pairing.replace("|", ""))
-            mat = inv.flattening_matrix(t, pairing)
+            mat = inv.flattening_matrix(t.c, pairing)
             for idx in range(16):
                 bits = [int(ch) for ch in format(idx, "04b")]
                 assert mat[2 * bits[a] + bits[b]][2 * bits[c] + bits[d]] == t.c[idx]
@@ -344,7 +344,7 @@ class TestSeparation:
         for t in tensors:
             want = inv.InvariantVector(
                 inv.quadratic(t),
-                *(la.det(inv.flattening_matrix(t, pr)) for pr in inv.PAIRINGS))
+                *(la.det(inv.flattening_matrix(t.c, pr)) for pr in inv.PAIRINGS))
             assert inv.invariants_of(t) == want, t
         assert inv.invariants_of(Tensor.zero()) == inv.InvariantVector(ZERO, ZERO, ZERO, ZERO)
 
