@@ -135,19 +135,8 @@ class CycNum:
     def __mul__(self, other: "CycNum") -> "CycNum":
         if not isinstance(other, CycNum):
             return NotImplemented
-        a, b = self.nums, other.nums
         c = [0] * 8
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                k = i + j
-                if k < 8:
-                    c[k] += ai * bj
-                else:
-                    c[k - 8] -= ai * bj
+        mul_acc(c, self.nums, other.nums)
         return CycNum.from_numerators(c, self.den * other.den)
 
     def __truediv__(self, other: "CycNum") -> "CycNum":

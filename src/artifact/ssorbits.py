@@ -6,8 +6,13 @@ pinned down by three indices: the family ``i`` of its complex orbit, the
 real-form class ``j`` of the Cartan subspace containing it, and a finite
 cohomology class ``k`` distinguishing real orbits inside one complex
 orbit.  This module stores the classification tables with each row's
-four coordinate entries as the paper prints them, reads every entry with
-Python's own parser into an exact coefficient matrix, and provides:
+four coordinate entries as the paper prints them, except the rows
+(10, 1, 2) and (10, 2, 2).  The paper prints those in 2/l1, so at l1 they
+lie over q(4/l1); they are written in mu = 4/l1, which maps the nonzero
+real (imaginary) l1 onto themselves.  So every row is linear in its
+parameters, and every row of a block at l1 lies over q(l1).  It reads every
+entry with Python's own parser into an exact coefficient matrix, and
+provides:
 
 * ``reality_pattern(i, j)`` — the admissible-parameter test for a block;
 * ``real_point(i, j, lams)`` — a real point of the block with its witness;
@@ -147,12 +152,11 @@ _CARTAN_NAMES = ("u", "v", "w", "x", "y", "z", "t")
 # table rows
 # ---------------------------------------------------------------------------
 #
-# Row entries are printed strings like "(-l1+l2-l3+l4)/2", "i*l3" or
-# "2/(i*l1)".  Python's parser reads each one; the walk below accepts
-# integers, the name i, the family's parameters, unary minus and + - * /,
-# and evaluates the entry to a linear form {name: coefficient} in the
-# parameters or (through "c/(a*lN)" only) in their reciprocals, keyed
-# "~lN".  The key "" holds the constant term, which must vanish.
+# Row entries are printed strings like "(-l1+l2-l3+l4)/2" or "i*l3".
+# Python's parser reads each one; the walk below accepts integers, the name
+# i, the family's parameters, unary minus and + - * / by a constant, and
+# evaluates the entry to a linear form {name: coefficient} in the
+# parameters.  The key "" holds the constant term, which must vanish.
 
 
 def _add_forms(a: dict, b: dict) -> dict:
@@ -194,20 +198,15 @@ def _form(node: ast.AST, variables: tuple[str, ...], text: str) -> dict:
             raise ValueError("nonlinear product in table entry %r" % text)
         return {name: v * c for name, v in form.items()} if c else {}
     c = _constant(b)
-    if c is not None:
-        if not c:
-            raise ValueError("division by zero in table entry %r" % text)
-        if c.is_rational():
-            q = 1 / c.to_fraction()
-            return {name: v.scale(q) for name, v in a.items()}
-        c = c.inverse()
-        return {name: v * c for name, v in a.items()}
-    # c/(a*lN) is the one reciprocal the tables print
-    num = _constant(a)
-    if num is None or len(b) != 1 or "" in b or next(iter(b)).startswith("~"):
+    if c is None:
         raise ValueError("unsupported quotient in table entry %r" % text)
-    (name, coeff), = b.items()
-    return {"~" + name: num * coeff.inverse()} if num else {}
+    if not c:
+        raise ValueError("division by zero in table entry %r" % text)
+    if c.is_rational():
+        q = 1 / c.to_fraction()
+        return {name: v.scale(q) for name, v in a.items()}
+    c = c.inverse()
+    return {name: v * c for name, v in a.items()}
 
 
 def _parse_entry(text: str, variables: tuple[str, ...]) -> dict:
@@ -227,25 +226,18 @@ class SSTableRow:
     """One classification-table row: class index and coefficient matrix.
 
     ``matrix`` is the exact 4×n coefficient matrix in the family's n
-    parameters, in their order: coordinates = matrix · λ, or
-    matrix · (1/λ1, …, 1/λn) when ``reciprocal`` is set.
+    parameters, in their order: coordinates = matrix · λ.
     """
 
     k: int
     matrix: tuple
-    reciprocal: bool
 
     def coordinates(self, lams: Sequence[CycNum]) -> tuple:
         """Evaluate the row at a parameter tuple (positional l-order)."""
         n = len(self.matrix[0])
         if len(lams) < n:
             raise ValueError("row needs %d parameters, got %d" % (n, len(lams)))
-        values = lams[:n]
-        if self.reciprocal:
-            if not all(values):
-                raise ValueError("zero parameter where a reciprocal is required")
-            values = [v.inverse() for v in values]
-        return tuple(la.mat_vec(self.matrix, values))
+        return tuple(la.mat_vec(self.matrix, lams[:n]))
 
     @cached_property
     def _gaussian_elim(self) -> tuple[list, int]:
@@ -258,13 +250,7 @@ class SSTableRow:
     def solve(self, vec: Sequence[CycNum]) -> tuple | None:
         """Parameters that reproduce ``vec``, or None when inconsistent."""
         sol = _eliminate(self._elim, len(self.matrix[0]), vec)
-        if sol is None:
-            return None
-        if self.reciprocal:
-            if not all(sol):
-                return None
-            sol = [v.inverse() for v in sol]
-        return tuple(sol)
+        return None if sol is None else tuple(sol)
 
 
 def _gaussian_integers(matrix) -> tuple[list, int]:
@@ -365,19 +351,13 @@ def _eliminate(elim: tuple, n: int, vec: Sequence[CycNum]) -> list | None:
 def _compile_row(k: int, exprs: tuple, variables: tuple[str, ...]) -> SSTableRow:
     """Compile the four printed entries of row ``k`` to its coefficient matrix."""
     forms = [_parse_entry(e, variables) for e in exprs]
-    used = {name for form in forms for name in form}
-    reciprocal = any(name.startswith("~") for name in used)
-    columns = tuple("~" + v if reciprocal else v for v in variables)
-    if used != set(columns):
-        raise ValueError(
-            "row %d must use every family parameter, all directly or all "
-            "reciprocally: %r" % (k, exprs)
-        )
-    matrix = tuple(tuple(form.get(c, ZERO) for c in columns) for form in forms)
+    if {name for form in forms for name in form} != set(variables):
+        raise ValueError("row %d must use every family parameter: %r" % (k, exprs))
+    matrix = tuple(tuple(form.get(v, ZERO) for v in variables) for form in forms)
     # the columns are independent exactly when some maximal minor is nonzero
-    if not any(map(la.det, combinations(matrix, len(columns)))):
+    if not any(map(la.det, combinations(matrix, len(variables)))):
         raise ValueError("row %d has linearly dependent columns" % k)
-    return SSTableRow(k=k, matrix=matrix, reciprocal=reciprocal)
+    return SSTableRow(k=k, matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +418,7 @@ def _plus_minus_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# verbatim table data
+# table data
 # ---------------------------------------------------------------------------
 #
 # Families 1, 2, 3, 4, 7, 10 are stored directly; families 5, 6, 8, 9 are
@@ -451,8 +431,10 @@ def _plus_minus_rows(n: int) -> tuple[tuple[int, ...], ...]:
 # ``Dk`` denoting diag(eta^k, eta^-k)), the finite list ``zs`` of
 # stabilizer cocycles, per-parameter reality ``tags``, ``avoid`` rows and
 # the row formulas.  Each row is four coordinate entries in the family's
-# ``vars``, kept as the paper prints them; ``blocks()`` compiles every row
-# once to an ``SSTableRow`` (see ``_compile_row``).
+# ``vars``, kept as the paper prints them but for the second rows of
+# family 10: printed in 2/l1, they are stored in mu = 4/l1 (see the module
+# docstring), with the printed form beside them.  ``blocks()`` compiles
+# every row once to an ``SSTableRow`` (see ``_compile_row``).
 
 _Z_COMMON = ("I,I,I,I", "-I,-I,I,I", "-I,I,-I,I", "I,-I,-I,I")
 
@@ -917,7 +899,8 @@ _NATIVE: dict[int, dict] = {
                 avoid=(),
                 rows=(
                     ("l1", "0", "0", "0"),
-                    ("-2/l1", "2/l1", "2/l1", "2/l1"),
+                    # printed ("-2/l1", "2/l1", "2/l1", "2/l1"), here in mu = 4/l1
+                    ("-l1/2", "l1/2", "l1/2", "l1/2"),
                 ),
             ),
             dict(
@@ -931,7 +914,9 @@ _NATIVE: dict[int, dict] = {
                 avoid=(),
                 rows=(
                     ("i*l1", "0", "0", "0"),
-                    ("-2/(i*l1)", "2/(i*l1)", "2/(i*l1)", "2/(i*l1)"),
+                    # printed ("-2/(i*l1)", "2/(i*l1)", "2/(i*l1)", "2/(i*l1)"),
+                    # here in mu = 4/l1
+                    ("i*l1/2", "-i*l1/2", "-i*l1/2", "-i*l1/2"),
                 ),
             ),
         ),
@@ -1368,15 +1353,6 @@ def _weyl_candidates(i: int, vanishing: frozenset) -> tuple[int, ...]:
                  if all(perm[a] in target for a in zero))
 
 
-def _complex_conjugator(blk: CaseBlock, t: Tensor) -> tuple | None:
-    """A pair ``(b, mu)`` with act(b, q(mu)) == t, or None: the search of
-    :func:`_conjugator_from_coords` at the coordinates of ``t`` in the
-    block's real basis (:func:`cartanweyl.basis_coords`), None when ``t``
-    is outside its span."""
-    coords = cw.basis_coords(blk.m, t)
-    return None if coords is None else _conjugator_from_coords(blk, coords)
-
-
 def _conjugator_from_coords(blk: CaseBlock, coords: tuple) -> tuple | None:
     """A pair ``(b, mu)`` with act(b, q(mu)) == t, or None, for the tensor
     ``t`` with coordinates ``coords`` in the block's real basis.
@@ -1436,14 +1412,6 @@ def _gamma_in_group(blk: CaseBlock) -> bool:
     return any(mul[w][x] == blk.gamma for w in cw.w_pi_group(blk.i) for x in gamma)
 
 
-def _expected_orbit_parameters(blk: CaseBlock, row: SSTableRow, lams: tuple) -> tuple:
-    """Parameters of the complex orbit a row instance belongs to."""
-    if not row.reciprocal:
-        return lams
-    four = rat(4)
-    return tuple(four * v.inverse() for v in lams)
-
-
 #: How many reference invariants :func:`_orbit_invariants` keeps: more
 #: than the (family, parameters) pairs of a pass over every block at its
 #: default parameters and at one more sample.
@@ -1468,8 +1436,8 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
     a passed-in ``t`` goes through every check against those coordinates.
     The coordinates of ``t`` in the basis are read once, checked, and
     handed to the conjugator search (:func:`_conjugator_from_coords`).
-    The reference invariants of the expected complex orbit depend only on
-    the family and the orbit's parameters, and come from
+    The reference invariants, those of the family's canonical element at
+    ``lams``, depend only on the family and ``lams``, and come from
     :func:`_orbit_invariants`.
     """
     failures = []
@@ -1497,7 +1465,7 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
     if _conjugator_from_coords(blk, coords) is None:
         fail("conjugate", "no conjugator onto the canonical element found")
         return failures
-    reference = _orbit_invariants(blk.i, _expected_orbit_parameters(blk, row, lams))
+    reference = _orbit_invariants(blk.i, lams)
     if invariants.invariants_of(t) != reference:
         fail("orbit", "invariants differ from the expected complex orbit")
     return failures
@@ -1555,8 +1523,8 @@ def verify_ss_tables(case: int | None = None) -> dict:
     result is reduced once.  The reference invariants are computed once
     per family and parameters and kept across calls
     (:func:`_orbit_invariants`), so
-    the non-reciprocal rows of a block are all compared with one shared
-    value and agree with each other when they pass.  A row tensor in the
+    the rows of a block are all compared with one shared value and agree
+    with each other when they pass.  A row tensor in the
     span of its basis is semisimple because that basis is a commuting
     semisimple family, which is checked once per basis
     (:func:`cartanweyl.cartan_is_semisimple`), not once per row.  Returns a
@@ -1681,9 +1649,6 @@ def _row_conditions(blk: CaseBlock, row: SSTableRow) -> tuple[list, list, list]:
     """The tests of ``row.solve`` and ``blk.reality.accepts`` as integer rows
     on the moved coordinates: (rows that must vanish, rows that must not,
     groups of rows not all of which may vanish).
-
-    For a reciprocal row only the tests of ``solve`` are kept: its avoid rows
-    act on the reciprocals of the parameters, which is not linear.
     """
     n = len(row.matrix[0])
     # N·E = re + im·i with N > 0, which changes no zero test
@@ -1692,8 +1657,6 @@ def _row_conditions(blk: CaseBlock, row: SSTableRow) -> tuple[list, list, list]:
     im = [tuple(b for _, b in r) for r in gauss]
     vanish = re[n:] + im[n:]
     re, im = re[:n], im[:n]
-    if row.reciprocal:
-        return vanish, [], [list(pair) for pair in zip(re, im)]
     tags = blk.reality.tags
     if len(tags) != n:
         raise ValueError(
@@ -1729,8 +1692,7 @@ class _Plan:
     vanish, nonzero, some)`` of ``rows`` holds masks over the tests (bit k
     for test k): move s takes the coordinates to the row at admissible
     parameters exactly when every test in ``vanish`` vanishes after the move,
-    none in ``nonzero`` does and some test of each mask in ``some`` does not;
-    a reciprocal row also needs ``accepts`` of its parameters.
+    none in ``nonzero`` does and some test of each mask in ``some`` does not.
     """
 
     functionals: tuple[tuple[int, ...], ...]
@@ -1803,8 +1765,6 @@ def _matches(m: int, coords: tuple) -> list[tuple]:
             lams = row.solve(vec)
             if lams is None:
                 raise ArithmeticError("plan admitted an inconsistent row")
-            if row.reciprocal and not blk.reality.accepts(lams):
-                continue
             out.append((s, moved, blk, row, lams))
     return out
 

@@ -156,13 +156,16 @@ def test_unknown_block_raises():
     (("l1**2", "l2", "l3", "l4"), "unsupported Pow"),
     (("f(l1)", "l2", "l3", "l4"), "unsupported Call"),
     (("l1 l2", "l2", "l3", "l4"), "unreadable"),
-    # a row mixing a parameter with a reciprocal one
-    (("l1", "2/l2", "l3", "l4"), "every family parameter"),
+    # a row leaving out l2
+    (("l1", "l1", "l3", "l4"), "every family parameter"),
     # a row leaving out l4
     (("l1", "l2", "l3", "0"), "every family parameter"),
     (("l1+l2", "l1+l2", "l3", "l4"), "linearly dependent"),
     # a name that is not a family parameter
     (("l1", "l2", "l3", "l4+l5"), "unsupported Name"),
+    # a parameter in a divisor: the rows are linear in the parameters
+    (("2/l1", "l2", "l3", "l4"), "unsupported quotient"),
+    (("2/(i*l1)", "l2", "l3", "l4"), "unsupported quotient"),
 ])
 def test_compile_row_rejects_malformed_rows(exprs, message):
     with pytest.raises(ValueError, match=message):
@@ -173,9 +176,6 @@ def test_compile_row_rejects_malformed_rows(exprs, message):
     # a rational divisor scales, with no field inverse
     ("(l1+l2)/2", {"l1": rat(1, 2), "l2": rat(1, 2)}, 0),
     ("-i*(l1-l3)/2", {"l1": -IMAG.scale(Fraction(1, 2)), "l3": IMAG.scale(Fraction(1, 2))}, 0),
-    # a reciprocal entry inverts its coefficient, once
-    ("2/l1", {"~l1": rat(2)}, 1),
-    ("2/(i*l1)", {"~l1": -rat(2) * IMAG}, 1),
     # a divisor outside Q is inverted, once
     ("l1/i", {"l1": -IMAG}, 1),
 ])
@@ -411,11 +411,32 @@ def test_orbit_reps_counts():
             assert ss.row_tensor(i, 1, row.k, lams).is_real()
 
 
-def test_orbit_reps_reciprocal_row():
-    # second representative of the rank-one family carries 2/λ coefficients
-    f = rat(2, 5)
-    rep = ss.row_tensor(10, 1, 2, (rat(5),))
-    assert cw.containing_bases(rep)[0] == (1, (-f, f, f, f))
+def test_second_family_10_rows_are_the_printed_rows_at_4_over_mu():
+    # the paper prints rows (10, j, 2) in 2/l1; stored linearly in mu = 4/l1,
+    # they give the printed entries at l1 = 4/mu, and classification reads
+    # back mu, or -mu for q < 0: the sign of every coordinate is a real move,
+    # and the label takes the least parameter
+    rng = random.Random(28)
+    two = rat(2)
+    for j in (1, 2):
+        for _ in range(6):
+            q = rat(Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 4)))
+            mu = q if j == 1 else q * IMAG
+            lam = rat(4) * mu.inverse()
+            if j == 1:
+                # ("-2/l1", "2/l1", "2/l1", "2/l1")
+                printed = (-two / lam, two / lam, two / lam, two / lam)
+            else:
+                # ("-2/(i*l1)", "2/(i*l1)", "2/(i*l1)", "2/(i*l1)")
+                d = IMAG * lam
+                printed = (-two / d, two / d, two / d, two / d)
+            blk = ss.block(10, j)
+            assert blk.row(2).coordinates((mu,)) == printed
+            t = ss.row_tensor(10, j, 2, (mu,))
+            assert cw.basis_coords(blk.m, t) == printed
+            label = ss.classify_semisimple(t)
+            assert (label.i, label.j, label.k) == (10, j, 2)
+            assert label.lams == (mu if q.to_fraction() > 0 else -mu,)
 
 
 def test_row_tensors_distinct():
@@ -469,16 +490,19 @@ def test_row_tensor_is_the_dense_basis_sum():
 
 
 def test_within_block_invariants_agree():
-    # representatives of one block at one parameter lie in one complex orbit
+    # representatives of one block at one parameter lie in one complex
+    # orbit, that of the family's canonical element at the same parameter
+    count = 0
     for blk in ss.blocks():
         lams = ss.default_lambda(blk.i, blk.j)
         vals = []
         for row in blk.rows:
-            if row.reciprocal:
-                continue
             t = ss.row_tensor(blk.i, blk.j, row.k, lams)
             vals.append(invariants.invariants_of(t))
+            count += 1
         assert len({repr(v) for v in vals}) == 1, (blk.i, blk.j)
+        assert vals[0] == invariants.invariants_of(cw.parametrize(blk.i, lams)), (blk.i, blk.j)
+    assert count == 162
 
 
 def test_rows_are_semisimple():
@@ -552,14 +576,12 @@ def test_verify_computes_each_row_invariant_once(monkeypatch):
         return ss._orbit_invariants.cache_info().misses
 
     def orbits(blks):
-        # the (family, parameters) pairs of the rows' expected complex orbits
-        return {(blk.i, ss._expected_orbit_parameters(
-                    blk, row, ss.default_lambda(blk.i, blk.j)))
-                for blk in blks for row in blk.rows}
+        # the (family, parameters) pairs of the rows' complex orbits: one
+        # per block
+        return {(blk.i, ss.default_lambda(blk.i, blk.j)) for blk in blks}
 
     monkeypatch.setattr(invariants, "invariants_of", counting)
-    # family 3 has four rows per block; family 10 has reciprocal and
-    # non-reciprocal rows
+    # family 3 has four rows per block, family 10 two
     for i in (3, 10):
         family = [blk for blk in ss.blocks() if blk.i == i]
         ss._orbit_invariants.cache_clear()
@@ -646,18 +668,9 @@ def test_semisimplicity_rests_on_the_basis(monkeypatch):
 
 
 def _reference_row_solve(row, vec):
-    # plain elimination on the row matrix, then the reciprocal step
+    # plain elimination on the row matrix
     sol = la.solve([list(r) for r in row.matrix], list(vec))
-    if sol is None:
-        return None
-    out = []
-    for val in sol:
-        if row.reciprocal:
-            if not val:
-                return None
-            val = val.inverse()
-        out.append(val)
-    return tuple(out)
+    return None if sol is None else tuple(sol)
 
 
 def test_row_solve_matches_elimination():
@@ -807,7 +820,7 @@ def test_complex_conjugator_matches_a_full_scan():
             assert blk.reality.accepts(sample)
             for row in blk.rows:
                 t = ss.row_tensor(blk.i, blk.j, row.k, sample)
-                found = ss._complex_conjugator(blk, t)
+                found = ss._conjugator_from_coords(blk, cw.basis_coords(blk.m, t))
                 assert found is not None, (blk.i, blk.j, row.k)
                 assert found == _full_scan_conjugator(blk, t), (blk.i, blk.j, row.k)
                 count += 1
@@ -823,7 +836,7 @@ def test_complex_conjugator_finds_a_regular_point():
         for sample in (lams, tuple(rat(3) * v for v in lams)):
             for row in blk.rows:
                 t = ss.row_tensor(blk.i, blk.j, row.k, sample)
-                b, mu = ss._complex_conjugator(blk, t)
+                b, mu = ss._conjugator_from_coords(blk, cw.basis_coords(blk.m, t))
                 assert _is_regular(blk.i, mu), (blk.i, blk.j, row.k)
                 count += 1
     assert count == 324
@@ -840,12 +853,16 @@ def test_complex_conjugator_finds_none_off_the_family():
     generic = (rat(7), rat(3), rat(2), rat(1))
     assert all(ss._extract_parameters(2, cw.w_act_coords(w, generic)) is None
                for w in cw.weyl_group())
-    assert ss._complex_conjugator(blk, at(generic)) is None
+    assert ss._conjugator_from_coords(blk, cw.basis_coords(blk.m, at(generic))) is None
     # a wall point of the span: 2 = 1 + 1
     wall = (rat(2), rat(1), rat(1))
     assert not _is_regular(2, wall)
     wall_coords = cw.basis_coords(1, cw.parametrize(2, wall))
-    assert ss._complex_conjugator(blk, at(wall_coords)) is None
+    assert ss._conjugator_from_coords(blk, cw.basis_coords(blk.m, at(wall_coords))) is None
+    # a tensor outside the block's span has no coordinates to search from
+    coeffs = list(at(generic).c)
+    coeffs[1] = ONE  # entry 1 lies off every basis pair
+    assert cw.basis_coords(blk.m, Tensor(tuple(coeffs))) is None
 
 
 def test_moved_coords_are_the_coordinates_of_the_group_action():
@@ -1106,12 +1123,11 @@ def test_group_values_are_pinned():
 
 
 def test_compiled_table_is_pinned():
-    # every block's basis and every row's class index, reciprocal flag and
-    # exact coefficient matrix, as compiled from the printed entries
-    table = [(b.i, b.j, b.m, r.k, r.reciprocal, r.matrix)
-             for b in ss.blocks() for r in b.rows]
+    # every block's basis and every row's class index and exact
+    # coefficient matrix, as compiled from the stored entries
+    table = [(b.i, b.j, b.m, r.k, r.matrix) for b in ss.blocks() for r in b.rows]
     assert _digest(table) == (
-        "3cd54318f2f1bf00989637d50cbdbad39c3ff0bab7876a7fd3e4ad178de9c96f"
+        "d6363bedbc5c9f01dc988fec9ff0d8d6de155707e5abfd7cb8950e626c6260b2"
     )
 
 
@@ -1303,8 +1319,7 @@ def test_classify_matches_the_row_by_row_loop(ij, data):
     lams = list(_draw_lambda(lambda: data.draw(_NONZERO_RATIONALS), blk.reality))
     kinds = ["admissible"]
     kinds += [("avoid", a) for a in blk.reality.avoid]
-    if not row.reciprocal:
-        kinds += [("zero", p) for p in range(len(lams))]
+    kinds += [("zero", p) for p in range(len(lams))]
     kind = data.draw(st.sampled_from(kinds))
     if kind == "admissible":
         assume(blk.reality.accepts(lams))
@@ -1317,7 +1332,6 @@ def test_classify_matches_the_row_by_row_loop(ij, data):
             p = max(q for q, c in enumerate(a) if c)
             rest = _rat_dot(a[:p] + (0,) + a[p + 1:], lams)
             lams[p] = rest.scale(Fraction(-1, a[p]))
-            assume(lams[p] or not row.reciprocal)
         t = cw.from_basis_coords(blk.m, row.coordinates(lams))
     assert _outcome(ss.classify_semisimple, t) == _outcome(_reference_classify, t)
 
