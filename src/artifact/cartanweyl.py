@@ -196,6 +196,9 @@ def _doubled(w: WeylMat) -> tuple[tuple[int, ...], ...]:
 def w_act_coords(w: WeylMat, coords: Sequence[CycNum]) -> tuple[CycNum, ...]:
     """Image of an h-element (u-coordinates) under w.
 
+    The package itself no longer calls it; it is kept for the tests and
+    for the benchmark tracer, which wraps it by name.
+
     Runs on integers, as :func:`groupaction.act_tensor` does: the doubled
     rows of w (:func:`_doubled`) act on the coordinates' numerators over
     their common denominator (:func:`exactfield.common_numerators`), and

@@ -46,7 +46,6 @@ from .exactfield import (
     ONE,
     ZERO,
     common_numerators,
-    mul_acc,
     rat,
     vanishing_functionals,
 )
@@ -154,9 +153,10 @@ _CARTAN_NAMES = ("u", "v", "w", "x", "y", "z", "t")
 #
 # Row entries are printed strings like "(-l1+l2-l3+l4)/2" or "i*l3".
 # Python's parser reads each one; the walk below accepts integers, the name
-# i, the family's parameters, unary minus and + - * / by a constant, and
-# evaluates the entry to a linear form {name: coefficient} in the
-# parameters.  The key "" holds the constant term, which must vanish.
+# i, the family's parameters, unary minus, + and -, * by a constant and / by
+# a rational constant, and evaluates the entry to a linear form
+# {name: coefficient} in the parameters.  The key "" holds the constant
+# term, which must vanish.
 
 
 def _add_forms(a: dict, b: dict) -> dict:
@@ -198,15 +198,12 @@ def _form(node: ast.AST, variables: tuple[str, ...], text: str) -> dict:
             raise ValueError("nonlinear product in table entry %r" % text)
         return {name: v * c for name, v in form.items()} if c else {}
     c = _constant(b)
-    if c is None:
+    if c is None or not c.is_rational():
         raise ValueError("unsupported quotient in table entry %r" % text)
     if not c:
         raise ValueError("division by zero in table entry %r" % text)
-    if c.is_rational():
-        q = 1 / c.to_fraction()
-        return {name: v.scale(q) for name, v in a.items()}
-    c = c.inverse()
-    return {name: v * c for name, v in a.items()}
+    q = 1 / c.to_fraction()
+    return {name: v.scale(q) for name, v in a.items()}
 
 
 def _parse_entry(text: str, variables: tuple[str, ...]) -> dict:
@@ -264,12 +261,6 @@ def _gaussian_integers(matrix) -> tuple[list, int]:
     return [[(x[0], x[4]) for x in r] for r in rows], den
 
 
-def _eliminator(matrix) -> tuple:
-    """Invertible ``E`` with ``E · matrix = [I_n; 0]``, for n independent
-    columns, as rows of field elements (:func:`_gaussian_eliminator`)."""
-    return _field_rows(*_gaussian_eliminator(matrix))
-
-
 def _field_rows(rows: list, norm: int) -> tuple:
     """The rows of Gaussian integers ``(a, b)`` = a + b·i over ``norm`` as
     rows of field elements, each reduced once."""
@@ -278,8 +269,10 @@ def _field_rows(rows: list, norm: int) -> tuple:
 
 
 def _gaussian_eliminator(matrix) -> tuple[list, int]:
-    """The eliminator ``E`` of :func:`_eliminator` as rows of Gaussian
-    integers ``(a, b)`` = a + b·i and a positive integer N with E = rows/N.
+    """The invertible ``E`` with ``E · matrix = [I_n; 0]``, for n independent
+    columns, as rows of Gaussian integers ``(a, b)`` = a + b·i and a
+    positive integer N with E = rows/N (:func:`_field_rows` makes them
+    field elements).
 
     Read off the reduced row echelon form of ``[matrix | I]``: with
     independent columns, the first n pivots sit on the columns of
@@ -1243,32 +1236,9 @@ def real_point(i: int, j: int, lams: Sequence[CycNum]) -> tuple[Tensor, GElt]:
     return p, blk.g
 
 
-@lru_cache(maxsize=None)
-def _family_columns(i: int) -> tuple:
-    """Columns: u-coordinates of the family's canonical element per
-    parameter, the transpose of the subsystem's ``h_basis``."""
-    h_basis = cw.subsystem(i).h_basis
-    return tuple(tuple(rat(b[r]) for b in h_basis) for r in range(4))
-
-
 # ---------------------------------------------------------------------------
-# conjugators back to canonical position
+# the Weyl witness of each row
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _family_eliminator(i: int) -> tuple:
-    return _eliminator(_family_columns(i))
-
-
-def _extract_parameters(i: int, vec: tuple) -> tuple | None:
-    """Solve for family parameters with canonical coordinates ``vec``.
-
-    The eliminator is invertible, so once its consistency rows accept
-    ``vec`` the solution satisfies columns·sol = vec exactly.
-    """
-    sol = _eliminate(_family_eliminator(i), cw.subsystem(i).param_count, vec)
-    return None if sol is None else tuple(sol)
 
 
 @lru_cache(maxsize=None)
@@ -1280,119 +1250,57 @@ def _lifted_conjugator(m: int, w_index: int) -> GElt:
 
 
 @lru_cache(maxsize=None)
-def _restricted_action(m: int, w_index: int) -> tuple[tuple, int]:
-    """The 4×4 matrix A of b = gstar·lift(w)⁻¹ (:func:`_lifted_conjugator`)
-    restricted to the Cartan subspace, from u-coordinates to coordinates in
-    the m-th real basis, as integer numerator rows over one denominator
-    (:func:`exactfield.common_numerators`).
-
-    Column k is read from the group action itself: the coordinates, in
-    basis m, of act(b, u_k).  Raises ``ArithmeticError`` when an image
-    leaves the span of basis m: then b does not carry the Cartan subspace
-    into that span, and no 4×4 matrix describes it.
+def _witness_table(i: int) -> dict[tuple[int, ...], int]:
+    """The least w with each image 2·W[w]⁻¹·q0, keyed by that doubled integer
+    vector, for q0 = H·``_SAMPLE_MAGNITUDES[i]`` in u-coordinates (H the
+    family's ``h_basis`` as columns).  Raises ``ArithmeticError`` when q0 is
+    not regular.  A regular q0 has the stabilizer W_Pi(i) in W, so two w
+    share a key exactly when they lie in one coset W_Pi(i)·w.
     """
-    b = _lifted_conjugator(m, w_index)
-    columns = []
-    for k in range(4):
-        unit = [ZERO] * 4
-        unit[k] = ONE
-        image = cw.basis_coords(m, act_tensor(b, cw.from_basis_coords(1, unit)))
-        if image is None:
-            raise ArithmeticError(
-                "the conjugator of Weyl element %d moves u_%d out of basis %d"
-                % (w_index, k + 1, m))
-        columns.append(image)
-    nums, den = common_numerators(x for row in zip(*columns) for x in row)
-    return tuple(tuple(nums[a:a + 4]) for a in range(0, 16, 4)), den
-
-
-def _moved_coords(m: int, w_index: int, i: int, params: tuple) -> tuple:
-    """The coordinates in basis m of act(b, q(params)), b the lifted
-    conjugator of (m, w_index) and q(params) the canonical element of
-    family i, as A·(h_basis·params) with A from :func:`_restricted_action`.
-
-    The group acts linearly and q(params) = sum_k c_k·u_k with
-    c = h_basis·params, so act(b, q(params)) = sum_k c_k·act(b, u_k), whose
-    coordinates are A·c.  The products run on integer numerators and each
-    coordinate is reduced once.
-    """
-    rows, den = _restricted_action(m, w_index)
-    nums, pden = common_numerators(params)
-    c = [None] * 4
-    for p, bvec in zip(nums, cw.subsystem(i).h_basis):
-        if p is not None:
-            for k, h in enumerate(bvec):
-                if h:
-                    c[k] = [a + h * x for a, x in zip(c[k] or (0,) * 8, p)]
-    out = []
-    for row in rows:
-        acc = [0] * 8
-        for x, y in zip(row, c):
-            if x is not None and y is not None:
-                mul_acc(acc, x, y)
-        out.append(CycNum.from_numerators(acc, den * pden))
-    return tuple(out)
+    q0 = [sum(h[r] * x for h, x in zip(cw.subsystem(i).h_basis, _SAMPLE_MAGNITUDES[i]))
+          for r in range(4)]
+    if cw.vanishing_roots([rat(x) for x in q0]) != cw.member_roots(i):
+        raise ArithmeticError("sample point of family %d is not regular" % i)
+    weyl = cw.weyl_table()
+    doubled = {w: rows for rows, w in weyl.index.items()}
+    a, b, c, d = q0
+    table: dict[tuple[int, ...], int] = {}
+    for w in range(len(doubled)):
+        table.setdefault(tuple(r[0] * a + r[1] * b + r[2] * c + r[3] * d
+                               for r in doubled[weyl.inv[w]]), w)
+    return table
 
 
 @lru_cache(maxsize=None)
-def _weyl_candidates(i: int, vanishing: frozenset) -> tuple[int, ...]:
-    """The indices, in the order of :func:`cartanweyl.weyl_group`, of the w
-    whose root permutation (:func:`cartanweyl.root_permutations`) carries
-    the restricted roots ``vanishing`` onto the roots vanishing on family
-    i's span (:func:`cartanweyl.member_roots`).  The roots vanishing at a
-    point are those whose hyperplanes contain it, so the keys are finitely
-    many.
+def _row_witness(i: int, m: int, matrix: tuple) -> int | None:
+    """The least w with t(λ) = act(b_w, q(λ)) for every λ, or None: t(λ) has
+    coordinates ``matrix``·λ in basis m, q is family i's canonical element
+    and b_w = gstar·lift(w)⁻¹ (:func:`_lifted_conjugator`).
+
+    gstar⁻¹ takes the l-th vector of basis m to tau_l·u_l
+    (:func:`cartanweyl.twist_factors`), so such a w has
+    diag(tau)·matrix = W[w]⁻¹·H.  At the sample magnitudes that is one
+    look-up in :func:`_witness_table`, and a miss proves that no w exists.
+    The w found is checked on the group action, act(b_w, q(e_l)) = t(e_l)
+    for each parameter unit vector e_l; the action is linear, so that
+    proves the row for every λ.
     """
-    roots = cw.restricted_roots()
-    members = cw.member_roots(i)
-    target = {a for a, r in enumerate(roots) if r.coeffs in members}
-    zero = [a for a, r in enumerate(roots) if r.coeffs in vanishing]
-    if len(zero) != len(target):
-        return ()
-    return tuple(index for index, perm in enumerate(cw.root_permutations())
-                 if all(perm[a] in target for a in zero))
-
-
-def _conjugator_from_coords(blk: CaseBlock, coords: tuple) -> tuple | None:
-    """A pair ``(b, mu)`` with act(b, q(mu)) == t, or None, for the tensor
-    ``t`` with coordinates ``coords`` in the block's real basis.
-
-    ``t`` is taken back to the Cartan subspace by the inverse of the
-    real-basis witness ``gstar``: it sends the l-th real basis vector to
-    tau_l·u_l (:func:`cartanweyl.twist_factors`), so the coordinates there are
-    nu_l = tau_l·c_l.  A coordinate symmetry w can carry nu to a regular
-    point q(mu) of the family only if it maps the set Z(nu) of restricted
-    roots vanishing at nu onto the roots vanishing on the family's span,
-    since the roots vanishing at w·nu are the images of Z(nu) under w's
-    root permutation.  The symmetries that pass this integer test are read,
-    in the order of :func:`cartanweyl.weyl_group`, from a list computed
-    once per family and Z(nu) (:func:`_weyl_candidates`); only those are
-    applied to nu and solved exactly for the parameters mu
-    (:func:`_extract_parameters`).  A w that passes the test and the solve
-    puts mu in the family's regular part: the roots vanishing at
-    q(mu) = w·nu are the image of Z(nu), which is the member roots.  So the
-    first w that passes every check is the one a scan of all of W with a
-    regularity check would return.
-
-    The conjugator b = gstar·lift(w)⁻¹ (:func:`_lifted_conjugator`, cached
-    per (m, w)) is checked by act(b, q(mu)) == t, in coordinates of the
-    block's basis: ``t`` is the element of the span with coordinates
-    ``coords``, and act(b, q(mu)) has the coordinates A·(h_basis·mu), with A
-    the restriction of b to the Cartan subspace, read column by column from
-    act(b, u_k) and cached per (m, w) (:func:`_restricted_action`,
-    :func:`_moved_coords`).  Both tensors lie in the span, so the two are
-    equal exactly when their coordinates are; that compares four
-    coordinates instead of acting on sixteen entries.
-    """
-    nu = tuple(tau * c for tau, c in zip(cw.twist_factors(blk.m), coords))
-    group = cw.weyl_group()
-    for index in _weyl_candidates(blk.i, cw.vanishing_roots(nu)):
-        params = _extract_parameters(blk.i, cw.w_act_coords(group[index], nu))
-        if params is None:
-            continue
-        if _moved_coords(blk.m, index, blk.i, params) == coords:
-            return _lifted_conjugator(blk.m, index), params
-    return None
+    mags = _SAMPLE_MAGNITUDES[i]
+    doubled = [tau * sum((c.scale(2 * x) for c, x in zip(row, mags)), ZERO)
+               for tau, row in zip(cw.twist_factors(m), matrix)]
+    if not all(v.is_rational() and v.to_fraction().denominator == 1 for v in doubled):
+        return None
+    w = _witness_table(i).get(tuple(int(v.to_fraction()) for v in doubled))
+    if w is None:
+        return None
+    b = _lifted_conjugator(m, w)
+    n = len(matrix[0])
+    for l in range(n):
+        unit = [ONE if p == l else ZERO for p in range(n)]
+        column = [row[l] for row in matrix]
+        if act_tensor(b, cw.parametrize(i, unit)) != cw.from_basis_coords(m, column):
+            return None
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -1426,6 +1334,14 @@ def _orbit_invariants(i: int, params: tuple) -> invariants.InvariantVector:
     return invariants.invariants_of(cw.parametrize(i, params))
 
 
+@lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
+def _is_regular(i: int, params: tuple) -> bool:
+    """Whether q(params) lies in the regular part of family i: the roots
+    vanishing there are exactly the member roots."""
+    coords = cw.basis_coords(1, cw.parametrize(i, params))
+    return cw.vanishing_roots(coords) == cw.member_roots(i)
+
+
 def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
                 t: Tensor | None = None) -> list[dict]:
     """Failures of one row.
@@ -1434,11 +1350,10 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
     written from ``row.coordinates(lams)``, computed once, into the pair
     entries of the block's real basis (:func:`cartanweyl.from_basis_coords`);
     a passed-in ``t`` goes through every check against those coordinates.
-    The coordinates of ``t`` in the basis are read once, checked, and
-    handed to the conjugator search (:func:`_conjugator_from_coords`).
-    The reference invariants, those of the family's canonical element at
-    ``lams``, depend only on the family and ``lams``, and come from
-    :func:`_orbit_invariants`.
+    The ``"conjugate"`` check needs q(lams) regular (:func:`_is_regular`)
+    and a Weyl witness of the row (:func:`_row_witness`), both cached; then
+    t = act(b_w, q(lams)).  The reference invariants, those of the family's
+    canonical element at ``lams``, come from :func:`_orbit_invariants`.
     """
     failures = []
     rid = (blk.i, blk.j, row.k)
@@ -1462,8 +1377,11 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
     # a commuting semisimple family
     if not cw.cartan_is_semisimple(blk.m):
         fail("semisimple", "stated basis is not a commuting semisimple family")
-    if _conjugator_from_coords(blk, coords) is None:
-        fail("conjugate", "no conjugator onto the canonical element found")
+    if not _is_regular(blk.i, lams):
+        fail("conjugate", "the canonical element at these parameters is not regular")
+        return failures
+    if _row_witness(blk.i, blk.m, row.matrix) is None:
+        fail("conjugate", "no Weyl witness carries the canonical element onto the row")
         return failures
     reference = _orbit_invariants(blk.i, lams)
     if invariants.invariants_of(t) != reference:
@@ -1502,35 +1420,22 @@ def verify_ss_tables(case: int | None = None) -> dict:
 
     Checks, per block: the twist's action (:func:`_gamma_in_group`) and the
     stabilizer elements fixing the real point (the rest of the block is
-    checked once, by :func:`blocks`); per row: realness, membership
-    and exact coordinates in the stated real canonical subspace,
-    semisimplicity, an explicit conjugator onto the family's canonical
+    checked once, by :func:`blocks`); per row (:func:`_verify_row`):
+    realness, membership and exact coordinates in the stated real canonical
+    subspace, semisimplicity, a conjugator onto the family's canonical
     element, and invariants equal to those of the expected complex orbit.
-    Each row's coordinates are evaluated once, and its tensor is written
-    from them, and its coordinates in the basis are read once.  The
-    conjugator is searched only over the coordinate symmetries whose root
-    permutation carries the row's vanishing roots onto the family's, a list
-    computed once per family and vanishing pattern; those are tried in the
-    field (:func:`_conjugator_from_coords`).  The conjugator b found is
-    checked exactly, act(b, q(mu)) == t, as the same equality in the four
-    coordinates of the row's basis: both tensors lie in its span, and the
-    restriction of b to the Cartan subspace, a 4×4 matrix read from the
-    group action once per (basis, Weyl element), gives the coordinates of
-    act(b, q(mu)) (:func:`_moved_coords`).  The group action, the Weyl
-    action, the root zero tests, that check and the four invariants (one
-    pass for all four) run on integer numerators over one common
-    denominator per call (:func:`exactfield.common_numerators`), so each
-    result is reduced once.  The reference invariants are computed once
-    per family and parameters and kept across calls
-    (:func:`_orbit_invariants`), so
-    the rows of a block are all compared with one shared value and agree
-    with each other when they pass.  A row tensor in the
-    span of its basis is semisimple because that basis is a commuting
-    semisimple family, which is checked once per basis
-    (:func:`cartanweyl.cartan_is_semisimple`), not once per row.  Returns a
-    report dict; ``report["ok"]`` is True when nothing failed, and
-    ``report["seconds"]`` holds the wall time of each block (in a fresh
-    process the first block also pays for building the cached tables).
+    The conjugator is the row's Weyl witness b_w (:func:`_row_witness`),
+    found by one look-up and proved on the group action for every parameter
+    once per row, together with the regularity of the canonical element at
+    the parameters.  A row tensor in the span of its basis is semisimple
+    because that basis is a commuting semisimple family, checked once per
+    basis (:func:`cartanweyl.cartan_is_semisimple`).  The reference
+    invariants are computed once per family and parameters
+    (:func:`_orbit_invariants`), so the rows of a block are compared with
+    one shared value.  Returns a report dict; ``report["ok"]`` is True when
+    nothing failed, and ``report["seconds"]`` holds the wall time of each
+    block (in a fresh process the first block also pays for building the
+    cached tables).
     """
     selected = [b for b in blocks() if case is None or b.i == case]
     if not selected:

@@ -15,7 +15,9 @@ from artifact import cartanweyl as cw
 from artifact import galois, invariants, liealg
 from artifact import ssorbits as ss
 from artifact.exactfield import CycNum, IMAG, MINUS_ONE, ONE, ZERO, random_cyc, rat
-from artifact.groupaction import PermAuto, act_tensor, conj_g, g_inv, g_key, g_mul
+from artifact.groupaction import (
+    PermAuto, act_tensor, conj_g, g_inv, g_key, g_mul, gelt_from_names,
+)
 from artifact.liealg import Tensor
 
 
@@ -166,6 +168,8 @@ def test_unknown_block_raises():
     # a parameter in a divisor: the rows are linear in the parameters
     (("2/l1", "l2", "l3", "l4"), "unsupported quotient"),
     (("2/(i*l1)", "l2", "l3", "l4"), "unsupported quotient"),
+    # a divisor outside Q
+    (("l1/i", "l2", "l3", "l4"), "unsupported quotient"),
 ])
 def test_compile_row_rejects_malformed_rows(exprs, message):
     with pytest.raises(ValueError, match=message):
@@ -176,8 +180,6 @@ def test_compile_row_rejects_malformed_rows(exprs, message):
     # a rational divisor scales, with no field inverse
     ("(l1+l2)/2", {"l1": rat(1, 2), "l2": rat(1, 2)}, 0),
     ("-i*(l1-l3)/2", {"l1": -IMAG.scale(Fraction(1, 2)), "l3": IMAG.scale(Fraction(1, 2))}, 0),
-    # a divisor outside Q is inverted, once
-    ("l1/i", {"l1": -IMAG}, 1),
 ])
 def test_entries_invert_only_what_is_not_rational(monkeypatch, text, form, inversions):
     calls = []
@@ -612,9 +614,9 @@ def test_verify_computes_each_row_invariant_once(monkeypatch):
 
 
 def test_warm_caches_still_reject_a_perturbed_row():
-    # with the reference invariants and the Weyl candidates cached at lams,
-    # a perturbed representative fails, and so does a row whose tensor is
-    # twice the printed one: it lies in another complex orbit
+    # with the reference invariants and the row witnesses cached, a
+    # perturbed representative fails, and so does a row whose tensor is
+    # twice the printed one: no Weyl witness carries q(lams) onto it
     for i, j in ((3, 1), (10, 1)):
         blk = ss.block(i, j)
         lams = ss.default_lambda(i, j)
@@ -629,7 +631,7 @@ def test_warm_caches_still_reject_a_perturbed_row():
                     ss.check_row(i, j, row.k, lams, tensor=Tensor(tuple(coeffs)))
             doubled = dataclasses.replace(
                 row, matrix=tuple(tuple(rat(2) * c for c in r) for r in row.matrix))
-            assert [f["check"] for f in ss._verify_row(blk, doubled, lams)] == ["orbit"]
+            assert [f["check"] for f in ss._verify_row(blk, doubled, lams)] == ["conjugate"]
 
 
 def test_orbit_check_compares_with_the_reference(monkeypatch):
@@ -689,35 +691,14 @@ def test_row_solve_matches_elimination():
     assert count == 162
 
 
-def _reference_extract(i, vec):
-    # plain elimination on the family columns, then the re-check
-    cols = ss._family_columns(i)
-    sol = la.solve([list(r) for r in cols], list(vec))
-    if sol is None or la.mat_vec(cols, sol) != list(vec):
-        return None
-    return tuple(sol)
+def _field_eliminator(matrix):
+    return ss._field_rows(*ss._gaussian_eliminator(matrix))
 
 
-def test_extract_parameters_matches_elimination():
-    # every row's canonical coordinates, their images under the Weyl group,
-    # and each coordinate raised by 1; equal vectors are checked once
-    vectors = {}
-    for blk in ss.blocks():
-        ginv = g_inv(cw.seven_cartans()[blk.m - 1].gstar)
-        lams = ss.default_lambda(blk.i, blk.j)
-        family = vectors.setdefault(blk.i, set())
-        for row in blk.rows:
-            t = ss.row_tensor(blk.i, blk.j, row.k, lams)
-            mu = cw.basis_coords(1, act_tensor(ginv, t))
-            family.update(cw.w_act_coords(w, mu) for w in cw.weyl_group())
-            family.update(mu[:p] + (mu[p] + ONE,) + mu[p + 1:] for p in range(4))
-    assert sorted(vectors) == list(range(1, 11))
-    for i, family in vectors.items():
-        found = [ss._extract_parameters(i, vec) for vec in family]
-        assert found == [_reference_extract(i, vec) for vec in family], i
-        assert any(found), i
-        if cw.subsystem(i).param_count < 4:
-            assert None in found, i
+def _family_columns(i):
+    # u-coordinates of the family's canonical element per parameter: the
+    # transpose of its h_basis
+    return tuple(tuple(rat(b[r]) for b in cw.subsystem(i).h_basis) for r in range(4))
 
 
 def _reference_eliminator(matrix):
@@ -733,10 +714,10 @@ def _reference_eliminator(matrix):
 
 def test_eliminator_matches_the_field_rref():
     matrices = [row.matrix for blk in ss.blocks() for row in blk.rows]
-    matrices += [ss._family_columns(i) for i in range(1, 11)]
+    matrices += [_family_columns(i) for i in range(1, 11)]
     assert len(matrices) == 172
     for matrix in matrices:
-        assert ss._eliminator(matrix) == _reference_eliminator(matrix), matrix
+        assert _field_eliminator(matrix) == _reference_eliminator(matrix), matrix
 
 
 _GAUSSIAN_ENTRIES = st.builds(
@@ -762,9 +743,9 @@ def test_eliminator_matches_the_field_rref_on_gaussian_matrices(matrix, zeros):
         want = _reference_eliminator(matrix)
     except ArithmeticError:
         with pytest.raises(ArithmeticError, match="linearly dependent"):
-            ss._eliminator(matrix)
+            _field_eliminator(matrix)
         return
-    got = ss._eliminator(matrix)
+    got = _field_eliminator(matrix)
     assert got == want
     n = len(matrix[0])
     product = [la.mat_vec(got, list(col)) for col in zip(*matrix)]
@@ -772,16 +753,16 @@ def test_eliminator_matches_the_field_rref_on_gaussian_matrices(matrix, zeros):
 
 
 def test_eliminator_rejects_dependent_columns_and_other_entries():
-    cols = ss._family_columns(1)
+    cols = _family_columns(1)
     doubled = tuple(r[:3] + (rat(2) * r[2],) for r in cols)
     with pytest.raises(ArithmeticError, match="linearly dependent"):
-        ss._eliminator(doubled)
+        _field_eliminator(doubled)
     with pytest.raises(ArithmeticError, match="linearly dependent"):
         _reference_eliminator(doubled)
     bent = ((cols[0][0] * _SQRT2,) + cols[0][1:],) + cols[1:]
     _reference_eliminator(bent)
     with pytest.raises(ArithmeticError, match="not a Gaussian rational"):
-        ss._eliminator(bent)
+        _field_eliminator(bent)
     # the exact division of the elimination steps: (5 + 0i)/(1 + 2i) = 1 − 2i
     assert ss._gaussian_quotient(5, 0, (1, 2)) == (1, -2)
     assert ss._gaussian_quotient(-6, 4, (2, 0)) == (-3, 2)
@@ -790,127 +771,125 @@ def test_eliminator_rejects_dependent_columns_and_other_entries():
             ss._gaussian_quotient(re, im, q)
 
 
-def _is_regular(i, params):
-    # the parameters put q(params) in the regular part of family i
-    coords = cw.basis_coords(1, cw.parametrize(i, params))
-    return cw.vanishing_roots(coords) == cw.member_roots(i)
-
-
-def _full_scan_conjugator(blk, t):
-    # the conjugator search as a scan of all of W with no root-pattern filter
-    cb = cw.seven_cartans()[blk.m - 1]
-    mu = cw.basis_coords(1, act_tensor(g_inv(cb.gstar), t))
-    if mu is None:
-        return None
-    for index, w in enumerate(cw.weyl_group()):
-        params = ss._extract_parameters(blk.i, cw.w_act_coords(w, mu))
-        if params is None or not _is_regular(blk.i, params):
-            continue
-        b = g_mul(cb.gstar, g_inv(ss.weyl_lift(index)))
-        if act_tensor(b, cw.parametrize(blk.i, params)) == t:
-            return b, params
-    return None
-
-
 def test_complex_conjugator_matches_a_full_scan():
-    count = 0
+    # the witnesses of a row are the w with diag(tau)·M = W[w]⁻¹·H, found
+    # here by an integer scan of all of W (twice both sides, with W[w]⁻¹
+    # the transpose of the orthogonal W[w]); they form one coset
+    # W_Pi(i)·w, and the row witness is its least element
+    mul = cw.weyl_table().mul
+    images = {
+        i: [[int(2 * sum(mat[a][r] * h[a] for a in range(4)))
+             for r in range(4) for h in cw.subsystem(i).h_basis]
+            for mat in cw.weyl_group()]
+        for i in range(1, 11)
+    }
+    sizes = {}
     for blk in ss.blocks():
-        lams = ss.default_lambda(blk.i, blk.j)
-        for sample in (lams, tuple(rat(3) * v for v in lams)):
-            assert blk.reality.accepts(sample)
-            for row in blk.rows:
-                t = ss.row_tensor(blk.i, blk.j, row.k, sample)
-                found = ss._conjugator_from_coords(blk, cw.basis_coords(blk.m, t))
-                assert found is not None, (blk.i, blk.j, row.k)
-                assert found == _full_scan_conjugator(blk, t), (blk.i, blk.j, row.k)
-                count += 1
-    assert count == 324
+        w_pi = cw.w_pi_group(blk.i)
+        for row in blk.rows:
+            scaled = [tau * c for tau, r in zip(cw.twist_factors(blk.m), row.matrix) for c in r]
+            assert all(v.is_rational() for v in scaled), (blk.i, blk.j, row.k)
+            scaled = [2 * v.to_fraction() for v in scaled]
+            coset = [w for w, image in enumerate(images[blk.i]) if image == scaled]
+            assert coset, (blk.i, blk.j, row.k)
+            assert coset == sorted(mul[p][coset[0]] for p in w_pi), (blk.i, blk.j, row.k)
+            assert ss._row_witness(blk.i, blk.m, row.matrix) == coset[0], (blk.i, blk.j, row.k)
+            sizes.setdefault(blk.i, set()).add(len(coset))
+    assert sizes == {i: {n} for i, n in zip(range(1, 11), (1, 2, 6, 4, 4, 4, 24, 24, 24, 8))}
+
+
+def test_row_witnesses_are_pinned():
+    witnesses = [(blk.i, blk.j, row.k, ss._row_witness(blk.i, blk.m, row.matrix))
+                 for blk in ss.blocks() for row in blk.rows]
+    assert len(witnesses) == 162
+    digest = hashlib.sha256(json.dumps(witnesses).encode()).hexdigest()
+    assert digest == "86961437d9f32daed72da22c25dc87ec3861d86512b174139e4af2e5e02507a2"
 
 
 def test_complex_conjugator_finds_a_regular_point():
-    # the search checks no regularity itself: its root-pattern test and the
-    # exact parameter solve must imply it
-    count = 0
+    # every row passes at regular parameters, and the conjugate check needs
+    # them: the wall 2 = 1 + 1 of block (2, 1) fails it on every row
     for blk in ss.blocks():
         lams = ss.default_lambda(blk.i, blk.j)
         for sample in (lams, tuple(rat(3) * v for v in lams)):
+            assert ss._is_regular(blk.i, sample), (blk.i, blk.j)
             for row in blk.rows:
-                t = ss.row_tensor(blk.i, blk.j, row.k, sample)
-                b, mu = ss._conjugator_from_coords(blk, cw.basis_coords(blk.m, t))
-                assert _is_regular(blk.i, mu), (blk.i, blk.j, row.k)
-                count += 1
-    assert count == 324
+                assert ss._verify_row(blk, row, sample) == [], (blk.i, blk.j, row.k)
+    blk = ss.block(2, 1)
+    wall = (rat(2), rat(1), rat(1))
+    assert not blk.reality.accepts(wall)
+    assert not ss._is_regular(2, wall)
+    for row in blk.rows:
+        assert [f["check"] for f in ss._verify_row(blk, row, wall)] == ["conjugate"]
+
+
+def test_a_sample_point_that_is_not_regular_is_rejected(monkeypatch):
+    # 2 = 1 + 1 puts the sample point of family 2 on a wall
+    monkeypatch.setitem(ss._SAMPLE_MAGNITUDES, 2, (2, 1, 1))
+    with pytest.raises(ArithmeticError, match="not regular"):
+        ss._witness_table.__wrapped__(2)
 
 
 def test_complex_conjugator_finds_none_off_the_family():
-    blk = ss.block(2, 1)
-    gstar = cw.seven_cartans()[blk.m - 1].gstar
-
-    def at(nu):
-        return act_tensor(gstar, cw.from_basis_coords(1, nu))
-
-    # a regular point: no Weyl image lies in the family's span x4 = 0
-    generic = (rat(7), rat(3), rat(2), rat(1))
-    assert all(ss._extract_parameters(2, cw.w_act_coords(w, generic)) is None
-               for w in cw.weyl_group())
-    assert ss._conjugator_from_coords(blk, cw.basis_coords(blk.m, at(generic))) is None
-    # a wall point of the span: 2 = 1 + 1
-    wall = (rat(2), rat(1), rat(1))
-    assert not _is_regular(2, wall)
-    wall_coords = cw.basis_coords(1, cw.parametrize(2, wall))
-    assert ss._conjugator_from_coords(blk, cw.basis_coords(blk.m, at(wall_coords))) is None
-    # a tensor outside the block's span has no coordinates to search from
-    coeffs = list(at(generic).c)
-    coeffs[1] = ONE  # entry 1 lies off every basis pair
-    assert cw.basis_coords(blk.m, Tensor(tuple(coeffs))) is None
+    # a row with any one column doubled has no Weyl witness; in the coupled
+    # blocks its tensor is not real either
+    cases = 0
+    for blk in ss.blocks():
+        lams = ss.default_lambda(blk.i, blk.j)
+        for row in blk.rows:
+            for col in range(len(row.matrix[0])):
+                matrix = tuple(r[:col] + (rat(2) * r[col],) + r[col + 1:] for r in row.matrix)
+                assert ss._row_witness(blk.i, blk.m, matrix) is None, (blk.i, blk.j, row.k, col)
+                checks = [f["check"] for f in
+                          ss._verify_row(blk, dataclasses.replace(row, matrix=matrix), lams)]
+                coupled = "coupled" in blk.reality.tags
+                assert checks == (["real", "conjugate"] if coupled else ["conjugate"])
+                cases += 1
+    assert cases == 436
 
 
-def test_moved_coords_are_the_coordinates_of_the_group_action():
-    # A·(h_basis·mu) against the basis coordinates of act(b, q(mu)) on all
-    # sixteen entries, at seeded (m, w, family) and parameters with unlike
-    # denominators, some of them zero
-    rng = random.Random(2702)
-    for _ in range(40):
-        m, index, i = rng.randrange(1, 8), rng.randrange(192), rng.randrange(1, 11)
-        params = [random_cyc(rng, 3, 3) for _ in range(cw.subsystem(i).param_count)]
-        if rng.random() < 0.3:
-            params[rng.randrange(len(params))] = ZERO
-        b = ss._lifted_conjugator(m, index)
-        want = cw.basis_coords(m, act_tensor(b, cw.parametrize(i, params)))
-        assert want is not None
-        assert ss._moved_coords(m, index, i, tuple(params)) == want, (m, index, i)
+@pytest.fixture
+def fresh_witnesses():
+    ss._row_witness.cache_clear()
+    yield
+    ss._row_witness.cache_clear()
 
 
-def test_restricted_action_rejects_an_image_outside_the_basis(monkeypatch):
-    # the witness of basis 4 carries u_1 onto a vector of basis 4 that is
-    # outside the span of basis 1
-    other = cw.seven_cartans()[3].gstar
-    assert cw.basis_coords(1, act_tensor(other, cw.seven_cartans()[0].basis[0])) is None
-    monkeypatch.setattr(ss, "_lifted_conjugator", lambda m, w: other)
-    with pytest.raises(ArithmeticError, match="out of basis 1"):
-        ss._restricted_action.__wrapped__(1, 0)
-
-
-def test_a_sign_flip_in_one_restricted_column_fails_conjugate(monkeypatch):
-    # a regular point of family 1 has four nonzero u-coordinates, the values
-    # of the roots 2·e_k, so flipping column k of every restricted action
-    # moves every candidate's image off the row tensor
-    restricted = ss._restricted_action
+def _family_1_rows():
     rows = [(blk.j, row.k) for blk in ss.blocks() if blk.i == 1 for row in blk.rows]
-    for k in range(4):
-        def flipped(m, w, k=k):
-            cols, den = restricted(m, w)
-            return tuple(r[:k] + (r[k] and tuple(-x for x in r[k]),) + r[k + 1:]
-                         for r in cols), den
+    assert len(rows) == 44
+    return rows
 
-        monkeypatch.setattr(ss, "_restricted_action", flipped)
-        for j, row in rows:
+
+def test_a_sign_flip_in_one_restricted_column_fails_conjugate(monkeypatch, fresh_witnesses):
+    # composing each conjugator with the lift of the reflection of u_k flips
+    # the sign of u_k's image; family 1's parameters are its u-coordinates,
+    # so every row's witness check fails
+    lifted = ss._lifted_conjugator
+    for k in range(4):
+        flip = cw.weyl_index(cw.wmat([[-1 if a == b == k else int(a == b) for b in range(4)]
+                                      for a in range(4)]))
+        monkeypatch.setattr(ss, "_lifted_conjugator",
+                            lambda m, w, s=ss.weyl_lift(flip): g_mul(lifted(m, w), s))
+        ss._row_witness.cache_clear()
+        for j, k_row in _family_1_rows():
             with pytest.raises(ss.TableRowError) as exc:
-                ss.check_row(1, j, row)
-            assert exc.value.check == "conjugate", (k, j, row)
+                ss.check_row(1, j, k_row)
+            assert exc.value.check == "conjugate", (k, j, k_row)
     monkeypatch.undo()
-    for j, row in rows:
-        ss.check_row(1, j, row)
+    ss._row_witness.cache_clear()
+    for j, k_row in _family_1_rows():
+        ss.check_row(1, j, k_row)
+
+
+def test_a_conjugator_moved_by_another_element_fails_conjugate(monkeypatch, fresh_witnesses):
+    lifted = ss._lifted_conjugator
+    other = gelt_from_names("M,M,M,M")
+    monkeypatch.setattr(ss, "_lifted_conjugator", lambda m, w: g_mul(lifted(m, w), other))
+    for j, k in _family_1_rows():
+        with pytest.raises(ss.TableRowError) as exc:
+            ss.check_row(1, j, k)
+        assert exc.value.check == "conjugate", (j, k)
 
 
 def test_basis_coords_match_elimination():
