@@ -144,11 +144,12 @@ def invariants_of(t: Tensor) -> InvariantVector:
 
 
 _ETA_COMPLEX = cmath.exp(1j * math.pi / 8)
+_ETA_POWERS = tuple(_ETA_COMPLEX**k for k in range(8))
 
 
 def approx_complex(v: CycNum) -> complex:
     """Floating approximation of a field element (for an ordering only)."""
-    num = sum(n * _ETA_COMPLEX**k for k, n in enumerate(v.nums))
+    num = sum(n * p for n, p in zip(v.nums, _ETA_POWERS))
     return num / v.den
 
 

@@ -223,7 +223,10 @@ class SSTableRow:
     """One classification-table row: class index and coefficient matrix.
 
     ``matrix`` is the exact 4×n coefficient matrix in the family's n
-    parameters, in their order: coordinates = matrix · λ.
+    parameters, in their order: coordinates = matrix · λ.  Its entries are
+    Gaussian rationals, so ``coordinates`` and ``solve`` apply integer rows
+    (d·matrix, and the eliminator N·E) to the numerators of their input
+    (:func:`_apply_gaussian`), with one reduction per result.
     """
 
     k: int
@@ -234,20 +237,23 @@ class SSTableRow:
         n = len(self.matrix[0])
         if len(lams) < n:
             raise ValueError("row needs %d parameters, got %d" % (n, len(lams)))
-        return tuple(la.mat_vec(self.matrix, lams[:n]))
+        rows, den = self._gaussian_rows
+        return _apply_gaussian(rows, den, lams[:n], len(rows))
+
+    @cached_property
+    def _gaussian_rows(self) -> tuple[list, int]:
+        return _gaussian_integers(self.matrix)
 
     @cached_property
     def _gaussian_elim(self) -> tuple[list, int]:
         return _gaussian_eliminator(self.matrix)
 
-    @cached_property
-    def _elim(self) -> tuple:
-        return _field_rows(*self._gaussian_elim)
-
     def solve(self, vec: Sequence[CycNum]) -> tuple | None:
-        """Parameters that reproduce ``vec``, or None when inconsistent."""
-        sol = _eliminate(self._elim, len(self.matrix[0]), vec)
-        return None if sol is None else tuple(sol)
+        """Parameters that reproduce ``vec``, or None when inconsistent: the
+        rows of the eliminator E past the n parameters are the consistency
+        rows, and E·vec must vanish there."""
+        rows, norm = self._gaussian_elim
+        return _apply_gaussian(rows, norm, vec, len(self.matrix[0]))
 
 
 def _gaussian_integers(matrix) -> tuple[list, int]:
@@ -261,18 +267,11 @@ def _gaussian_integers(matrix) -> tuple[list, int]:
     return [[(x[0], x[4]) for x in r] for r in rows], den
 
 
-def _field_rows(rows: list, norm: int) -> tuple:
-    """The rows of Gaussian integers ``(a, b)`` = a + b·i over ``norm`` as
-    rows of field elements, each reduced once."""
-    return tuple(tuple(CycNum.from_numerators((a, 0, 0, 0, b, 0, 0, 0), norm) for a, b in row)
-                 for row in rows)
-
-
 def _gaussian_eliminator(matrix) -> tuple[list, int]:
     """The invertible ``E`` with ``E · matrix = [I_n; 0]``, for n independent
     columns, as rows of Gaussian integers ``(a, b)`` = a + b·i and a
-    positive integer N with E = rows/N (:func:`_field_rows` makes them
-    field elements).
+    positive integer N with E = rows/N, which :func:`_apply_gaussian`
+    applies to a vector of field elements.
 
     Read off the reduced row echelon form of ``[matrix | I]``: with
     independent columns, the first n pivots sit on the columns of
@@ -334,11 +333,35 @@ def _gaussian_quotient(re: int, im: int, q: tuple[int, int]) -> tuple[int, int]:
     return xr, xi
 
 
-def _eliminate(elim: tuple, n: int, vec: Sequence[CycNum]) -> list | None:
-    """The x with ``matrix · x = vec``, from the eliminator of ``matrix``
-    (n columns); None when the consistency rows ``E[n:]`` reject ``vec``."""
-    out = la.mat_vec(elim, vec)
-    return None if any(out[n:]) else out[:n]
+def _apply_gaussian(rows: Sequence, norm: int, vec: Sequence[CycNum], n: int) -> tuple | None:
+    """The first n entries of (rows/norm)·vec for rows of Gaussian integers
+    ``(a, b)`` = a + b·i and norm > 0, or None when a later entry is nonzero.
+
+    Over their common denominator d (:func:`exactfield.common_numerators`)
+    the entries of ``vec`` are integer 8-tuples x, and (a + b·i)·x is
+    a·x + b·(i·x), with i·x = (−x4, −x5, −x6, −x7, x0, x1, x2, x3) the
+    negacyclic shift of x by 4.  Each entry is one
+    ``CycNum.from_numerators`` over d·norm.
+    """
+    nums, den = common_numerators(vec)
+    terms = [(x, (-x[4], -x[5], -x[6], -x[7], x[0], x[1], x[2], x[3])) if x else None
+             for x in nums]
+
+    def numerators(row) -> list[int]:
+        acc = [0] * 8
+        for (a, b), term in zip(row, terms):
+            if term is None:
+                continue
+            x, ix = term
+            if a:
+                acc = [p + a * q for p, q in zip(acc, x)]
+            if b:
+                acc = [p + b * q for p, q in zip(acc, ix)]
+        return acc
+
+    if any(any(numerators(row)) for row in rows[n:]):
+        return None
+    return tuple(CycNum.from_numerators(numerators(row), den * norm) for row in rows[:n])
 
 
 def _compile_row(k: int, exprs: tuple, variables: tuple[str, ...]) -> SSTableRow:
@@ -1598,12 +1621,16 @@ class _Plan:
     for test k): move s takes the coordinates to the row at admissible
     parameters exactly when every test in ``vanish`` vanishes after the move,
     none in ``nonzero`` does and some test of each mask in ``some`` does not.
+    Move s is ``moves[s]/scales[s]``, its integer rows written as Gaussian
+    integers (a, 0) for :func:`_apply_gaussian`.
     """
 
     functionals: tuple[tuple[int, ...], ...]
     via: tuple[tuple[int, ...], ...]
     moved: tuple[tuple[int, ...], ...]
     rows: tuple[tuple, ...]
+    moves: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    scales: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -1631,7 +1658,7 @@ def _plan(m: int) -> _Plan:
             rows.append(
                 (blk, row, mask(vanish), mask(nonzero), tuple(mask(g) for g in some))
             )
-    via, moved = [], []
+    via, moved, moves, scales = [], [], [], []
     for move in _coordinate_moves(m):
         nums, scale = _numerator_rows(move)
         if any(any(x[1:]) for r in nums for x in r):
@@ -1644,7 +1671,10 @@ def _plan(m: int) -> _Plan:
         moved.append(tuple({
             index([mat[a][b] - scale * (a == b) for b in range(4)]) for a in range(4)
         }))
-    return _Plan(tuple(functionals), tuple(via), tuple(moved), tuple(rows))
+        moves.append(tuple(tuple((x, 0) for x in r) for r in mat))
+        scales.append(scale)
+    return _Plan(tuple(functionals), tuple(via), tuple(moved), tuple(rows),
+                 tuple(moves), tuple(scales))
 
 
 def _matches(m: int, coords: tuple) -> list[tuple]:
@@ -1656,7 +1686,6 @@ def _matches(m: int, coords: tuple) -> list[tuple]:
         raise ArithmeticError("basis coordinates are not real")
     plan = _plan(m)
     zero = vanishing_functionals(plan.functionals, coords)
-    moves = _coordinate_moves(m)
     out = []
     for s, tests in enumerate(plan.via):
         z = sum(1 << k for k, f in enumerate(tests) if zero[f])
@@ -1666,7 +1695,7 @@ def _matches(m: int, coords: tuple) -> list[tuple]:
             if vanish & ~z or nonzero & z or any(not g & ~z for g in some):
                 continue
             if vec is None:
-                vec = la.mat_vec(moves[s], coords)
+                vec = _apply_gaussian(plan.moves[s], plan.scales[s], coords, 4)
             lams = row.solve(vec)
             if lams is None:
                 raise ArithmeticError("plan admitted an inconsistent row")
@@ -1684,7 +1713,9 @@ def classify_semisimple(t: Tensor) -> SSOrbitLabel:
     the zero test of a linear functional on the input's coordinates, so the
     basis's plan evaluates its distinct integer functionals once, in integer
     arithmetic, and reads every decision off the resulting zero pattern;
-    parameters are solved only for the matching pairs.
+    parameters are solved only for the matching pairs, each moved vector and
+    each solve one pass of the integer rows of the move or of the row's
+    eliminator over the input's numerators (:func:`_apply_gaussian`).
 
     The result carries the least admissible parameter value over all matches
     (ordered by magnitude, then sign, coordinatewise); among matches at that

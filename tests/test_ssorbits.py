@@ -1,8 +1,11 @@
 """Tests for the semisimple orbit tables, verification, and classification."""
 
+import cmath
 import dataclasses
+import functools
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -691,8 +694,64 @@ def test_row_solve_matches_elimination():
     assert count == 162
 
 
+def _field_rows(rows, norm):
+    # rows of Gaussian integers (a, b) = a + b·i over norm as field elements
+    return tuple(tuple(CycNum.from_numerators((a, 0, 0, 0, b, 0, 0, 0), norm) for a, b in row)
+                 for row in rows)
+
+
 def _field_eliminator(matrix):
-    return ss._field_rows(*ss._gaussian_eliminator(matrix))
+    return _field_rows(*ss._gaussian_eliminator(matrix))
+
+
+def _field_solve(row, vec):
+    # the row's eliminator E as field elements, applied by la.mat_vec: the
+    # reference for the integer kernel of SSTableRow.solve
+    n = len(row.matrix[0])
+    out = la.mat_vec(_field_rows(*row._gaussian_elim), vec)
+    return None if any(out[n:]) else tuple(out[:n])
+
+
+def _irrational_lambda(rng, n):
+    # unlike denominators, and entries q·η^k off the Gaussian rationals
+    return tuple(rat(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+                 * CycNum.eta_power(rng.randrange(16)) for _ in range(n))
+
+
+def test_row_coordinates_match_the_field_product():
+    rng = random.Random(3003)
+    count = 0
+    for blk in ss.blocks():
+        for row in blk.rows:
+            n = len(row.matrix[0])
+            for lams in (ss.default_lambda(blk.i, blk.j), _irrational_lambda(rng, n)):
+                coords = row.coordinates(lams)
+                assert coords == tuple(la.mat_vec(row.matrix, lams)), (blk.i, blk.j, row.k)
+                assert row.solve(coords) == _field_solve(row, coords) == tuple(lams)
+                count += 1
+    assert count == 2 * 162
+
+
+def test_gaussian_kernel_matches_the_field_product():
+    # i·x wraps the upper half of x round with a sign: i·η^5 = −η
+    assert ss._apply_gaussian([[(0, 1)]], 1, (CycNum.eta_power(5),), 1) == (-CycNum.eta_power(1),)
+    rng = random.Random(3004)
+    imaginary = 0
+    for _ in range(150):
+        width = rng.randint(1, 4)
+        rows = [[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(width)]
+                for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            rows.append([(0, 0)] * width)
+        imaginary += any(b for r in rows for _, b in r)
+        norm = rng.randint(1, 6)
+        vec = [rng.choice((ZERO, random_cyc(rng, 5, 6), _irrational_lambda(rng, 1)[0]))
+               for _ in range(width)]
+        out = la.mat_vec(_field_rows(rows, norm), vec)
+        for n in range(len(rows) + 1):
+            want = None if any(out[n:]) else tuple(out[:n])
+            assert ss._apply_gaussian(rows, norm, vec, n) == want
+    assert imaginary > 100
 
 
 def _family_columns(i):
@@ -1238,6 +1297,7 @@ def test_classify_general_position():
 def _reference_classify(t):
     # the row-by-row loop classify_semisimple ran before its plan: every real
     # move against every row, each pair solved and tested in field arithmetic
+    # (la.mat_vec), not by the integer kernel
     if not t.is_real():
         raise ValueError("not a real state")
     if t.is_zero():
@@ -1252,7 +1312,7 @@ def _reference_classify(t):
             moved = 0 if vec == coords else 1
             for blk in ss._blocks_by_basis(m):
                 for row in blk.rows:
-                    lams = row.solve(vec)
+                    lams = _field_solve(row, vec)
                     if lams is None or not blk.reality.accepts(lams):
                         continue
                     candidates.append(
@@ -1329,7 +1389,7 @@ def test_plan_decides_every_pair_like_solve_and_accepts():
                     vec = tuple(la.mat_vec(move, coords))
                     for b in ss._blocks_by_basis(m):
                         for r in b.rows:
-                            sol = r.solve(vec)
+                            sol = _field_solve(r, vec)
                             if sol is not None and b.reality.accepts(sol):
                                 want.add((s, int(vec != coords), b.i, b.j, r.k, sol))
                 got = [(s, moved, b.i, b.j, r.k, sol)
@@ -1338,6 +1398,44 @@ def test_plan_decides_every_pair_like_solve_and_accepts():
                 assert set(got) == want, (blk.i, blk.j, row.k, m)
                 admitted += len(got)
     assert admitted > 162
+
+
+@functools.cache
+def _pinned_labels():
+    # every row at default_lambda, and again after one seeded real move of
+    # its basis
+    rng = random.Random(3001)
+    labels = []
+    for blk in ss.blocks():
+        lams = ss.default_lambda(blk.i, blk.j)
+        for row in blk.rows:
+            coords = row.coordinates(lams)
+            move = rng.choice(ss._coordinate_moves(blk.m))
+            for vec in (coords, tuple(la.mat_vec(move, coords))):
+                labels.append(ss.classify_semisimple(cw.from_basis_coords(blk.m, vec)))
+    return labels
+
+
+def test_labels_are_pinned():
+    # the digest was taken on the classifier that solved and moved in field
+    # arithmetic (la.mat_vec), before the integer kernel
+    labels = [(got.i, got.j, got.k, got.m, [[list(v.nums), v.den] for v in got.lams])
+              for got in _pinned_labels()]
+    assert len(labels) == 324
+    digest = hashlib.sha256(json.dumps(labels).encode()).hexdigest()
+    assert digest == "61c08a75f2d8a4d86dcb3c2d294fd7957432baf9a30b12a65584e57b7eff78f0"
+
+
+def test_approx_complex_table_matches_the_per_term_powers():
+    # the tie-break key reads η^k from a table; the floats must be the ones
+    # the per-term powers give, bit for bit
+    eta = cmath.exp(1j * math.pi / 8)
+    rng = random.Random(3005)
+    values = [v for got in _pinned_labels() for v in got.lams]
+    values += [random_cyc(rng, 10**6, 10**3) for _ in range(200)]
+    for v in values:
+        want = sum(n * eta**k for k, n in enumerate(v.nums)) / v.den
+        assert invariants.approx_complex(v) == want, v
 
 
 @pytest.fixture
