@@ -99,26 +99,13 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     return x
 
 
-def det(a: Mat) -> CycNum:
-    """Determinant by Laplace expansion along the first row, without division.
-
-    The entries are brought to one denominator D once
-    (:func:`exactfield.common_numerators`), the expansion runs on their
-    integer numerators, and the result is their determinant over D^n,
-    reduced once.  Zero entries of the row are skipped, so the sparse
-    flattenings of diagonalizable tensors expand into few minors; no field
-    element is inverted.  Meant for the small matrices of the invariants
-    (4×4): the cost grows as n!.
-    """
-    n = len(a)
-    nums, den = common_numerators(x for row in a for x in row)
-    out = det_numerators([nums[r * n:(r + 1) * n] for r in range(n)])
-    return ZERO if out is None else CycNum.from_numerators(out, den ** n)
-
-
 def det_numerators(rows: list) -> list[int] | tuple[int, ...] | None:
-    """The determinant of a matrix of integer 8-tuples (None for zero), the
-    numerator of :func:`det` over the entries' common denominator."""
+    """The determinant of a matrix of integer 8-tuples (None for zero) by
+    Laplace expansion along the first row, without division: the numerator
+    of the determinant over the n-th power of the entries' common
+    denominator.  Zero entries of the row are skipped, so the sparse
+    flattenings of diagonalizable tensors expand into few minors.  Meant for
+    the small matrices of the invariants (4×4): the cost grows as n!."""
     if len(rows) == 1:
         return rows[0][0]
     acc = [0] * 8

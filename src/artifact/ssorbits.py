@@ -5,14 +5,14 @@ forms of the diagonalizable subspace; its orbit under the real group is
 pinned down by three indices: the family ``i`` of its complex orbit, the
 real-form class ``j`` of the Cartan subspace containing it, and a finite
 cohomology class ``k`` distinguishing real orbits inside one complex
-orbit.  This module stores the classification tables with each row's
-four coordinate entries as the paper prints them, except the rows
-(10, 1, 2) and (10, 2, 2).  The paper prints those in 2/l1, so at l1 they
-lie over q(4/l1); they are written in mu = 4/l1, which maps the nonzero
-real (imaginary) l1 onto themselves.  So every row is linear in its
-parameters, and every row of a block at l1 lies over q(l1).  It reads every
-entry with Python's own parser into an exact coefficient matrix, and
-provides:
+orbit.  This module stores each table row as its Weyl witness w (Vinberg's
+θ-group theory): the row's tensor is act(gstar·lift(w)⁻¹, q(λ)) for the
+family's canonical element q, with coordinates diag(tau_m)⁻¹·W[w]⁻¹·H_i·λ
+in the real basis m, generated as an exact coefficient matrix.  The paper
+prints the rows (10, 1, 2) and (10, 2, 2) in 2/l1; at l1 they lie over
+q(4/l1), so they come out in mu = 4/l1, which maps the nonzero real
+(imaginary) l1 onto themselves.  So every row is linear in its parameters,
+and every row of a block at l1 lies over q(l1).  The module provides:
 
 * ``reality_pattern(i, j)`` — the admissible-parameter test for a block;
 * ``real_point(i, j, lams)`` — a real point of the block with its witness;
@@ -26,15 +26,13 @@ All arithmetic is exact, over the degree-8 cyclotomic field.
 
 from __future__ import annotations
 
-import ast
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 from typing import Sequence
 
-from . import _linalg as la
 from . import cartanweyl as cw
 from . import galois
 from . import invariants
@@ -150,86 +148,24 @@ _CARTAN_NAMES = ("u", "v", "w", "x", "y", "z", "t")
 # ---------------------------------------------------------------------------
 # table rows
 # ---------------------------------------------------------------------------
-#
-# Row entries are printed strings like "(-l1+l2-l3+l4)/2" or "i*l3".
-# Python's parser reads each one; the walk below accepts integers, the name
-# i, the family's parameters, unary minus, + and -, * by a constant and / by
-# a rational constant, and evaluates the entry to a linear form
-# {name: coefficient} in the parameters.  The key "" holds the constant
-# term, which must vanish.
-
-
-def _add_forms(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for name, coeff in b.items():
-        out[name] = out.get(name, ZERO) + coeff
-    return {name: c for name, c in out.items() if c}
-
-
-def _constant(form: dict) -> CycNum | None:
-    """The value of a form without parameters, else None."""
-    return form.get("", ZERO) if set(form) <= {""} else None
-
-
-def _form(node: ast.AST, variables: tuple[str, ...], text: str) -> dict:
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return {"": rat(node.value)} if node.value else {}
-    if isinstance(node, ast.Name) and node.id == "i":
-        return {"": IMAG}
-    if isinstance(node, ast.Name) and node.id in variables:
-        return {node.id: ONE}
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return {name: -c for name, c in _form(node.operand, variables, text).items()}
-    if not (isinstance(node, ast.BinOp)
-            and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div))):
-        raise ValueError("unsupported %s in table entry %r"
-                         % (type(getattr(node, "op", node)).__name__, text))
-    a = _form(node.left, variables, text)
-    b = _form(node.right, variables, text)
-    if isinstance(node.op, ast.Add):
-        return _add_forms(a, b)
-    if isinstance(node.op, ast.Sub):
-        return _add_forms(a, {name: -c for name, c in b.items()})
-    if isinstance(node.op, ast.Mult):
-        c, form = _constant(a), b
-        if c is None:
-            c, form = _constant(b), a
-        if c is None:
-            raise ValueError("nonlinear product in table entry %r" % text)
-        return {name: v * c for name, v in form.items()} if c else {}
-    c = _constant(b)
-    if c is None or not c.is_rational():
-        raise ValueError("unsupported quotient in table entry %r" % text)
-    if not c:
-        raise ValueError("division by zero in table entry %r" % text)
-    q = 1 / c.to_fraction()
-    return {name: v.scale(q) for name, v in a.items()}
-
-
-def _parse_entry(text: str, variables: tuple[str, ...]) -> dict:
-    """The linear form of one printed entry, without its zero constant."""
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError("unreadable table entry %r" % text) from exc
-    form = _form(tree.body, variables, text)
-    if form.pop("", ZERO):
-        raise ValueError("nonzero constant term in table entry %r" % text)
-    return form
 
 
 @dataclass(frozen=True)
 class SSTableRow:
-    """One classification-table row: class index and coefficient matrix.
+    """One classification-table row: class index, Weyl witness and
+    coefficient matrix.
 
-    ``matrix`` is the exact 4×n coefficient matrix in the family's n
-    parameters, in their order: coordinates = matrix · λ.  Its entries are
-    Gaussian rationals, so ``coordinates`` and ``solve`` apply integer rows
+    ``w``, the least element of its coset W_Pi(i)·w in
+    :func:`cartanweyl.weyl_group`, generates ``matrix``
+    (:func:`_row_matrix`), the exact 4×n coefficient matrix in the family's
+    n parameters: coordinates = matrix · λ.  Its entries are Gaussian
+    rationals, so ``coordinates`` and ``solve`` apply integer rows
     (d·matrix, and the eliminator N·E) to the numerators of their input
     (:func:`_apply_gaussian`), with one reduction per result.
     """
 
     k: int
+    w: int
     matrix: tuple
 
     def coordinates(self, lams: Sequence[CycNum]) -> tuple:
@@ -364,16 +300,51 @@ def _apply_gaussian(rows: Sequence, norm: int, vec: Sequence[CycNum], n: int) ->
     return tuple(CycNum.from_numerators(numerators(row), den * norm) for row in rows[:n])
 
 
-def _compile_row(k: int, exprs: tuple, variables: tuple[str, ...]) -> SSTableRow:
-    """Compile the four printed entries of row ``k`` to its coefficient matrix."""
-    forms = [_parse_entry(e, variables) for e in exprs]
-    if {name for form in forms for name in form} != set(variables):
-        raise ValueError("row %d must use every family parameter: %r" % (k, exprs))
-    matrix = tuple(tuple(form.get(v, ZERO) for v in variables) for form in forms)
-    # the columns are independent exactly when some maximal minor is nonzero
-    if not any(map(la.det, combinations(matrix, len(variables)))):
-        raise ValueError("row %d has linearly dependent columns" % k)
-    return SSTableRow(k=k, matrix=matrix)
+@lru_cache(maxsize=1)
+def _doubled_inverses() -> tuple:
+    """Twice W[w]⁻¹ as integer rows for each index w, from ``weyl_table()``."""
+    weyl = cw.weyl_table()
+    doubled = {w: rows for rows, w in weyl.index.items()}
+    return tuple(doubled[weyl.inv[w]] for w in range(len(doubled)))
+
+
+@lru_cache(maxsize=None)
+def _inverse_twists(m: int) -> tuple[list, int]:
+    """The numerators of tau_a⁻¹ over their common denominator, for the
+    twist factors tau of basis m (:func:`cartanweyl.twist_factors`)."""
+    return common_numerators(t.inverse() for t in cw.twist_factors(m))
+
+
+def _row_matrix(i: int, m: int, w: int) -> tuple:
+    """The coefficients diag(tau)⁻¹·W[w]⁻¹·H of act(b_w, q(λ)) in basis m
+    (:func:`_lifted_conjugator`), for H family i's ``h_basis`` as columns:
+    gstar⁻¹ takes the a-th vector of basis m to tau_a·u_a.  Entry (a, l) is
+    the integer c = 2·(W[w]⁻¹·H)_al (:func:`_doubled_inverses`) times the
+    numerators of tau_a⁻¹ (:func:`_inverse_twists`), over twice their
+    denominator."""
+    nums, den = _inverse_twists(m)
+    h_basis = cw.subsystem(i).h_basis
+    return tuple(
+        tuple(CycNum.from_numerators([c * x for x in tau], 2 * den)
+              for c in (sum(r * h for r, h in zip(row, vec)) for vec in h_basis))
+        for row, tau in zip(_doubled_inverses()[w], nums)
+    )
+
+
+def _table_rows(i: int, j: int, m: int, witnesses: Sequence[int]) -> tuple[SSTableRow, ...]:
+    """The rows k = 1, 2, … of block (i, j) on basis m from their Weyl
+    witnesses.  Raises ``ValueError`` naming the row for a witness that is
+    not the least of its coset W_Pi(i)·w, or for two rows in one coset."""
+    mul = cw.weyl_table().mul
+    for k, w in enumerate(witnesses, 1):
+        if min(mul[p][w] for p in cw.w_pi_group(i)) != w:
+            raise ValueError("block (%d, %d): row %d: witness %d is not the least of its coset"
+                             % (i, j, k, w))
+        if w in witnesses[:k - 1]:
+            raise ValueError("block (%d, %d): row %d has the same W_Pi coset as row %d"
+                             % (i, j, k, witnesses.index(w) + 1))
+    return tuple(SSTableRow(k=k, w=w, matrix=_row_matrix(i, m, w))
+                 for k, w in enumerate(witnesses, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -446,505 +417,322 @@ def _plus_minus_rows(n: int) -> tuple[tuple[int, ...], ...]:
 # ``n`` and its witness ``g`` (as comma-separated named 2×2 factors, with
 # ``Dk`` denoting diag(eta^k, eta^-k)), the finite list ``zs`` of
 # stabilizer cocycles, per-parameter reality ``tags``, ``avoid`` rows and
-# the row formulas.  Each row is four coordinate entries in the family's
-# ``vars``, kept as the paper prints them but for the second rows of
-# family 10: printed in 2/l1, they are stored in mu = 4/l1 (see the module
-# docstring), with the printed form beside them.  ``blocks()`` compiles
-# every row once to an ``SSTableRow`` (see ``_compile_row``).
+# the rows k = 1, 2, …, each as its Weyl witness w, the least element of
+# its coset W_Pi(i)·w, from which ``blocks()`` generates the row's matrix
+# (see ``_row_matrix``); ``artifact table`` prints the rows' entries.
 
 _Z_COMMON = ("I,I,I,I", "-I,-I,I,I", "-I,I,-I,I", "I,-I,-I,I")
 
-_NATIVE: dict[int, dict] = {
-    1: {
-        "vars": ("l1", "l2", "l3", "l4"),
-        "blocks": (
-            dict(
-                j=1,
-                m=1,
-                gamma=(1, 1, 1, 1),
-                n="I,I,I,I",
-                g="I,I,I,I",
-                zs=(
-                    "I,I,I,I", "I,I,-I,-I", "I,-I,I,-I", "I,-I,-I,I",
-                    "K,K,K,K", "K,K,-K,-K", "K,-K,K,-K", "K,-K,-K,K",
-                    "L,L,L,L", "L,L,-L,-L", "L,-L,L,-L", "L,-L,-L,L",
-                ),
-                tags=("real",) * 4,
-                avoid=_plus_minus_rows(4),
-                rows=(
-                    ("l1", "l2", "l3", "l4"),
-                    ("-l1", "l2", "l3", "-l4"),
-                    ("-l1", "l2", "-l3", "l4"),
-                    ("-l1", "-l2", "l3", "l4"),
-                    ("(-l1-l2-l3-l4)/2", "(l1+l2-l3-l4)/2",
-                     "(l1-l2+l3-l4)/2", "(l1-l2-l3+l4)/2"),
-                    ("(-l1+l2+l3-l4)/2", "(-l1+l2-l3+l4)/2",
-                     "(-l1-l2+l3+l4)/2", "(l1+l2+l3+l4)/2"),
-                    ("(-l1+l2-l3+l4)/2", "(-l1+l2+l3-l4)/2",
-                     "(l1+l2+l3+l4)/2", "(-l1-l2+l3+l4)/2"),
-                    ("(-l1-l2+l3+l4)/2", "(l1+l2+l3+l4)/2",
-                     "(-l1+l2+l3-l4)/2", "(-l1+l2-l3+l4)/2"),
-                    ("-l1", "l2", "l3", "l4"),
-                    ("l1", "l2", "l3", "-l4"),
-                    ("l1", "l2", "-l3", "l4"),
-                    ("l1", "-l2", "l3", "l4"),
-                ),
+_NATIVE: dict[int, tuple[dict, ...]] = {
+    1: (
+        dict(
+            j=1,
+            m=1,
+            gamma=(1, 1, 1, 1),
+            n="I,I,I,I",
+            g="I,I,I,I",
+            zs=(
+                "I,I,I,I", "I,I,-I,-I", "I,-I,I,-I", "I,-I,-I,I",
+                "K,K,K,K", "K,K,-K,-K", "K,-K,K,-K", "K,-K,-K,K",
+                "L,L,L,L", "L,L,-L,-L", "L,-L,L,-L", "L,-L,-L,L",
             ),
-            dict(
-                j=2,
-                m=2,
-                gamma=(-1, -1, -1, -1),
-                n="-I,I,I,I",
-                g="L,I,I,I",
-                zs=(
-                    "I,I,I,I", "-I,-I,I,I", "I,-I,I,-I", "-I,I,I,-I",
-                    "K,K,K,-K", "-K,-K,-K,K", "K,-K,K,K", "-K,K,K,K",
-                    "-L,-L,-L,-L", "L,L,-L,-L", "-L,L,-L,L", "L,-L,-L,L",
-                ),
-                tags=("imaginary",) * 4,
-                avoid=_plus_minus_rows(4),
-                rows=(
-                    ("i*l1", "i*l2", "i*l3", "i*l4"),
-                    ("-i*l1", "i*l2", "i*l3", "-i*l4"),
-                    ("-i*l1", "i*l2", "-i*l3", "i*l4"),
-                    ("-i*l1", "-i*l2", "i*l3", "i*l4"),
-                    ("i*(-l1-l2+l3+l4)/2", "i*(l1+l2+l3+l4)/2",
-                     "i*(-l1+l2+l3-l4)/2", "i*(-l1+l2-l3+l4)/2"),
-                    ("i*(-l1+l2-l3+l4)/2", "i*(-l1+l2+l3-l4)/2",
-                     "i*(l1+l2+l3+l4)/2", "i*(-l1-l2+l3+l4)/2"),
-                    ("i*(-l1+l2+l3-l4)/2", "i*(-l1+l2-l3+l4)/2",
-                     "i*(-l1-l2+l3+l4)/2", "i*(l1+l2+l3+l4)/2"),
-                    ("i*(-l1-l2-l3-l4)/2", "i*(l1+l2-l3-l4)/2",
-                     "i*(l1-l2+l3-l4)/2", "i*(l1-l2-l3+l4)/2"),
-                    ("-i*l1", "i*l2", "i*l3", "i*l4"),
-                    ("i*l1", "i*l2", "i*l3", "-i*l4"),
-                    ("i*l1", "i*l2", "-i*l3", "i*l4"),
-                    ("i*l1", "-i*l2", "i*l3", "i*l4"),
-                ),
-            ),
-            dict(
-                j=3,
-                m=3,
-                gamma=(-1, -1, -1, 1),
-                n="M,M,-N,N",
-                g="D5,D5,-D3,-D7",
-                zs=("-I,-I,-I,-I", "-I,-I,I,I", "-I,I,-I,I", "-I,I,I,-I"),
-                tags=("imaginary", "imaginary", "imaginary", "real"),
-                avoid=((1, 1, 1, 0), (1, 1, -1, 0),
-                       (1, -1, 1, 0), (1, -1, -1, 0)),
-                rows=(
-                    ("i*l1", "i*l2", "-i*l3", "l4"),
-                    ("-i*l1", "i*l2", "-i*l3", "-l4"),
-                    ("-i*l1", "i*l2", "i*l3", "l4"),
-                    ("-i*l1", "-i*l2", "-i*l3", "l4"),
-                ),
-            ),
-            dict(
-                j=4,
-                m=4,
-                gamma=(-1, -1, 1, 1),
-                n="L,I,I,L",
-                g="M,I,I,M",
-                zs=("I,I,I,I", "I,I,-I,-I", "L,L,L,L", "L,L,-L,-L"),
-                tags=("imaginary", "imaginary", "real", "real"),
-                avoid=((1, 1, 0, 0), (1, -1, 0, 0)),
-                rows=(
-                    ("-i*l1", "-i*l2", "l3", "l4"),
-                    ("i*l1", "-i*l2", "l3", "-l4"),
-                    ("i*l1", "-i*l2", "l3", "l4"),
-                    ("-i*l1", "-i*l2", "l3", "-l4"),
-                ),
-            ),
-            dict(
-                j=5,
-                m=5,
-                gamma=(-1, 1, -1, 1),
-                n="I,L,I,L",
-                g="I,M,I,M",
-                zs=("I,I,I,I", "I,I,-I,-I", "L,L,L,L", "L,L,-L,-L"),
-                tags=("imaginary", "real", "imaginary", "real"),
-                avoid=((1, 0, 1, 0), (1, 0, -1, 0)),
-                rows=(
-                    ("-i*l1", "l2", "i*l3", "l4"),
-                    ("i*l1", "l2", "i*l3", "-l4"),
-                    ("i*l1", "l2", "i*l3", "l4"),
-                    ("-i*l1", "l2", "i*l3", "-l4"),
-                ),
-            ),
-            dict(
-                j=6,
-                m=6,
-                gamma=(-1, 1, 1, -1),
-                n="I,I,L,L",
-                g="I,I,M,M",
-                zs=("I,I,I,I", "I,-I,I,-I", "L,L,L,L", "L,-L,L,-L"),
-                tags=("imaginary", "real", "real", "imaginary"),
-                avoid=((1, 0, 0, 1), (1, 0, 0, -1)),
-                rows=(
-                    ("-i*l1", "l2", "l3", "i*l4"),
-                    ("i*l1", "l2", "-l3", "i*l4"),
-                    ("i*l1", "l2", "l3", "i*l4"),
-                    ("-i*l1", "l2", "-l3", "i*l4"),
-                ),
-            ),
-            dict(
-                j=7,
-                m=7,
-                gamma=(-1, 1, 1, 1),
-                n="M,M,M,M",
-                g="D5,D5,D5,D5",
-                zs=("I,I,I,I", "I,I,-I,-I", "I,-I,I,-I", "I,-I,-I,I"),
-                tags=("imaginary", "real", "real", "real"),
-                avoid=(),
-                rows=(
-                    ("i*l1", "l2", "l3", "l4"),
-                    ("-i*l1", "l2", "l3", "-l4"),
-                    ("-i*l1", "l2", "-l3", "l4"),
-                    ("-i*l1", "-l2", "l3", "l4"),
-                ),
-            ),
+            tags=("real",) * 4,
+            avoid=_plus_minus_rows(4),
+            rows=(191, 6, 5, 3, 64, 22, 29, 43, 7, 190, 189, 187),
         ),
-    },
-    2: {
-        "vars": ("l1", "l2", "l3"),
-        "blocks": (
-            dict(
-                j=1,
-                m=1,
-                gamma=(1, 1, 1, 1),
-                n="I,I,I,I",
-                g="I,I,I,I",
-                zs=_Z_COMMON + ("-K,-K,K,K", "K,K,K,K", "K,-K,-K,K", "-K,K,-K,K"),
-                tags=("real",) * 3,
-                avoid=_plus_minus_rows(3),
-                rows=(
-                    ("l1", "l2", "l3", "0"),
-                    ("-l1", "l2", "l3", "0"),
-                    ("-l1", "l2", "-l3", "0"),
-                    ("-l1", "-l2", "l3", "0"),
-                    ("(-l1+l2+l3)/2", "(-l1+l2-l3)/2",
-                     "(-l1-l2+l3)/2", "(l1+l2+l3)/2"),
-                    ("(-l1-l2-l3)/2", "(l1+l2-l3)/2",
-                     "(l1-l2+l3)/2", "(l1-l2-l3)/2"),
-                    ("(-l1-l2+l3)/2", "(l1+l2+l3)/2",
-                     "(-l1+l2+l3)/2", "(-l1+l2-l3)/2"),
-                    ("(-l1+l2-l3)/2", "(-l1+l2+l3)/2",
-                     "(l1+l2+l3)/2", "(-l1-l2+l3)/2"),
-                ),
+        dict(
+            j=2,
+            m=2,
+            gamma=(-1, -1, -1, -1),
+            n="-I,I,I,I",
+            g="L,I,I,I",
+            zs=(
+                "I,I,I,I", "-I,-I,I,I", "I,-I,I,-I", "-I,I,I,-I",
+                "K,K,K,-K", "-K,-K,-K,K", "K,-K,K,K", "-K,K,K,K",
+                "-L,-L,-L,-L", "L,L,-L,-L", "-L,L,-L,L", "L,-L,-L,L",
             ),
-            dict(
-                j=2,
-                m=6,
-                gamma=(1, -1, -1, 1),
-                n="I,I,L,-L",
-                g="I,I,M,D2",
-                zs=_Z_COMMON,
-                tags=("real", "imaginary", "imaginary"),
-                avoid=(),
-                rows=(
-                    ("-i*l3", "0", "l1", "-i*l2"),
-                    ("i*l3", "0", "l1", "i*l2"),
-                    ("i*l3", "0", "-l1", "-i*l2"),
-                    ("i*l3", "0", "l1", "-i*l2"),
-                ),
-            ),
-            dict(
-                j=3,
-                m=5,
-                gamma=(1, -1, 1, -1),
-                n="I,L,I,-L",
-                g="I,M,I,D2",
-                zs=_Z_COMMON,
-                tags=("real", "imaginary", "real"),
-                avoid=((1, 0, 1), (1, 0, -1)),
-                rows=(
-                    ("0", "-l3", "-i*l2", "l1"),
-                    ("0", "-l3", "-i*l2", "-l1"),
-                    ("0", "-l3", "i*l2", "l1"),
-                    ("0", "l3", "-i*l2", "l1"),
-                ),
-            ),
-            dict(
-                j=4,
-                m=4,
-                gamma=(-1, -1, 1, 1),
-                n="L,I,I,L",
-                g="M,I,I,M",
-                zs=_Z_COMMON,
-                tags=("imaginary", "imaginary", "real"),
-                avoid=((1, 1, 0), (1, -1, 0)),
-                rows=(
-                    ("-i*l1", "-i*l2", "l3", "0"),
-                    ("i*l1", "-i*l2", "l3", "0"),
-                    ("i*l1", "-i*l2", "-l3", "0"),
-                    ("i*l1", "i*l2", "l3", "0"),
-                ),
-            ),
-            dict(
-                j=5,
-                m=4,
-                gamma=(1, 1, -1, -1),
-                n="L,I,I,-L",
-                g="M,I,I,N",
-                zs=_Z_COMMON,
-                tags=("real", "real", "imaginary"),
-                avoid=((1, 1, 0), (1, -1, 0)),
-                rows=(
-                    ("0", "i*l3", "-l2", "l1"),
-                    ("0", "i*l3", "-l2", "-l1"),
-                    ("0", "i*l3", "l2", "l1"),
-                    ("0", "-i*l3", "-l2", "l1"),
-                ),
-            ),
-            dict(
-                j=6,
-                m=5,
-                gamma=(-1, 1, -1, 1),
-                n="I,L,I,L",
-                g="I,M,I,M",
-                zs=_Z_COMMON,
-                tags=("imaginary", "real", "imaginary"),
-                avoid=((1, 0, 1), (1, 0, -1)),
-                rows=(
-                    ("-i*l1", "l2", "i*l3", "0"),
-                    ("i*l1", "l2", "i*l3", "0"),
-                    ("i*l1", "l2", "-i*l3", "0"),
-                    ("i*l1", "-l2", "i*l3", "0"),
-                ),
-            ),
-            dict(
-                j=7,
-                m=6,
-                gamma=(-1, 1, 1, -1),
-                n="I,I,L,L",
-                g="I,I,M,M",
-                zs=_Z_COMMON,
-                tags=("imaginary", "real", "real"),
-                avoid=((1, 0, 1), (1, 0, -1)),
-                rows=(
-                    ("-i*l1", "l2", "l3", "0"),
-                    ("i*l1", "l2", "l3", "0"),
-                    ("i*l1", "l2", "-l3", "0"),
-                    ("i*l1", "-l2", "l3", "0"),
-                ),
-            ),
-            dict(
-                j=8,
-                m=2,
-                gamma=(-1, -1, -1, -1),
-                n="-I,I,I,I",
-                g="L,I,I,I",
-                zs=_Z_COMMON + ("K,-K,K,K", "-K,K,K,K", "-K,-K,-K,K", "K,K,-K,K"),
-                tags=("imaginary",) * 3,
-                avoid=_plus_minus_rows(3),
-                rows=(
-                    ("-i*l1", "-i*l2", "-i*l3", "0"),
-                    ("i*l1", "-i*l2", "-i*l3", "0"),
-                    ("i*l1", "-i*l2", "i*l3", "0"),
-                    ("i*l1", "i*l2", "-i*l3", "0"),
-                    ("i*(l1-l2-l3)/2", "i*(l1-l2+l3)/2",
-                     "i*(l1+l2-l3)/2", "i*(-l1-l2-l3)/2"),
-                    ("i*(l1+l2+l3)/2", "i*(-l1-l2+l3)/2",
-                     "i*(-l1+l2-l3)/2", "i*(-l1+l2+l3)/2"),
-                    ("i*(l1+l2-l3)/2", "i*(-l1-l2-l3)/2",
-                     "i*(l1-l2-l3)/2", "i*(l1-l2+l3)/2"),
-                    ("i*(l1-l2+l3)/2", "i*(l1-l2-l3)/2",
-                     "i*(-l1-l2-l3)/2", "i*(l1+l2-l3)/2"),
-                ),
-            ),
+            tags=("imaginary",) * 4,
+            avoid=_plus_minus_rows(4),
+            rows=(191, 6, 5, 3, 43, 29, 22, 64, 7, 190, 189, 187),
         ),
-    },
-    3: {
-        "vars": ("l1", "l2"),
-        "blocks": (
-            dict(
-                j=1,
-                m=1,
-                gamma=(1, 1, 1, 1),
-                n="I,I,I,I",
-                g="I,I,I,I",
-                zs=_Z_COMMON,
-                tags=("real", "real"),
-                avoid=((1, 1),),
-                rows=(
-                    ("l1+l2", "-l1", "-l2", "0"),
-                    ("-l1-l2", "-l1", "-l2", "0"),
-                    ("-l1-l2", "-l1", "l2", "0"),
-                    ("-l1-l2", "l1", "-l2", "0"),
-                ),
-            ),
-            dict(
-                j=2,
-                m=2,
-                gamma=(-1, -1, -1, -1),
-                n="-I,I,I,I",
-                g="L,I,I,I",
-                zs=_Z_COMMON,
-                tags=("imaginary", "imaginary"),
-                avoid=((1, 1),),
-                rows=(
-                    ("i*(l1+l2)", "-i*l1", "-i*l2", "0"),
-                    ("-i*(l1+l2)", "-i*l1", "-i*l2", "0"),
-                    ("-i*(l1+l2)", "-i*l1", "i*l2", "0"),
-                    ("-i*(l1+l2)", "i*l1", "-i*l2", "0"),
-                ),
-            ),
+        dict(
+            j=3,
+            m=3,
+            gamma=(-1, -1, -1, 1),
+            n="M,M,-N,N",
+            g="D5,D5,-D3,-D7",
+            zs=("-I,-I,-I,-I", "-I,-I,I,I", "-I,I,-I,I", "-I,I,I,-I"),
+            tags=("imaginary", "imaginary", "imaginary", "real"),
+            avoid=((1, 1, 1, 0), (1, 1, -1, 0),
+                   (1, -1, 1, 0), (1, -1, -1, 0)),
+            rows=(191, 6, 5, 3),
         ),
-    },
-    4: {
-        "vars": ("l1", "l4"),
-        "blocks": (
-            dict(
-                j=1,
-                m=1,
-                gamma=(1, 1, 1, 1),
-                n="I,I,I,I",
-                g="I,I,I,I",
-                zs=("I,I,I,I", "-I,I,-I,I", "-K,K,-K,K",
-                    "-K,K,K,-K", "K,K,K,K", "K,K,-K,-K"),
-                tags=("real", "real"),
-                avoid=((1, 1), (1, -1)),
-                rows=(
-                    ("l1", "0", "0", "l4"),
-                    ("-l1", "0", "0", "l4"),
-                    ("(-l1+l4)/2", "(-l1-l4)/2", "(l1+l4)/2", "(-l1+l4)/2"),
-                    ("(-l1+l4)/2", "(l1+l4)/2", "(-l1-l4)/2", "(-l1+l4)/2"),
-                    ("(-l1-l4)/2", "(l1-l4)/2", "(l1-l4)/2", "(l1+l4)/2"),
-                    ("(-l1-l4)/2", "(-l1+l4)/2", "(-l1+l4)/2", "(l1+l4)/2"),
-                ),
-            ),
-            dict(
-                j=2,
-                m=7,
-                gamma=(-1, 1, 1, 1),
-                n="M,M,M,M",
-                g="D5,D5,D5,D5",
-                zs=("I,I,I,I", "-I,I,-I,I"),
-                tags=("imaginary", "real"),
-                avoid=(),
-                rows=(
-                    ("i*l1", "0", "0", "l4"),
-                    ("-i*l1", "0", "0", "l4"),
-                ),
-            ),
-            dict(
-                j=3,
-                m=2,
-                gamma=(-1, 1, 1, -1),
-                n="I,I,L,L",
-                g="I,I,M,M",
-                zs=("I,I,I,I", "-I,-I,I,I", "-K,K,-K,-K",
-                    "K,K,K,-K", "-K,K,K,K", "K,K,-K,K"),
-                tags=("imaginary", "imaginary"),
-                avoid=((1, 1), (1, -1)),
-                rows=(
-                    ("-i*l1", "0", "0", "i*l4"),
-                    ("i*l1", "0", "0", "i*l4"),
-                    ("i*(-l1-l4)/2", "i*(-l1+l4)/2",
-                     "i*(-l1+l4)/2", "i*(l1+l4)/2"),
-                    ("i*(-l1+l4)/2", "i*(l1+l4)/2",
-                     "i*(-l1-l4)/2", "i*(-l1+l4)/2"),
-                    ("i*(-l1-l4)/2", "i*(l1-l4)/2",
-                     "i*(l1-l4)/2", "i*(l1+l4)/2"),
-                    ("i*(-l1+l4)/2", "i*(-l1-l4)/2",
-                     "i*(l1+l4)/2", "i*(-l1+l4)/2"),
-                ),
-            ),
-            dict(
-                j=4,
-                m=6,
-                gamma=((0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0)),
-                n="L,L,-K,K",
-                g="M,M,F,LF",
-                zs=("I,I,I,I", "-I,I,-I,I", "-K,-K,-L,-L", "K,-K,L,-L"),
-                tags=("coupled", "coupled"),
-                avoid=((1, 1), (1, -1)),
-                rows=(
-                    ("-i*(l1+l4)/2", "(l1-l4)/2", "(-l1+l4)/2", "-i*(l1+l4)/2"),
-                    ("i*(l1+l4)/2", "(l1-l4)/2", "(l1-l4)/2", "-i*(l1+l4)/2"),
-                    ("i*(l1+l4)/2", "(l1-l4)/2", "(-l1+l4)/2", "-i*(l1+l4)/2"),
-                    ("-i*(l1+l4)/2", "(l1-l4)/2", "(l1-l4)/2", "-i*(l1+l4)/2"),
-                ),
-            ),
+        dict(
+            j=4,
+            m=4,
+            gamma=(-1, -1, 1, 1),
+            n="L,I,I,L",
+            g="M,I,I,M",
+            zs=("I,I,I,I", "I,I,-I,-I", "L,L,L,L", "L,L,-L,-L"),
+            tags=("imaginary", "imaginary", "real", "real"),
+            avoid=((1, 1, 0, 0), (1, -1, 0, 0)),
+            rows=(191, 6, 7, 190),
         ),
-    },
-    7: {
-        "vars": ("l1",),
-        "blocks": (
-            dict(
-                j=1,
-                m=1,
-                gamma=(1, 1, 1, 1),
-                n="I,I,I,I",
-                g="I,I,I,I",
-                zs=("I,I,I,I", "-I,I,-I,I"),
-                tags=("real",),
-                avoid=(),
-                rows=(
-                    ("l1", "0", "0", "-l1"),
-                    ("-l1", "0", "0", "-l1"),
-                ),
-            ),
-            dict(
-                j=2,
-                m=2,
-                gamma=(-1, -1, -1, -1),
-                n="-I,I,I,I",
-                g="L,I,I,I",
-                zs=("I,I,I,I", "-I,I,-I,I"),
-                tags=("imaginary",),
-                avoid=(),
-                rows=(
-                    ("i*l1", "0", "0", "-i*l1"),
-                    ("-i*l1", "0", "0", "-i*l1"),
-                ),
-            ),
+        dict(
+            j=5,
+            m=5,
+            gamma=(-1, 1, -1, 1),
+            n="I,L,I,L",
+            g="I,M,I,M",
+            zs=("I,I,I,I", "I,I,-I,-I", "L,L,L,L", "L,L,-L,-L"),
+            tags=("imaginary", "real", "imaginary", "real"),
+            avoid=((1, 0, 1, 0), (1, 0, -1, 0)),
+            rows=(191, 6, 7, 190),
         ),
-    },
-    10: {
-        "vars": ("l1",),
-        "blocks": (
-            dict(
-                j=1,
-                m=1,
-                gamma=(1, 1, 1, 1),
-                n="I,I,I,I",
-                g="I,I,I,I",
-                zs=("I,I,I,I", "K,K,K,K", "-K,K,K,-K", "-K,K,-K,K", "K,K,-K,-K"),
-                tags=("real",),
-                avoid=(),
-                rows=(
-                    ("l1", "0", "0", "0"),
-                    # printed ("-2/l1", "2/l1", "2/l1", "2/l1"), here in mu = 4/l1
-                    ("-l1/2", "l1/2", "l1/2", "l1/2"),
-                ),
-            ),
-            dict(
-                j=2,
-                m=2,
-                gamma=(-1, -1, -1, -1),
-                n="-I,I,I,I",
-                g="L,I,I,I",
-                zs=("I,I,I,I", "-K,K,K,K", "K,K,K,-K", "K,K,-K,K", "-K,K,-K,-K"),
-                tags=("imaginary",),
-                avoid=(),
-                rows=(
-                    ("i*l1", "0", "0", "0"),
-                    # printed ("-2/(i*l1)", "2/(i*l1)", "2/(i*l1)", "2/(i*l1)"),
-                    # here in mu = 4/l1
-                    ("i*l1/2", "-i*l1/2", "-i*l1/2", "-i*l1/2"),
-                ),
-            ),
+        dict(
+            j=6,
+            m=6,
+            gamma=(-1, 1, 1, -1),
+            n="I,I,L,L",
+            g="I,I,M,M",
+            zs=("I,I,I,I", "I,-I,I,-I", "L,L,L,L", "L,-L,L,-L"),
+            tags=("imaginary", "real", "real", "imaginary"),
+            avoid=((1, 0, 0, 1), (1, 0, 0, -1)),
+            rows=(191, 5, 7, 189),
         ),
-    },
+        dict(
+            j=7,
+            m=7,
+            gamma=(-1, 1, 1, 1),
+            n="M,M,M,M",
+            g="D5,D5,D5,D5",
+            zs=("I,I,I,I", "I,I,-I,-I", "I,-I,I,-I", "I,-I,-I,I"),
+            tags=("imaginary", "real", "real", "real"),
+            avoid=(),
+            rows=(191, 6, 5, 3),
+        ),
+    ),
+    2: (
+        dict(
+            j=1,
+            m=1,
+            gamma=(1, 1, 1, 1),
+            n="I,I,I,I",
+            g="I,I,I,I",
+            zs=_Z_COMMON + ("-K,-K,K,K", "K,K,K,K", "K,-K,-K,K", "-K,K,-K,K"),
+            tags=("real",) * 3,
+            avoid=_plus_minus_rows(3),
+            rows=(190, 6, 4, 2, 22, 64, 42, 28),
+        ),
+        dict(
+            j=2,
+            m=6,
+            gamma=(1, -1, -1, 1),
+            n="I,I,L,-L",
+            g="I,I,M,D2",
+            zs=_Z_COMMON,
+            tags=("real", "imaginary", "imaginary"),
+            avoid=(),
+            rows=(106, 108, 80, 104),
+        ),
+        dict(
+            j=3,
+            m=5,
+            gamma=(1, -1, 1, -1),
+            n="I,L,I,-L",
+            g="I,M,I,D2",
+            zs=_Z_COMMON,
+            tags=("real", "imaginary", "real"),
+            avoid=((1, 0, 1), (1, 0, -1)),
+            rows=(96, 88, 100, 98),
+        ),
+        dict(
+            j=4,
+            m=4,
+            gamma=(-1, -1, 1, 1),
+            n="L,I,I,L",
+            g="M,I,I,M",
+            zs=_Z_COMMON,
+            tags=("imaginary", "imaginary", "real"),
+            avoid=((1, 1, 0), (1, -1, 0)),
+            rows=(190, 6, 4, 2),
+        ),
+        dict(
+            j=5,
+            m=4,
+            gamma=(1, 1, -1, -1),
+            n="L,I,I,-L",
+            g="M,I,I,N",
+            zs=_Z_COMMON,
+            tags=("real", "real", "imaginary"),
+            avoid=((1, 1, 0), (1, -1, 0)),
+            rows=(96, 88, 100, 98),
+        ),
+        dict(
+            j=6,
+            m=5,
+            gamma=(-1, 1, -1, 1),
+            n="I,L,I,L",
+            g="I,M,I,M",
+            zs=_Z_COMMON,
+            tags=("imaginary", "real", "imaginary"),
+            avoid=((1, 0, 1), (1, 0, -1)),
+            rows=(190, 6, 4, 2),
+        ),
+        dict(
+            j=7,
+            m=6,
+            gamma=(-1, 1, 1, -1),
+            n="I,I,L,L",
+            g="I,I,M,M",
+            zs=_Z_COMMON,
+            tags=("imaginary", "real", "real"),
+            avoid=((1, 0, 1), (1, 0, -1)),
+            rows=(190, 6, 4, 2),
+        ),
+        dict(
+            j=8,
+            m=2,
+            gamma=(-1, -1, -1, -1),
+            n="-I,I,I,I",
+            g="L,I,I,I",
+            zs=_Z_COMMON + ("K,-K,K,K", "-K,K,K,K", "-K,-K,-K,K", "K,K,-K,K"),
+            tags=("imaginary",) * 3,
+            avoid=_plus_minus_rows(3),
+            rows=(0, 184, 186, 188, 168, 126, 148, 162),
+        ),
+    ),
+    3: (
+        dict(
+            j=1,
+            m=1,
+            gamma=(1, 1, 1, 1),
+            n="I,I,I,I",
+            g="I,I,I,I",
+            zs=_Z_COMMON,
+            tags=("real", "real"),
+            avoid=((1, 1),),
+            rows=(120, 6, 4, 2),
+        ),
+        dict(
+            j=2,
+            m=2,
+            gamma=(-1, -1, -1, -1),
+            n="-I,I,I,I",
+            g="L,I,I,I",
+            zs=_Z_COMMON,
+            tags=("imaginary", "imaginary"),
+            avoid=((1, 1),),
+            rows=(120, 6, 4, 2),
+        ),
+    ),
+    4: (
+        dict(
+            j=1,
+            m=1,
+            gamma=(1, 1, 1, 1),
+            n="I,I,I,I",
+            g="I,I,I,I",
+            zs=("I,I,I,I", "-I,I,-I,I", "-K,K,-K,K",
+                "-K,K,K,-K", "K,K,K,K", "K,K,-K,-K"),
+            tags=("real", "real"),
+            avoid=((1, 1), (1, -1)),
+            rows=(185, 1, 25, 41, 64, 16),
+        ),
+        dict(
+            j=2,
+            m=7,
+            gamma=(-1, 1, 1, 1),
+            n="M,M,M,M",
+            g="D5,D5,D5,D5",
+            zs=("I,I,I,I", "-I,I,-I,I"),
+            tags=("imaginary", "real"),
+            avoid=(),
+            rows=(185, 1),
+        ),
+        dict(
+            j=3,
+            m=2,
+            gamma=(-1, 1, 1, -1),
+            n="I,I,L,L",
+            g="I,I,M,M",
+            zs=("I,I,I,I", "-I,-I,I,I", "-K,K,-K,-K",
+                "K,K,K,-K", "-K,K,K,K", "K,K,-K,K"),
+            tags=("imaginary", "imaginary"),
+            avoid=((1, 1), (1, -1)),
+            rows=(1, 185, 16, 41, 64, 25),
+        ),
+        dict(
+            j=4,
+            m=6,
+            gamma=((0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0)),
+            n="L,L,-K,K",
+            g="M,M,F,LF",
+            zs=("I,I,I,I", "-I,I,-I,I", "-K,-K,-L,-L", "K,-K,L,-L"),
+            tags=("coupled", "coupled"),
+            avoid=((1, 1), (1, -1)),
+            rows=(153, 56, 40, 169),
+        ),
+    ),
+    7: (
+        dict(
+            j=1,
+            m=1,
+            gamma=(1, 1, 1, 1),
+            n="I,I,I,I",
+            g="I,I,I,I",
+            zs=("I,I,I,I", "-I,I,-I,I"),
+            tags=("real",),
+            avoid=(),
+            rows=(88, 1),
+        ),
+        dict(
+            j=2,
+            m=2,
+            gamma=(-1, -1, -1, -1),
+            n="-I,I,I,I",
+            g="L,I,I,I",
+            zs=("I,I,I,I", "-I,I,-I,I"),
+            tags=("imaginary",),
+            avoid=(),
+            rows=(88, 1),
+        ),
+    ),
+    10: (
+        dict(
+            j=1,
+            m=1,
+            gamma=(1, 1, 1, 1),
+            n="I,I,I,I",
+            g="I,I,I,I",
+            zs=("I,I,I,I", "K,K,K,K", "-K,K,K,-K", "-K,K,-K,K", "K,K,-K,-K"),
+            tags=("real",),
+            avoid=(),
+            rows=(184, 64),
+        ),
+        dict(
+            j=2,
+            m=2,
+            gamma=(-1, -1, -1, -1),
+            n="-I,I,I,I",
+            g="L,I,I,I",
+            zs=("I,I,I,I", "-K,K,K,K", "K,K,K,-K", "K,K,-K,K", "-K,K,-K,-K"),
+            tags=("imaginary",),
+            avoid=(),
+            rows=(184, 120),
+        ),
+    ),
 }
 
-#: Families generated from stored ones by a tensor-slot transposition.
-_TRANSPORTS: dict[int, tuple[int, tuple[int, int]]] = {
-    5: (4, (2, 3)),
-    6: (4, (2, 4)),
-    8: (7, (2, 3)),
-    9: (7, (2, 4)),
+#: Families generated from stored ones by a tensor-slot transposition, with
+#: the row witnesses of each generated block, j = 1, 2, ….
+_TRANSPORTS: dict[int, tuple[int, tuple[int, int], tuple[tuple[int, ...], ...]]] = {
+    5: (4, (2, 3), ((186, 2, 18, 42, 64, 24), (186, 2), (2, 186, 24, 42, 64, 18),
+                    (154, 48, 40, 162))),
+    6: (4, (2, 4), ((188, 4, 28, 20, 64, 40), (188, 4), (4, 188, 40, 20, 64, 28),
+                    (164, 64, 48, 180))),
+    8: (7, (2, 3), ((80, 2), (80, 2))),
+    9: (7, (2, 4), ((72, 4), (72, 4))),
 }
 
 
@@ -961,7 +749,8 @@ def _build_wmat(gamma) -> cw.WeylMat:
 
 @dataclass(frozen=True)
 class CaseBlock:
-    """All data of one ``(i, j)`` entry of the classification tables."""
+    """All data of one ``(i, j)`` entry of the classification tables; its
+    ``rows`` are generated from their Weyl witnesses (:func:`_table_rows`)."""
 
     i: int
     j: int
@@ -1021,11 +810,8 @@ def _checked_twist(i: int, j: int, n: GElt, g: GElt, zs: tuple) -> int:
     return symmetries[0]
 
 
-def _compile_block(i: int, variables: tuple[str, ...], raw: dict) -> CaseBlock:
+def _compile_block(i: int, raw: dict) -> CaseBlock:
     """Compile a stored block; its ``gamma`` must be its twist's symmetry."""
-    rows = tuple(
-        _compile_row(k + 1, exprs, variables) for k, exprs in enumerate(raw["rows"])
-    )
     n = gelt_from_names(raw["n"])
     g = gelt_from_names(raw["g"])
     zs = tuple(gelt_from_names(z) for z in raw["zs"])
@@ -1045,12 +831,13 @@ def _compile_block(i: int, variables: tuple[str, ...], raw: dict) -> CaseBlock:
         n=n,
         g=g,
         zs=zs,
-        rows=rows,
+        rows=_table_rows(i, raw["j"], raw["m"], raw["rows"]),
         reality=reality,
     )
 
 
-def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock) -> CaseBlock:
+def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock,
+                     witnesses: Sequence[int]) -> CaseBlock:
     # The slot transposition sends the source basis onto the target basis
     # m_dst that holds the sum of the images, source vector l onto target
     # vector p with coefficient +1; perm4[p] = l (anything else is an error).
@@ -1066,10 +853,6 @@ def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock) -> CaseBlock:
         if len(nonzero) != 1 or coords[nonzero[0]] != ONE:
             raise ValueError("slot transposition does not preserve the basis family")
         perm4[nonzero[0]] = l
-    rows = tuple(
-        replace(row, matrix=tuple(row.matrix[perm4[r]] for r in range(4)))
-        for row in blk.rows
-    )
     n = auto.on_gelt(blk.n)
     g = auto.on_gelt(blk.g)
     zs = tuple(auto.on_gelt(z) for z in blk.zs)
@@ -1080,22 +863,25 @@ def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock) -> CaseBlock:
     if cw.weyl_group()[w] != tuple(tuple(old[perm4[r]][perm4[c]] for c in range(4))
                                    for r in range(4)):
         raise ValueError("transported twist action mismatch")
-    return replace(blk, i=i_dst, m=m_dst, gamma=w, n=n, g=g, zs=zs, rows=rows,
+    return replace(blk, i=i_dst, m=m_dst, gamma=w, n=n, g=g, zs=zs,
+                   rows=_table_rows(i_dst, blk.j, m_dst, witnesses),
                    reality=replace(blk.reality, i=i_dst))
 
 
 @lru_cache(maxsize=1)
 def blocks() -> tuple[CaseBlock, ...]:
     """Every ``(i, j)`` block of the tables, stored and generated alike, each
-    with its group data checked in the slot group (:func:`_checked_twist`)."""
+    with its group data checked in the slot group (:func:`_checked_twist`)
+    and its rows generated from their witnesses (:func:`_table_rows`)."""
     out: list[CaseBlock] = []
-    for i, spec in _NATIVE.items():
-        for raw in spec["blocks"]:
-            out.append(_compile_block(i, spec["vars"], raw))
-    for i_dst, (i_src, cycle) in _TRANSPORTS.items():
+    for i, stored in _NATIVE.items():
+        for raw in stored:
+            out.append(_compile_block(i, raw))
+    for i_dst, (i_src, cycle, witnesses) in _TRANSPORTS.items():
         auto = PermAuto(cycle)
-        for blk in [b for b in out if b.i == i_src]:
-            out.append(_transport_block(i_dst, auto, blk))
+        sources = [b for b in out if b.i == i_src]
+        for blk, ws in zip(sources, witnesses, strict=True):
+            out.append(_transport_block(i_dst, auto, blk, ws))
     out.sort(key=lambda b: (b.i, b.j))
     return tuple(out)
 
@@ -1273,57 +1059,19 @@ def _lifted_conjugator(m: int, w_index: int) -> GElt:
 
 
 @lru_cache(maxsize=None)
-def _witness_table(i: int) -> dict[tuple[int, ...], int]:
-    """The least w with each image 2·W[w]⁻¹·q0, keyed by that doubled integer
-    vector, for q0 = H·``_SAMPLE_MAGNITUDES[i]`` in u-coordinates (H the
-    family's ``h_basis`` as columns).  Raises ``ArithmeticError`` when q0 is
-    not regular.  A regular q0 has the stabilizer W_Pi(i) in W, so two w
-    share a key exactly when they lie in one coset W_Pi(i)·w.
-    """
-    q0 = [sum(h[r] * x for h, x in zip(cw.subsystem(i).h_basis, _SAMPLE_MAGNITUDES[i]))
-          for r in range(4)]
-    if cw.vanishing_roots([rat(x) for x in q0]) != cw.member_roots(i):
-        raise ArithmeticError("sample point of family %d is not regular" % i)
-    weyl = cw.weyl_table()
-    doubled = {w: rows for rows, w in weyl.index.items()}
-    a, b, c, d = q0
-    table: dict[tuple[int, ...], int] = {}
-    for w in range(len(doubled)):
-        table.setdefault(tuple(r[0] * a + r[1] * b + r[2] * c + r[3] * d
-                               for r in doubled[weyl.inv[w]]), w)
-    return table
-
-
-@lru_cache(maxsize=None)
-def _row_witness(i: int, m: int, matrix: tuple) -> int | None:
-    """The least w with t(λ) = act(b_w, q(λ)) for every λ, or None: t(λ) has
-    coordinates ``matrix``·λ in basis m, q is family i's canonical element
-    and b_w = gstar·lift(w)⁻¹ (:func:`_lifted_conjugator`).
-
-    gstar⁻¹ takes the l-th vector of basis m to tau_l·u_l
-    (:func:`cartanweyl.twist_factors`), so such a w has
-    diag(tau)·matrix = W[w]⁻¹·H.  At the sample magnitudes that is one
-    look-up in :func:`_witness_table`, and a miss proves that no w exists.
-    The w found is checked on the group action, act(b_w, q(e_l)) = t(e_l)
-    for each parameter unit vector e_l; the action is linear, so that
-    proves the row for every λ.
-    """
-    mags = _SAMPLE_MAGNITUDES[i]
-    doubled = [tau * sum((c.scale(2 * x) for c, x in zip(row, mags)), ZERO)
-               for tau, row in zip(cw.twist_factors(m), matrix)]
-    if not all(v.is_rational() and v.to_fraction().denominator == 1 for v in doubled):
-        return None
-    w = _witness_table(i).get(tuple(int(v.to_fraction()) for v in doubled))
-    if w is None:
-        return None
+def _witness_holds(i: int, m: int, w: int, matrix: tuple) -> bool:
+    """Whether t(λ) = act(b_w, q(λ)) for every λ, for t(λ) = ``matrix``·λ in
+    basis m, family i's canonical element q and b_w = gstar·lift(w)⁻¹
+    (:func:`_lifted_conjugator`): the action is linear, so it is checked on
+    each parameter unit vector e_l."""
     b = _lifted_conjugator(m, w)
     n = len(matrix[0])
     for l in range(n):
         unit = [ONE if p == l else ZERO for p in range(n)]
         column = [row[l] for row in matrix]
         if act_tensor(b, cw.parametrize(i, unit)) != cw.from_basis_coords(m, column):
-            return None
-    return w
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1374,9 +1122,10 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
     entries of the block's real basis (:func:`cartanweyl.from_basis_coords`);
     a passed-in ``t`` goes through every check against those coordinates.
     The ``"conjugate"`` check needs q(lams) regular (:func:`_is_regular`)
-    and a Weyl witness of the row (:func:`_row_witness`), both cached; then
-    t = act(b_w, q(lams)).  The reference invariants, those of the family's
-    canonical element at ``lams``, come from :func:`_orbit_invariants`.
+    and the row's Weyl witness to carry q onto the row
+    (:func:`_witness_holds`), both cached; then t = act(b_w, q(lams)).
+    The reference invariants, those of the family's canonical element at
+    ``lams``, come from :func:`_orbit_invariants`.
     """
     failures = []
     rid = (blk.i, blk.j, row.k)
@@ -1403,8 +1152,8 @@ def _verify_row(blk: CaseBlock, row: SSTableRow, lams: tuple,
     if not _is_regular(blk.i, lams):
         fail("conjugate", "the canonical element at these parameters is not regular")
         return failures
-    if _row_witness(blk.i, blk.m, row.matrix) is None:
-        fail("conjugate", "no Weyl witness carries the canonical element onto the row")
+    if not _witness_holds(blk.i, blk.m, row.w, row.matrix):
+        fail("conjugate", "the row's Weyl witness does not carry the canonical element onto it")
         return failures
     reference = _orbit_invariants(blk.i, lams)
     if invariants.invariants_of(t) != reference:
@@ -1447,12 +1196,12 @@ def verify_ss_tables(case: int | None = None) -> dict:
     realness, membership and exact coordinates in the stated real canonical
     subspace, semisimplicity, a conjugator onto the family's canonical
     element, and invariants equal to those of the expected complex orbit.
-    The conjugator is the row's Weyl witness b_w (:func:`_row_witness`),
-    found by one look-up and proved on the group action for every parameter
-    once per row, together with the regularity of the canonical element at
-    the parameters.  A row tensor in the span of its basis is semisimple
-    because that basis is a commuting semisimple family, checked once per
-    basis (:func:`cartanweyl.cartan_is_semisimple`).  The reference
+    The conjugator is b_w for the row's stored Weyl witness w, proved on
+    the group action for every parameter once per row
+    (:func:`_witness_holds`), together with the regularity of the canonical
+    element at the parameters.  A row tensor in the span of its basis is
+    semisimple because that basis is a commuting semisimple family, checked
+    once per basis (:func:`cartanweyl.cartan_is_semisimple`).  The reference
     invariants are computed once per family and parameters
     (:func:`_orbit_invariants`), so the rows of a block are compared with
     one shared value.  Returns a report dict; ``report["ok"]`` is True when

@@ -11,12 +11,21 @@ from artifact import _linalg as la
 from artifact import cartanweyl as cw
 from artifact import groupaction as ga
 from artifact import invariants as inv
-from artifact.exactfield import CycNum, ONE, ZERO, random_cyc, rat
+from artifact.exactfield import CycNum, ONE, ZERO, common_numerators, random_cyc, rat
 from artifact.liealg import Tensor, bracket, build_d4, g1_to_tensor, tensor_to_g1
 
 
+def _det(a):
+    """The determinant from :func:`_linalg.det_numerators` on the entries'
+    numerators over their common denominator D, divided by D^n."""
+    n = len(a)
+    nums, den = common_numerators(x for row in a for x in row)
+    out = la.det_numerators([nums[r * n:(r + 1) * n] for r in range(n)])
+    return ZERO if out is None else CycNum.from_numerators(out, den ** n)
+
+
 def _gauss_det(a):
-    """Determinant by Gaussian elimination over Q(η), the reference for la.det."""
+    """Determinant by Gaussian elimination over Q(η), the reference for _det."""
     m = [list(row) for row in a]
     n = len(m)
     out = ONE
@@ -280,23 +289,23 @@ class TestDeterminant:
     @settings(max_examples=40, deadline=None)
     @given(_square_matrices)
     def test_matches_the_field_loop(self, m):
-        assert la.det(m) == _laplace_det(m)
+        assert _det(m) == _laplace_det(m)
 
     @settings(max_examples=30, deadline=None)
     @given(_matrices, st.integers(0, 3), st.integers(1, 3), _entries)
     def test_matches_gaussian_elimination(self, m, i, shift, c):
-        d = la.det(m)
+        d = _det(m)
         assert d == _gauss_det(m)
         # swapping two rows negates the determinant
         j = (i + shift) % 4
         swapped = [list(row) for row in m]
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        assert la.det(swapped) == -d == _gauss_det(swapped)
+        assert _det(swapped) == -d == _gauss_det(swapped)
         # row i replaced by a combination of two other rows: singular
         k = min({0, 1, 2, 3} - {i, j})
         singular = [list(row) for row in m]
         singular[i] = [c * x + y for x, y in zip(m[j], m[k])]
-        assert la.det(singular) == ZERO == _gauss_det(singular)
+        assert _det(singular) == ZERO == _gauss_det(singular)
 
 
 class TestSeparation:
@@ -330,9 +339,10 @@ class TestSeparation:
 
     def test_one_pass_matches_each_invariant(self):
         # invariants_of reads t's numerators once for all four values; the
-        # reference takes H and la.det of each field flattening on its own,
-        # on the zero tensor, a basis tensor, a canonical element and seeded
-        # tensors from sparse to dense with unlike denominators
+        # reference takes H and the field Laplace expansion of each
+        # flattening on its own, on the zero tensor, a basis tensor, a
+        # canonical element and seeded tensors from sparse to dense with
+        # unlike denominators
         rng = random.Random(2701)
         tensors = [Tensor.zero(), Tensor.basis(5, rat(3, 2)), cw.parametrize(1, lam(7, 3, 2, 1))]
         for _ in range(40):
@@ -344,7 +354,7 @@ class TestSeparation:
         for t in tensors:
             want = inv.InvariantVector(
                 inv.quadratic(t),
-                *(la.det(inv.flattening_matrix(t.c, pr)) for pr in inv.PAIRINGS))
+                *(_laplace_det(inv.flattening_matrix(t.c, pr)) for pr in inv.PAIRINGS))
             assert inv.invariants_of(t) == want, t
         assert inv.invariants_of(Tensor.zero()) == inv.InvariantVector(ZERO, ZERO, ZERO, ZERO)
 

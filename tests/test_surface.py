@@ -42,7 +42,6 @@ KEPT = {
     "as_dict": "InvariantVector as text, the reference of the invariants' report form",
     "to_json": "Tensor's JSON text, the input format states are written in",
     "from_json": "reads Tensor's JSON text, the input format states are written in",
-    "basis_name": "the letter of a label's or block's real Cartan basis, as the paper names it",
     "mat_vec": "the field matrix-vector product, the reference of the integer row kernel "
                "behind SSTableRow.coordinates, SSTableRow.solve and the classification moves",
 }
