@@ -6,9 +6,7 @@ reconstructs the classification of the real semisimple orbits under the
 product of four copies of SL(2), together with the Galois-cohomology
 bookkeeping that separates the real orbits inside each complex one.
 Nilpotent and mixed orbits are not classified.  All arithmetic is exact,
-over the 16th cyclotomic field.  The one float left is
-``invariants.approx_complex``, and only the tie-break order of
-``ssorbits.classify_semisimple`` (``_coord_sort_key``) uses it.
+over the 16th cyclotomic field.
 """
 
 __version__ = "0.1.0"

@@ -9,6 +9,15 @@ each block under ``"seconds"``.  The exit status is 1 when a check failed.
 each row's ``(i, j, k)``, basis, Weyl witness ``w`` and four coordinate
 entries as linear forms in the family's parameters, such as
 ``(-l1+l2-l3+l4)/2`` or ``-i*l1``, for comparison with the paper.
+
+``artifact classify FILE|- [--explain]`` reads a tensor in the JSON form of
+:meth:`liealg.Tensor.to_json` from FILE or standard input and prints its
+label from :func:`ssorbits.classify_semisimple` as one JSON object.
+``--explain`` adds, for each real Cartan basis containing the tensor, the
+roots vanishing at it, every admitted (move, row, parameters) candidate
+with its key and whether its block accepts the parameters, and the key of
+the winning label.  A tensor in general position prints the family-level
+payload and exits 1.
 """
 
 from __future__ import annotations
@@ -18,8 +27,10 @@ import json
 import sys
 from math import gcd
 
+from . import cartanweyl as cw
 from . import ssorbits
-from .exactfield import common_numerators
+from .exactfield import common_numerators, cyc_to_str
+from .liealg import Tensor
 
 #: The paper's parameter names where they are not l1, …, ln: l1 and l4 for
 #: family 4, and so for families 5 and 6, which the tables generate from it.
@@ -71,6 +82,38 @@ def table(case: int | None = None) -> dict:
     return {"blocks": len(selected), "rows": rows}
 
 
+def _label(label: ssorbits.SSOrbitLabel) -> dict:
+    return {"row": [label.i, label.j, label.k], "basis": label.basis_name, "m": label.m,
+            "lams": [cyc_to_str(v) for v in label.lams]}
+
+
+def classify(t: Tensor, explain: bool = False) -> dict:
+    """The label of ``t`` as printable data.  With ``explain``, also each
+    containing basis with its vanishing roots (as functionals on
+    u-coordinates) and candidates
+    (:func:`ssorbits.classification_candidates`), each with the Weyl index of
+    its real move, its key and whether its block accepts its parameters,
+    and the winning key: the least accepted one, whose candidate
+    :func:`ssorbits.classify_semisimple` returns."""
+    label = ssorbits.classify_semisimple(t)
+    out = {"label": _label(label)}
+    if explain:
+        roots = cw.restricted_roots()
+        out["bases"] = []
+        for m, coords in cw.containing_bases(t):
+            pattern, candidates = ssorbits.classification_candidates(m, coords)
+            out["bases"].append({
+                "m": m,
+                "vanishing_roots": [roots[a].coeffs for a in sorted(pattern)],
+                "candidates": [dict(_label(c), move=r, key=key,
+                                    accepted=reality.accepts(c.lams))
+                               for key, c, r, reality in candidates],
+            })
+        out["key"] = min(c["key"] for b in out["bases"] for c in b["candidates"]
+                         if c["accepted"])
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="artifact", description="Exact classification of real four-rebit states."
@@ -87,9 +130,27 @@ def main(argv: list[str] | None = None) -> int:
             "--case", type=int, choices=range(1, 11), metavar="I",
             help="%s only the blocks of family I (1-10)" % what,
         )
+    label = commands.add_parser(
+        "classify", help="print the orbit label of a real semisimple tensor as JSON"
+    )
+    label.add_argument("file", type=argparse.FileType("r"), metavar="FILE|-",
+                       help="the tensor as JSON (Tensor.to_json); - reads standard input")
+    label.add_argument("--explain", action="store_true",
+                       help="add the vanishing roots and candidates of each basis")
     args = parser.parse_args(argv)
     if args.command == "table":
         print(json.dumps(table(args.case), indent=2))
+        return 0
+    if args.command == "classify":
+        try:
+            report = classify(Tensor.from_json(args.file.read()), args.explain)
+        except ssorbits.GeneralPositionError as exc:
+            payload = dict(exc.payload, invariants=exc.payload["invariants"].as_dict())
+            print(json.dumps(payload, indent=2))
+            return 1
+        except ValueError as exc:
+            parser.error(str(exc))
+        print(json.dumps(report, indent=2))
         return 0
     report = ssorbits.verify_ss_tables(args.case)
     print(json.dumps(report, indent=2))

@@ -12,15 +12,11 @@ Two families of classical invariants are provided:
 
 :func:`invariants_of` bundles the four values.  Equal orbits have equal
 invariants, so differing values are a sound (never complete) witness of
-non-conjugacy.  :func:`approx_complex` is the one floating-point routine of
-the package; only the tie-break order of ``ssorbits.classify_semisimple``
-uses it.
+non-conjugacy.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 from . import _linalg as la
@@ -143,16 +139,6 @@ def invariants_of(t: Tensor) -> InvariantVector:
     )
 
 
-_ETA_COMPLEX = cmath.exp(1j * math.pi / 8)
-_ETA_POWERS = tuple(_ETA_COMPLEX**k for k in range(8))
-
-
-def approx_complex(v: CycNum) -> complex:
-    """Floating approximation of a field element (for an ordering only)."""
-    num = sum(n * p for n, p in zip(v.nums, _ETA_POWERS))
-    return num / v.den
-
-
 __all__ = [
     "PAIRINGS",
     "InvariantVector",
@@ -160,5 +146,4 @@ __all__ = [
     "flattening_matrix",
     "flattening_det",
     "invariants_of",
-    "approx_complex",
 ]

@@ -19,7 +19,8 @@ and every row of a block at l1 lies over q(l1).  The module provides:
 * ``row_tensor(i, j, k, lams)`` — the table representative of row ``k``;
 * ``verify_ss_tables()`` — re-derive and check every table entry;
 * ``classify_semisimple(t)`` — map a real diagonalizable tensor in
-  canonical position back to its ``(i, j, k)`` row and parameter.
+  canonical position to the ``(i, j, k)`` row and parameter that label its
+  real orbit, from the candidates of ``classification_candidates``.
 
 All arithmetic is exact, over the degree-8 cyclotomic field.
 """
@@ -30,7 +31,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd
+from operator import itemgetter
 from typing import Sequence
 
 from . import cartanweyl as cw
@@ -80,6 +81,7 @@ __all__ = [
     "verify_ss_tables",
     "check_row",
     "classify_semisimple",
+    "classification_candidates",
     "real_weyl_group",
     "weyl_lift",
     "centralizer_spec",
@@ -1272,32 +1274,21 @@ _FAMILY_DIMS: dict[int, tuple[int, int]] = {
 }
 
 
-def _coord_sort_key(v: CycNum):
-    z = invariants.approx_complex(v)
-    return (
-        round(abs(z.real), 12),
-        z.real < -1e-12,
-        round(abs(z.imag), 12),
-        z.imag < -1e-12,
-    )
-
-
-def _lambda_key(lams: tuple):
-    approx = tuple(_coord_sort_key(v) for v in lams)
-    exact = tuple((v.nums, v.den) for v in lams)
-    return (approx, exact)
+def _label_key(label: SSOrbitLabel) -> tuple:
+    """An exact order on candidate labels: the parameters coordinatewise,
+    each v by the numerators of whichever of ±v has a positive first nonzero
+    numerator (the greater tuple), the denominator and whether that is −v;
+    then (j, k, m)."""
+    key = []
+    for v in label.lams:
+        neg = tuple(-x for x in v.nums)
+        key.append((neg, v.den, True) if neg > v.nums else (v.nums, v.den, False))
+    return tuple(key), label.j, label.k, label.m
 
 
 @lru_cache(maxsize=None)
 def _blocks_by_basis(m: int) -> tuple[CaseBlock, ...]:
     return tuple(b for b in blocks() if b.m == m)
-
-
-# Every test classification makes on a (move, row) pair is the zero test of
-# a linear functional on the input's real basis coordinates c: the moves are
-# rational and the eliminator entries Gaussian rationals a + b·i, so a row of
-# E·M sends c to a·M·c + (b·M·c)·i with both terms real, and it vanishes
-# exactly when the rational functionals a·M and b·M both vanish at c.
 
 
 def _numerator_rows(matrix) -> tuple[list, int]:
@@ -1309,173 +1300,99 @@ def _numerator_rows(matrix) -> tuple[list, int]:
     return [nums[k:k + n] for k in range(0, len(nums), n)], den
 
 
-def _primitive(vec) -> tuple[int, ...]:
-    """The multiple of an integer row with coprime entries and a positive
-    leading entry: rows with one zero set get one key."""
-    g = gcd(*vec) or 1
-    if next((v for v in vec if v), 0) < 0:
-        g = -g
-    return tuple(v // g for v in vec)
-
-
-def _combine(coeffs, rows) -> tuple:
-    return tuple(sum(c * r[p] for c, r in zip(coeffs, rows)) for p in range(4))
-
-
-def _row_conditions(blk: CaseBlock, row: SSTableRow) -> tuple[list, list, list]:
-    """The tests of ``row.solve`` and ``blk.reality.accepts`` as integer rows
-    on the moved coordinates: (rows that must vanish, rows that must not,
-    groups of rows not all of which may vanish).
-    """
-    n = len(row.matrix[0])
-    # N·E = re + im·i with N > 0, which changes no zero test
-    gauss, _ = row._gaussian_elim
-    re = [tuple(a for a, _ in r) for r in gauss]
-    im = [tuple(b for _, b in r) for r in gauss]
-    vanish = re[n:] + im[n:]
-    re, im = re[:n], im[:n]
-    tags = blk.reality.tags
-    if len(tags) != n:
-        raise ValueError(
-            "family %d takes %d parameters, got %d" % (blk.i, len(tags), n)
-        )
-    nonzero, some = [], []
-    if "coupled" in tags:
-        # i·(l1 + l2) and l1 − l2 real and nonzero
-        vanish += [_combine((1, 1), re), _combine((1, -1), im)]
-        nonzero += [_combine((1, 1), im), _combine((1, -1), re)]
-    else:
-        for tag, r, i in zip(tags, re, im):
-            if tag == "real":
-                vanish.append(i)
-                nonzero.append(r)
-            elif tag == "imaginary":
-                vanish.append(r)
-                nonzero.append(i)
-            else:
-                some.append([r, i])
-    some += [[_combine(a, re), _combine(a, im)] for a in blk.reality.avoid]
-    return vanish, nonzero, some
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """Every (move, row) decision of classification on one real basis.
-
-    The tests of all rows, as primitive integer rows on the moved coordinates,
-    become under the real moves the distinct rows ``functionals`` on the
-    input's coordinates: test k after move s is ``functionals[via[s][k]]``,
-    and ``moved[s]`` indexes the rows of M_s − I.  An entry ``(block, row,
-    vanish, nonzero, some)`` of ``rows`` holds masks over the tests (bit k
-    for test k): move s takes the coordinates to the row at admissible
-    parameters exactly when every test in ``vanish`` vanishes after the move,
-    none in ``nonzero`` does and some test of each mask in ``some`` does not.
-    Move s is ``moves[s]/scales[s]``, its integer rows written as Gaussian
-    integers (a, 0) for :func:`_apply_gaussian`.
-    """
-
-    functionals: tuple[tuple[int, ...], ...]
-    via: tuple[tuple[int, ...], ...]
-    moved: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple, ...]
-    moves: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
-    scales: tuple[int, ...]
-
-
 @lru_cache(maxsize=None)
-def _plan(m: int) -> _Plan:
-    """The classification plan of basis ``m``, in integer arithmetic.
+def _pattern_table(m: int) -> tuple[dict, tuple]:
+    """The rows of basis ``m`` by vanishing-root pattern, and its real moves.
 
-    The distinct tests of all rows on the basis are composed with each real
-    move, scaled to an integer matrix.  Raises ``ArithmeticError`` for a move
-    that is not rational or an eliminator entry that is not Gaussian.
+    Row k of family i has the points W[w_k]⁻¹·H_i·λ in u-coordinates, which
+    vanish on exactly the roots α with α∘W[w_k]⁻¹ a member root of family i
+    at regular λ; as root indices that is {b : perm(w_k)[b] ∈ members}
+    (:func:`cartanweyl.root_permutations`).  The first entry maps each such
+    set to the ``(block, row)`` pairs that have it.  The second holds each
+    real move r of the basis (:func:`real_weyl_group`) as ``(r, perm(r),
+    rows, scale)``: its Weyl index, its root permutation, and its coordinate
+    action (:func:`_coordinate_moves`) as integer rows over ``scale``, as
+    Gaussian integers (a, 0) for :func:`_apply_gaussian`.  Raises
+    ``ArithmeticError`` for a move that is not rational.
     """
-    tests: dict[tuple[int, ...], int] = {}
-    functionals: dict[tuple[int, ...], int] = {}
-
-    def mask(vecs) -> int:
-        # a set of distinct bits, so their sum is their union
-        return sum({1 << tests.setdefault(_primitive(v), len(tests)) for v in vecs})
-
-    def index(vec) -> int:
-        return functionals.setdefault(_primitive(vec), len(functionals))
-
-    rows = []
+    roots = cw.restricted_roots()
+    perms = cw.root_permutations()
+    rows: dict[frozenset, list] = {}
     for blk in _blocks_by_basis(m):
+        members = {a for a, root in enumerate(roots) if root.coeffs in cw.member_roots(blk.i)}
         for row in blk.rows:
-            vanish, nonzero, some = _row_conditions(blk, row)
-            rows.append(
-                (blk, row, mask(vanish), mask(nonzero), tuple(mask(g) for g in some))
-            )
-    via, moved, moves, scales = [], [], [], []
-    for move in _coordinate_moves(m):
+            pattern = frozenset(b for b, a in enumerate(perms[row.w]) if a in members)
+            rows.setdefault(pattern, []).append((blk, row))
+    moves = []
+    for w, move in zip(real_weyl_group(m), _coordinate_moves(m)):
         nums, scale = _numerator_rows(move)
         if any(any(x[1:]) for r in nums for x in r):
             raise ArithmeticError("real coordinate move is not rational")
-        mat = [[x[0] for x in r] for r in nums]
-        via.append(tuple(
-            index([sum(f[a] * mat[a][b] for a in range(4)) for b in range(4)])
-            for f in tests
-        ))
-        moved.append(tuple({
-            index([mat[a][b] - scale * (a == b) for b in range(4)]) for a in range(4)
-        }))
-        moves.append(tuple(tuple((x, 0) for x in r) for r in mat))
-        scales.append(scale)
-    return _Plan(tuple(functionals), tuple(via), tuple(moved), tuple(rows),
-                 tuple(moves), tuple(scales))
+        r = cw.weyl_index(w)
+        moves.append((r, perms[r], tuple(tuple((x[0], 0) for x in row) for row in nums),
+                      scale))
+    return {p: tuple(v) for p, v in rows.items()}, tuple(moves)
 
 
-def _matches(m: int, coords: tuple) -> list[tuple]:
-    """Each ``(s, moved, block, row, lams)`` on basis ``m``: move s takes the
-    coordinates to ``row`` at admissible parameters ``lams``; ``moved`` is 1
-    when the move changes the coordinates.  Raises ``ArithmeticError`` for
-    coordinates that are not real."""
+def classification_candidates(m: int, coords: tuple) -> tuple[frozenset, list[tuple]]:
+    """The vanishing-root pattern of real coordinates on basis ``m``, and
+    each candidate ``(key, label, r, reality)``: the real move r takes the
+    coordinates to the label's row at the label's parameters, which are a
+    label when the block's ``reality`` pattern accepts them.
+
+    The input's u-coordinates are d = diag(tau_m)·c (gstar⁻¹ takes the a-th
+    basis vector to tau_a·u_a), and the roots vanishing at W[r]·d are the
+    images under perm(r) of those vanishing at d (one
+    :func:`exactfield.vanishing_functionals` pass).  A move admits the rows
+    with that pattern (:func:`_pattern_table`), and each admitted row is
+    solved on the moved coordinates.  Raises ``ArithmeticError`` for
+    coordinates that are not real, or for an admitted row that does not
+    solve.
+    """
     if not all(c.is_real() for c in coords):
         raise ArithmeticError("basis coordinates are not real")
-    plan = _plan(m)
-    zero = vanishing_functionals(plan.functionals, coords)
+    rows, moves = _pattern_table(m)
+    roots = [r.coeffs for r in cw.restricted_roots()]
+    d = [t * c for t, c in zip(cw.twist_factors(m), coords)]
+    pattern = frozenset(a for a, zero in enumerate(vanishing_functionals(roots, d)) if zero)
     out = []
-    for s, tests in enumerate(plan.via):
-        z = sum(1 << k for k, f in enumerate(tests) if zero[f])
-        moved = 0 if all(zero[f] for f in plan.moved[s]) else 1
-        vec = None
-        for blk, row, vanish, nonzero, some in plan.rows:
-            if vanish & ~z or nonzero & z or any(not g & ~z for g in some):
-                continue
-            if vec is None:
-                vec = _apply_gaussian(plan.moves[s], plan.scales[s], coords, 4)
+    for r, perm, move, scale in moves:
+        admitted = rows.get(frozenset(perm[a] for a in pattern))
+        if admitted is None:
+            continue
+        vec = _apply_gaussian(move, scale, coords, 4)
+        for blk, row in admitted:
             lams = row.solve(vec)
             if lams is None:
-                raise ArithmeticError("plan admitted an inconsistent row")
-            out.append((s, moved, blk, row, lams))
-    return out
+                raise ArithmeticError("row (%d, %d, %d) has the pattern but does not solve"
+                                      % (blk.i, blk.j, row.k))
+            label = SSOrbitLabel(i=blk.i, j=blk.j, k=row.k, m=m, lams=lams)
+            out.append((_label_key(label), label, r, blk.reality))
+    return pattern, out
 
 
 def classify_semisimple(t: Tensor) -> SSOrbitLabel:
     """Identify the table row of a real semisimple tensor in canonical position.
 
-    Labels are assigned by row-shape matching.  On each real Cartan basis
-    containing the input, every real coordinate move is tried against every
-    row of every block on that basis; a pair matches when the row takes the
-    moved coordinates at admissible parameters.  Each of those decisions is
-    the zero test of a linear functional on the input's coordinates, so the
-    basis's plan evaluates its distinct integer functionals once, in integer
-    arithmetic, and reads every decision off the resulting zero pattern;
-    parameters are solved only for the matching pairs, each moved vector and
-    each solve one pass of the integer rows of the move or of the row's
-    eliminator over the input's numerators (:func:`_apply_gaussian`).
+    Canonical position means the span of a real Cartan basis m that carries
+    a block of the input's family; a point of the family in the span of
+    another basis may get no label (some points of families 2, 5 and 6 on
+    basis 3 do not).  On each basis containing the input, a real coordinate
+    move r (an element of W_real(m)) admits row k when it carries the roots
+    vanishing at the input onto the roots vanishing on row k's points, the
+    pattern of its Weyl witness (:func:`classification_candidates`).  The
+    moved point then lies in the row's span, so the row solves it.  The
+    label is the least candidate under an exact key (the parameters
+    coordinatewise, each by the numerators and denominator of ±v and then
+    its sign, then (j, k, m); :func:`_label_key`) whose parameters the
+    block's reality pattern accepts, tested from the least key up.  The
+    pattern does not decide that test: some avoid rows exclude regular
+    points, such as l1 = l2 in block (1, 4).  An input and its image under
+    a real move have the same candidates, so the label is a function of the
+    W_real(m)-orbit, and the two rows of a related pair get one label.
 
-    The result carries the least admissible parameter value over all matches
-    (ordered by magnitude, then sign, coordinatewise); among matches at that
-    parameter, rows matching the input's own coordinate vector win over
-    matches reached through a real coordinate symmetry, then the least
-    (j, k, basis) is taken.  As a consequence every stored table row
-    instantiation is mapped back to its printed label, including rows of the
-    same block whose instantiations are related by a real symmetry (such
-    pairs exist; see ``row k`` lists of the twisted blocks of families 2, 4,
-    5 and 6).  Input in the span of a real Cartan basis is semisimple because
-    that basis is a commuting semisimple family, checked once per basis; only
+    Input in the span of a real Cartan basis is semisimple because that
+    basis is a commuting semisimple family, checked once per basis; only
     input outside every basis gets its own semisimplicity test.  Raises
     ``ValueError`` for non-real input, zero, or input with a nilpotent part,
     and :class:`GeneralPositionError` when no table row matches (the input is
@@ -1491,28 +1408,26 @@ def classify_semisimple(t: Tensor) -> SSOrbitLabel:
     in_semisimple_span = any(cw.cartan_is_semisimple(m) for m, _ in bases)
     if not in_semisimple_span and not liealg.is_semisimple(t):
         raise ValueError("has nilpotent part")
-    candidates = [
-        (_lambda_key(lams), moved, blk.j, row.k, m, blk.i, lams)
-        for m, coords in bases
-        for _, moved, blk, row, lams in _matches(m, coords)
-    ]
-    if not candidates:
-        cdim = liealg.centralizer_dim(t)
-        ddim = liealg.derived_dim_of_centralizer(t)
-        families = sorted(
-            i for i, dims in _FAMILY_DIMS.items() if dims == (cdim, ddim)
-        )
-        raise GeneralPositionError(
-            {
-                "centralizer_dim": cdim,
-                "derived_centralizer_dim": ddim,
-                "families": families,
-                "invariants": invariants.invariants_of(t),
-            }
-        )
-    best = min(candidates, key=lambda c: c[:6])
-    _, _, j, k, m, i, lams = best
-    return SSOrbitLabel(i=i, j=j, k=k, m=m, lams=tuple(lams))
+    candidates = [c for m, coords in bases for c in classification_candidates(m, coords)[1]]
+    while candidates:
+        best = min(candidates, key=itemgetter(0))
+        _, label, _, reality = best
+        if reality.accepts(label.lams):
+            return label
+        candidates.remove(best)
+    cdim = liealg.centralizer_dim(t)
+    ddim = liealg.derived_dim_of_centralizer(t)
+    families = sorted(
+        i for i, dims in _FAMILY_DIMS.items() if dims == (cdim, ddim)
+    )
+    raise GeneralPositionError(
+        {
+            "centralizer_dim": cdim,
+            "derived_centralizer_dim": ddim,
+            "families": families,
+            "invariants": invariants.invariants_of(t),
+        }
+    )
 
 
 # ---------------------------------------------------------------------------

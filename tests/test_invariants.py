@@ -331,12 +331,6 @@ class TestSeparation:
         assert inv.quadratic(p) == inv.quadratic(q)
         assert inv.invariants_of(p) != inv.invariants_of(q)
 
-    def test_approximation_accuracy(self):
-        from cmath import exp, pi
-
-        approx = inv.approx_complex(CycNum.eta_power(1))
-        assert abs(approx - exp(1j * pi / 8)) < 1e-12
-
     def test_one_pass_matches_each_invariant(self):
         # invariants_of reads t's numerators once for all four values; the
         # reference takes H and the field Laplace expansion of each

@@ -1,11 +1,9 @@
 """Tests for the semisimple orbit tables, verification, and classification."""
 
-import cmath
 import dataclasses
 import functools
 import hashlib
 import json
-import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -680,11 +678,16 @@ def _field_eliminator(matrix):
     return _field_rows(*ss._gaussian_eliminator(matrix))
 
 
+@functools.cache
+def _field_solve_rows(row):
+    return _field_rows(*row._gaussian_elim)
+
+
 def _field_solve(row, vec):
     # the row's eliminator E as field elements, applied by la.mat_vec: the
     # reference for the integer kernel of SSTableRow.solve
     n = len(row.matrix[0])
-    out = la.mat_vec(_field_rows(*row._gaussian_elim), vec)
+    out = la.mat_vec(_field_solve_rows(row), vec)
     return None if any(out[n:]) else tuple(out[:n])
 
 
@@ -1084,13 +1087,15 @@ def _is_imaginary_numerators(c) -> bool:
     return c[0] == 0 and c[1] == c[7] and c[2] == c[6] and c[3] == c[5]
 
 
-def _double_cosets(blk) -> dict[int, int]:
-    """Each w whose point diag(tau)⁻¹·W[w]⁻¹·H·λ is real at default_lambda,
-    mapped to the least element of its double coset W_Pi(i)·w·W_real(m).
+def _double_cosets(blk, m) -> dict[int, int]:
+    """Each w whose point diag(tau_m)⁻¹·W[w]⁻¹·H·λ in basis m is real at the
+    block's default_lambda, mapped to the least element of its double coset
+    W_Pi(i)·w·W_real(m).
 
     W_Pi(i) fixes H pointwise, and the real move of r takes the point of w
-    to that of w·r⁻¹, so one double coset is one real Weyl orbit of points.
-    All on integers: the numerators of H·λ times the doubled rows of W[w]⁻¹.
+    to that of w·r⁻¹, so one double coset is one real Weyl orbit of points,
+    and every element of it has a real point when one has.  All on
+    integers: the numerators of H·λ times the doubled rows of W[w]⁻¹.
     """
     weyl = cw.weyl_table()
     mul, inv = weyl.mul, weyl.inv
@@ -1101,17 +1106,20 @@ def _double_cosets(blk) -> dict[int, int]:
              for b in range(4)]
     # tau_a⁻¹·x is real exactly when x is real (tau_a real) or imaginary
     # (tau_a imaginary)
-    taus = cw.twist_factors(blk.m)
+    taus = cw.twist_factors(m)
     assert all(tau.is_real() or tau.is_imaginary() for tau in taus)
     tests = [_is_real_numerators if tau.is_real() else _is_imaginary_numerators for tau in taus]
     w_pi = cw.w_pi_group(blk.i)
-    w_real = [cw.weyl_index(x) for x in ss.real_weyl_group(blk.m)]
+    w_real = [cw.weyl_index(x) for x in ss.real_weyl_group(m)]
     out = {}
     for w in range(len(doubled)):
+        if w in out:
+            continue
         image = [[sum(r[b] * point[b][e] for b in range(4)) for e in range(8)]
                  for r in doubled[inv[w]]]
         if all(test(x) for test, x in zip(tests, image)):
-            out[w] = min(mul[mul[p][w]][r] for p in w_pi for r in w_real)
+            coset = {mul[mul[p][w]][r] for p in w_pi for r in w_real}
+            out.update(dict.fromkeys(coset, min(coset)))
     return out
 
 
@@ -1122,16 +1130,22 @@ _RELATED_PAIRS = [
     (4, 2, 1, 2), (5, 2, 1, 2), (6, 2, 1, 2),
 ]
 
-#: The double cosets that no row of the block meets, by their least w:
-#: real points of family 10 that classification has no label for (it raises
-#: GeneralPositionError).  This list may only shrink.
-_KNOWN_GAPS = {(10, 1): [16, 24, 40], (10, 2): [16, 24, 40]}
+#: The double cosets W_Pi(i)·w·W_real(m) of block (i, j) on basis m whose
+#: real points classification has no label for (it raises
+#: GeneralPositionError), keyed by (i, j, m), by their least w: three real
+#: orbits of family 10 on each of its blocks' own bases, which no row meets,
+#: and points of families 2, 5 and 6 on basis 3, which carries no block of
+#: those families.  This list may only shrink.
+_KNOWN_GAPS = {
+    (10, 1, 1): [16, 24, 40], (10, 2, 2): [16, 24, 40],
+    (2, 2, 3): [88, 90], (5, 2, 3): [72], (6, 2, 3): [80],
+}
 
 
 def test_rows_meet_the_weyl_double_cosets():
     related, counts = [], {}
     for blk in ss.blocks():
-        cosets = _double_cosets(blk)
+        cosets = _double_cosets(blk, blk.m)
         rows_of = {}
         for row in blk.rows:
             assert row.w in cosets, (blk.i, blk.j, row.k)
@@ -1140,7 +1154,7 @@ def test_rows_meet_the_weyl_double_cosets():
                     for ks in rows_of.values() for pair in combinations(ks, 2)]
         counts[(blk.i, blk.j)] = len(set(cosets.values()))
         gaps = sorted(set(cosets.values()) - set(rows_of))
-        assert gaps == _KNOWN_GAPS.get((blk.i, blk.j), []), (blk.i, blk.j)
+        assert gaps == _KNOWN_GAPS.get((blk.i, blk.j, blk.m), []), (blk.i, blk.j)
         lams = ss.default_lambda(blk.i, blk.j)
         for w in gaps:
             t = cw.from_basis_coords(blk.m, la.mat_vec(ss._row_matrix(blk.i, blk.m, w), lams))
@@ -1153,24 +1167,62 @@ def test_rows_meet_the_weyl_double_cosets():
     assert (counts[(10, 1)], counts[(10, 2)]) == (5, 5)
 
 
-def test_related_rows_are_one_real_orbit_for_every_parameter():
-    # for a related pair (k, k′) some r in W_real(m) has w_k·r⁻¹ in
-    # W_Pi(i)·w_k′; a lift g of r with h = gstar·g·gstar⁻¹ real takes row k
-    # onto row k′ on every parameter unit vector, so at every λ
+def _relating_element(i, j, k, k_other):
+    """A real group element taking row k of block (i, j) onto row k′.
+
+    For a related pair some r in W_real(m) has w_k·r⁻¹ in W_Pi(i)·w_k′.  Of
+    the 32 lifts g of r, the least (``weyl_lift``) gives a non-real
+    gstar·g·gstar⁻¹ for all 15 pairs, so the lifts g_r·z over the kernel z
+    are searched for one where h = gstar·g·gstar⁻¹ is real.
+    """
     weyl = cw.weyl_table()
     mul, inv = weyl.mul, weyl.inv
     kernel, lifts = galois.normalizer_cosets()
+    blk = ss.block(i, j)
+    coset = {mul[p][blk.row(k_other).w] for p in cw.w_pi_group(i)}
+    r = next(w for w in map(cw.weyl_index, ss.real_weyl_group(blk.m))
+             if mul[blk.row(k).w][inv[w]] in coset)
+    g_r = next(g for g, w in lifts if w == r)
+    gstar = cw.seven_cartans()[blk.m - 1].gstar
+    return next(h for h in (g_mul(g_mul(gstar, galois.decode(galois.slot_mul(g_r, z))),
+                                  g_inv(gstar)) for z in kernel)
+                if conj_g(h) == h)
+
+
+def _double_coset_points(blk, m):
+    """The real point of each double coset of :func:`_double_cosets` on
+    basis m, by its least w, at the block's default_lambda."""
+    lams = ss.default_lambda(blk.i, blk.j)
+    for w in sorted(set(_double_cosets(blk, m).values())):
+        yield w, cw.from_basis_coords(m, la.mat_vec(ss._row_matrix(blk.i, m, w), lams))
+
+
+def test_real_weyl_images_on_every_basis_get_a_label_or_are_known_gaps():
+    # one point per real Weyl orbit of each block's real points on every
+    # basis: a label of the block's family, or a pinned gap
+    points, gaps = 0, {}
+    for blk in ss.blocks():
+        for m in range(1, 8):
+            for w, t in _double_coset_points(blk, m):
+                points += 1
+                assert t.is_real()
+                try:
+                    label = ss.classify_semisimple(t)
+                except ss.GeneralPositionError:
+                    gaps.setdefault((blk.i, blk.j, m), []).append(w)
+                    continue
+                assert label.i == blk.i, (blk.i, blk.j, m, w)
+    assert gaps == _KNOWN_GAPS
+    assert points == 264
+
+
+def test_related_rows_are_one_real_orbit_for_every_parameter():
+    # the real element of _relating_element takes row k onto row k′ on
+    # every parameter unit vector, so at every λ
     for i, j, k, k_other in _RELATED_PAIRS:
         blk = ss.block(i, j)
         row, other = blk.row(k), blk.row(k_other)
-        coset = {mul[p][other.w] for p in cw.w_pi_group(i)}
-        r = next(w for w in map(cw.weyl_index, ss.real_weyl_group(blk.m))
-                 if mul[row.w][inv[w]] in coset)
-        g_r = next(g for g, w in lifts if w == r)
-        gstar = cw.seven_cartans()[blk.m - 1].gstar
-        h = next(h for h in (g_mul(g_mul(gstar, galois.decode(galois.slot_mul(g_r, z))),
-                                   g_inv(gstar)) for z in kernel)
-                 if conj_g(h) == h)
+        h = _relating_element(i, j, k, k_other)
         for l in range(len(row.matrix[0])):
             assert (act_tensor(h, cw.from_basis_coords(blk.m, [c[l] for c in row.matrix]))
                     == cw.from_basis_coords(blk.m, [c[l] for c in other.matrix])), (i, j, k, l)
@@ -1273,13 +1325,26 @@ def test_classify_examples():
 
 
 def test_classify_round_trip_all_rows():
+    # every row at default_lambda gets its own label back, except the second
+    # row of a related pair, which is in its partner's real orbit and gets
+    # its partner's label; the coupled blocks come back at the conjugate
+    # parameters (1 − i, −1 − i), which the exact key orders first
+    partner = {(i, j, k_other): k for i, j, k, k_other in _RELATED_PAIRS}
+    labels = set()
     for blk in ss.blocks():
         lams = ss.default_lambda(blk.i, blk.j)
+        if "coupled" in blk.reality.tags:
+            lams_back = tuple(v.conjugate() for v in lams)
+        else:
+            lams_back = lams
         for row in blk.rows:
             t = ss.row_tensor(blk.i, blk.j, row.k, lams)
             lab = ss.classify_semisimple(t)
-            assert (lab.i, lab.j, lab.k) == (blk.i, blk.j, row.k)
-            assert lab.lams == tuple(lams)
+            k = partner.get((blk.i, blk.j, row.k), row.k)
+            assert (lab.i, lab.j, lab.k, lab.m) == (blk.i, blk.j, k, blk.m)
+            assert lab.lams == lams_back
+            labels.add(lab)
+    assert len(labels) == 162 - len(_RELATED_PAIRS) == 147
 
 
 def test_classify_is_idempotent_on_labels():
@@ -1301,6 +1366,38 @@ def test_classify_is_idempotent_on_labels():
             rep = ss.row_tensor(lab.i, lab.j, lab.k, lab.lams)
             lab2 = ss.classify_semisimple(rep)
             assert lab2 == lab
+
+
+def test_labels_are_invariant_under_every_real_move():
+    # the label is a function of the real Weyl orbit: every real move of
+    # every row at default_lambda gets the row's label; the 2040 moved
+    # inputs are 1296 distinct tensors, each classified once
+    labels, count = {}, 0
+    for blk in ss.blocks():
+        lams = ss.default_lambda(blk.i, blk.j)
+        for row in blk.rows:
+            coords = row.coordinates(lams)
+            want = ss.classify_semisimple(cw.from_basis_coords(blk.m, coords))
+            for move in ss._coordinate_moves(blk.m):
+                moved = cw.from_basis_coords(blk.m, la.mat_vec(move, coords))
+                key = _tensor_key(moved)
+                if key not in labels:
+                    labels[key] = ss.classify_semisimple(moved)
+                assert labels[key] == want, (blk.i, blk.j, row.k)
+                count += 1
+    assert (count, len(labels)) == (2040, 1296)
+
+
+def test_related_rows_get_one_label():
+    # a real group element relating the two rows of a pair leaves the label
+    # unchanged, at default_lambda and at 3·default_lambda
+    for i, j, k, k_other in _RELATED_PAIRS:
+        h = _relating_element(i, j, k, k_other)
+        base = ss.default_lambda(i, j)
+        for lams in (base, tuple(rat(3) * v for v in base)):
+            t = ss.row_tensor(i, j, k, lams)
+            assert act_tensor(h, t) == ss.row_tensor(i, j, k_other, lams)
+            assert ss.classify_semisimple(act_tensor(h, t)) == ss.classify_semisimple(t)
 
 
 def test_classify_canonicalizes_parameters():
@@ -1365,9 +1462,9 @@ def test_classify_general_position():
 
 
 def _reference_classify(t):
-    # the row-by-row loop classify_semisimple ran before its plan: every real
-    # move against every row, each pair solved and tested in field arithmetic
-    # (la.mat_vec), not by the integer kernel
+    # the row-by-row loop: every real move against every row, each pair
+    # solved and tested in field arithmetic (la.mat_vec), not by the integer
+    # kernel, and the least candidate under the label key
     if not t.is_real():
         raise ValueError("not a real state")
     if t.is_zero():
@@ -1379,14 +1476,13 @@ def _reference_classify(t):
     for m, coords in bases:
         for move in ss._coordinate_moves(m):
             vec = tuple(la.mat_vec(move, coords))
-            moved = 0 if vec == coords else 1
             for blk in ss._blocks_by_basis(m):
                 for row in blk.rows:
                     lams = _field_solve(row, vec)
                     if lams is None or not blk.reality.accepts(lams):
                         continue
                     candidates.append(
-                        (ss._lambda_key(lams), moved, blk.j, row.k, m, blk.i, lams)
+                        ss.SSOrbitLabel(i=blk.i, j=blk.j, k=row.k, m=m, lams=lams)
                     )
     if not candidates:
         cdim = liealg.centralizer_dim(t)
@@ -1399,8 +1495,7 @@ def _reference_classify(t):
             ),
             "invariants": invariants.invariants_of(t),
         })
-    _, _, j, k, m, i, lams = min(candidates, key=lambda c: c[:6])
-    return ss.SSOrbitLabel(i=i, j=j, k=k, m=m, lams=tuple(lams))
+    return min(candidates, key=ss._label_key)
 
 
 def _outcome(classify, t):
@@ -1445,28 +1540,51 @@ def test_classify_matches_the_row_by_row_loop(ij, data):
     assert _outcome(ss.classify_semisimple, t) == _outcome(_reference_classify, t)
 
 
-def test_plan_decides_every_pair_like_solve_and_accepts():
-    # each (move, row) the plan admits, and only those, has a solution that
-    # accepts takes, with the same parameters and the same moved flag
-    admitted = 0
+def _degenerate_lambdas(blk):
+    # default_lambda moved onto each avoid hyperplane of the block, and with
+    # each entry set to zero: the degenerate kinds that
+    # test_classify_matches_the_row_by_row_loop draws
+    base = list(ss.default_lambda(blk.i, blk.j))
+    for a in blk.reality.avoid:
+        lams = list(base)
+        p = max(q for q, c in enumerate(a) if c)
+        lams[p] = _rat_dot(a[:p] + (0,) + a[p + 1:], lams).scale(Fraction(-1, a[p]))
+        yield tuple(lams)
+    for p in range(len(base)):
+        yield tuple(ZERO if q == p else v for q, v in enumerate(base))
+
+
+def test_pattern_admission_decides_every_pair_like_solve_and_accepts():
+    # the (move, row) pairs that pattern admission and accepts keep are
+    # exactly those whose field solve accepts takes, with the same
+    # parameters: every row at default_lambda, and the first row of each
+    # block at each degenerate parameter (an avoid hyperplane, a zero entry)
+    inputs = []
     for blk in ss.blocks():
         lams = ss.default_lambda(blk.i, blk.j)
-        for row in blk.rows:
-            t = ss.row_tensor(blk.i, blk.j, row.k, lams)
-            for m, coords in cw.containing_bases(t):
-                want = set()
-                for s, move in enumerate(ss._coordinate_moves(m)):
-                    vec = tuple(la.mat_vec(move, coords))
-                    for b in ss._blocks_by_basis(m):
-                        for r in b.rows:
-                            sol = _field_solve(r, vec)
-                            if sol is not None and b.reality.accepts(sol):
-                                want.add((s, int(vec != coords), b.i, b.j, r.k, sol))
-                got = [(s, moved, b.i, b.j, r.k, sol)
-                       for s, moved, b, r, sol in ss._matches(m, coords)]
-                assert len(got) == len(set(got))
-                assert set(got) == want, (blk.i, blk.j, row.k, m)
-                admitted += len(got)
+        inputs += [(blk.m, row.coordinates(lams)) for row in blk.rows]
+        inputs += [(blk.m, blk.rows[0].coordinates(d)) for d in _degenerate_lambdas(blk)]
+    admitted = degenerate = 0
+    for m_row, coords in inputs:
+        t = cw.from_basis_coords(m_row, coords)
+        if t.is_zero() or not t.is_real():
+            continue
+        for m, vec0 in cw.containing_bases(t):
+            moves = [cw.weyl_index(w) for w in ss.real_weyl_group(m)]
+            want = set()
+            for r, move in zip(moves, ss._coordinate_moves(m)):
+                vec = tuple(la.mat_vec(move, vec0))
+                for b in ss._blocks_by_basis(m):
+                    for row in b.rows:
+                        sol = _field_solve(row, vec)
+                        if sol is not None and b.reality.accepts(sol):
+                            want.add((r, b.i, b.j, row.k, sol))
+            got = [(r, lab.i, lab.j, lab.k, lab.lams)
+                   for _, lab, r, reality in ss.classification_candidates(m, vec0)[1]
+                   if reality.accepts(lab.lams)]
+            assert len(got) == len(set(got))
+            assert set(got) == want, (m_row, coords, m)
+            admitted += len(got)
     assert admitted > 162
 
 
@@ -1487,38 +1605,28 @@ def _pinned_labels():
 
 
 def test_labels_are_pinned():
-    # the digest was taken on the classifier that solved and moved in field
-    # arithmetic (la.mat_vec), before the integer kernel
+    # the digest was taken on the classifier that admits (move, row) pairs by
+    # vanishing-root pattern and orders candidates by the exact label key;
+    # the float key with the moved tie-break gave 61c08a75…, and 45 of the
+    # 324 labels differ from it
     labels = [(got.i, got.j, got.k, got.m, [[list(v.nums), v.den] for v in got.lams])
               for got in _pinned_labels()]
     assert len(labels) == 324
     digest = hashlib.sha256(json.dumps(labels).encode()).hexdigest()
-    assert digest == "61c08a75f2d8a4d86dcb3c2d294fd7957432baf9a30b12a65584e57b7eff78f0"
-
-
-def test_approx_complex_table_matches_the_per_term_powers():
-    # the tie-break key reads η^k from a table; the floats must be the ones
-    # the per-term powers give, bit for bit
-    eta = cmath.exp(1j * math.pi / 8)
-    rng = random.Random(3005)
-    values = [v for got in _pinned_labels() for v in got.lams]
-    values += [random_cyc(rng, 10**6, 10**3) for _ in range(200)]
-    for v in values:
-        want = sum(n * eta**k for k, n in enumerate(v.nums)) / v.den
-        assert invariants.approx_complex(v) == want, v
+    assert digest == "9b50a0698ed53e6391d9d2d027d974b62d6994ff3ea82c4537614fbf3a74cd92"
 
 
 @pytest.fixture
-def fresh_plans():
-    ss._plan.cache_clear()
+def fresh_tables():
+    ss._pattern_table.cache_clear()
     yield
-    ss._plan.cache_clear()
+    ss._pattern_table.cache_clear()
 
 
 _SQRT2 = CycNum((0, 0, 1, 0, 0, 0, -1, 0))
 
 
-def test_plan_rejects_a_move_that_is_not_rational(monkeypatch, fresh_plans):
+def test_classify_rejects_a_move_that_is_not_rational(monkeypatch, fresh_tables):
     moves = ss._coordinate_moves(1)
     bent = (tuple(tuple(v * _SQRT2 for v in r) for r in moves[0]),) + moves[1:]
     assert all(v.is_real() for r in bent[0] for v in r)
@@ -1527,18 +1635,21 @@ def test_plan_rejects_a_move_that_is_not_rational(monkeypatch, fresh_plans):
         ss.classify_semisimple(ss.row_tensor(1, 1, 1, ss.default_lambda(1, 1)))
 
 
-def test_plan_rejects_an_eliminator_that_is_not_gaussian(monkeypatch, fresh_plans):
-    # a row scaled by sqrt(2) has an eliminator with entries in Q(sqrt 2)
+def test_classify_rejects_an_eliminator_that_is_not_gaussian(monkeypatch, fresh_tables):
+    # a row scaled by sqrt(2) has an eliminator with entries in Q(sqrt 2); it
+    # keeps its witness, so its pattern admits the row's own tensor, and the
+    # solve raises
     blk = ss.block(7, 1)
     row = blk.rows[0]
     scaled = dataclasses.replace(
         row, matrix=tuple(tuple(c * _SQRT2 for c in r) for r in row.matrix)
     )
     bent = dataclasses.replace(blk, rows=(scaled,) + blk.rows[1:])
-    others = tuple(b for b in ss._blocks_by_basis(1) if b is not blk)
-    monkeypatch.setattr(ss, "_blocks_by_basis", lambda m: others + (bent,))
+    original = ss._blocks_by_basis
+    monkeypatch.setattr(ss, "_blocks_by_basis",
+                        lambda m: tuple(bent if b is blk else b for b in original(m)))
     with pytest.raises(ArithmeticError, match="not a Gaussian rational"):
-        ss.classify_semisimple(ss.row_tensor(1, 1, 1, ss.default_lambda(1, 1)))
+        ss.classify_semisimple(ss.row_tensor(7, 1, 1, ss.default_lambda(7, 1)))
 
 
 def test_classify_rejects_coordinates_that_are_not_real(monkeypatch):

@@ -39,9 +39,7 @@ KEPT = {
     "component_membership": "checks the stored subsystem data",
     "random_cyc": "draws the random field elements of the property tests",
     "coefficients": "CycNum's rational coefficients, read by the field tests",
-    "as_dict": "InvariantVector as text, the reference of the invariants' report form",
     "to_json": "Tensor's JSON text, the input format states are written in",
-    "from_json": "reads Tensor's JSON text, the input format states are written in",
     "mat_vec": "the field matrix-vector product, the reference of the integer row kernel "
                "behind SSTableRow.coordinates, SSTableRow.solve and the classification moves",
 }
