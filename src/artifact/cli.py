@@ -29,7 +29,7 @@ from math import gcd
 
 from . import cartanweyl as cw
 from . import ssorbits
-from .exactfield import common_numerators, cyc_to_str
+from .exactfield import cyc_to_str
 from .liealg import Tensor
 
 #: The paper's parameter names where they are not l1, …, ln: l1 and l4 for
@@ -52,15 +52,12 @@ def _form(nums, den: int, names, grouped: bool) -> str:
 def _entries(row: ssorbits.SSTableRow, names) -> list[str]:
     """The four entries of ``row`` as text: each a rational form, ``i*`` or
     ``-i*`` times one (the sign outside when no coefficient is positive),
-    their sum, or ``0``.  ``ArithmeticError`` for an entry that is not a
-    Gaussian rational."""
-    nums, den = common_numerators(v for r in row.matrix for v in r)
-    nums = [x or (0,) * 8 for x in nums]
-    if any(x[e] for x in nums for e in (1, 2, 3, 5, 6, 7)):
-        raise ArithmeticError("row entry is not a Gaussian rational")
+    their sum, or ``0``, read off the row's Gaussian integer rows over their
+    common denominator (``SSTableRow._gaussian_rows``)."""
+    rows, den = row._gaussian_rows
     out = []
-    for a in range(4):
-        re, im = zip(*((x[0], x[4]) for x in nums[a * len(names):(a + 1) * len(names)]))
+    for gauss in rows:
+        re, im = zip(*gauss)
         parts = [_form(re, den, names, False)] if any(re) else []
         if any(im):
             sign = "-" if max(im) <= 0 else ""

@@ -12,7 +12,9 @@ in the real basis m, generated as an exact coefficient matrix.  The paper
 prints the rows (10, 1, 2) and (10, 2, 2) in 2/l1; at l1 they lie over
 q(4/l1), so they come out in mu = 4/l1, which maps the nonzero real
 (imaginary) l1 onto themselves.  So every row is linear in its parameters,
-and every row of a block at l1 lies over q(l1).  The module provides:
+and every row of a block at l1 lies over q(l1).  Each block's reality tags
+are read off its Galois twist's Weyl action on the family's parameters,
+the real moves off the real Weyl group and the twist factors.  It provides:
 
 * ``reality_pattern(i, j)`` — the admissible-parameter test for a block;
 * ``real_point(i, j, lams)`` — a real point of the block with its witness;
@@ -31,6 +33,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import product
+from math import gcd
 from operator import itemgetter
 from typing import Sequence
 
@@ -45,6 +48,7 @@ from .exactfield import (
     ONE,
     ZERO,
     common_numerators,
+    mul_acc,
     rat,
     vanishing_functionals,
 )
@@ -199,10 +203,12 @@ def _gaussian_integers(matrix) -> tuple[list, int]:
     d > 0, the common denominator of the entries
     (:func:`exactfield.common_numerators`).  Raises ``ArithmeticError`` for
     an entry that is not a Gaussian rational."""
-    rows, den = _numerator_rows(matrix)
-    if any(x[e] for r in rows for x in r for e in (1, 2, 3, 5, 6, 7)):
+    nums, den = common_numerators(v for r in matrix for v in r)
+    if any(x and any(x[e] for e in (1, 2, 3, 5, 6, 7)) for x in nums):
         raise ArithmeticError("matrix entry is not a Gaussian rational")
-    return [[(x[0], x[4]) for x in r] for r in rows], den
+    gauss = [(x[0], x[4]) if x else (0, 0) for x in nums]
+    n = len(matrix[0])
+    return [gauss[k:k + n] for k in range(0, len(gauss), n)], den
 
 
 def _gaussian_eliminator(matrix) -> tuple[list, int]:
@@ -303,11 +309,10 @@ def _apply_gaussian(rows: Sequence, norm: int, vec: Sequence[CycNum], n: int) ->
 
 
 @lru_cache(maxsize=1)
-def _doubled_inverses() -> tuple:
-    """Twice W[w]⁻¹ as integer rows for each index w, from ``weyl_table()``."""
-    weyl = cw.weyl_table()
-    doubled = {w: rows for rows, w in weyl.index.items()}
-    return tuple(doubled[weyl.inv[w]] for w in range(len(doubled)))
+def _doubled_weyl() -> tuple:
+    """Twice W[w] as integer rows for each index w, from ``weyl_table()``."""
+    doubled = {w: rows for rows, w in cw.weyl_table().index.items()}
+    return tuple(doubled[w] for w in range(len(doubled)))
 
 
 @lru_cache(maxsize=None)
@@ -321,15 +326,15 @@ def _row_matrix(i: int, m: int, w: int) -> tuple:
     """The coefficients diag(tau)⁻¹·W[w]⁻¹·H of act(b_w, q(λ)) in basis m
     (:func:`_lifted_conjugator`), for H family i's ``h_basis`` as columns:
     gstar⁻¹ takes the a-th vector of basis m to tau_a·u_a.  Entry (a, l) is
-    the integer c = 2·(W[w]⁻¹·H)_al (:func:`_doubled_inverses`) times the
-    numerators of tau_a⁻¹ (:func:`_inverse_twists`), over twice their
+    the integer c = 2·(W[w]⁻¹·H)_al (:func:`_doubled_weyl` of w⁻¹) times
+    the numerators of tau_a⁻¹ (:func:`_inverse_twists`), over twice their
     denominator."""
     nums, den = _inverse_twists(m)
     h_basis = cw.subsystem(i).h_basis
     return tuple(
         tuple(CycNum.from_numerators([c * x for x in tau], 2 * den)
               for c in (sum(r * h for r, h in zip(row, vec)) for vec in h_basis))
-        for row, tau in zip(_doubled_inverses()[w], nums)
+        for row, tau in zip(_doubled_weyl()[cw.weyl_table().inv[w]], nums)
     )
 
 
@@ -360,9 +365,10 @@ class RealityPattern:
 
     ``tags`` gives each parameter's constraint: ``"real"`` or
     ``"imaginary"`` (nonzero real/imaginary number), or ``"coupled"`` for
-    the paired constraint i·(l1+l2) and l1−l2 both real and nonzero.
-    ``avoid`` lists integer coefficient rows whose dot product with the
-    parameters must not vanish (regularity of the instance).
+    the paired constraint i·(l1+l2) and l1−l2 both real and nonzero,
+    derived from the block's twist (:func:`_reality_tags`).  ``avoid``
+    lists integer coefficient rows whose dot product with the parameters
+    must not vanish (regularity of the instance).
     """
 
     i: int
@@ -418,10 +424,10 @@ def _plus_minus_rows(n: int) -> tuple[tuple[int, ...], ...]:
 # coordinate-action matrix ``gamma`` induced by the twist n, the twist
 # ``n`` and its witness ``g`` (as comma-separated named 2×2 factors, with
 # ``Dk`` denoting diag(eta^k, eta^-k)), the finite list ``zs`` of
-# stabilizer cocycles, per-parameter reality ``tags``, ``avoid`` rows and
-# the rows k = 1, 2, …, each as its Weyl witness w, the least element of
-# its coset W_Pi(i)·w, from which ``blocks()`` generates the row's matrix
-# (see ``_row_matrix``); ``artifact table`` prints the rows' entries.
+# stabilizer cocycles, ``avoid`` rows and the rows k = 1, 2, …, each as its
+# Weyl witness w, the least element of its coset W_Pi(i)·w, from which
+# ``blocks()`` generates the row's matrix (see ``_row_matrix``); ``artifact
+# table`` prints the rows' entries.  The twist fixes the reality tags.
 
 _Z_COMMON = ("I,I,I,I", "-I,-I,I,I", "-I,I,-I,I", "I,-I,-I,I")
 
@@ -438,7 +444,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
                 "K,K,K,K", "K,K,-K,-K", "K,-K,K,-K", "K,-K,-K,K",
                 "L,L,L,L", "L,L,-L,-L", "L,-L,L,-L", "L,-L,-L,L",
             ),
-            tags=("real",) * 4,
             avoid=_plus_minus_rows(4),
             rows=(191, 6, 5, 3, 64, 22, 29, 43, 7, 190, 189, 187),
         ),
@@ -453,7 +458,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
                 "K,K,K,-K", "-K,-K,-K,K", "K,-K,K,K", "-K,K,K,K",
                 "-L,-L,-L,-L", "L,L,-L,-L", "-L,L,-L,L", "L,-L,-L,L",
             ),
-            tags=("imaginary",) * 4,
             avoid=_plus_minus_rows(4),
             rows=(191, 6, 5, 3, 43, 29, 22, 64, 7, 190, 189, 187),
         ),
@@ -464,7 +468,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="M,M,-N,N",
             g="D5,D5,-D3,-D7",
             zs=("-I,-I,-I,-I", "-I,-I,I,I", "-I,I,-I,I", "-I,I,I,-I"),
-            tags=("imaginary", "imaginary", "imaginary", "real"),
             avoid=((1, 1, 1, 0), (1, 1, -1, 0),
                    (1, -1, 1, 0), (1, -1, -1, 0)),
             rows=(191, 6, 5, 3),
@@ -476,7 +479,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="L,I,I,L",
             g="M,I,I,M",
             zs=("I,I,I,I", "I,I,-I,-I", "L,L,L,L", "L,L,-L,-L"),
-            tags=("imaginary", "imaginary", "real", "real"),
             avoid=((1, 1, 0, 0), (1, -1, 0, 0)),
             rows=(191, 6, 7, 190),
         ),
@@ -487,7 +489,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="I,L,I,L",
             g="I,M,I,M",
             zs=("I,I,I,I", "I,I,-I,-I", "L,L,L,L", "L,L,-L,-L"),
-            tags=("imaginary", "real", "imaginary", "real"),
             avoid=((1, 0, 1, 0), (1, 0, -1, 0)),
             rows=(191, 6, 7, 190),
         ),
@@ -498,7 +499,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="I,I,L,L",
             g="I,I,M,M",
             zs=("I,I,I,I", "I,-I,I,-I", "L,L,L,L", "L,-L,L,-L"),
-            tags=("imaginary", "real", "real", "imaginary"),
             avoid=((1, 0, 0, 1), (1, 0, 0, -1)),
             rows=(191, 5, 7, 189),
         ),
@@ -509,7 +509,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="M,M,M,M",
             g="D5,D5,D5,D5",
             zs=("I,I,I,I", "I,I,-I,-I", "I,-I,I,-I", "I,-I,-I,I"),
-            tags=("imaginary", "real", "real", "real"),
             avoid=(),
             rows=(191, 6, 5, 3),
         ),
@@ -522,7 +521,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="I,I,I,I",
             g="I,I,I,I",
             zs=_Z_COMMON + ("-K,-K,K,K", "K,K,K,K", "K,-K,-K,K", "-K,K,-K,K"),
-            tags=("real",) * 3,
             avoid=_plus_minus_rows(3),
             rows=(190, 6, 4, 2, 22, 64, 42, 28),
         ),
@@ -533,7 +531,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="I,I,L,-L",
             g="I,I,M,D2",
             zs=_Z_COMMON,
-            tags=("real", "imaginary", "imaginary"),
             avoid=(),
             rows=(106, 108, 80, 104),
         ),
@@ -544,7 +541,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="I,L,I,-L",
             g="I,M,I,D2",
             zs=_Z_COMMON,
-            tags=("real", "imaginary", "real"),
             avoid=((1, 0, 1), (1, 0, -1)),
             rows=(96, 88, 100, 98),
         ),
@@ -555,7 +551,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="L,I,I,L",
             g="M,I,I,M",
             zs=_Z_COMMON,
-            tags=("imaginary", "imaginary", "real"),
             avoid=((1, 1, 0), (1, -1, 0)),
             rows=(190, 6, 4, 2),
         ),
@@ -566,7 +561,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="L,I,I,-L",
             g="M,I,I,N",
             zs=_Z_COMMON,
-            tags=("real", "real", "imaginary"),
             avoid=((1, 1, 0), (1, -1, 0)),
             rows=(96, 88, 100, 98),
         ),
@@ -577,7 +571,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="I,L,I,L",
             g="I,M,I,M",
             zs=_Z_COMMON,
-            tags=("imaginary", "real", "imaginary"),
             avoid=((1, 0, 1), (1, 0, -1)),
             rows=(190, 6, 4, 2),
         ),
@@ -588,7 +581,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="I,I,L,L",
             g="I,I,M,M",
             zs=_Z_COMMON,
-            tags=("imaginary", "real", "real"),
             avoid=((1, 0, 1), (1, 0, -1)),
             rows=(190, 6, 4, 2),
         ),
@@ -599,7 +591,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="-I,I,I,I",
             g="L,I,I,I",
             zs=_Z_COMMON + ("K,-K,K,K", "-K,K,K,K", "-K,-K,-K,K", "K,K,-K,K"),
-            tags=("imaginary",) * 3,
             avoid=_plus_minus_rows(3),
             rows=(0, 184, 186, 188, 168, 126, 148, 162),
         ),
@@ -612,7 +603,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="I,I,I,I",
             g="I,I,I,I",
             zs=_Z_COMMON,
-            tags=("real", "real"),
             avoid=((1, 1),),
             rows=(120, 6, 4, 2),
         ),
@@ -623,7 +613,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="-I,I,I,I",
             g="L,I,I,I",
             zs=_Z_COMMON,
-            tags=("imaginary", "imaginary"),
             avoid=((1, 1),),
             rows=(120, 6, 4, 2),
         ),
@@ -637,7 +626,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             g="I,I,I,I",
             zs=("I,I,I,I", "-I,I,-I,I", "-K,K,-K,K",
                 "-K,K,K,-K", "K,K,K,K", "K,K,-K,-K"),
-            tags=("real", "real"),
             avoid=((1, 1), (1, -1)),
             rows=(185, 1, 25, 41, 64, 16),
         ),
@@ -648,7 +636,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="M,M,M,M",
             g="D5,D5,D5,D5",
             zs=("I,I,I,I", "-I,I,-I,I"),
-            tags=("imaginary", "real"),
             avoid=(),
             rows=(185, 1),
         ),
@@ -660,7 +647,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             g="I,I,M,M",
             zs=("I,I,I,I", "-I,-I,I,I", "-K,K,-K,-K",
                 "K,K,K,-K", "-K,K,K,K", "K,K,-K,K"),
-            tags=("imaginary", "imaginary"),
             avoid=((1, 1), (1, -1)),
             rows=(1, 185, 16, 41, 64, 25),
         ),
@@ -671,7 +657,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="L,L,-K,K",
             g="M,M,F,LF",
             zs=("I,I,I,I", "-I,I,-I,I", "-K,-K,-L,-L", "K,-K,L,-L"),
-            tags=("coupled", "coupled"),
             avoid=((1, 1), (1, -1)),
             rows=(153, 56, 40, 169),
         ),
@@ -684,7 +669,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="I,I,I,I",
             g="I,I,I,I",
             zs=("I,I,I,I", "-I,I,-I,I"),
-            tags=("real",),
             avoid=(),
             rows=(88, 1),
         ),
@@ -695,7 +679,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="-I,I,I,I",
             g="L,I,I,I",
             zs=("I,I,I,I", "-I,I,-I,I"),
-            tags=("imaginary",),
             avoid=(),
             rows=(88, 1),
         ),
@@ -708,7 +691,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="I,I,I,I",
             g="I,I,I,I",
             zs=("I,I,I,I", "K,K,K,K", "-K,K,K,-K", "-K,K,-K,K", "K,K,-K,-K"),
-            tags=("real",),
             avoid=(),
             rows=(184, 64),
         ),
@@ -719,7 +701,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
             n="-I,I,I,I",
             g="L,I,I,I",
             zs=("I,I,I,I", "-K,K,K,K", "K,K,K,-K", "K,K,-K,K", "-K,K,-K,-K"),
-            tags=("imaginary",),
             avoid=(),
             rows=(184, 120),
         ),
@@ -812,30 +793,52 @@ def _checked_twist(i: int, j: int, n: GElt, g: GElt, zs: tuple) -> int:
     return symmetries[0]
 
 
+def _reality_tags(i: int, j: int, w: int) -> tuple[str, ...]:
+    """Block (i, j)'s reality tags, read off its twist's Weyl index w.
+
+    Its points g·q(λ) are real when W[w]·H·conj(λ) = H·λ, for H family i's
+    ``h_basis`` as columns.  W[w]·H = H·R is read on the coordinates that
+    are ±1 in one column of H and 0 in the others, and λ = R·conj(λ):
+    R = diag(±1) makes λ_l real (+1) or imaginary (−1), R = [[0, −1],
+    [−1, 0]] makes i·(l1+l2) and l1−l2 real (``"coupled"``), and any other
+    R, or a W[w] that moves span(H), raises ``ValueError`` naming the block.
+    """
+    h = cw.subsystem(i).h_basis
+    n = len(h)
+    readout = [next(a for a in range(4) if abs(h[l][a]) == 1 == sum(abs(v[a]) for v in h))
+               for l in range(n)]
+    # 2·W[w]·h_l, and 2·R from its read-out coordinates
+    image = [[sum(c * x for c, x in zip(row, h[l])) for row in _doubled_weyl()[w]]
+             for l in range(n)]
+    twice = [[image[l][readout[p]] * h[p][readout[p]] for l in range(n)] for p in range(n)]
+    if any(image[l][a] != sum(twice[p][l] * h[p][a] for p in range(n))
+           for l in range(n) for a in range(4)):
+        raise ValueError("block (%d, %d): the twist does not preserve the family's span"
+                         % (i, j))
+    if twice == [[0, -2], [-2, 0]]:
+        return ("coupled", "coupled")
+    tags = tuple({2: "real", -2: "imaginary"}.get(twice[p][p]) for p in range(n))
+    if None in tags or any(twice[p][l] for p in range(n) for l in range(n) if p != l):
+        raise ValueError("block (%d, %d): the twist acts on the parameters by 2·R = %r, "
+                         "neither signs on the diagonal nor the coupled swap" % (i, j, twice))
+    return tags
+
+
 def _compile_block(i: int, raw: dict) -> CaseBlock:
-    """Compile a stored block; its ``gamma`` must be its twist's symmetry."""
+    """Compile a stored block; its ``gamma`` must be its twist's symmetry,
+    which fixes its reality tags (:func:`_reality_tags`)."""
     n = gelt_from_names(raw["n"])
     g = gelt_from_names(raw["g"])
     zs = tuple(gelt_from_names(z) for z in raw["zs"])
     w = _checked_twist(i, raw["j"], n, g, zs)
+    reality = RealityPattern(i=i, j=raw["j"], tags=_reality_tags(i, raw["j"], w),
+                             avoid=tuple(raw["avoid"]))
     gamma = _build_wmat(raw["gamma"])
     if cw.weyl_group()[w] != gamma:
         raise ValueError("block (%d, %d): twist acts by %r, table says %r"
                          % (i, raw["j"], cw.weyl_group()[w], gamma))
-    reality = RealityPattern(
-        i=i, j=raw["j"], tags=tuple(raw["tags"]), avoid=tuple(raw["avoid"])
-    )
-    return CaseBlock(
-        i=i,
-        j=raw["j"],
-        m=raw["m"],
-        gamma=w,
-        n=n,
-        g=g,
-        zs=zs,
-        rows=_table_rows(i, raw["j"], raw["m"], raw["rows"]),
-        reality=reality,
-    )
+    return CaseBlock(i=i, j=raw["j"], m=raw["m"], gamma=w, n=n, g=g, zs=zs,
+                     rows=_table_rows(i, raw["j"], raw["m"], raw["rows"]), reality=reality)
 
 
 def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock,
@@ -867,7 +870,7 @@ def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock,
         raise ValueError("transported twist action mismatch")
     return replace(blk, i=i_dst, m=m_dst, gamma=w, n=n, g=g, zs=zs,
                    rows=_table_rows(i_dst, blk.j, m_dst, witnesses),
-                   reality=replace(blk.reality, i=i_dst))
+                   reality=replace(blk.reality, i=i_dst, tags=_reality_tags(i_dst, blk.j, w)))
 
 
 @lru_cache(maxsize=1)
@@ -961,9 +964,16 @@ def _weyl_lift_inverse(w: int) -> GElt:
     return galois.decode(galois.slot_inv(galois.encode(weyl_lift(w))))
 
 
-@lru_cache(maxsize=None)
 def real_weyl_group(m: int) -> tuple[cw.WeylMat, ...]:
-    """Coordinate symmetries with lifts defined over the m-th real form.
+    """Coordinate symmetries with lifts defined over the m-th real form, as
+    the matrices of :func:`_real_weyl_indices`."""
+    return tuple(cw.weyl_group()[w] for w in _real_weyl_indices(m))
+
+
+@lru_cache(maxsize=None)
+def _real_weyl_indices(m: int) -> tuple[int, ...]:
+    """The Weyl indices of the coordinate symmetries with lifts defined over
+    the m-th real form, in increasing order.
 
     A symmetry w is real when some lift ``g`` is fixed by the real structure
     σ(x) = nstar · conj(x) · nstar⁻¹ of form ``m``.  That makes
@@ -983,30 +993,7 @@ def real_weyl_group(m: int) -> tuple[cw.WeylMat, ...]:
         return mul(mul(nstar, galois.slot_conj(x)), nstar_inv)
 
     twists = {mul(k, inv(sigma(k))) for k in kernel}
-    real = sorted(w for g, w in lifts if mul(inv(g), sigma(g)) in twists)
-    return tuple(cw.weyl_group()[w] for w in real)
-
-
-@lru_cache(maxsize=None)
-def _coordinate_moves(m: int) -> tuple:
-    """Real 4×4 matrices: the action of the real coordinate symmetries
-    on coordinates with respect to the m-th real basis.
-
-    The entry (a, b) of the move of w is tau_a⁻¹·w_ab·tau_b, with the twist
-    factors tau of the basis (:func:`cartanweyl.twist_factors`): the ratios
-    tau_a⁻¹·tau_b are formed once per basis, and each entry scales one by
-    the rational w_ab.
-    """
-    taus = cw.twist_factors(m)
-    ratios = [[inv * u for u in taus] for inv in (t.inverse() for t in taus)]
-    moves = []
-    for w in real_weyl_group(m):
-        mat = tuple(tuple(ratio.scale(q) for ratio, q in zip(ratios[a], w[a]))
-                    for a in range(4))
-        if not all(v.is_real() for row in mat for v in row):
-            raise ArithmeticError("real symmetry has a non-real coordinate action")
-        moves.append(mat)
-    return tuple(moves)
+    return tuple(sorted(w for g, w in lifts if mul(inv(g), sigma(g)) in twists))
 
 
 # ---------------------------------------------------------------------------
@@ -1259,19 +1246,12 @@ def check_row(i: int, j: int, k: int, lams: Sequence[CycNum] | None = None,
 # classification
 # ---------------------------------------------------------------------------
 
-#: (centralizer dimension, derived-subalgebra dimension) per family.
-_FAMILY_DIMS: dict[int, tuple[int, int]] = {
-    1: (4, 0),
-    2: (6, 3),
-    3: (10, 8),
-    4: (8, 6),
-    5: (8, 6),
-    6: (8, 6),
-    7: (16, 15),
-    8: (16, 15),
-    9: (16, 15),
-    10: (10, 9),
-}
+def _family_dims(i: int) -> tuple[int, int]:
+    """dim z_g(q) and dim [z_g(q), z_g(q)] for a regular q of family i: the
+    Cartan subspace plus one root space per member root, and those root
+    spaces plus their coroots' span, of dimension 4 − n for n parameters."""
+    members = len(cw.member_roots(i))
+    return 4 + members, members + 4 - cw.subsystem(i).param_count
 
 
 def _label_key(label: SSOrbitLabel) -> tuple:
@@ -1291,15 +1271,6 @@ def _blocks_by_basis(m: int) -> tuple[CaseBlock, ...]:
     return tuple(b for b in blocks() if b.m == m)
 
 
-def _numerator_rows(matrix) -> tuple[list, int]:
-    """The entries of ``matrix`` as integer 8-tuples over their common
-    denominator d (:func:`exactfield.common_numerators`), row by row, and d."""
-    nums, den = common_numerators(v for r in matrix for v in r)
-    nums = [x or (0,) * 8 for x in nums]
-    n = len(matrix[0])
-    return [nums[k:k + n] for k in range(0, len(nums), n)], den
-
-
 @lru_cache(maxsize=None)
 def _pattern_table(m: int) -> tuple[dict, tuple]:
     """The rows of basis ``m`` by vanishing-root pattern, and its real moves.
@@ -1311,8 +1282,10 @@ def _pattern_table(m: int) -> tuple[dict, tuple]:
     set to the ``(block, row)`` pairs that have it.  The second holds each
     real move r of the basis (:func:`real_weyl_group`) as ``(r, perm(r),
     rows, scale)``: its Weyl index, its root permutation, and its coordinate
-    action (:func:`_coordinate_moves`) as integer rows over ``scale``, as
-    Gaussian integers (a, 0) for :func:`_apply_gaussian`.  Raises
+    action tau_a⁻¹·W[r]_ab·tau_b, for the twist factors tau
+    (:func:`cartanweyl.twist_factors`), as Gaussian integers (a, 0) over
+    ``scale`` for :func:`_apply_gaussian`: 2·W[r]_ab times the numerators
+    of tau_a⁻¹·tau_b, formed once, reduced by their gcd.  Raises
     ``ArithmeticError`` for a move that is not rational.
     """
     roots = cw.restricted_roots()
@@ -1323,14 +1296,21 @@ def _pattern_table(m: int) -> tuple[dict, tuple]:
         for row in blk.rows:
             pattern = frozenset(b for b, a in enumerate(perms[row.w]) if a in members)
             rows.setdefault(pattern, []).append((blk, row))
-    moves = []
-    for w, move in zip(real_weyl_group(m), _coordinate_moves(m)):
-        nums, scale = _numerator_rows(move)
-        if any(any(x[1:]) for r in nums for x in r):
+    inv_nums, inv_den = _inverse_twists(m)
+    tau_nums, tau_den = common_numerators(cw.twist_factors(m))
+    ratios = [[[0] * 8 for _ in tau_nums] for _ in inv_nums]
+    for row, x in zip(ratios, inv_nums):
+        for acc, y in zip(row, tau_nums):
+            mul_acc(acc, x, y)
+    scale, moves = 2 * inv_den * tau_den, []
+    # called first, real_weyl_group forms the indices under its own name
+    for w, r in zip(real_weyl_group(m), _real_weyl_indices(m)):
+        if any(c and any(x[1:]) for row, xs in zip(w, ratios) for c, x in zip(row, xs)):
             raise ArithmeticError("real coordinate move is not rational")
-        r = cw.weyl_index(w)
-        moves.append((r, perms[r], tuple(tuple((x[0], 0) for x in row) for row in nums),
-                      scale))
+        nums = [[int(2 * c) * x[0] for c, x in zip(row, xs)] for row, xs in zip(w, ratios)]
+        g = gcd(scale, *(c for row in nums for c in row))
+        moves.append((r, perms[r], tuple(tuple((c // g, 0) for c in row) for row in nums),
+                      scale // g))
     return {p: tuple(v) for p, v in rows.items()}, tuple(moves)
 
 
@@ -1417,9 +1397,7 @@ def classify_semisimple(t: Tensor) -> SSOrbitLabel:
         candidates.remove(best)
     cdim = liealg.centralizer_dim(t)
     ddim = liealg.derived_dim_of_centralizer(t)
-    families = sorted(
-        i for i, dims in _FAMILY_DIMS.items() if dims == (cdim, ddim)
-    )
+    families = [i for i in range(1, 11) if _family_dims(i) == (cdim, ddim)]
     raise GeneralPositionError(
         {
             "centralizer_dim": cdim,

@@ -164,6 +164,63 @@ def test_a_transported_block_is_checked_like_a_stored_one():
         ss._transport_block(5, auto, blk, witnesses[:1] * 2)
 
 
+_R, _I, _C = "real", "imaginary", "coupled"
+
+#: The reality tags the table stored for each block, the transported
+#: blocks copying their source's, before the tags were derived from the
+#: twists.
+_STORED_TAGS = {
+    (1, 1): (_R, _R, _R, _R), (1, 2): (_I, _I, _I, _I), (1, 3): (_I, _I, _I, _R),
+    (1, 4): (_I, _I, _R, _R), (1, 5): (_I, _R, _I, _R), (1, 6): (_I, _R, _R, _I),
+    (1, 7): (_I, _R, _R, _R),
+    (2, 1): (_R, _R, _R), (2, 2): (_R, _I, _I), (2, 3): (_R, _I, _R), (2, 4): (_I, _I, _R),
+    (2, 5): (_R, _R, _I), (2, 6): (_I, _R, _I), (2, 7): (_I, _R, _R), (2, 8): (_I, _I, _I),
+    (3, 1): (_R, _R), (3, 2): (_I, _I),
+    (4, 1): (_R, _R), (4, 2): (_I, _R), (4, 3): (_I, _I), (4, 4): (_C, _C),
+    (5, 1): (_R, _R), (5, 2): (_I, _R), (5, 3): (_I, _I), (5, 4): (_C, _C),
+    (6, 1): (_R, _R), (6, 2): (_I, _R), (6, 3): (_I, _I), (6, 4): (_C, _C),
+    (7, 1): (_R,), (7, 2): (_I,), (8, 1): (_R,), (8, 2): (_I,), (9, 1): (_R,), (9, 2): (_I,),
+    (10, 1): (_R,), (10, 2): (_I,),
+}
+
+
+def test_reality_tags_derived_from_the_twists_equal_the_stored_ones():
+    assert {(b.i, b.j): b.reality.tags for b in ss.blocks()} == _STORED_TAGS
+
+
+@pytest.mark.parametrize("i, pick, message", [
+    # family 1 reads W itself: a matrix with an entry off the diagonal
+    (1, lambda x: any(x[a][b] for a in range(4) for b in range(4) if a != b),
+     r"block \(1, 1\): the twist acts on the parameters by 2·R = "),
+    # family 4 (h = e1, e4): the swap e1 <-> e4 without the signs
+    (4, lambda x: x[3][0] == x[0][3] == 1 and not any(x[a][b] for a in (1, 2) for b in (0, 3)),
+     r"block \(4, 1\): the twist acts on the parameters by 2·R = \[\[0, 2\], \[2, 0\]\]"),
+    # family 2 (h = e1, e2, e3): a matrix taking some h_l out of their span
+    (2, lambda x: any(x[3][l] for l in range(3)),
+     r"block \(2, 1\): the twist does not preserve the family's span"),
+])
+def test_a_twist_without_a_reality_pattern_is_rejected(monkeypatch, i, pick, message):
+    # the first Weyl element the pick selects stands in for the block's twist
+    raw = dict(ss._NATIVE[i][0])
+    assert ss._compile_block(i, raw) == ss.block(i, 1)
+    bad = next(w for w, x in enumerate(cw.weyl_group()) if pick(x))
+    monkeypatch.setattr(ss, "_checked_twist", lambda *args: bad)
+    with pytest.raises(ValueError, match=message):
+        ss._compile_block(i, raw)
+
+
+#: (dim z_g(q), dim [z_g(q), z_g(q)]) per family, as the table stored them.
+_STORED_DIMS = {1: (4, 0), 2: (6, 3), 3: (10, 8), 4: (8, 6), 5: (8, 6), 6: (8, 6),
+                7: (16, 15), 8: (16, 15), 9: (16, 15), 10: (10, 9)}
+
+
+def test_family_dims_match_the_stored_table_and_the_centralizers():
+    for i in range(1, 11):
+        q = cw.parametrize(i, ss.default_lambda(i, 1))
+        algebra = (liealg.centralizer_dim(q), liealg.derived_dim_of_centralizer(q))
+        assert ss._family_dims(i) == _STORED_DIMS[i] == algebra, i
+
+
 def test_unknown_block_raises():
     with pytest.raises(KeyError):
         ss.block(11, 1)
@@ -1016,30 +1073,52 @@ def test_real_weyl_group_matches_fraction_keyed_reference():
         assert ss.real_weyl_group(m) == tuple(cw.weyl_group()[w] for w in sorted(reference)), m
 
 
+def _field_moves(m, taus):
+    """The real moves of basis m as field matrices, entry (a, b)
+    tau_a⁻¹·w_ab·tau_b for the twist factors ``taus``, in the order of
+    ``real_weyl_group(m)``: the reference for the pattern table's integer
+    rows."""
+    ratios = [[inv * u for u in taus] for inv in (t.inverse() for t in taus)]
+    return tuple(tuple(tuple(ratio.scale(q) for ratio, q in zip(ratios[a], w[a]))
+                       for a in range(4))
+                 for w in ss.real_weyl_group(m))
+
+
+@functools.cache
+def _coordinate_moves(m):
+    return _field_moves(m, cw.twist_factors(m))
+
+
 def test_coordinate_moves_match_the_entrywise_formula():
-    # entry (a, b) of the move of w is tau_a⁻¹·w_ab·tau_b
+    # the pattern table's integer rows of the move r over its scale are
+    # tau_a⁻¹·W[r]_ab·tau_b, entry by entry, in the order of real_weyl_group
     for m in range(1, 8):
         taus = cw.twist_factors(m)
-        want = tuple(
-            tuple(tuple(taus[a].inverse() * rat(w[a][b]) * taus[b] for b in range(4))
-                  for a in range(4))
-            for w in ss.real_weyl_group(m)
-        )
-        assert ss._coordinate_moves(m) == want, m
+        moves = ss._pattern_table(m)[1]
+        assert tuple(cw.weyl_group()[r] for r, *_ in moves) == ss.real_weyl_group(m)
+        for (r, perm, rows, scale), move in zip(moves, _coordinate_moves(m)):
+            w = cw.weyl_group()[r]
+            assert perm == cw.root_permutations()[r]
+            assert all(b == 0 for row in rows for _, b in row)
+            assert tuple(tuple(rat(a, scale) for a, _ in row) for row in rows) == move == tuple(
+                tuple(taus[a].inverse() * rat(w[a][b]) * taus[b] for b in range(4))
+                for a in range(4)), (m, r)
 
 
-def test_coordinate_moves_reject_a_non_real_action(monkeypatch):
+def test_coordinate_moves_reject_a_non_real_action(monkeypatch, fresh_tables):
     # an imaginary twist factor on one axis makes the moves that mix that
-    # axis with another imaginary
+    # axis with another imaginary, so not rational
+    ss._blocks_by_basis(1)
     taus = cw.twist_factors(1)
     bent = (IMAG * taus[0],) + taus[1:]
+    assert not all(v.is_real() for move in _field_moves(1, bent) for r in move for v in r)
     monkeypatch.setattr(cw, "twist_factors", lambda m: bent)
-    ss._coordinate_moves.cache_clear()
+    ss._inverse_twists.cache_clear()
     try:
-        with pytest.raises(ArithmeticError, match="non-real"):
-            ss._coordinate_moves(1)
+        with pytest.raises(ArithmeticError, match="not rational"):
+            ss._pattern_table(1)
     finally:
-        ss._coordinate_moves.cache_clear()
+        ss._inverse_twists.cache_clear()
 
 
 def test_family_one_rows_meet_each_real_weyl_orbit_once():
@@ -1197,6 +1276,40 @@ def _double_coset_points(blk, m):
         yield w, cw.from_basis_coords(m, la.mat_vec(ss._row_matrix(blk.i, m, w), lams))
 
 
+#: The avoid rows of blocks (1, 3..6) and (2, 3..6) whose points
+#: classification gives no label: default_lambda moved onto the row
+#: (:func:`_degenerate_lambdas`), admissible for every other avoid row, is
+#: real and raises GeneralPositionError, such as (i, i, 5, 13) on the row
+#: (1, -1, 0, 0) of block (1, 4).  This list may only shrink.
+_AVOID_GAPS = {
+    (1, 3): [(1, 1, 1, 0), (1, 1, -1, 0), (1, -1, 1, 0), (1, -1, -1, 0)],
+    (1, 4): [(1, 1, 0, 0), (1, -1, 0, 0)],
+    (1, 5): [(1, 0, 1, 0), (1, 0, -1, 0)],
+    (1, 6): [(1, 0, 0, 1), (1, 0, 0, -1)],
+    (2, 3): [(1, 0, 1), (1, 0, -1)],
+    (2, 4): [(1, 1, 0), (1, -1, 0)],
+    (2, 5): [(1, 1, 0), (1, -1, 0)],
+    (2, 6): [(1, 0, 1), (1, 0, -1)],
+}
+
+
+def test_points_on_avoid_rows_get_a_label_or_are_known_gaps():
+    assert list(_degenerate_lambdas(ss.block(1, 4)))[1] == (IMAG, IMAG, rat(5), rat(13))
+    gaps = {}
+    for blk in [ss.block(i, j) for i in (1, 2) for j in range(3, 7)]:
+        for a, lams in zip(blk.reality.avoid, _degenerate_lambdas(blk)):
+            others = dataclasses.replace(
+                blk.reality, avoid=tuple(b for b in blk.reality.avoid if b != a))
+            assert others.accepts(lams) and not blk.reality.accepts(lams), (blk.i, blk.j, a)
+            t = cw.from_basis_coords(blk.m, blk.rows[0].coordinates(lams))
+            assert t.is_real()
+            try:
+                ss.classify_semisimple(t)
+            except ss.GeneralPositionError:
+                gaps.setdefault((blk.i, blk.j), []).append(a)
+    assert gaps == _AVOID_GAPS
+
+
 def test_real_weyl_images_on_every_basis_get_a_label_or_are_known_gaps():
     # one point per real Weyl orbit of each block's real points on every
     # basis: a label of the block's family, or a pinned gap
@@ -1291,6 +1404,18 @@ def test_compiled_table_is_pinned():
     )
 
 
+def test_classification_run_path_is_pinned():
+    # what classification evaluates: every basis' real moves (r, perm, rows,
+    # scale) and every row's Gaussian integer rows and eliminator; the digest
+    # was taken when the moves were formed as field matrices and read back
+    # into integers
+    moves = [ss._pattern_table(m)[1] for m in range(1, 8)]
+    rows = [(r._gaussian_rows, r._gaussian_elim) for b in ss.blocks() for r in b.rows]
+    assert _digest([moves, rows]) == (
+        "5e1112d9b2e26f8e286d9803f046806814135d7bd206d26cab06f592187139ab"
+    )
+
+
 def test_normalizer_pairs_lift_each_symmetry_32_times():
     pairs = _normalizer_pairs()
     lifts = {}
@@ -1378,7 +1503,7 @@ def test_labels_are_invariant_under_every_real_move():
         for row in blk.rows:
             coords = row.coordinates(lams)
             want = ss.classify_semisimple(cw.from_basis_coords(blk.m, coords))
-            for move in ss._coordinate_moves(blk.m):
+            for move in _coordinate_moves(blk.m):
                 moved = cw.from_basis_coords(blk.m, la.mat_vec(move, coords))
                 key = _tensor_key(moved)
                 if key not in labels:
@@ -1474,7 +1599,7 @@ def _reference_classify(t):
         raise ValueError("has nilpotent part")
     candidates = []
     for m, coords in bases:
-        for move in ss._coordinate_moves(m):
+        for move in _coordinate_moves(m):
             vec = tuple(la.mat_vec(move, coords))
             for blk in ss._blocks_by_basis(m):
                 for row in blk.rows:
@@ -1490,9 +1615,7 @@ def _reference_classify(t):
         raise ss.GeneralPositionError({
             "centralizer_dim": cdim,
             "derived_centralizer_dim": ddim,
-            "families": sorted(
-                i for i, dims in ss._FAMILY_DIMS.items() if dims == (cdim, ddim)
-            ),
+            "families": [i for i in range(1, 11) if ss._family_dims(i) == (cdim, ddim)],
             "invariants": invariants.invariants_of(t),
         })
     return min(candidates, key=ss._label_key)
@@ -1572,7 +1695,7 @@ def test_pattern_admission_decides_every_pair_like_solve_and_accepts():
         for m, vec0 in cw.containing_bases(t):
             moves = [cw.weyl_index(w) for w in ss.real_weyl_group(m)]
             want = set()
-            for r, move in zip(moves, ss._coordinate_moves(m)):
+            for r, move in zip(moves, _coordinate_moves(m)):
                 vec = tuple(la.mat_vec(move, vec0))
                 for b in ss._blocks_by_basis(m):
                     for row in b.rows:
@@ -1598,7 +1721,7 @@ def _pinned_labels():
         lams = ss.default_lambda(blk.i, blk.j)
         for row in blk.rows:
             coords = row.coordinates(lams)
-            move = rng.choice(ss._coordinate_moves(blk.m))
+            move = rng.choice(_coordinate_moves(blk.m))
             for vec in (coords, tuple(la.mat_vec(move, coords))):
                 labels.append(ss.classify_semisimple(cw.from_basis_coords(blk.m, vec)))
     return labels
@@ -1627,12 +1750,20 @@ _SQRT2 = CycNum((0, 0, 1, 0, 0, 0, -1, 0))
 
 
 def test_classify_rejects_a_move_that_is_not_rational(monkeypatch, fresh_tables):
-    moves = ss._coordinate_moves(1)
-    bent = (tuple(tuple(v * _SQRT2 for v in r) for r in moves[0]),) + moves[1:]
-    assert all(v.is_real() for r in bent[0] for v in r)
-    monkeypatch.setattr(ss, "_coordinate_moves", lambda m: bent)
-    with pytest.raises(ArithmeticError, match="not rational"):
-        ss.classify_semisimple(ss.row_tensor(1, 1, 1, ss.default_lambda(1, 1)))
+    # a twist factor scaled by sqrt(2) keeps every move real, but the moves
+    # that mix its axis with another are not rational
+    t = ss.row_tensor(1, 1, 1, ss.default_lambda(1, 1))
+    ss._blocks_by_basis(1)
+    taus = cw.twist_factors(1)
+    bent = (_SQRT2 * taus[0],) + taus[1:]
+    assert all(v.is_real() for move in _field_moves(1, bent) for r in move for v in r)
+    monkeypatch.setattr(cw, "twist_factors", lambda m: bent)
+    ss._inverse_twists.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="not rational"):
+            ss.classify_semisimple(t)
+    finally:
+        ss._inverse_twists.cache_clear()
 
 
 def test_classify_rejects_an_eliminator_that_is_not_gaussian(monkeypatch, fresh_tables):
