@@ -22,7 +22,11 @@ the real moves off the real Weyl group and the twist factors.  It provides:
 * ``verify_ss_tables()`` — re-derive and check every table entry;
 * ``classify_semisimple(t)`` — map a real diagonalizable tensor in
   canonical position to the ``(i, j, k)`` row and parameter that label its
-  real orbit, from the candidates of ``classification_candidates``.
+  real orbit: the least accepted candidate, found least first by keying
+  every admitted (move, row) pair on its first parameter and solving only
+  the least group;
+* ``classification_candidates(m, coords)`` — every candidate on one basis,
+  solved in full, for explaining a label.
 
 All arithmetic is exact, over the degree-8 cyclotomic field.
 """
@@ -32,11 +36,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import groupby, product
 from math import gcd
-from operator import itemgetter
-from typing import Sequence
+from operator import itemgetter, neg
+from typing import Collection, Sequence
 
+from . import _linalg as la
 from . import cartanweyl as cw
 from . import galois
 from . import invariants
@@ -167,7 +172,9 @@ class SSTableRow:
     n parameters: coordinates = matrix · λ.  Its entries are Gaussian
     rationals, so ``coordinates`` and ``solve`` apply integer rows
     (d·matrix, and the eliminator N·E) to the numerators of their input
-    (:func:`_apply_gaussian`), with one reduction per result.
+    (:func:`_apply_gaussian`), with one reduction per result;
+    classification applies the eliminator's rows to a moved vector's terms
+    directly (:func:`_first_parameters`).
     """
 
     k: int
@@ -193,7 +200,10 @@ class SSTableRow:
     def solve(self, vec: Sequence[CycNum]) -> tuple | None:
         """Parameters that reproduce ``vec``, or None when inconsistent: the
         rows of the eliminator E past the n parameters are the consistency
-        rows, and E·vec must vanish there."""
+        rows, and E·vec must vanish there.  Classification checks those
+        rows and evaluates the first parameter row for every admitted pair
+        on the same kernel (:func:`_gaussian_row`), and calls ``solve`` only
+        for the pairs of the least group of first parameters."""
         rows, norm = self._gaussian_elim
         return _apply_gaussian(rows, norm, vec, len(self.matrix[0]))
 
@@ -277,35 +287,45 @@ def _gaussian_quotient(re: int, im: int, q: tuple[int, int]) -> tuple[int, int]:
     return xr, xi
 
 
+def _gaussian_terms(nums: Sequence) -> list:
+    """The terms of a vector given as integer 8-tuples x over one
+    denominator (None or all zeros for a zero entry): each x with
+    i·x = (−x4, −x5, −x6, −x7, x0, x1, x2, x3), the negacyclic shift of x
+    by 4, or None for zero.  Formed once per vector, they serve every row
+    that :func:`_gaussian_row` applies to it."""
+    return [(x, (-x[4], -x[5], -x[6], -x[7], x[0], x[1], x[2], x[3])) if x and any(x) else None
+            for x in nums]
+
+
+def _gaussian_row(row: Sequence, terms: Sequence) -> list[int]:
+    """The numerators over d of row·vec, for a row of Gaussian integers
+    ``(a, b)`` = a + b·i and the terms of vec (:func:`_gaussian_terms`):
+    (a + b·i)·x is a·x + b·(i·x)."""
+    acc = [0] * 8
+    for (a, b), term in zip(row, terms):
+        if term is None:
+            continue
+        x, ix = term
+        if a:
+            acc = [p + a * q for p, q in zip(acc, x)]
+        if b:
+            acc = [p + b * q for p, q in zip(acc, ix)]
+    return acc
+
+
 def _apply_gaussian(rows: Sequence, norm: int, vec: Sequence[CycNum], n: int) -> tuple | None:
     """The first n entries of (rows/norm)·vec for rows of Gaussian integers
-    ``(a, b)`` = a + b·i and norm > 0, or None when a later entry is nonzero.
-
-    Over their common denominator d (:func:`exactfield.common_numerators`)
-    the entries of ``vec`` are integer 8-tuples x, and (a + b·i)·x is
-    a·x + b·(i·x), with i·x = (−x4, −x5, −x6, −x7, x0, x1, x2, x3) the
-    negacyclic shift of x by 4.  Each entry is one
+    ``(a, b)`` = a + b·i and norm > 0, or None when a later entry is nonzero:
+    each row on the terms of the numerators of ``vec`` over their common
+    denominator d (:func:`exactfield.common_numerators`), and each entry one
     ``CycNum.from_numerators`` over d·norm.
     """
     nums, den = common_numerators(vec)
-    terms = [(x, (-x[4], -x[5], -x[6], -x[7], x[0], x[1], x[2], x[3])) if x else None
-             for x in nums]
-
-    def numerators(row) -> list[int]:
-        acc = [0] * 8
-        for (a, b), term in zip(row, terms):
-            if term is None:
-                continue
-            x, ix = term
-            if a:
-                acc = [p + a * q for p, q in zip(acc, x)]
-            if b:
-                acc = [p + b * q for p, q in zip(acc, ix)]
-        return acc
-
-    if any(any(numerators(row)) for row in rows[n:]):
+    terms = _gaussian_terms(nums)
+    if any(any(_gaussian_row(row, terms)) for row in rows[n:]):
         return None
-    return tuple(CycNum.from_numerators(numerators(row), den * norm) for row in rows[:n])
+    return tuple(CycNum.from_numerators(_gaussian_row(row, terms), den * norm)
+                 for row in rows[:n])
 
 
 @lru_cache(maxsize=1)
@@ -1246,24 +1266,34 @@ def check_row(i: int, j: int, k: int, lams: Sequence[CycNum] | None = None,
 # classification
 # ---------------------------------------------------------------------------
 
+def _centralizer_dims(roots: Collection[tuple[int, ...]]) -> tuple[int, int]:
+    """dim z_g(q) and dim [z_g(q), z_g(q)] for a point q of a real Cartan
+    span at which exactly the restricted ``roots`` S vanish (as ``coeffs``):
+    the Cartan subspace plus one root space per root of S, and those root
+    spaces plus their coroots' span, of dimension rank(S)."""
+    return 4 + len(roots), len(roots) + la.rank([[rat(c) for c in a] for a in roots])
+
+
+@lru_cache(maxsize=None)
 def _family_dims(i: int) -> tuple[int, int]:
-    """dim z_g(q) and dim [z_g(q), z_g(q)] for a regular q of family i: the
-    Cartan subspace plus one root space per member root, and those root
-    spaces plus their coroots' span, of dimension 4 − n for n parameters."""
-    members = len(cw.member_roots(i))
-    return 4 + members, members + 4 - cw.subsystem(i).param_count
+    """:func:`_centralizer_dims` of a regular point of family i, at which
+    exactly the member roots vanish."""
+    return _centralizer_dims(cw.member_roots(i))
+
+
+def _parameter_key(v: CycNum) -> tuple:
+    """An exact order on one parameter: the numerators of whichever of ±v has
+    a positive first nonzero numerator (the greater tuple), the denominator
+    and whether that is −v."""
+    if next(filter(None, v.nums), 0) < 0:
+        return tuple(map(neg, v.nums)), v.den, True
+    return v.nums, v.den, False
 
 
 def _label_key(label: SSOrbitLabel) -> tuple:
-    """An exact order on candidate labels: the parameters coordinatewise,
-    each v by the numerators of whichever of ±v has a positive first nonzero
-    numerator (the greater tuple), the denominator and whether that is −v;
-    then (j, k, m)."""
-    key = []
-    for v in label.lams:
-        neg = tuple(-x for x in v.nums)
-        key.append((neg, v.den, True) if neg > v.nums else (v.nums, v.den, False))
-    return tuple(key), label.j, label.k, label.m
+    """An exact order on candidate labels: the parameters coordinatewise
+    (:func:`_parameter_key`), then (j, k, m)."""
+    return tuple(map(_parameter_key, label.lams)), label.j, label.k, label.m
 
 
 @lru_cache(maxsize=None)
@@ -1284,7 +1314,7 @@ def _pattern_table(m: int) -> tuple[dict, tuple]:
     rows, scale)``: its Weyl index, its root permutation, and its coordinate
     action tau_a⁻¹·W[r]_ab·tau_b, for the twist factors tau
     (:func:`cartanweyl.twist_factors`), as Gaussian integers (a, 0) over
-    ``scale`` for :func:`_apply_gaussian`: 2·W[r]_ab times the numerators
+    ``scale`` for :func:`_gaussian_row`: 2·W[r]_ab times the numerators
     of tau_a⁻¹·tau_b, formed once, reduced by their gcd.  Raises
     ``ArithmeticError`` for a move that is not rational.
     """
@@ -1314,20 +1344,23 @@ def _pattern_table(m: int) -> tuple[dict, tuple]:
     return {p: tuple(v) for p, v in rows.items()}, tuple(moves)
 
 
-def classification_candidates(m: int, coords: tuple) -> tuple[frozenset, list[tuple]]:
+def _first_parameters(m: int, coords: tuple) -> tuple[frozenset, list[tuple]]:
     """The vanishing-root pattern of real coordinates on basis ``m``, and
-    each candidate ``(key, label, r, reality)``: the real move r takes the
-    coordinates to the label's row at the label's parameters, which are a
-    label when the block's ``reality`` pattern accepts them.
+    each pending pair ``(part, m, block, row, r, nums, den)``: the real move
+    r takes the coordinates to the vector of integer 8-tuples ``nums`` over
+    ``den``, which the row solves with a first parameter of key ``part``
+    (:func:`_parameter_key`).
 
     The input's u-coordinates are d = diag(tau_m)·c (gstar⁻¹ takes the a-th
     basis vector to tau_a·u_a), and the roots vanishing at W[r]·d are the
     images under perm(r) of those vanishing at d (one
     :func:`exactfield.vanishing_functionals` pass).  A move admits the rows
-    with that pattern (:func:`_pattern_table`), and each admitted row is
-    solved on the moved coordinates.  Raises ``ArithmeticError`` for
-    coordinates that are not real, or for an admitted row that does not
-    solve.
+    with that pattern (:func:`_pattern_table`).  The moved vector and its
+    terms (:func:`_gaussian_terms`) are formed once per move, on the terms
+    of the coordinates; on them every consistency row of each admitted
+    row's eliminator must vanish, and only the first parameter row is
+    evaluated.  Raises ``ArithmeticError`` for coordinates that are not
+    real, or for an admitted row that does not solve.
     """
     if not all(c.is_real() for c in coords):
         raise ArithmeticError("basis coordinates are not real")
@@ -1335,20 +1368,49 @@ def classification_candidates(m: int, coords: tuple) -> tuple[frozenset, list[tu
     roots = [r.coeffs for r in cw.restricted_roots()]
     d = [t * c for t, c in zip(cw.twist_factors(m), coords)]
     pattern = frozenset(a for a, zero in enumerate(vanishing_functionals(roots, d)) if zero)
+    nums, den = common_numerators(coords)
+    given = _gaussian_terms(nums)
     out = []
     for r, perm, move, scale in moves:
         admitted = rows.get(frozenset(perm[a] for a in pattern))
         if admitted is None:
             continue
-        vec = _apply_gaussian(move, scale, coords, 4)
+        moved = [_gaussian_row(e, given) for e in move]
+        terms = _gaussian_terms(moved)
         for blk, row in admitted:
-            lams = row.solve(vec)
-            if lams is None:
+            elim, norm = row._gaussian_elim
+            if any(any(_gaussian_row(e, terms)) for e in elim[len(row.matrix[0]):]):
                 raise ArithmeticError("row (%d, %d, %d) has the pattern but does not solve"
                                       % (blk.i, blk.j, row.k))
-            label = SSOrbitLabel(i=blk.i, j=blk.j, k=row.k, m=m, lams=lams)
-            out.append((_label_key(label), label, r, blk.reality))
+            first = CycNum.from_numerators(_gaussian_row(elim[0], terms), den * scale * norm)
+            out.append((_parameter_key(first), m, blk, row, r, moved, den * scale))
     return pattern, out
+
+
+def _candidate(pair: tuple) -> tuple:
+    """The candidate ``(key, label, r, reality)`` of a pending pair of
+    :func:`_first_parameters`, with all its parameters
+    (:meth:`SSTableRow.solve`)."""
+    _, m, blk, row, r, nums, den = pair
+    lams = row.solve([CycNum.from_numerators(x, den) for x in nums])
+    label = SSOrbitLabel(i=blk.i, j=blk.j, k=row.k, m=m, lams=lams)
+    return _label_key(label), label, r, blk.reality
+
+
+def classification_candidates(m: int, coords: tuple) -> tuple[frozenset, list[tuple]]:
+    """The vanishing-root pattern of real coordinates on basis ``m``, and
+    each candidate ``(key, label, r, reality)``: the real move r takes the
+    coordinates to the label's row at the label's parameters, which are a
+    label when the block's ``reality`` pattern accepts them.
+
+    Every pending pair of :func:`_first_parameters` is solved in full, in
+    the order of the moves and the admitted rows; :func:`classify_semisimple`
+    solves only the least of them.  Raises ``ArithmeticError`` for
+    coordinates that are not real, or for an admitted row that does not
+    solve.
+    """
+    pattern, pending = _first_parameters(m, coords)
+    return pattern, [_candidate(pair) for pair in pending]
 
 
 def classify_semisimple(t: Tensor) -> SSOrbitLabel:
@@ -1360,23 +1422,33 @@ def classify_semisimple(t: Tensor) -> SSOrbitLabel:
     basis 3 do not).  On each basis containing the input, a real coordinate
     move r (an element of W_real(m)) admits row k when it carries the roots
     vanishing at the input onto the roots vanishing on row k's points, the
-    pattern of its Weyl witness (:func:`classification_candidates`).  The
-    moved point then lies in the row's span, so the row solves it.  The
-    label is the least candidate under an exact key (the parameters
-    coordinatewise, each by the numerators and denominator of ±v and then
-    its sign, then (j, k, m); :func:`_label_key`) whose parameters the
-    block's reality pattern accepts, tested from the least key up.  The
-    pattern does not decide that test: some avoid rows exclude regular
-    points, such as l1 = l2 in block (1, 4).  An input and its image under
-    a real move have the same candidates, so the label is a function of the
-    W_real(m)-orbit, and the two rows of a related pair get one label.
+    pattern of its Weyl witness (:func:`_first_parameters`).  The moved
+    point then lies in the row's span, so the row solves it.  The label is
+    the least candidate (:func:`classification_candidates`) under an exact
+    key (the parameters coordinatewise, each by the numerators and
+    denominator of ±v and then its sign, then (j, k, m); :func:`_label_key`)
+    whose parameters the block's reality pattern accepts.  The pattern does
+    not decide that test: some avoid rows exclude regular points, such as
+    l1 = l2 in block (1, 4).  An input and its image under a real move have
+    the same candidates, so the label is a function of the W_real(m)-orbit,
+    and the two rows of a related pair get one label.
+
+    The first parameter decides the key first, so the candidates are found
+    least first: each admitted pair is checked and evaluated at its first
+    parameter only, the pairs are ordered by that parameter's key, and they
+    are solved in full one group of equal first parameters at a time.  The
+    least accepted key of the first group that has one is the label, since
+    every key of a later group is greater.
 
     Input in the span of a real Cartan basis is semisimple because that
     basis is a commuting semisimple family, checked once per basis; only
     input outside every basis gets its own semisimplicity test.  Raises
     ``ValueError`` for non-real input, zero, or input with a nilpotent part,
     and :class:`GeneralPositionError` when no table row matches (the input is
-    not in canonical position, or its parameters are degenerate).
+    not in canonical position, or its parameters are degenerate).  Its
+    centralizer dimensions come from the roots vanishing at the input
+    (:func:`_centralizer_dims`) when it lies in a real Cartan span, and from
+    the algebra otherwise.
     """
     if not isinstance(t, Tensor):
         raise TypeError("expected a tensor state")
@@ -1388,15 +1460,22 @@ def classify_semisimple(t: Tensor) -> SSOrbitLabel:
     in_semisimple_span = any(cw.cartan_is_semisimple(m) for m, _ in bases)
     if not in_semisimple_span and not liealg.is_semisimple(t):
         raise ValueError("has nilpotent part")
-    candidates = [c for m, coords in bases for c in classification_candidates(m, coords)[1]]
-    while candidates:
-        best = min(candidates, key=itemgetter(0))
-        _, label, _, reality = best
-        if reality.accepts(label.lams):
-            return label
-        candidates.remove(best)
-    cdim = liealg.centralizer_dim(t)
-    ddim = liealg.derived_dim_of_centralizer(t)
+    patterns, pending = [], []
+    for m, coords in bases:
+        pattern, pairs = _first_parameters(m, coords)
+        patterns.append(pattern)
+        pending += pairs
+    pending.sort(key=itemgetter(0))
+    for _, group in groupby(pending, key=itemgetter(0)):
+        accepted = [c for c in map(_candidate, group) if c[3].accepts(c[1].lams)]
+        if accepted:
+            return min(accepted, key=itemgetter(0))[1]
+    if patterns:
+        roots = cw.restricted_roots()
+        cdim, ddim = _centralizer_dims([roots[a].coeffs for a in patterns[0]])
+    else:
+        cdim = liealg.centralizer_dim(t)
+        ddim = liealg.derived_dim_of_centralizer(t)
     families = [i for i in range(1, 11) if _family_dims(i) == (cdim, ddim)]
     raise GeneralPositionError(
         {

@@ -7,6 +7,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -1737,6 +1738,106 @@ def test_labels_are_pinned():
     assert len(labels) == 324
     digest = hashlib.sha256(json.dumps(labels).encode()).hexdigest()
     assert digest == "9b50a0698ed53e6391d9d2d027d974b62d6994ff3ea82c4537614fbf3a74cd92"
+
+
+def _least_accepted(t):
+    # the eager order: every candidate of classification_candidates on every
+    # containing basis, solved in full, and the least key that accepts
+    # takes; each candidate's first parameter is the one stage 1 keyed
+    candidates = []
+    for m, coords in cw.containing_bases(t):
+        _, pending = ss._first_parameters(m, coords)
+        _, found = ss.classification_candidates(m, coords)
+        assert [pair[0] for pair in pending] == [key[0][0] for key, *_ in found]
+        candidates += found
+    return min((c for c in candidates if c[3].accepts(c[1].lams)), key=itemgetter(0))[1]
+
+
+def test_least_first_classification_equals_the_least_candidate():
+    # every row at default_lambda, and again after one seeded real move of
+    # its basis: solving only the least group of equal first parameters
+    # gives the least accepted candidate of all the pairs solved in full
+    rng = random.Random(3402)
+    checked = 0
+    for blk in ss.blocks():
+        lams = ss.default_lambda(blk.i, blk.j)
+        moves = _coordinate_moves(blk.m)
+        for row in blk.rows:
+            coords = row.coordinates(lams)
+            for vec in (coords, tuple(la.mat_vec(rng.choice(moves), coords))):
+                t = cw.from_basis_coords(blk.m, vec)
+                assert ss.classify_semisimple(t) == _least_accepted(t), (blk.i, blk.j, row.k)
+                checked += 1
+    assert checked == 324
+
+
+def test_a_rejected_least_group_gives_way_to_the_next(monkeypatch):
+    # accepts rejects every candidate whose first parameter is that of the
+    # unpatched label, the least group; the label comes from the next group,
+    # and only the pairs of those two groups are solved
+    t = ss.row_tensor(1, 1, 1, ss.default_lambda(1, 1))
+    (m, coords), = cw.containing_bases(t)
+    _, pending = ss._first_parameters(m, coords)
+    parts = sorted({pair[0] for pair in pending})
+    least = ss.classify_semisimple(t)
+    assert ss._parameter_key(least.lams[0]) == parts[0]
+    accepts, solve, solved = ss.RealityPattern.accepts, ss.SSTableRow.solve, []
+    monkeypatch.setattr(ss.RealityPattern, "accepts",
+                        lambda self, lams: lams[0] != least.lams[0] and accepts(self, lams))
+    monkeypatch.setattr(ss.SSTableRow, "solve",
+                        lambda self, vec: solved.append(self) or solve(self, vec))
+    label = ss.classify_semisimple(t)
+    assert ss._parameter_key(label.lams[0]) == parts[1]
+    assert len(solved) == sum(pair[0] in parts[:2] for pair in pending) < len(pending)
+    assert label == _least_accepted(t)
+
+
+def test_an_admitted_row_that_does_not_solve_raises_before_any_solve(monkeypatch):
+    # the pattern table also admits a family-2 row for the empty pattern of
+    # a regular point, after the family-1 rows that solve it: its
+    # consistency rows do not vanish there, and stage 1 raises although the
+    # least group of the other pairs would give a label
+    t = ss.row_tensor(1, 1, 1, ss.default_lambda(1, 1))
+    (m, coords), = cw.containing_bases(t)
+    rows, moves = ss._pattern_table(m)
+    stranger = next((b, b.rows[0]) for b in ss._blocks_by_basis(m) if b.i == 2)
+    admitted = dict(rows)
+    admitted[frozenset()] = rows[frozenset()] + (stranger,)
+    monkeypatch.setattr(ss, "_pattern_table", lambda m: (admitted, moves))
+
+    def no_solve(self, vec):
+        raise AssertionError("SSTableRow.solve called")
+
+    monkeypatch.setattr(ss.SSTableRow, "solve", no_solve)
+    for run in (lambda: ss.classify_semisimple(t),
+                lambda: ss.classification_candidates(m, coords)):
+        with pytest.raises(ArithmeticError, match=r"row \(2, \d+, 1\) has the pattern but"):
+            run()
+
+
+def test_general_position_dims_come_from_the_vanishing_roots(monkeypatch):
+    # every _KNOWN_GAPS point and the avoid-row point (i, i, 5, 13) of block
+    # (1, 4) lie in a real Cartan span: the payload's dimensions are read off
+    # the roots vanishing there, without the algebra, and agree with it
+    points = [t for blk in ss.blocks() for m in range(1, 8)
+              for w, t in _double_coset_points(blk, m)
+              if w in _KNOWN_GAPS.get((blk.i, blk.j, m), ())]
+    points.append(cw.from_basis_coords(
+        4, ss.block(1, 4).rows[0].coordinates((IMAG, IMAG, rat(5), rat(13)))))
+    payloads = []
+    with monkeypatch.context() as patched:
+        for name in ("centralizer_dim", "derived_dim_of_centralizer"):
+            patched.setattr(liealg, name, lambda t: pytest.fail("the algebra was asked"))
+        for t in points:
+            with pytest.raises(ss.GeneralPositionError) as exc:
+                ss.classify_semisimple(t)
+            payloads.append(exc.value.payload)
+    dims = [(p["centralizer_dim"], p["derived_centralizer_dim"]) for p in payloads]
+    assert dims == [(liealg.centralizer_dim(t), liealg.derived_dim_of_centralizer(t))
+                    for t in points]
+    assert sorted(zip(dims, (p["families"] for p in payloads))) == sorted(
+        [((10, 9), [10])] * 6 + [((6, 3), [2])] * 2 + [((8, 6), [4, 5, 6])] * 2
+        + [((4, 0), [1])])
 
 
 @pytest.fixture
