@@ -14,7 +14,8 @@ q(4/l1), so they come out in mu = 4/l1, which maps the nonzero real
 (imaginary) l1 onto themselves.  So every row is linear in its parameters,
 and every row of a block at l1 lies over q(l1).  Each block's reality tags
 are read off its Galois twist's Weyl action on the family's parameters,
-the real moves off the real Weyl group and the twist factors.  It provides:
+its regularity rows off the roots outside the family's, the real moves off
+the real Weyl group and the twist factors.  It provides:
 
 * ``reality_pattern(i, j)`` — the admissible-parameter test for a block;
 * ``real_point(i, j, lams)`` — a real point of the block with its witness;
@@ -385,10 +386,11 @@ class RealityPattern:
 
     ``tags`` gives each parameter's constraint: ``"real"`` or
     ``"imaginary"`` (nonzero real/imaginary number), or ``"coupled"`` for
-    the paired constraint i·(l1+l2) and l1−l2 both real and nonzero,
-    derived from the block's twist (:func:`_reality_tags`).  ``avoid``
-    lists integer coefficient rows whose dot product with the parameters
-    must not vanish (regularity of the instance).
+    the paired constraint i·(l1+l2) and l1−l2 both real and nonzero.
+    ``avoid`` lists the integer rows α∘H_i of the roots α outside
+    ``member_roots(i)`` that can vanish under the tags; when none vanishes,
+    exactly the member roots vanish at the point, which is regular in its
+    family.  Both follow from the block's twist (:func:`_reality_pattern`).
     """
 
     i: int
@@ -422,16 +424,6 @@ class RealityPattern:
         return not (self.avoid and any(vanishing_functionals(self.avoid, lams)))
 
 
-def _plus_minus_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Rows (1, ±1, …, ±1): the first parameter avoids all ± sums of the rest."""
-    rows = []
-    count = n - 1
-    for bits in range(2**count):
-        row = [1] + [1 if (bits >> p) & 1 else -1 for p in range(count)]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 # ---------------------------------------------------------------------------
 # table data
 # ---------------------------------------------------------------------------
@@ -441,13 +433,14 @@ def _plus_minus_rows(n: int) -> tuple[tuple[int, ...], ...]:
 # which permute the coordinate pairs without sign changes.
 #
 # Block fields: j, basis index m (1..7 for u, v, w, x, y, z, t), the
-# coordinate-action matrix ``gamma`` induced by the twist n, the twist
-# ``n`` and its witness ``g`` (as comma-separated named 2×2 factors, with
-# ``Dk`` denoting diag(eta^k, eta^-k)), the finite list ``zs`` of
-# stabilizer cocycles, ``avoid`` rows and the rows k = 1, 2, …, each as its
-# Weyl witness w, the least element of its coset W_Pi(i)·w, from which
-# ``blocks()`` generates the row's matrix (see ``_row_matrix``); ``artifact
-# table`` prints the rows' entries.  The twist fixes the reality tags.
+# twist ``n`` and its witness ``g`` (as comma-separated named 2×2 factors,
+# with ``Dk`` denoting diag(eta^k, eta^-k)), the finite list ``zs`` of
+# stabilizer cocycles and the rows k = 1, 2, …, each as its Weyl witness w,
+# the least element of its coset W_Pi(i)·w, from which ``blocks()``
+# generates the row's matrix (see ``_row_matrix``); ``artifact table``
+# prints the rows' entries.  The twist fixes the block's Weyl index
+# ``gamma`` and its reality tags, and with the root system its avoid rows
+# (see ``_reality_pattern``).
 
 _Z_COMMON = ("I,I,I,I", "-I,-I,I,I", "-I,I,-I,I", "I,-I,-I,I")
 
@@ -456,7 +449,6 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
         dict(
             j=1,
             m=1,
-            gamma=(1, 1, 1, 1),
             n="I,I,I,I",
             g="I,I,I,I",
             zs=(
@@ -464,13 +456,11 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
                 "K,K,K,K", "K,K,-K,-K", "K,-K,K,-K", "K,-K,-K,K",
                 "L,L,L,L", "L,L,-L,-L", "L,-L,L,-L", "L,-L,-L,L",
             ),
-            avoid=_plus_minus_rows(4),
             rows=(191, 6, 5, 3, 64, 22, 29, 43, 7, 190, 189, 187),
         ),
         dict(
             j=2,
             m=2,
-            gamma=(-1, -1, -1, -1),
             n="-I,I,I,I",
             g="L,I,I,I",
             zs=(
@@ -478,58 +468,46 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
                 "K,K,K,-K", "-K,-K,-K,K", "K,-K,K,K", "-K,K,K,K",
                 "-L,-L,-L,-L", "L,L,-L,-L", "-L,L,-L,L", "L,-L,-L,L",
             ),
-            avoid=_plus_minus_rows(4),
             rows=(191, 6, 5, 3, 43, 29, 22, 64, 7, 190, 189, 187),
         ),
         dict(
             j=3,
             m=3,
-            gamma=(-1, -1, -1, 1),
             n="M,M,-N,N",
             g="D5,D5,-D3,-D7",
             zs=("-I,-I,-I,-I", "-I,-I,I,I", "-I,I,-I,I", "-I,I,I,-I"),
-            avoid=((1, 1, 1, 0), (1, 1, -1, 0),
-                   (1, -1, 1, 0), (1, -1, -1, 0)),
             rows=(191, 6, 5, 3),
         ),
         dict(
             j=4,
             m=4,
-            gamma=(-1, -1, 1, 1),
             n="L,I,I,L",
             g="M,I,I,M",
             zs=("I,I,I,I", "I,I,-I,-I", "L,L,L,L", "L,L,-L,-L"),
-            avoid=((1, 1, 0, 0), (1, -1, 0, 0)),
             rows=(191, 6, 7, 190),
         ),
         dict(
             j=5,
             m=5,
-            gamma=(-1, 1, -1, 1),
             n="I,L,I,L",
             g="I,M,I,M",
             zs=("I,I,I,I", "I,I,-I,-I", "L,L,L,L", "L,L,-L,-L"),
-            avoid=((1, 0, 1, 0), (1, 0, -1, 0)),
             rows=(191, 6, 7, 190),
         ),
         dict(
             j=6,
             m=6,
-            gamma=(-1, 1, 1, -1),
             n="I,I,L,L",
             g="I,I,M,M",
             zs=("I,I,I,I", "I,-I,I,-I", "L,L,L,L", "L,-L,L,-L"),
-            avoid=((1, 0, 0, 1), (1, 0, 0, -1)),
             rows=(191, 5, 7, 189),
         ),
         dict(
             j=7,
             m=7,
-            gamma=(-1, 1, 1, 1),
             n="M,M,M,M",
             g="D5,D5,D5,D5",
             zs=("I,I,I,I", "I,I,-I,-I", "I,-I,I,-I", "I,-I,-I,I"),
-            avoid=(),
             rows=(191, 6, 5, 3),
         ),
     ),
@@ -537,81 +515,65 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
         dict(
             j=1,
             m=1,
-            gamma=(1, 1, 1, 1),
             n="I,I,I,I",
             g="I,I,I,I",
             zs=_Z_COMMON + ("-K,-K,K,K", "K,K,K,K", "K,-K,-K,K", "-K,K,-K,K"),
-            avoid=_plus_minus_rows(3),
             rows=(190, 6, 4, 2, 22, 64, 42, 28),
         ),
         dict(
             j=2,
             m=6,
-            gamma=(1, -1, -1, 1),
             n="I,I,L,-L",
             g="I,I,M,D2",
             zs=_Z_COMMON,
-            avoid=(),
             rows=(106, 108, 80, 104),
         ),
         dict(
             j=3,
             m=5,
-            gamma=(1, -1, 1, -1),
             n="I,L,I,-L",
             g="I,M,I,D2",
             zs=_Z_COMMON,
-            avoid=((1, 0, 1), (1, 0, -1)),
             rows=(96, 88, 100, 98),
         ),
         dict(
             j=4,
             m=4,
-            gamma=(-1, -1, 1, 1),
             n="L,I,I,L",
             g="M,I,I,M",
             zs=_Z_COMMON,
-            avoid=((1, 1, 0), (1, -1, 0)),
             rows=(190, 6, 4, 2),
         ),
         dict(
             j=5,
             m=4,
-            gamma=(1, 1, -1, -1),
             n="L,I,I,-L",
             g="M,I,I,N",
             zs=_Z_COMMON,
-            avoid=((1, 1, 0), (1, -1, 0)),
             rows=(96, 88, 100, 98),
         ),
         dict(
             j=6,
             m=5,
-            gamma=(-1, 1, -1, 1),
             n="I,L,I,L",
             g="I,M,I,M",
             zs=_Z_COMMON,
-            avoid=((1, 0, 1), (1, 0, -1)),
             rows=(190, 6, 4, 2),
         ),
         dict(
             j=7,
             m=6,
-            gamma=(-1, 1, 1, -1),
             n="I,I,L,L",
             g="I,I,M,M",
             zs=_Z_COMMON,
-            avoid=((1, 0, 1), (1, 0, -1)),
             rows=(190, 6, 4, 2),
         ),
         dict(
             j=8,
             m=2,
-            gamma=(-1, -1, -1, -1),
             n="-I,I,I,I",
             g="L,I,I,I",
             zs=_Z_COMMON + ("K,-K,K,K", "-K,K,K,K", "-K,-K,-K,K", "K,K,-K,K"),
-            avoid=_plus_minus_rows(3),
             rows=(0, 184, 186, 188, 168, 126, 148, 162),
         ),
     ),
@@ -619,21 +581,17 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
         dict(
             j=1,
             m=1,
-            gamma=(1, 1, 1, 1),
             n="I,I,I,I",
             g="I,I,I,I",
             zs=_Z_COMMON,
-            avoid=((1, 1),),
             rows=(120, 6, 4, 2),
         ),
         dict(
             j=2,
             m=2,
-            gamma=(-1, -1, -1, -1),
             n="-I,I,I,I",
             g="L,I,I,I",
             zs=_Z_COMMON,
-            avoid=((1, 1),),
             rows=(120, 6, 4, 2),
         ),
     ),
@@ -641,43 +599,35 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
         dict(
             j=1,
             m=1,
-            gamma=(1, 1, 1, 1),
             n="I,I,I,I",
             g="I,I,I,I",
             zs=("I,I,I,I", "-I,I,-I,I", "-K,K,-K,K",
                 "-K,K,K,-K", "K,K,K,K", "K,K,-K,-K"),
-            avoid=((1, 1), (1, -1)),
             rows=(185, 1, 25, 41, 64, 16),
         ),
         dict(
             j=2,
             m=7,
-            gamma=(-1, 1, 1, 1),
             n="M,M,M,M",
             g="D5,D5,D5,D5",
             zs=("I,I,I,I", "-I,I,-I,I"),
-            avoid=(),
             rows=(185, 1),
         ),
         dict(
             j=3,
             m=2,
-            gamma=(-1, 1, 1, -1),
             n="I,I,L,L",
             g="I,I,M,M",
             zs=("I,I,I,I", "-I,-I,I,I", "-K,K,-K,-K",
                 "K,K,K,-K", "-K,K,K,K", "K,K,-K,K"),
-            avoid=((1, 1), (1, -1)),
             rows=(1, 185, 16, 41, 64, 25),
         ),
         dict(
             j=4,
             m=6,
-            gamma=((0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0)),
             n="L,L,-K,K",
             g="M,M,F,LF",
             zs=("I,I,I,I", "-I,I,-I,I", "-K,-K,-L,-L", "K,-K,L,-L"),
-            avoid=((1, 1), (1, -1)),
             rows=(153, 56, 40, 169),
         ),
     ),
@@ -685,21 +635,17 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
         dict(
             j=1,
             m=1,
-            gamma=(1, 1, 1, 1),
             n="I,I,I,I",
             g="I,I,I,I",
             zs=("I,I,I,I", "-I,I,-I,I"),
-            avoid=(),
             rows=(88, 1),
         ),
         dict(
             j=2,
             m=2,
-            gamma=(-1, -1, -1, -1),
             n="-I,I,I,I",
             g="L,I,I,I",
             zs=("I,I,I,I", "-I,I,-I,I"),
-            avoid=(),
             rows=(88, 1),
         ),
     ),
@@ -707,21 +653,17 @@ _NATIVE: dict[int, tuple[dict, ...]] = {
         dict(
             j=1,
             m=1,
-            gamma=(1, 1, 1, 1),
             n="I,I,I,I",
             g="I,I,I,I",
             zs=("I,I,I,I", "K,K,K,K", "-K,K,K,-K", "-K,K,-K,K", "K,K,-K,-K"),
-            avoid=(),
             rows=(184, 64),
         ),
         dict(
             j=2,
             m=2,
-            gamma=(-1, -1, -1, -1),
             n="-I,I,I,I",
             g="L,I,I,I",
             zs=("I,I,I,I", "-K,K,K,K", "K,K,K,-K", "K,K,-K,K", "-K,K,-K,-K"),
-            avoid=(),
             rows=(184, 120),
         ),
     ),
@@ -737,12 +679,6 @@ _TRANSPORTS: dict[int, tuple[int, tuple[int, int], tuple[tuple[int, ...], ...]]]
     8: (7, (2, 3), ((80, 2), (80, 2))),
     9: (7, (2, 4), ((72, 4), (72, 4))),
 }
-
-
-def _build_wmat(gamma) -> cw.WeylMat:
-    if isinstance(gamma[0], tuple):
-        return cw.wmat(gamma)
-    return cw.wmat([[gamma[r] if r == c else 0 for c in range(4)] for r in range(4)])
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +749,22 @@ def _checked_twist(i: int, j: int, n: GElt, g: GElt, zs: tuple) -> int:
     return symmetries[0]
 
 
-def _reality_tags(i: int, j: int, w: int) -> tuple[str, ...]:
-    """Block (i, j)'s reality tags, read off its twist's Weyl index w.
+@lru_cache(maxsize=None)
+def _root_rows(i: int) -> tuple[tuple[int, ...], ...]:
+    """The nonzero rows α∘H_i of the roots α, for H_i family i's ``h_basis``
+    as columns (zero exactly for α in ``member_roots(i)``), each primitive
+    with a positive first nonzero entry, in decreasing order."""
+    h = cw.subsystem(i).h_basis
+    rows = set()
+    for root in cw.restricted_roots():
+        row = [sum(a * x for a, x in zip(root.coeffs, vec)) for vec in h]
+        if next(filter(None, row), 0) > 0:
+            rows.add(tuple(c // gcd(*row) for c in row))
+    return tuple(sorted(rows, reverse=True))
+
+
+def _reality_pattern(i: int, j: int, w: int) -> RealityPattern:
+    """Block (i, j)'s reality pattern, read off its twist's Weyl index w.
 
     Its points g·q(λ) are real when W[w]·H·conj(λ) = H·λ, for H family i's
     ``h_basis`` as columns.  W[w]·H = H·R is read on the coordinates that
@@ -822,6 +772,11 @@ def _reality_tags(i: int, j: int, w: int) -> tuple[str, ...]:
     R = diag(±1) makes λ_l real (+1) or imaginary (−1), R = [[0, −1],
     [−1, 0]] makes i·(l1+l2) and l1−l2 real (``"coupled"``), and any other
     R, or a W[w] that moves span(H), raises ``ValueError`` naming the block.
+    The avoid rows are the root rows (:func:`_root_rows`) that can vanish
+    under the tags: a row vanishes when its real-tagged and imaginary-tagged
+    parts do, and a part with one nonzero entry cannot.  A coupled pair has
+    none, as a·l1 + b·l2 = ((a−b)·d − i·(a+b)·s)/2 for the real and nonzero
+    s = i·(l1+l2) and d = l1−l2.
     """
     h = cw.subsystem(i).h_basis
     n = len(h)
@@ -836,33 +791,36 @@ def _reality_tags(i: int, j: int, w: int) -> tuple[str, ...]:
         raise ValueError("block (%d, %d): the twist does not preserve the family's span"
                          % (i, j))
     if twice == [[0, -2], [-2, 0]]:
-        return ("coupled", "coupled")
+        return RealityPattern(i=i, j=j, tags=("coupled", "coupled"), avoid=())
     tags = tuple({2: "real", -2: "imaginary"}.get(twice[p][p]) for p in range(n))
     if None in tags or any(twice[p][l] for p in range(n) for l in range(n) if p != l):
         raise ValueError("block (%d, %d): the twist acts on the parameters by 2·R = %r, "
                          "neither signs on the diagonal nor the coupled swap" % (i, j, twice))
-    return tags
+    avoid = tuple(row for row in _root_rows(i)
+                  if all(sum(1 for c, t in zip(row, tags) if c and t == tag) != 1
+                         for tag in ("real", "imaginary")))
+    return RealityPattern(i=i, j=j, tags=tags, avoid=avoid)
 
 
 def _compile_block(i: int, raw: dict) -> CaseBlock:
-    """Compile a stored block; its ``gamma`` must be its twist's symmetry,
-    which fixes its reality tags (:func:`_reality_tags`)."""
+    """Compile a stored block: its twist's Weyl index
+    (:func:`_checked_twist`) is its ``gamma`` and fixes its reality pattern
+    (:func:`_reality_pattern`), and its rows are generated from their
+    witnesses (:func:`_table_rows`)."""
     n = gelt_from_names(raw["n"])
     g = gelt_from_names(raw["g"])
     zs = tuple(gelt_from_names(z) for z in raw["zs"])
     w = _checked_twist(i, raw["j"], n, g, zs)
-    reality = RealityPattern(i=i, j=raw["j"], tags=_reality_tags(i, raw["j"], w),
-                             avoid=tuple(raw["avoid"]))
-    gamma = _build_wmat(raw["gamma"])
-    if cw.weyl_group()[w] != gamma:
-        raise ValueError("block (%d, %d): twist acts by %r, table says %r"
-                         % (i, raw["j"], cw.weyl_group()[w], gamma))
     return CaseBlock(i=i, j=raw["j"], m=raw["m"], gamma=w, n=n, g=g, zs=zs,
-                     rows=_table_rows(i, raw["j"], raw["m"], raw["rows"]), reality=reality)
+                     rows=_table_rows(i, raw["j"], raw["m"], raw["rows"]),
+                     reality=_reality_pattern(i, raw["j"], w))
 
 
 def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock,
                      witnesses: Sequence[int]) -> CaseBlock:
+    """``blk`` carried to family i_dst by the slot transposition ``auto``:
+    its group data checked again, its rows generated from ``witnesses`` and
+    its reality pattern derived for i_dst (:func:`_reality_pattern`)."""
     # The slot transposition sends the source basis onto the target basis
     # m_dst that holds the sum of the images, source vector l onto target
     # vector p with coefficient +1; perm4[p] = l (anything else is an error).
@@ -890,7 +848,7 @@ def _transport_block(i_dst: int, auto: PermAuto, blk: CaseBlock,
         raise ValueError("transported twist action mismatch")
     return replace(blk, i=i_dst, m=m_dst, gamma=w, n=n, g=g, zs=zs,
                    rows=_table_rows(i_dst, blk.j, m_dst, witnesses),
-                   reality=replace(blk.reality, i=i_dst, tags=_reality_tags(i_dst, blk.j, w)))
+                   reality=_reality_pattern(i_dst, blk.j, w))
 
 
 @lru_cache(maxsize=1)
@@ -1427,11 +1385,12 @@ def classify_semisimple(t: Tensor) -> SSOrbitLabel:
     the least candidate (:func:`classification_candidates`) under an exact
     key (the parameters coordinatewise, each by the numerators and
     denominator of ±v and then its sign, then (j, k, m); :func:`_label_key`)
-    whose parameters the block's reality pattern accepts.  The pattern does
-    not decide that test: some avoid rows exclude regular points, such as
-    l1 = l2 in block (1, 4).  An input and its image under a real move have
-    the same candidates, so the label is a function of the W_real(m)-orbit,
-    and the two rows of a related pair get one label.
+    whose parameters the block's reality pattern accepts.  Admission does
+    not decide that test, which also asks for the block's reality tags.
+    Where rows of a block reach one real orbit, such as on l1 = l2 in block
+    (1, 4), the least key picks one.  An input and its image under a real
+    move have the same candidates, so the label is a function of the
+    W_real(m)-orbit, and the two rows of a related pair get one label.
 
     The first parameter decides the key first, so the candidates are found
     least first: each admitted pair is checked and evaluated at its first
